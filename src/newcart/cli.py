@@ -14,7 +14,8 @@ import numpy as np
 
 from . import dynamics, verify
 from .connection import build_connection, connection_from_exprs, observable_map
-from .errors import NewcartError, ScenarioError
+from .errors import DomainError, NewcartError, ScenarioError
+from .expr import to_string
 from .scenario import load_scenario
 
 USAGE_ERROR = 2
@@ -30,6 +31,13 @@ def _point(text, m, parser, flag):
         return np.array([float(x) for x in parts])
     except ValueError:
         parser.error(f"{flag} needs numbers, got {text!r}")
+
+
+def _error_text(err, names):
+    """The error's message, with a failing subexpression in the chart's names."""
+    if isinstance(err, DomainError) and err.subexpression is not None:
+        return f"{err.reason} in '{to_string(err.subexpression, names)}'"
+    return str(err)
 
 
 def _connection_for(scn):
@@ -104,22 +112,23 @@ def cmd_geodesic(scn, args, parser):
     v0 = _point(args.vel, S.dim, parser, "--vel")
     conn = _connection_for(scn)
     traj = dynamics.integrate_geodesic(conn, x0, v0, args.t0, args.t1, args.dt)
-    dynamics.write_trajectory(traj, S.dim, args.out)
-    final = traj.final
-    print(f"{len(traj.states)} states, termination: {traj.termination}")
-    print("final position: " + ", ".join(repr(float(c)) for c in final.position))
-    return 0 if traj.termination != dynamics.NUMERIC_FAILURE else CHECK_FAILED
+    return _write_curve(S, traj, args.out)
 
 
 def cmd_flow(scn, args, parser):
     S = scn.structure
     x0 = _point(args.start, S.dim, parser, "--from")
     traj = dynamics.integrate_observer_flow(S, scn.observer, x0, args.t0, args.t1, args.dt)
-    dynamics.write_trajectory(traj, S.dim, args.out)
-    final = traj.final
+    return _write_curve(S, traj, args.out)
+
+
+def _write_curve(S, traj, path):
+    dynamics.write_trajectory(traj, S.dim, path)
     print(f"{len(traj.states)} states, termination: {traj.termination}")
-    print("final position: " + ", ".join(repr(float(c)) for c in final.position))
-    return 0 if traj.termination != dynamics.NUMERIC_FAILURE else CHECK_FAILED
+    if traj.error is not None:
+        print(f"error: {_error_text(traj.error, S.coord_names)}", file=sys.stderr)
+    print("final position: " + ", ".join(repr(float(c)) for c in traj.final.position))
+    return CHECK_FAILED if traj.termination in dynamics.FAILURES else 0
 
 
 def make_parser():
@@ -169,6 +178,7 @@ def make_parser():
 def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
+    scn = None
     try:
         scn = load_scenario(args.scenario)
         if args.command == "check":
@@ -188,7 +198,8 @@ def main(argv=None):
         print(f"scenario error: {err}", file=sys.stderr)
         return SCENARIO_ERROR
     except NewcartError as err:
-        print(f"error: {err}", file=sys.stderr)
+        names = scn.structure.coord_names if scn is not None else None
+        print(f"error: {_error_text(err, names)}", file=sys.stderr)
         return SCENARIO_ERROR
     return USAGE_ERROR
 

@@ -21,14 +21,17 @@ formula but the verification suite: clock and metric compatibility, the
 torsion-clock identity, and the data round trip must all hold on every
 scenario.
 
-All scalar coefficients that sit under a directional derivative are
-exact expressions (the spatial tensor g_ij = <P d_i, P d_j> is built
-from a symbolic coframe); the per-point numerics are small dense solves.
+Only the user input and its first derivatives are symbolic.  Everything
+downstream is numeric at each point: the coframe Q (rows 1..n of the
+inverse of the adapted basis B = (z, E_1..E_n)), the spatial tensor
+g = Q^T h Q with g_ij = <P d_i, P d_j>, its derivatives from
+d_k(B^-1) = -B^-1 (d_k B) B^-1, and small dense solves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -113,34 +116,8 @@ def alternation_at(structure, observer, data, x_field, y_field, p):
     return eval_fields(alternation_field(structure, observer, data, x_field, y_field), p)
 
 
-def _det_exprs(mat):
-    k = len(mat)
-    if k == 1:
-        return mat[0][0]
-    acc = ZERO
-    for c in range(k):
-        minor = [row[:c] + row[c + 1:] for row in mat[1:]]
-        term = mul(mat[0][c], _det_exprs(minor))
-        acc = acc + term if c % 2 == 0 else sub(acc, term)
-    return acc
-
-
-def _matrix_inverse_exprs(mat):
-    """Adjugate inverse of a small symbolic matrix (list of row lists)."""
-    m = len(mat)
-    det = _det_exprs(mat)
-    inv = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            minor = [row[:i] + row[i + 1:] for r, row in enumerate(mat) if r != j]
-            cof = _det_exprs(minor)
-            signed = cof if (i + j) % 2 == 0 else neg(cof)
-            inv[i][j] = signed / det
-    return inv
-
-
 class _ConnectionKit:
-    """Symbolic ingredients of the construction, cached per build."""
+    """Symbolic first derivatives of the input, evaluated numerically per point."""
 
     def __init__(self, structure, observer, data):
         self.structure = structure
@@ -157,40 +134,17 @@ class _ConnectionKit:
                           for k in range(m))
             self.p_fields.append(comps)
 
-        basis_rows = [[z[k] if c == 0 else structure.frame[c - 1][k] for c in range(m)]
-                      for k in range(m)]
-        inverse_rows = _matrix_inverse_exprs(basis_rows)
-        self.coframe_rows = [tuple(inverse_rows[1 + a]) for a in range(n)]
-
-        # spatial tensor g_ij = <P d_i, P d_j>, shared symmetric storage
-        self.g = [[None] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i, m):
-                acc = sum_exprs(
-                    mul(self.coframe_rows[a][i],
-                        mul(structure.metric[a][b], self.coframe_rows[b][j]))
-                    for a in range(n) for b in range(n))
-                self.g[i][j] = acc
-                self.g[j][i] = acc
-        self.dg = [[[differentiate(self.g[i][j], k) for j in range(m)]
-                    for i in range(m)] for k in range(m)]
+        self.dz = [[differentiate(z[k], i) for i in range(m)] for k in range(m)]
         self.d_frame = [[[differentiate(structure.frame[a][k], i) for i in range(m)]
                          for k in range(m)] for a in range(n)]
+        self.dh = [[[differentiate(structure.metric[a][b], i) for b in range(n)]
+                    for a in range(n)] for i in range(m)]
         self.tau = [[differentiate(omega[j], i) for j in range(m)] for i in range(m)]
 
         self._a_cache = {}
-        self.all_constant = self._detect_constant()
-
-    def _detect_constant(self):
-        exprs = list(self.structure.omega) + list(self.observer.components)
-        for f in self.structure.frame:
-            exprs.extend(f)
-        for row in self.structure.metric:
-            exprs.extend(row)
-        exprs.extend(self.data.gravity)
-        exprs.extend(self.data.coriolis.values())
-        exprs.extend(self.data.theta.values())
-        return all(is_constant(e) for e in exprs)
+        self.all_constant = all(is_constant(e) for e in chain(
+            omega, z, *structure.frame, *structure.metric, data.gravity,
+            data.coriolis.values(), data.theta.values()))
 
     def field(self, key):
         if key[0] == "z":
@@ -211,31 +165,53 @@ class _ConnectionKit:
             self._a_cache[(key_v, key_u)] = tuple(neg(c) for c in comps)
         return comps
 
-    def point_state(self, p):
-        """Evaluate every cached expression at p with one shared memo."""
-        p = np.asarray(p, dtype=float)
-        memo = {}
-        m, n = self.m, self.n
-        S = self.structure
-        omega_v = eval_fields(S.omega, p, memo)
+    def coframe_state(self, p, memo=None):
+        """z, frame, h, the coframe Q and g = Q^T h Q at p."""
+        m = self.m
         z_v = eval_fields(self.observer.components, p, memo)
-        frame_v = np.array([eval_fields(f, p, memo) for f in S.frame])  # (n, m)
-        h = geometry.metric_matrix(S, p, memo)
+        frame_v = np.array([eval_fields(f, p, memo) for f in self.structure.frame])  # (n, m)
+        h = geometry.metric_matrix(self.structure, p, memo)
 
         basis = np.empty((m, m))
         basis[:, 0] = z_v
         basis[:, 1:] = frame_v.T
         if abs(np.linalg.det(basis)) < _BASIS_DET_TOL:
             raise FrameDegenerate(f"adapted basis singular at {tuple(p)}")
-        coframe = np.linalg.inv(basis)[1:, :]  # (n, m); column j decomposes P d_j
+        inverse = np.linalg.inv(basis)
+        coframe = inverse[1:, :]  # (n, m); column j decomposes P d_j
+        return {"z": z_v, "frame": frame_v, "h": h, "inverse": inverse,
+                "coframe": coframe, "g": coframe.T @ h @ coframe}
 
-        g_v = np.array([[evaluate(self.g[i][j], p, memo) for j in range(m)]
-                        for i in range(m)])
-        dg_v = np.array([[[evaluate(self.dg[k][i][j], p, memo) for j in range(m)]
-                          for i in range(m)] for k in range(m)])
+    def spatial_state(self, p, memo=None):
+        """coframe_state plus d_frame and dg[k, i, j] = d_k g_ij at p, with
+        d_k g = (d_k Q)^T h Q + Q^T (d_k h) Q + Q^T h (d_k Q)."""
+        m, n = self.m, self.n
+        st = self.coframe_state(p, memo)
+        inverse, coframe, h = st["inverse"], st["coframe"], st["h"]
         d_frame_v = np.array([[[evaluate(self.d_frame[a][k][i], p, memo)
                                 for i in range(m)] for k in range(m)]
                               for a in range(n)])
+        d_basis = np.empty((m, m, m))  # [i, k, c] = d_i B_kc
+        d_basis[:, :, 0] = [[evaluate(self.dz[k][i], p, memo) for k in range(m)]
+                            for i in range(m)]
+        d_basis[:, :, 1:] = d_frame_v.transpose(2, 1, 0)
+        d_coframe = -(inverse @ d_basis @ inverse)[:, 1:, :]  # (m, n, m)
+        dh_v = np.array([[[evaluate(self.dh[i][a][b], p, memo) for b in range(n)]
+                          for a in range(n)] for i in range(m)])
+
+        half = d_coframe.transpose(0, 2, 1) @ h @ coframe
+        st["d_frame"] = d_frame_v
+        st["dg"] = half + half.transpose(0, 2, 1) + coframe.T @ dh_v @ coframe
+        return st
+
+    def point_state(self, p):
+        """Evaluate every cached expression at p with one shared memo."""
+        p = np.asarray(p, dtype=float)
+        memo = {}
+        m, n = self.m, self.n
+        st = self.spatial_state(p, memo)
+        coframe = st["coframe"]
+        omega_v = eval_fields(self.structure.omega, p, memo)
         tau_v = np.array([[evaluate(self.tau[i][j], p, memo) for j in range(m)]
                           for i in range(m)])
 
@@ -252,24 +228,25 @@ class _ConnectionKit:
 
         azp = np.column_stack([coeffs(("z",), ("P", j)) for j in range(m)])  # (n, m)
         aze = np.column_stack([coeffs(("z",), ("E", a)) for a in range(n)])  # (n, n)
-        app = {(i, j): coeffs(("P", i), ("P", j))
-               for i in range(m) for j in range(i + 1, m)}
+        app = np.zeros((m, m, n))
+        for i in range(m):
+            for j in range(i + 1, m):
+                app[i, j] = coeffs(("P", i), ("P", j))
+                app[j, i] = -app[i, j]
         ape = np.empty((m, n, n))
         for j in range(m):
             for a in range(n):
                 ape[j, a] = coeffs(("P", j), ("E", a))
 
-        return {
-            "p": p, "omega": omega_v, "z": z_v, "frame": frame_v, "h": h,
-            "coframe": coframe, "g": g_v, "dg": dg_v, "d_frame": d_frame_v,
-            "tau": tau_v, "gravity": grav_coeff, "w": w_mat,
+        st.update({
+            "p": p, "omega": omega_v, "tau": tau_v, "gravity": grav_coeff, "w": w_mat,
             "azp": azp, "aze": aze, "app": app, "ape": ape,
-        }
+        })
+        return st
 
     def rhs_at(self, p):
         """Right-hand side of the pointwise relation, shape (m, m, n)."""
         st = self.point_state(p)
-        m, n = self.m, self.n
         omega_v, frame_v, h = st["omega"], st["frame"], st["h"]
         g_v, dg_v, d_frame_v = st["g"], st["dg"], st["d_frame"]
         qp = st["coframe"]
@@ -285,27 +262,13 @@ class _ConnectionKit:
         cor = 2.0 * (omega_v[:, None, None] * cor_m[None, :, :]
                      + omega_v[None, :, None] * cor_m[:, None, :])
 
-        h_azp = h @ st["azp"]   # (n, m)
-        h_aze = h @ st["aze"]   # (n, n)
-        hq = h @ qp             # (n, m)
-        aterms = np.zeros((m, m, n))
-        zero_n = np.zeros(n)
-        for i in range(m):
-            for j in range(m):
-                if i < j:
-                    happ = h @ st["app"][(i, j)]
-                elif i > j:
-                    happ = -(h @ st["app"][(j, i)])
-                else:
-                    happ = zero_n
-                for a in range(n):
-                    aterms[i, j, a] = (
-                        omega_v[i] * (h_azp[a, j] - qp[:, j] @ h_aze[:, a])
-                        - omega_v[j] * (h_azp[a, i] + qp[:, i] @ h_aze[:, a])
-                        + happ[a]
-                        - st["ape"][j, a] @ hq[:, i]
-                        - st["ape"][i, a] @ hq[:, j]
-                    )
+        h_azp = (h @ st["azp"]).T      # (m, n)
+        q_aze = qp.T @ h @ st["aze"]   # (m, n)
+        ape_q = st["ape"] @ h @ qp     # [j, a, i] = <A(P d_j, E_a), P d_i>
+        aterms = (omega_v[:, None, None] * (h_azp - q_aze)[None, :, :]
+                  - omega_v[None, :, None] * (h_azp + q_aze)[:, None, :]
+                  + st["app"] @ h
+                  - ape_q.transpose(2, 0, 1) - ape_q.transpose(0, 2, 1))
         return deriv + grav + cor + aterms, st
 
     def christoffel_at(self, p):
@@ -372,24 +335,9 @@ class Connection:
         return gamma
 
 
-_KIT_CACHE = {}
-
-
-def _kit_for(structure, observer, data):
-    key = (id(structure), id(observer), id(data))
-    hit = _KIT_CACHE.get(key)
-    if hit is not None and hit[0] is structure and hit[1] is observer and hit[2] is data:
-        return hit[3]
-    kit = _ConnectionKit(structure, observer, data)
-    if len(_KIT_CACHE) > 8:
-        _KIT_CACHE.clear()
-    _KIT_CACHE[key] = (structure, observer, data, kit)
-    return kit
-
-
 def koszul_rhs(structure, observer, data, i, j, a, p):
     """One component of the pointwise right-hand side, 2<P(nabla_i d_j), E_a>."""
-    rhs, _ = _kit_for(structure, observer, data).rhs_at(p)
+    rhs, _ = _ConnectionKit(structure, observer, data).rhs_at(p)
     return float(rhs[i, j, a])
 
 
@@ -398,7 +346,7 @@ def build_connection(structure, observer, data=None):
     if data is None:
         data = ConnectionData.zero(structure.n)
     return Connection(structure, observer, data=data,
-                      kit=_kit_for(structure, observer, data))
+                      kit=_ConnectionKit(structure, observer, data))
 
 
 def connection_from_exprs(structure, observer, gamma_exprs):

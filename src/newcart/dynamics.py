@@ -2,9 +2,11 @@
 
 Free fall is the first-order system xdot^k = v^k, vdot^k = -Gamma^k_ij
 v^i v^j with the curve parameter as the evolution variable.  Steps are
-uniform; leaving the domain box is a normal termination, and a state
-that turns non-finite ends the trajectory with reason "numeric_failure"
-(the bad state is discarded, every stored state is finite).
+uniform; leaving the domain box is a normal termination.  A non-finite
+state ends the trajectory with reason "numeric_failure"; an error raised
+by the right-hand side (say sqrt of a negative value, or a singular
+metric) ends it with "evaluation_failure" and is kept on the trajectory.
+Either way the failed step is discarded and every earlier state kept.
 """
 
 from __future__ import annotations
@@ -13,11 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NewcartError
 from .geometry import eval_fields
 
 COMPLETED = "completed"
 LEFT_DOMAIN = "left_domain"
 NUMERIC_FAILURE = "numeric_failure"
+EVALUATION_FAILURE = "evaluation_failure"
+FAILURES = (NUMERIC_FAILURE, EVALUATION_FAILURE)
 
 
 @dataclass
@@ -32,6 +37,7 @@ class Trajectory:
     states: list[CurveState]
     step: float
     termination: str
+    error: NewcartError | None = None
 
     @property
     def final(self):
@@ -64,9 +70,13 @@ def _integrate(f, box, x0, v0, tau0, tau1, dtau):
     v = np.asarray(v0, dtype=float).copy()
     states = [CurveState(tau0, x.copy(), v.copy())]
     steps = int(np.floor((tau1 - tau0) / dtau * (1.0 + 1e-12)))
-    termination = COMPLETED
+    termination, error = COMPLETED, None
     for k in range(1, steps + 1):
-        nx, nv = _rk4_step(f, x, v, dtau)
+        try:
+            nx, nv = _rk4_step(f, x, v, dtau)
+        except NewcartError as err:
+            termination, error = EVALUATION_FAILURE, err
+            break
         if not (np.all(np.isfinite(nx)) and np.all(np.isfinite(nv))):
             termination = NUMERIC_FAILURE
             break
@@ -75,7 +85,7 @@ def _integrate(f, box, x0, v0, tau0, tau1, dtau):
         if not _inside_box(box, x):
             termination = LEFT_DOMAIN
             break
-    return Trajectory(states=states, step=dtau, termination=termination)
+    return Trajectory(states=states, step=dtau, termination=termination, error=error)
 
 
 def integrate_geodesic(connection, x0, v0, tau0, tau1, dtau):

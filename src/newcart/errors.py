@@ -27,10 +27,14 @@ class UnknownIdentifier(NewcartError):
 
 
 class DomainError(NewcartError):
-    """Evaluation left the domain of an operation (log, sqrt, division)."""
+    """Evaluation left the domain of an operation (log, sqrt, division).
 
-    def __init__(self, message, subexpression=None):
+    `reason` and the failing `subexpression` let a caller reprint the
+    message in the chart's coordinate names."""
+
+    def __init__(self, message, subexpression=None, reason=None):
         self.subexpression = subexpression
+        self.reason = reason
         super().__init__(message)
 
 

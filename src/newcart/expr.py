@@ -243,7 +243,7 @@ def _pow_value(base, expo, node):
         if k == 0:
             return 1.0
         if base == 0.0 and k < 0:
-            raise DomainError(_domain_msg("zero base with negative exponent", node), node)
+            raise _domain_error("zero base with negative exponent", node)
         # repeated multiplication keeps negative bases legal for integer powers
         if abs(k) <= 64:
             acc = 1.0
@@ -252,25 +252,24 @@ def _pow_value(base, expo, node):
             return acc if k > 0 else 1.0 / acc
         return math.pow(base, k)
     if base <= 0.0:
-        raise DomainError(_domain_msg("non-integer power of non-positive base", node), node)
+        raise _domain_error("non-integer power of non-positive base", node)
     return math.pow(base, expo)
 
 
 def _apply_value(fn, x, node):
     if fn == "log" and x <= 0.0:
-        raise DomainError(_domain_msg("log of non-positive argument", node), node)
+        raise _domain_error("log of non-positive argument", node)
     if fn == "sqrt" and x < 0.0:
-        raise DomainError(_domain_msg("sqrt of negative argument", node), node)
+        raise _domain_error("sqrt of negative argument", node)
     try:
         return _FUNCTION_IMPL[fn](x)
     except OverflowError:
-        raise DomainError(_domain_msg(f"{fn} overflow", node), node) from None
+        raise _domain_error(f"{fn} overflow", node) from None
 
 
-def _domain_msg(what, node):
-    if node is None:
-        return what
-    return f"{what} in '{to_string(node)}'"
+def _domain_error(what, node):
+    message = what if node is None else f"{what} in '{to_string(node)}'"
+    return DomainError(message, node, what)
 
 
 def evaluate(expr, point, memo=None):
@@ -305,7 +304,7 @@ def _eval(e, p, memo):
     elif t is Div:
         den = _eval(e.right, p, memo)
         if den == 0.0:
-            raise DomainError(_domain_msg("division by zero", e), e)
+            raise _domain_error("division by zero", e)
         v = _eval(e.left, p, memo) / den
     elif t is Pow:
         v = _pow_value(_eval(e.left, p, memo), _eval(e.right, p, memo), e)

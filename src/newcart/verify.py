@@ -1,6 +1,7 @@
 """Named-residual checks: compatibility axioms, torsion-clock identity,
 observable round trip, and finite-difference validation of symbolic
-derivatives, all evaluated over the structure's sample points.
+derivatives and of the builder's numeric spatial tensor derivatives, all
+evaluated over the structure's sample points.
 
 Tolerances: 1e-9 for algebraic identities, 1e-8 for metric
 compatibility, and a normalized 1e-6 for finite differences.  They are
@@ -9,6 +10,8 @@ small per-point solves used by the builder.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -156,7 +159,7 @@ def check_roundtrip(structure, observer, data, connection=None, points=None):
                       list(deviations), image.points)
 
 
-def derivative_catalog(structure, observer=None, data=None, kit=None):
+def derivative_catalog(structure, observer=None, data=None):
     """Every named coefficient whose symbolic derivatives the pipeline uses."""
     names = structure.coord_names
     catalog = []
@@ -179,26 +182,35 @@ def derivative_catalog(structure, observer=None, data=None, kit=None):
             catalog.append((f"coriolis{a + 1}{b + 1}", e))
         for (a, i, j), e in sorted(data.theta.items()):
             catalog.append((f"torsion{a + 1}[{i}{j}]", e))
-    if kit is not None:
-        m = structure.dim
-        for i in range(m):
-            for j in range(i, m):
-                catalog.append((f"g[{names[i]}{names[j]}]", kit.g[i][j]))
     return catalog
+
+
+def _stencils(points, box, i):
+    """(p, p + h e_i, p - h e_i) for every point whose stencil stays in the box."""
+    for p in points:
+        if p[i] - FD_STEP < box[i][0] or p[i] + FD_STEP > box[i][1]:
+            continue
+        hi = np.array(p, dtype=float)
+        lo = np.array(p, dtype=float)
+        hi[i] += FD_STEP
+        lo[i] -= FD_STEP
+        yield p, hi, lo
 
 
 def fd_validate(structure, observer=None, data=None, kit=None, points=None,
                 catalog=None):
     """Central-difference check of every symbolic derivative in the catalog.
 
-    Residuals are normalized, |sym - fd| / max(1, |fd|), which matches the
-    tolerance max(1e-6, 1e-6 |value|).  Points whose stencil leaves the
-    domain box are skipped for that direction.
+    With a connection kit, its numeric spatial tensor g is differenced too
+    and compared with the kit's d_k g.  Residuals are normalized,
+    |sym - fd| / max(1, |fd|), which matches the tolerance
+    max(1e-6, 1e-6 |value|).  Points whose stencil leaves the domain box
+    are skipped for that direction.
     """
     if points is None:
         points = structure.sample_points()
     if catalog is None:
-        catalog = derivative_catalog(structure, observer, data, kit)
+        catalog = derivative_catalog(structure, observer, data)
     m = structure.dim
     box = structure.domain_box
     residuals, where = [], []
@@ -207,13 +219,7 @@ def fd_validate(structure, observer=None, data=None, kit=None, points=None,
             continue
         for i in range(m):
             deriv = differentiate(base, i)
-            for p in points:
-                if p[i] - FD_STEP < box[i][0] or p[i] + FD_STEP > box[i][1]:
-                    continue
-                hi = np.array(p, dtype=float)
-                lo = np.array(p, dtype=float)
-                hi[i] += FD_STEP
-                lo[i] -= FD_STEP
+            for p, hi, lo in _stencils(points, box, i):
                 try:
                     fd = (evaluate(base, hi) - evaluate(base, lo)) / (2.0 * FD_STEP)
                     sym = evaluate(deriv, p)
@@ -221,6 +227,25 @@ def fd_validate(structure, observer=None, data=None, kit=None, points=None,
                     continue
                 residuals.append(abs(sym - fd) / max(1.0, abs(fd)))
                 where.append(p)
+
+    if kit is not None and not all(is_constant(e) for e in chain(
+            kit.observer.components, *structure.frame, *structure.metric)):
+        upper = np.triu_indices(m)
+        for p in points:
+            try:
+                dg = kit.spatial_state(np.asarray(p, dtype=float))["dg"]
+            except NewcartError:
+                continue
+            for i in range(m):
+                for _, hi, lo in _stencils([p], box, i):
+                    try:
+                        fd = (kit.coframe_state(hi)["g"]
+                              - kit.coframe_state(lo)["g"]) / (2.0 * FD_STEP)
+                    except NewcartError:
+                        continue
+                    fd, sym = fd[upper], dg[i][upper]
+                    residuals.extend((np.abs(sym - fd) / np.maximum(1.0, np.abs(fd))).tolist())
+                    where.extend([p] * len(fd))
     return make_entry("derivative finite-difference check", FD_TOL, residuals, where)
 
 

@@ -89,6 +89,39 @@ def mixed_data():
                (0, 0, 2): parse_expr("0.07*t", NAMES3)})
 
 
+NAMES4 = ("t", "x", "y", "w")
+
+
+def m4_structure(samples=3, seed=31):
+    """3+1 chart: non-closed clock form, skewed frame, varying Gram matrix."""
+    h = {(0, 0): "1 + 0.05*x*y", (0, 1): "0.02*t", (0, 2): "0.01*w",
+         (1, 1): "1 + 0.04*w^2", (1, 2): "0.03*x", (2, 2): "1 - 0.05*t*y"}
+    return SpacetimeStructure(
+        coord_names=NAMES4,
+        omega=exprs(NAMES4, "1 + 0.1*x*y", "0", "0", "0"),
+        frame=(exprs(NAMES4, "0", "1 + 0.1*y", "0.1*x", "0"),
+               exprs(NAMES4, "0", "0", "1 + 0.1*t*w", "0"),
+               exprs(NAMES4, "0", "0.05*y", "0", "1 + 0.1*x^2")),
+        metric=tuple(tuple(parse_expr(h[min(a, b), max(a, b)], NAMES4) for b in range(3))
+                     for a in range(3)),
+        domain_box=((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
+        sample_count=samples, rng_seed=seed)
+
+
+def m4_observer():
+    return ObserverField(exprs(NAMES4, "1/(1 + 0.1*x*y)", "0.1*t*y", "0.05*w", "-0.1*x"))
+
+
+def m4_data():
+    return ConnectionData(
+        gravity=exprs(NAMES4, "0.3 + 0.1*t", "-0.2*y", "0.1*x*w"),
+        coriolis={(0, 1): parse_expr("0.2 + 0.1*w", NAMES4),
+                  (1, 2): parse_expr("0.1*t*x", NAMES4)},
+        theta={(0, 1, 2): parse_expr("0.1*w", NAMES4),
+               (2, 0, 3): parse_expr("0.05*x*y", NAMES4),
+               (1, 2, 3): parse_expr("0.07", NAMES4)})
+
+
 def gravity_data(g):
     return ConnectionData((parse_expr(repr(float(g)), NAMES2),), {}, {})
 

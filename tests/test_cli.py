@@ -101,6 +101,30 @@ def test_geodesic_writes_parabola_csv(tmp_path, capsys):
     assert abs(final[2] - (-4.9)) <= 1e-6
 
 
+def _sqrt_metric_scenario(tmp_path):
+    text = bundled_scenario_path("curvedh").read_text(encoding="utf-8")
+    path = tmp_path / "sqrt.scn"
+    path.write_text(text.replace("h11 = 1 + x^2/10", "h11 = 1 + sqrt(x)"), encoding="utf-8")
+    return str(path)
+
+
+def test_geodesic_into_bad_region_keeps_csv(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    code = main(["geodesic", _sqrt_metric_scenario(tmp_path), "--from", "0,0.05",
+                 "--vel", "0,-1", "--t1", "1", "--dt", "0.01", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "termination: evaluation_failure" in captured.out
+    assert "sqrt(x)" in captured.err
+    assert len(out.read_text().strip().split("\n")) == 1 + 5
+
+
+def test_domain_error_names_chart_coordinates(tmp_path, capsys):
+    assert main(["connection", _sqrt_metric_scenario(tmp_path), "--at", "0,-0.5"]) == 3
+    err = capsys.readouterr().err
+    assert "sqrt(x)" in err and "x1" not in err
+
+
 def test_flow_command(tmp_path):
     out = tmp_path / "flow.csv"
     code = main(["flow", scn("flat"), "--from", "0,0.25",

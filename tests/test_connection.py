@@ -5,9 +5,9 @@ import pytest
 
 from conftest import (NAMES2, NAMES3, brute_force_gamma, coord_field, exprs,
                       flat_observer, flat_structure, curvedh_structure,
-                      gravity_data, mixed_data, mixed_observer,
-                      mixed_structure, rot_observer, rot_structure,
-                      twist_structure)
+                      gravity_data, m4_data, m4_observer, m4_structure,
+                      mixed_data, mixed_observer, mixed_structure,
+                      rot_observer, rot_structure, twist_structure)
 from newcart.connection import (ConnectionData, alternation_at, build_connection,
                                 connection_from_exprs, coriolis_of,
                                 covariant_derivative, observable_map, gravity_of,
@@ -15,7 +15,8 @@ from newcart.connection import (ConnectionData, alternation_at, build_connection
 from newcart.errors import MetricSingular, NotSpatial
 from newcart.expr import Const, ZERO, differentiate, evaluate, parse_expr
 from newcart.geometry import (ObserverField, SpacetimeStructure, eval_fields,
-                              omega_apply)
+                              frame_decompose, metric_matrix, omega_apply,
+                              project_spatial)
 
 
 def twist_observer():
@@ -290,3 +291,18 @@ def test_christoffel_memoization_returns_identical_arrays():
     assert a is b
     with pytest.raises(ValueError):
         a[0, 0, 0] = 1.0  # memoized arrays are read-only
+
+
+@pytest.mark.parametrize("S,z,D", [
+    (twist_structure(), twist_observer(), ConnectionData.zero(2)),
+    (m4_structure(samples=5), m4_observer(), m4_data()),
+])
+def test_numeric_g_is_inner_product_of_projected_coordinate_fields(S, z, D):
+    kit = build_connection(S, z, D)._kit
+    m = S.dim
+    for p in S.sample_points():
+        coeffs = [frame_decompose(S, project_spatial(S, z, np.eye(m)[i], p), p)
+                  for i in range(m)]
+        h = metric_matrix(S, p)
+        want = np.array([[ci @ h @ cj for cj in coeffs] for ci in coeffs])
+        assert np.max(np.abs(kit.spatial_state(p)["g"] - want)) <= 1e-12

@@ -1,5 +1,7 @@
 """Integrators: free-fall oracles, flows, order behavior, terminations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,10 @@ from conftest import (NAMES2, exprs, flat_observer, flat_structure,
                       rot_structure)
 from newcart.connection import (ConnectionData, build_connection,
                                 connection_from_exprs)
-from newcart.dynamics import (COMPLETED, LEFT_DOMAIN, NUMERIC_FAILURE,
-                              integrate_geodesic, integrate_observer_flow,
-                              trajectory_csv)
+from newcart.dynamics import (COMPLETED, EVALUATION_FAILURE, LEFT_DOMAIN,
+                              NUMERIC_FAILURE, integrate_geodesic,
+                              integrate_observer_flow, trajectory_csv)
+from newcart.errors import DomainError
 from newcart.expr import Const, ZERO, parse_expr
 from newcart.geometry import (ObserverField, SpacetimeStructure,
                               frame_decompose, metric_matrix, omega_apply,
@@ -185,6 +188,20 @@ def test_numeric_failure_keeps_states_finite():
     assert traj.termination == NUMERIC_FAILURE
     for st in traj.states:
         assert np.all(np.isfinite(st.position)) and np.all(np.isfinite(st.velocity))
+
+
+def test_evaluation_failure_keeps_earlier_states():
+    # the metric leaves its domain at x < 0; the curve heads there at unit speed
+    S = dataclasses.replace(curvedh_structure(),
+                            metric=((parse_expr("1 + sqrt(x)", NAMES2),),))
+    C = build_connection(S, flat_observer(), ConnectionData.zero(1))
+    traj = integrate_geodesic(C, np.array([0.0, 0.05]), np.array([0.0, -1.0]),
+                              0.0, 1.0, 1e-2)
+    assert traj.termination == EVALUATION_FAILURE
+    assert isinstance(traj.error, DomainError)
+    assert len(traj.states) == 5
+    assert [st.tau for st in traj.states] == pytest.approx([0.0, 0.01, 0.02, 0.03, 0.04])
+    assert all(st.position[1] > 0.0 for st in traj.states)
 
 
 def test_invalid_integration_arguments():

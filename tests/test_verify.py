@@ -5,9 +5,10 @@ import dataclasses
 import pytest
 
 from conftest import (NAMES2, NAMES3, exprs, flat_observer, flat_structure,
-                      curvedh_structure, gravity_data, mixed_data,
-                      mixed_observer, mixed_structure, rot_observer,
-                      rot_structure, twist_structure)
+                      curvedh_structure, gravity_data, m4_data, m4_observer,
+                      m4_structure, mixed_data, mixed_observer,
+                      mixed_structure, rot_observer, rot_structure,
+                      twist_structure)
 import newcart.expr as expr_mod
 from newcart.connection import (ConnectionData, build_connection,
                                 connection_from_exprs)
@@ -132,11 +133,25 @@ def test_fd_validate_catches_corrupted_rule(monkeypatch):
     assert not entry.passed
 
 
+@pytest.mark.parametrize("S,z,D", [
+    (curvedh_structure(), flat_observer(), ConnectionData.zero(1)),
+    (m4_structure(), m4_observer(), m4_data()),
+])
+def test_fd_validate_catches_corrupted_spatial_tensor_derivative(monkeypatch, S, z, D):
+    # with an empty catalog only the numeric g against d_k g is checked
+    kit = build_connection(S, z, D)._kit
+    assert fd_validate(S, z, D, kit=kit, catalog=[]).passed
+    n = S.n
+    monkeypatch.setattr(kit, "dh", [[[ZERO] * n for _ in range(n)] for _ in range(S.dim)])
+    assert not fd_validate(S, z, D, kit=kit, catalog=[]).passed
+
+
 def test_run_all_passes_on_healthy_scenarios():
     cases = [
         (flat_structure(), flat_observer(), ConnectionData.zero(1)),
         (curvedh_structure(), flat_observer(), ConnectionData.zero(1)),
         (mixed_structure(), mixed_observer(), mixed_data()),
+        (m4_structure(), m4_observer(), m4_data()),
     ]
     for S, z, D in cases:
         report = run_all(S, z, data=D, scenario_name="case")
