@@ -37,13 +37,22 @@ from types import MappingProxyType
 import numpy as np
 
 from . import geometry
-from .errors import DimensionMismatch, FrameDegenerate, MetricSingular, NotSpatial
+from .errors import DimensionMismatch, MetricSingular, NotSpatial
 from .expr import (ZERO, const, differentiate, evaluate, is_constant, mul,
                    neg, sub, sum_exprs)
-from .geometry import eval_fields, lie_bracket
+from .geometry import eval_fields, eval_jacobian, field_jacobian, lie_bracket
 
 METRIC_DET_TOL = 1e-10
-_BASIS_DET_TOL = 1e-14
+
+
+def nabla(gamma, dy, x, y):
+    """(nabla_X Y)^k = dY^k_i X^i + Gamma^k_ij X^i Y^j from point values.
+
+    dy is the Jacobian [k, i] = d_i Y^k.  Leading axes broadcast, so one
+    call covers one point, many points, or many directions at a point.
+    """
+    return (np.einsum("...ki,...i->...k", dy, x)
+            + np.einsum("...kij,...i,...j->...k", gamma, x, y))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,50 +143,33 @@ class _ConnectionKit:
                           for k in range(m))
             self.p_fields.append(comps)
 
-        self.dz = [[differentiate(z[k], i) for i in range(m)] for k in range(m)]
-        self.d_frame = [[[differentiate(structure.frame[a][k], i) for i in range(m)]
-                         for k in range(m)] for a in range(n)]
+        self.dz = field_jacobian(z)
+        self.d_frame = [field_jacobian(f) for f in structure.frame]
         self.dh = [[[differentiate(structure.metric[a][b], i) for b in range(n)]
                     for a in range(n)] for i in range(m)]
         self.tau = [[differentiate(omega[j], i) for j in range(m)] for i in range(m)]
 
-        self._a_cache = {}
+        def alt(u, v):
+            return alternation_field(structure, observer, data, u, v)
+
+        # A(z, P d_j), A(z, E_a), A(P d_i, P d_j) for i < j, A(P d_j, E_a)
+        self.a_zp = [alt(z, pj) for pj in self.p_fields]
+        self.a_ze = [alt(z, e) for e in structure.frame]
+        self.a_pp = [alt(self.p_fields[i], self.p_fields[j])
+                     for i in range(m) for j in range(i + 1, m)]
+        self.a_pe = [alt(pj, e) for pj in self.p_fields for e in structure.frame]
         self.all_constant = all(is_constant(e) for e in chain(
             omega, z, *structure.frame, *structure.metric, data.gravity,
             data.coriolis.values(), data.theta.values()))
 
-    def field(self, key):
-        if key[0] == "z":
-            return self.observer.components
-        if key[0] == "P":
-            return self.p_fields[key[1]]
-        return self.structure.frame[key[1]]
-
-    def a_field(self, key_u, key_v):
-        """Cached symbolic A(U, V); antisymmetry resolved structurally."""
-        if key_u == key_v:
-            return tuple(ZERO for _ in range(self.m))
-        comps = self._a_cache.get((key_u, key_v))
-        if comps is None:
-            comps = alternation_field(self.structure, self.observer, self.data,
-                                      self.field(key_u), self.field(key_v))
-            self._a_cache[(key_u, key_v)] = comps
-            self._a_cache[(key_v, key_u)] = tuple(neg(c) for c in comps)
-        return comps
-
     def coframe_state(self, p, memo=None):
         """z, frame, h, the coframe Q and g = Q^T h Q at p."""
-        m = self.m
+        if memo is None:
+            memo = {}
+        inverse = geometry.adapted_frame_inverse(self.structure, self.observer, p, memo)
         z_v = eval_fields(self.observer.components, p, memo)
         frame_v = np.array([eval_fields(f, p, memo) for f in self.structure.frame])  # (n, m)
         h = geometry.metric_matrix(self.structure, p, memo)
-
-        basis = np.empty((m, m))
-        basis[:, 0] = z_v
-        basis[:, 1:] = frame_v.T
-        if abs(np.linalg.det(basis)) < _BASIS_DET_TOL:
-            raise FrameDegenerate(f"adapted basis singular at {tuple(p)}")
-        inverse = np.linalg.inv(basis)
         coframe = inverse[1:, :]  # (n, m); column j decomposes P d_j
         return {"z": z_v, "frame": frame_v, "h": h, "inverse": inverse,
                 "coframe": coframe, "g": coframe.T @ h @ coframe}
@@ -188,12 +180,9 @@ class _ConnectionKit:
         m, n = self.m, self.n
         st = self.coframe_state(p, memo)
         inverse, coframe, h = st["inverse"], st["coframe"], st["h"]
-        d_frame_v = np.array([[[evaluate(self.d_frame[a][k][i], p, memo)
-                                for i in range(m)] for k in range(m)]
-                              for a in range(n)])
+        d_frame_v = np.array([eval_jacobian(t, p, memo) for t in self.d_frame])
         d_basis = np.empty((m, m, m))  # [i, k, c] = d_i B_kc
-        d_basis[:, :, 0] = [[evaluate(self.dz[k][i], p, memo) for k in range(m)]
-                            for i in range(m)]
+        d_basis[:, :, 0] = eval_jacobian(self.dz, p, memo).T
         d_basis[:, :, 1:] = d_frame_v.transpose(2, 1, 0)
         d_coframe = -(inverse @ d_basis @ inverse)[:, 1:, :]  # (m, n, m)
         dh_v = np.array([[[evaluate(self.dh[i][a][b], p, memo) for b in range(n)]
@@ -205,7 +194,9 @@ class _ConnectionKit:
         return st
 
     def point_state(self, p):
-        """Evaluate every cached expression at p with one shared memo."""
+        """Numeric state at p: spatial_state, the clock form and its
+        differential, the data, and the frame coefficients of every
+        alternation term, evaluated with one shared memo."""
         p = np.asarray(p, dtype=float)
         memo = {}
         m, n = self.m, self.n
@@ -222,21 +213,16 @@ class _ConnectionKit:
             w_mat[a, b] = w
             w_mat[b, a] = -w
 
-        def coeffs(key_u, key_v):
-            vec = eval_fields(self.a_field(key_u, key_v), p, memo)
-            return coframe @ vec
+        def coeffs(fields):
+            return np.array([coframe @ eval_fields(f, p, memo) for f in fields])
 
-        azp = np.column_stack([coeffs(("z",), ("P", j)) for j in range(m)])  # (n, m)
-        aze = np.column_stack([coeffs(("z",), ("E", a)) for a in range(n)])  # (n, n)
+        azp = coeffs(self.a_zp).T  # (n, m)
+        aze = coeffs(self.a_ze).T  # (n, n)
+        upper = np.triu_indices(m, 1)
         app = np.zeros((m, m, n))
-        for i in range(m):
-            for j in range(i + 1, m):
-                app[i, j] = coeffs(("P", i), ("P", j))
-                app[j, i] = -app[i, j]
-        ape = np.empty((m, n, n))
-        for j in range(m):
-            for a in range(n):
-                ape[j, a] = coeffs(("P", j), ("E", a))
+        app[upper] = coeffs(self.a_pp)
+        app[upper[::-1]] = -app[upper]
+        ape = coeffs(self.a_pe).reshape(m, n, n)
 
         st.update({
             "p": p, "omega": omega_v, "tau": tau_v, "gravity": grav_coeff, "w": w_mat,
@@ -287,9 +273,11 @@ class Connection:
     """Pointwise evaluator of coefficients Gamma^k_ij at chart points.
 
     Convention: nabla_{d_i} d_j = Gamma^k_ij d_k; the lower index pair
-    need not be symmetric.  Coefficients are computed lazily and
-    memoized keyed by the point's raw float bytes; evaluation is pure,
-    so concurrent readers observe identical values.
+    need not be symmetric.  Coefficients are recomputed at every call
+    and nothing is kept per point, so memory does not grow with the
+    number of points asked for.  A connection whose inputs are all
+    constant computes Gamma once and returns that array afterwards.
+    Returned arrays are read-only.
     """
 
     def __init__(self, structure, observer, data=None, kit=None, gamma_exprs=None):
@@ -300,7 +288,6 @@ class Connection:
         self.data = data
         self._kit = kit
         self._gamma_exprs = gamma_exprs
-        self._cache = {}
         if kit is not None:
             self._constant = kit.all_constant
         else:
@@ -313,13 +300,9 @@ class Connection:
         return self._kit is not None
 
     def christoffel(self, p):
-        p = np.asarray(p, dtype=float)
         if self._const_gamma is not None:
             return self._const_gamma
-        key = p.tobytes()
-        gamma = self._cache.get(key)
-        if gamma is not None:
-            return gamma
+        p = np.asarray(p, dtype=float)
         if self._kit is not None:
             gamma = self._kit.christoffel_at(p)
         else:
@@ -331,7 +314,6 @@ class Connection:
         gamma.setflags(write=False)
         if self._constant:
             self._const_gamma = gamma
-        self._cache[key] = gamma
         return gamma
 
 
@@ -356,14 +338,10 @@ def connection_from_exprs(structure, observer, gamma_exprs):
 
 def covariant_derivative(connection, x_field, y_field, p):
     """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at p."""
-    m = connection.structure.dim
     memo = {}
-    xv = eval_fields(x_field, p, memo)
-    yv = eval_fields(y_field, p, memo)
-    dmat = np.array([[evaluate(differentiate(y_field[k], i), p, memo)
-                      for i in range(m)] for k in range(m)])
-    gamma = connection.christoffel(p)
-    return dmat @ xv + np.einsum("kij,i,j->k", gamma, xv, yv)
+    dy = eval_jacobian(field_jacobian(y_field), p, memo)
+    return nabla(connection.christoffel(p), dy, eval_fields(x_field, p, memo),
+                 eval_fields(y_field, p, memo))
 
 
 def torsion_at(connection, x_field, y_field, p):
@@ -377,31 +355,14 @@ def torsion_at(connection, x_field, y_field, p):
 def gravity_of(connection, observer):
     """Pointwise evaluator of nabla_z z."""
     z = observer.components
-    m = len(z)
-    dz = [[differentiate(z[k], i) for i in range(m)] for k in range(m)]
+    dz = field_jacobian(z)
 
     def at(p):
         memo = {}
         zv = eval_fields(z, p, memo)
-        dmat = np.array([[evaluate(dz[k][i], p, memo) for i in range(m)]
-                         for k in range(m)])
-        gamma = connection.christoffel(p)
-        return dmat @ zv + np.einsum("kij,i,j->k", gamma, zv, zv)
+        return nabla(connection.christoffel(p), eval_jacobian(dz, p, memo), zv, zv)
 
     return at
-
-
-def _nabla_direction_z(connection, observer, v, p):
-    """nabla_v z for a point vector v (tensorial in the direction)."""
-    z = observer.components
-    m = len(z)
-    memo = {}
-    zv = eval_fields(z, p, memo)
-    dmat = np.array([[evaluate(differentiate(z[k], i), p, memo) for i in range(m)]
-                     for k in range(m)])
-    gamma = connection.christoffel(p)
-    v = np.asarray(v, dtype=float)
-    return dmat @ v + np.einsum("kij,i,j->k", gamma, v, zv)
 
 
 def coriolis_of(connection, observer, v, w, p):
@@ -411,8 +372,11 @@ def coriolis_of(connection, observer, v, w, p):
         pairing = geometry.omega_apply(S, vec, p)
         if abs(pairing) > geometry.SPATIAL_INPUT_TOL:
             raise NotSpatial(f"clock pairing {pairing!r} at {tuple(p)}")
-    nv = _nabla_direction_z(connection, observer, v, p)
-    nw = _nabla_direction_z(connection, observer, w, p)
+    # nabla_v z and nabla_w z; tensorial in the direction
+    memo = {}
+    zv = eval_fields(observer.components, p, memo)
+    dz = eval_jacobian(field_jacobian(observer.components), p, memo)
+    nv, nw = nabla(connection.christoffel(p), dz, np.array([v, w], dtype=float), zv)
     return 0.5 * (geometry.inner(S, nv, w, p) - geometry.inner(S, v, nw, p))
 
 
@@ -455,9 +419,8 @@ def observable_map(connection, observer, points=None):
     m, n = S.dim, S.n
     if points is None:
         points = S.sample_points()
-    grav_at = gravity_of(connection, observer)
     z = observer.components
-    dz = [[differentiate(z[k], i) for i in range(m)] for k in range(m)]
+    dz = field_jacobian(z)
 
     grav_img = np.zeros((len(points), n))
     cor_img = np.zeros((len(points), n, n))
@@ -470,14 +433,11 @@ def observable_map(connection, observer, points=None):
         frame_v = geometry.frame_matrix(S, p, memo)  # (m, n)
         gamma = connection.christoffel(p)
         zv = eval_fields(z, p, memo)
-        dmat = np.array([[evaluate(dz[k][i], p, memo) for i in range(m)]
-                         for k in range(m)])
 
-        grav_img[idx] = coframe @ grav_at(p)
-
-        # nabla_{E_a} z for every frame direction, then antisymmetrize
-        nz = dmat @ frame_v + np.einsum("kij,ia,j->ka", gamma, frame_v, zv)
-        coeff_nz = coframe @ nz  # (n, n): column a decomposes nabla_{E_a} z
+        # nabla_z z, then nabla_{E_a} z for every frame direction
+        nz = nabla(gamma, eval_jacobian(dz, p, memo), np.vstack([zv, frame_v.T]), zv)
+        grav_img[idx] = coframe @ nz[0]
+        coeff_nz = coframe @ nz[1:].T  # (n, n): column a decomposes nabla_{E_a} z
         pairing = coeff_nz.T @ h  # [a, b] = <nabla_{E_a} z, E_b>
         cor_img[idx] = 0.5 * (pairing - pairing.T)
 

@@ -23,6 +23,7 @@ SPATIAL_RESULT_TOL = 1e-9   # values produced by exact algebra
 CLOCK_NONZERO_MARGIN = 1e-12
 METRIC_DET_MARGIN = 1e-10
 FRAME_RANK_MARGIN = 1e-10
+BASIS_DET_TOL = 1e-14       # below it, the adapted basis (z, E) counts as singular
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,17 @@ class ObserverField:
 def eval_fields(fields, p, memo=None):
     """Evaluate a tuple of expressions into a numpy vector."""
     return np.array([evaluate(e, p, memo) for e in fields])
+
+
+def field_jacobian(field):
+    """Symbolic derivative table [k][i] = d_i field_k."""
+    m = len(field)
+    return [[differentiate(field[k], i) for i in range(m)] for k in range(m)]
+
+
+def eval_jacobian(table, p, memo=None):
+    """Evaluate a field_jacobian table into an m x m matrix."""
+    return np.array([[evaluate(e, p, memo) for e in row] for row in table])
 
 
 def omega_values(structure, p, memo=None):
@@ -195,16 +207,16 @@ def adapted_frame_inverse(structure, observer, p, memo=None):
     """Inverse of the m x m matrix with columns (z, E_1..E_n) at p.
 
     Rows 1..n give the spatial coefficients of any tangent vector; row 0
-    reproduces the clock form whenever the structure is valid.
+    reproduces the clock form whenever the structure is valid.  A basis
+    with |det| < BASIS_DET_TOL raises FrameDegenerate.
     """
     m = structure.dim
     basis = np.empty((m, m))
     basis[:, 0] = observer_values(observer, p, memo)
     basis[:, 1:] = frame_matrix(structure, p, memo)
-    try:
-        return np.linalg.inv(basis)
-    except np.linalg.LinAlgError:
-        raise FrameDegenerate(f"adapted basis singular at {tuple(p)}") from None
+    if abs(np.linalg.det(basis)) < BASIS_DET_TOL:
+        raise FrameDegenerate(f"adapted basis singular at {tuple(p)}")
+    return np.linalg.inv(basis)
 
 
 def structure_entries(structure, observer):

@@ -16,12 +16,13 @@ from itertools import chain
 import numpy as np
 
 from . import geometry
-from .connection import ConnectionData, build_connection, observable_map
+from .connection import ConnectionData, build_connection, nabla, observable_map
 from .errors import NewcartError
 from .expr import (Coord, Const, differentiate, evaluate, is_constant, mul,
                    to_string)
-from .geometry import (adapted_frame_inverse, eval_fields, metric_matrix,
-                       omega_of_field, structure_entries)
+from .geometry import (adapted_frame_inverse, eval_fields, eval_jacobian,
+                       field_jacobian, metric_matrix, omega_of_field,
+                       structure_entries)
 from .report import CheckReport, make_entry
 
 CLOCK_TOL = 1e-9
@@ -61,36 +62,30 @@ def _check_field_seed(structure):
     return structure.rng_seed + 1
 
 
-def _field_derivative_table(field, m):
-    return [[differentiate(field[k], i) for i in range(m)] for k in range(m)]
-
-
-def _covariant_at(connection, x_vals, y_vals, dy_table, p, memo):
-    m = len(x_vals)
-    dmat = np.array([[evaluate(dy_table[k][i], p, memo) for i in range(m)]
-                     for k in range(m)])
-    gamma = connection.christoffel(p)
-    return dmat @ x_vals + np.einsum("kij,i,j->k", gamma, x_vals, y_vals)
-
-
 def check_compatibility_omega(connection, structure, observer, points=None):
     """|X(w(Y)) - w(nabla_X Y)| over coordinate and seeded random fields."""
     if points is None:
         points = structure.sample_points()
     m = structure.dim
     fields = _coord_fields(m) + random_poly_fields(m, _check_field_seed(structure))
+    tables = [field_jacobian(f) for f in fields]
+    gammas, omegas, values, jacobians = [], [], [], []
+    for p in points:
+        memo = {}
+        gammas.append(connection.christoffel(p))
+        omegas.append(eval_fields(structure.omega, p, memo))
+        values.append([eval_fields(f, p, memo) for f in fields])
+        jacobians.append([eval_jacobian(t, p, memo) for t in tables])
+    gammas, omegas = np.array(gammas), np.array(omegas)
+    values, jacobians = np.array(values), np.array(jacobians)  # [point, field, ...]
     residuals, where = [], []
-    for x_field in fields:
-        for y_field in fields:
+    for fx, x_field in enumerate(fields):
+        for fy, y_field in enumerate(fields):
             lhs = geometry.directional_derivative(x_field, omega_of_field(structure, y_field))
-            dy = _field_derivative_table(y_field, m)
-            for p in points:
-                memo = {}
-                xv = eval_fields(x_field, p, memo)
-                yv = eval_fields(y_field, p, memo)
-                nab = _covariant_at(connection, xv, yv, dy, p, memo)
-                om = eval_fields(structure.omega, p, memo)
-                residuals.append(abs(evaluate(lhs, p, memo) - float(om @ nab)))
+            nab = nabla(gammas, jacobians[:, fy], values[:, fx], values[:, fy])
+            clock = np.einsum("pk,pk->p", omegas, nab)
+            for p, rhs in zip(points, clock):
+                residuals.append(abs(evaluate(lhs, p) - float(rhs)))
                 where.append(p)
     return make_entry("clock compatibility", CLOCK_TOL, residuals, where)
 
@@ -106,24 +101,24 @@ def check_compatibility_metric(connection, structure, observer, points=None):
     if points is None:
         points = structure.sample_points()
     m, n = structure.dim, structure.n
-    coord = _coord_fields(m)
-    d_frame = [_field_derivative_table(tuple(structure.frame[a]), m) for a in range(n)]
+    tables = [field_jacobian(f) for f in structure.frame]
+    coord = np.eye(m)[:, None, :]  # X = d_i, broadcast over the frame fields
+    states = []
+    for p in points:
+        memo = {}
+        cof = adapted_frame_inverse(structure, observer, p, memo)[1:, :]
+        frame_v = np.array([eval_fields(f, p, memo) for f in structure.frame])
+        d_frame = np.array([eval_jacobian(t, p, memo) for t in tables])
+        nab = nabla(connection.christoffel(p), d_frame, coord, frame_v)  # [i, a] = nabla_i E_a
+        states.append((nab @ cof.T, metric_matrix(structure, p, memo)))
     residuals, where = [], []
     for i in range(m):
         for a in range(n):
             for b in range(a, n):
                 lhs = differentiate(structure.metric[a][b], i)
-                for p in points:
-                    memo = {}
-                    inv = adapted_frame_inverse(structure, observer, p, memo)
-                    cof = inv[1:, :]
-                    h = metric_matrix(structure, p, memo)
-                    xv = eval_fields(coord[i], p, memo)
-                    ea = eval_fields(structure.frame[a], p, memo)
-                    eb = eval_fields(structure.frame[b], p, memo)
-                    na = cof @ _covariant_at(connection, xv, ea, d_frame[a], p, memo)
-                    nb = cof @ _covariant_at(connection, xv, eb, d_frame[b], p, memo)
-                    resid = abs(evaluate(lhs, p, memo) - float(na @ h[:, b]) - float(h[a, :] @ nb))
+                for p, (nc, h) in zip(points, states):
+                    resid = abs(evaluate(lhs, p) - float(nc[i, a] @ h[:, b])
+                                - float(h[a, :] @ nc[i, b]))
                     residuals.append(resid)
                     where.append(p)
     return make_entry("metric compatibility", METRIC_TOL, residuals, where)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import (NAMES2, NAMES3, brute_force_gamma, coord_field, exprs,
                       flat_observer, flat_structure, curvedh_structure,
@@ -11,7 +13,7 @@ from conftest import (NAMES2, NAMES3, brute_force_gamma, coord_field, exprs,
 from newcart.connection import (ConnectionData, alternation_at, build_connection,
                                 connection_from_exprs, coriolis_of,
                                 covariant_derivative, observable_map, gravity_of,
-                                koszul_rhs, torsion_at)
+                                koszul_rhs, nabla, torsion_at)
 from newcart.errors import MetricSingular, NotSpatial
 from newcart.expr import Const, ZERO, differentiate, evaluate, parse_expr
 from newcart.geometry import (ObserverField, SpacetimeStructure, eval_fields,
@@ -282,15 +284,59 @@ def test_user_supplied_connection_observables():
     assert np.allclose(at(np.array([0.2, 0.2])), [0.0, -9.8], atol=1e-12)
 
 
-def test_christoffel_memoization_returns_identical_arrays():
+def test_christoffel_repeats_equal_read_only_arrays():
     S, z = mixed_structure(), mixed_observer()
     C = build_connection(S, z, mixed_data())
     p = np.array([0.3, 0.1, -0.4])
     a = C.christoffel(p)
     b = C.christoffel(p)
-    assert a is b
+    assert np.array_equal(a, b)
     with pytest.raises(ValueError):
-        a[0, 0, 0] = 1.0  # memoized arrays are read-only
+        a[0, 0, 0] = 1.0  # returned arrays are read-only
+    # constant coefficients: one array, computed once, served everywhere
+    G = build_connection(flat_structure(), flat_observer(), gravity_data(-9.8))
+    assert G.christoffel(np.array([0.3, 0.1])) is G.christoffel(np.array([1.2, -0.7]))
+
+
+def test_connection_keeps_no_per_point_state():
+    S, z = mixed_structure(), mixed_observer()
+    C = build_connection(S, z, mixed_data())
+
+    def sizes():
+        return {(type(owner).__name__, name): len(value)
+                for owner in (C, C._kit) for name, value in vars(owner).items()
+                if isinstance(value, (dict, list))}
+
+    before = sizes()
+    lo, hi = np.array(S.domain_box).T
+    rng = np.random.default_rng(12)
+    for p in lo + (hi - lo) * rng.random((200, S.dim)):
+        C.christoffel(p)
+    assert sizes() == before
+
+
+def _nabla_reference(gamma, dmat, x, y):
+    return dmat @ x + np.einsum("kij,i,j->k", gamma, x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_nabla_matches_per_point_formula(data):
+    m = data.draw(st.integers(2, 5), label="m")
+    count = data.draw(st.integers(1, 20), label="N")
+    unit = st.floats(-1.0, 1.0)
+    gamma = data.draw(arrays(float, (count, m, m, m), elements=unit))
+    dy = data.draw(arrays(float, (count, m, m), elements=unit))
+    x = data.draw(arrays(float, (count, m), elements=unit))
+    y = data.draw(arrays(float, (count, m), elements=unit))
+    # rounding of sums of <= m + m^2 products of unit-bounded float64 values
+    tol = {"rtol": 1e-12, "atol": 1e-14}
+
+    want = [_nabla_reference(gamma[q], dy[q], x[q], y[q]) for q in range(count)]
+    np.testing.assert_allclose(nabla(gamma, dy, x, y), want, **tol)
+    # observable_map's shape: many directions x at one point, one field y
+    want = [_nabla_reference(gamma[0], dy[0], xq, y[0]) for xq in x]
+    np.testing.assert_allclose(nabla(gamma[0], dy[0], x, y[0]), want, **tol)
 
 
 @pytest.mark.parametrize("S,z,D", [

@@ -7,9 +7,11 @@ from conftest import (NAMES2, NAMES3, exprs, flat_observer, flat_structure,
                       mixed_observer, mixed_structure, twist_structure)
 from newcart.errors import FrameDegenerate, NotSpatial, ObserverInvalid
 from newcart.expr import Const, parse_expr, evaluate
-from newcart.geometry import (ObserverField, SpacetimeStructure, d_omega,
-                              eval_fields, frame_decompose, inner, lie_bracket,
-                              omega_apply, project_spatial, validate_structure)
+from newcart.connection import build_connection
+from newcart.geometry import (ObserverField, SpacetimeStructure,
+                              adapted_frame_inverse, d_omega, eval_fields,
+                              frame_decompose, inner, lie_bracket, omega_apply,
+                              project_spatial, validate_structure)
 
 
 def twist_observer():
@@ -159,6 +161,21 @@ def test_frame_decompose_degenerate_frame():
         domain_box=((0, 1), (-1, 1), (-1, 1)), sample_count=5, rng_seed=1)
     with pytest.raises(FrameDegenerate):
         frame_decompose(S, (0.0, 1.0, 0.0), np.array([0.0, 0.0, 0.0]))
+
+
+def test_adapted_basis_guard_rejects_tiny_determinant():
+    # B = (z, E_1) = diag(1, 1e-15) is invertible, but |det B| < 1e-14
+    S = SpacetimeStructure(
+        coord_names=NAMES2,
+        omega=exprs(NAMES2, "1", "0"),
+        frame=(exprs(NAMES2, "0", "1e-15"),),
+        metric=((parse_expr("1", NAMES2),),),
+        domain_box=((0, 1), (-1, 1)), sample_count=5, rng_seed=1)
+    z, p = flat_observer(), np.array([0.5, 0.0])
+    with pytest.raises(FrameDegenerate):
+        adapted_frame_inverse(S, z, p)
+    with pytest.raises(FrameDegenerate):
+        build_connection(S, z).christoffel(p)
 
 
 def test_decompose_recompose_identity():
