@@ -31,6 +31,7 @@ d_k(B^-1) = -B^-1 (d_k B) B^-1, and small dense solves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
 
@@ -38,9 +39,10 @@ import numpy as np
 
 from . import geometry
 from .errors import DimensionMismatch, MetricSingular, NotSpatial
-from .expr import (ZERO, const, differentiate, evaluate, is_constant, mul,
-                   neg, sub, sum_exprs)
-from .geometry import eval_fields, eval_jacobian, field_jacobian, lie_bracket
+from .expr import (ZERO, const, differentiate, is_constant, mul, neg, sub,
+                   sum_exprs)
+from .expr import compile as compile_exprs
+from .geometry import eval_fields, field_jacobian, lie_bracket
 
 METRIC_DET_TOL = 1e-10
 
@@ -126,7 +128,15 @@ def alternation_at(structure, observer, data, x_field, y_field, p):
 
 
 class _ConnectionKit:
-    """Symbolic first derivatives of the input, evaluated numerically per point."""
+    """Symbolic first derivatives of the input, compiled into one program
+    and evaluated numerically over stacks of points.
+
+    Every state method takes points of shape (..., m) and returns arrays
+    with the same leading axes.
+    """
+
+    # symbolic tables compiled into the program after the input itself
+    TABLES = ("dz", "d_frame", "dh", "tau", "a_zp", "a_ze", "a_pp", "a_pe")
 
     def __init__(self, structure, observer, data):
         self.structure = structure
@@ -162,122 +172,134 @@ class _ConnectionKit:
             omega, z, *structure.frame, *structure.metric, data.gravity,
             data.coriolis.values(), data.theta.values()))
 
-    def coframe_state(self, p, memo=None):
-        """z, frame, h, the coframe Q and g = Q^T h Q at p."""
-        if memo is None:
-            memo = {}
-        inverse = geometry.adapted_frame_inverse(self.structure, self.observer, p, memo)
-        z_v = eval_fields(self.observer.components, p, memo)
-        frame_v = np.array([eval_fields(f, p, memo) for f in self.structure.frame])  # (n, m)
-        h = geometry.metric_matrix(self.structure, p, memo)
-        coframe = inverse[1:, :]  # (n, m); column j decomposes P d_j
-        return {"z": z_v, "frame": frame_v, "h": h, "inverse": inverse,
-                "coframe": coframe, "g": coframe.T @ h @ coframe}
+    def __setattr__(self, name, value):
+        # a replaced table must reach the numbers: compile again on next use
+        super().__setattr__(name, value)
+        if name in self.TABLES:
+            self.__dict__.pop("program", None)
 
-    def spatial_state(self, p, memo=None):
-        """coframe_state plus d_frame and dg[k, i, j] = d_k g_ij at p, with
-        d_k g = (d_k Q)^T h Q + Q^T (d_k h) Q + Q^T h (d_k Q)."""
-        m, n = self.m, self.n
-        st = self.coframe_state(p, memo)
-        inverse, coframe, h = st["inverse"], st["coframe"], st["h"]
-        d_frame_v = np.array([eval_jacobian(t, p, memo) for t in self.d_frame])
-        d_basis = np.empty((m, m, m))  # [i, k, c] = d_i B_kc
-        d_basis[:, :, 0] = eval_jacobian(self.dz, p, memo).T
-        d_basis[:, :, 1:] = d_frame_v.transpose(2, 1, 0)
-        d_coframe = -(inverse @ d_basis @ inverse)[:, 1:, :]  # (m, n, m)
-        dh_v = np.array([[[evaluate(self.dh[i][a][b], p, memo) for b in range(n)]
-                          for a in range(n)] for i in range(m)])
+    @cached_property
+    def program(self):
+        """Groups in the order the states need them: coframe_state runs
+        the program up to "h", spatial_state up to "dh"."""
+        S, data = self.structure, self.data
+        return compile_exprs({
+            "z": self.observer.components, "frame": S.frame, "h": S.metric,
+            "dz": self.dz, "d_frame": self.d_frame, "dh": self.dh,
+            "omega": S.omega, "tau": self.tau, "gravity": data.gravity,
+            "coriolis": list(data.coriolis.values()),
+            "a_zp": self.a_zp, "a_ze": self.a_ze, "a_pp": self.a_pp, "a_pe": self.a_pe})
 
-        half = d_coframe.transpose(0, 2, 1) @ h @ coframe
-        st["d_frame"] = d_frame_v
-        st["dg"] = half + half.transpose(0, 2, 1) + coframe.T @ dh_v @ coframe
+    def coframe_state(self, points, until="h"):
+        """z, frame (..., n, m), h, the coframe Q and g = Q^T h Q."""
+        points = np.asarray(points, dtype=float)
+        st = self.program(points, until=until)
+        inverse = geometry.basis_inverse(st["z"], st["frame"], points)
+        coframe = inverse[..., 1:, :]  # (..., n, m); column j decomposes P d_j
+        st.update(p=points, inverse=inverse, coframe=coframe,
+                  g=np.swapaxes(coframe, -1, -2) @ st["h"] @ coframe)
         return st
 
-    def point_state(self, p):
-        """Numeric state at p: spatial_state, the clock form and its
-        differential, the data, and the frame coefficients of every
-        alternation term, evaluated with one shared memo."""
-        p = np.asarray(p, dtype=float)
-        memo = {}
+    def spatial_state(self, points, until="dh"):
+        """coframe_state plus d_frame and dg[..., k, i, j] = d_k g_ij, with
+        d_k g = (d_k Q)^T h Q + Q^T (d_k h) Q + Q^T h (d_k Q)."""
+        st = self.coframe_state(points, until)
+        inverse, coframe, h = st["inverse"], st["coframe"], st["h"]
+        # [..., i, k, c] = d_i B_kc
+        d_basis = np.concatenate([np.swapaxes(st["dz"], -1, -2)[..., None],
+                                  np.swapaxes(st["d_frame"], -1, -3)], axis=-1)
+        inv_i = inverse[..., None, :, :]  # broadcast over the derivative index
+        d_coframe = -(inv_i @ d_basis @ inv_i)[..., 1:, :]  # (..., m, n, m)
+        coframe_i = coframe[..., None, :, :]
+        half = np.swapaxes(d_coframe, -1, -2) @ h[..., None, :, :] @ coframe_i
+        st["dg"] = (half + np.swapaxes(half, -1, -2)
+                    + np.swapaxes(coframe_i, -1, -2) @ st["dh"] @ coframe_i)
+        return st
+
+    def point_state(self, points):
+        """spatial_state, the clock form and its differential, the data,
+        and the frame coefficients of every alternation term."""
         m, n = self.m, self.n
-        st = self.spatial_state(p, memo)
+        st = self.spatial_state(points, until=None)
         coframe = st["coframe"]
-        omega_v = eval_fields(self.structure.omega, p, memo)
-        tau_v = np.array([[evaluate(self.tau[i][j], p, memo) for j in range(m)]
-                          for i in range(m)])
+        lead = coframe.shape[:-2]
 
-        grav_coeff = eval_fields(self.data.gravity, p, memo)
-        w_mat = np.zeros((n, n))
-        for (a, b), ex in self.data.coriolis.items():
-            w = evaluate(ex, p, memo)
-            w_mat[a, b] = w
-            w_mat[b, a] = -w
+        w_mat = np.zeros(lead + (n, n))
+        keys = list(self.data.coriolis)
+        if keys:
+            a, b = np.array(keys).T
+            w_mat[..., a, b] = st["coriolis"]
+            w_mat[..., b, a] = -st["coriolis"]
 
-        def coeffs(fields):
-            return np.array([coframe @ eval_fields(f, p, memo) for f in fields])
+        def coeffs(name):  # [..., a, field] = Q_a . A(field)
+            return coframe @ np.swapaxes(st[name], -1, -2)
 
-        azp = coeffs(self.a_zp).T  # (n, m)
-        aze = coeffs(self.a_ze).T  # (n, n)
         upper = np.triu_indices(m, 1)
-        app = np.zeros((m, m, n))
-        app[upper] = coeffs(self.a_pp)
-        app[upper[::-1]] = -app[upper]
-        ape = coeffs(self.a_pe).reshape(m, n, n)
-
+        app = np.zeros(lead + (m, m, n))
+        app[..., upper[0], upper[1], :] = np.swapaxes(coeffs("a_pp"), -1, -2)
+        app[..., upper[1], upper[0], :] = -app[..., upper[0], upper[1], :]
         st.update({
-            "p": p, "omega": omega_v, "tau": tau_v, "gravity": grav_coeff, "w": w_mat,
-            "azp": azp, "aze": aze, "app": app, "ape": ape,
+            "w": w_mat, "azp": coeffs("a_zp"), "aze": coeffs("a_ze"), "app": app,
+            "ape": np.swapaxes(coeffs("a_pe"), -1, -2).reshape(lead + (m, n, n)),
         })
         return st
 
-    def rhs_at(self, p):
-        """Right-hand side of the pointwise relation, shape (m, m, n)."""
-        st = self.point_state(p)
+    def rhs_at(self, points):
+        """Right-hand side of the pointwise relation, shape (..., m, m, n)."""
+        st = self.point_state(points)
         omega_v, frame_v, h = st["omega"], st["frame"], st["h"]
         g_v, dg_v, d_frame_v = st["g"], st["dg"], st["d_frame"]
         qp = st["coframe"]
 
-        term1 = (np.einsum("ijl,al->ija", dg_v, frame_v)
-                 + np.einsum("jl,ali->ija", g_v, d_frame_v))
-        deriv = term1 + term1.swapaxes(0, 1) - np.einsum("ak,kij->ija", frame_v, dg_v)
+        term1 = (np.einsum("...ijl,...al->...ija", dg_v, frame_v)
+                 + np.einsum("...jl,...ali->...ija", g_v, d_frame_v))
+        deriv = (term1 + np.swapaxes(term1, -3, -2)
+                 - np.einsum("...ak,...kij->...ija", frame_v, dg_v))
 
-        hg = h @ st["gravity"]
-        grav = 2.0 * np.einsum("i,j,a->ija", omega_v, omega_v, hg)
+        hg = np.einsum("...ab,...b->...a", h, st["gravity"])
+        grav = 2.0 * np.einsum("...i,...j,...a->...ija", omega_v, omega_v, hg)
 
-        cor_m = np.einsum("bj,ba->ja", qp, st["w"])
-        cor = 2.0 * (omega_v[:, None, None] * cor_m[None, :, :]
-                     + omega_v[None, :, None] * cor_m[:, None, :])
+        cor_m = np.einsum("...bj,...ba->...ja", qp, st["w"])
+        om_i = omega_v[..., :, None, None]
+        om_j = omega_v[..., None, :, None]
+        cor = 2.0 * (om_i * cor_m[..., None, :, :] + om_j * cor_m[..., :, None, :])
 
-        h_azp = (h @ st["azp"]).T      # (m, n)
-        q_aze = qp.T @ h @ st["aze"]   # (m, n)
-        ape_q = st["ape"] @ h @ qp     # [j, a, i] = <A(P d_j, E_a), P d_i>
-        aterms = (omega_v[:, None, None] * (h_azp - q_aze)[None, :, :]
-                  - omega_v[None, :, None] * (h_azp + q_aze)[:, None, :]
-                  + st["app"] @ h
-                  - ape_q.transpose(2, 0, 1) - ape_q.transpose(0, 2, 1))
+        qp_t = np.swapaxes(qp, -1, -2)
+        h_azp = np.swapaxes(h @ st["azp"], -1, -2)   # (..., m, n)
+        q_aze = qp_t @ h @ st["aze"]                  # (..., m, n)
+        # [..., j, a, i] = <A(P d_j, E_a), P d_i>
+        ape_q = st["ape"] @ h[..., None, :, :] @ qp[..., None, :, :]
+        aterms = (om_i * (h_azp - q_aze)[..., None, :, :]
+                  - om_j * (h_azp + q_aze)[..., :, None, :]
+                  + st["app"] @ h[..., None, :, :]
+                  - np.moveaxis(ape_q, -1, -3) - np.swapaxes(ape_q, -1, -2))
         return deriv + grav + cor + aterms, st
 
-    def christoffel_at(self, p):
-        rhs, st = self.rhs_at(p)
+    def christoffel_at(self, points):
+        rhs, st = self.rhs_at(points)
         m, n = self.m, self.n
         h = st["h"]
-        if abs(np.linalg.det(h)) <= METRIC_DET_TOL:
-            raise MetricSingular(f"spatial metric singular at {tuple(st['p'])}")
-        c = np.linalg.solve(2.0 * h, rhs.reshape(m * m, n).T).T.reshape(m, m, n)
-        gamma = (np.einsum("ij,k->kij", st["tau"], st["z"])
-                 + np.einsum("ija,ak->kij", c, st["frame"]))
+        geometry.fail_at_first(np.abs(np.linalg.det(h)) <= METRIC_DET_TOL, st["p"],
+                               MetricSingular, "spatial metric singular")
+        lead = rhs.shape[:-3]
+        flat = np.swapaxes(rhs.reshape(lead + (m * m, n)), -1, -2)
+        c = np.swapaxes(np.linalg.solve(2.0 * h, flat), -1, -2).reshape(lead + (m, m, n))
+        gamma = (np.einsum("...ij,...k->...kij", st["tau"], st["z"])
+                 + np.einsum("...ija,...ak->...kij", c, st["frame"]))
         return gamma
 
 
 class Connection:
-    """Pointwise evaluator of coefficients Gamma^k_ij at chart points.
+    """Evaluator of coefficients Gamma^k_ij at chart points.
 
     Convention: nabla_{d_i} d_j = Gamma^k_ij d_k; the lower index pair
-    need not be symmetric.  Coefficients are recomputed at every call
-    and nothing is kept per point, so memory does not grow with the
-    number of points asked for.  A connection whose inputs are all
-    constant computes Gamma once and returns that array afterwards.
-    Returned arrays are read-only.
+    need not be symmetric.  `christoffel` takes one point (m,) and
+    returns (m, m, m), or a stack of points (..., m) and returns
+    (..., m, m, m) in one batched evaluation.  Coefficients are
+    recomputed at every call and nothing is kept per point, so memory
+    does not grow with the number of points asked for.  A connection
+    whose inputs are all constant computes Gamma once and returns that
+    array afterwards.  Returned arrays are read-only.
     """
 
     def __init__(self, structure, observer, data=None, kit=None, gamma_exprs=None):
@@ -287,10 +309,11 @@ class Connection:
         self.observer = observer
         self.data = data
         self._kit = kit
-        self._gamma_exprs = gamma_exprs
         if kit is not None:
+            self._evaluate = kit.christoffel_at
             self._constant = kit.all_constant
         else:
+            self._evaluate = compile_exprs(gamma_exprs)
             self._constant = all(is_constant(e) for plane in gamma_exprs
                                  for row in plane for e in row)
         self._const_gamma = None
@@ -300,21 +323,17 @@ class Connection:
         return self._kit is not None
 
     def christoffel(self, p):
-        if self._const_gamma is not None:
-            return self._const_gamma
         p = np.asarray(p, dtype=float)
-        if self._kit is not None:
-            gamma = self._kit.christoffel_at(p)
-        else:
-            m = self.structure.dim
-            memo = {}
-            gamma = np.array([[[evaluate(self._gamma_exprs[k][i][j], p, memo)
-                                for j in range(m)] for i in range(m)]
-                              for k in range(m)])
-        gamma.setflags(write=False)
-        if self._constant:
+        gamma = self._const_gamma
+        if gamma is None:
+            gamma = self._evaluate(p)
+            gamma.setflags(write=False)
+            if not (self._constant and p.ndim == 1):
+                return gamma
             self._const_gamma = gamma
-        return gamma
+        if p.ndim == 1:
+            return gamma
+        return np.broadcast_to(gamma, p.shape[:-1] + gamma.shape)
 
 
 def koszul_rhs(structure, observer, data, i, j, a, p):
@@ -337,11 +356,9 @@ def connection_from_exprs(structure, observer, gamma_exprs):
 
 
 def covariant_derivative(connection, x_field, y_field, p):
-    """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at p."""
-    memo = {}
-    dy = eval_jacobian(field_jacobian(y_field), p, memo)
-    return nabla(connection.christoffel(p), dy, eval_fields(x_field, p, memo),
-                 eval_fields(y_field, p, memo))
+    """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at p (or a stack)."""
+    v = compile_exprs({"x": x_field, "y": y_field, "dy": field_jacobian(y_field)})(p)
+    return nabla(connection.christoffel(p), v["dy"], v["x"], v["y"])
 
 
 def torsion_at(connection, x_field, y_field, p):
@@ -353,14 +370,13 @@ def torsion_at(connection, x_field, y_field, p):
 
 
 def gravity_of(connection, observer):
-    """Pointwise evaluator of nabla_z z."""
+    """Evaluator of nabla_z z at a point or a stack of points."""
     z = observer.components
-    dz = field_jacobian(z)
+    program = compile_exprs({"z": z, "dz": field_jacobian(z)})
 
     def at(p):
-        memo = {}
-        zv = eval_fields(z, p, memo)
-        return nabla(connection.christoffel(p), eval_jacobian(dz, p, memo), zv, zv)
+        v = program(p)
+        return nabla(connection.christoffel(p), v["dz"], v["z"], v["z"])
 
     return at
 
@@ -373,10 +389,10 @@ def coriolis_of(connection, observer, v, w, p):
         if abs(pairing) > geometry.SPATIAL_INPUT_TOL:
             raise NotSpatial(f"clock pairing {pairing!r} at {tuple(p)}")
     # nabla_v z and nabla_w z; tensorial in the direction
-    memo = {}
-    zv = eval_fields(observer.components, p, memo)
-    dz = eval_jacobian(field_jacobian(observer.components), p, memo)
-    nv, nw = nabla(connection.christoffel(p), dz, np.array([v, w], dtype=float), zv)
+    z = observer.components
+    zs = compile_exprs({"z": z, "dz": field_jacobian(z)})(p)
+    nv, nw = nabla(connection.christoffel(p), zs["dz"], np.array([v, w], dtype=float),
+                   zs["z"])
     return 0.5 * (geometry.inner(S, nv, w, p) - geometry.inner(S, v, nw, p))
 
 
@@ -391,26 +407,22 @@ class ObservableImage:
 
     def deviations(self, data, structure):
         """Per-point max deviation of the image from a data triple."""
-        n = structure.n
-        m = structure.dim
-        out = np.zeros(len(self.points))
-        for idx, p in enumerate(self.points):
-            memo = {}
-            worst = 0.0
-            for a in range(n):
-                worst = max(worst, abs(self.gravity[idx, a]
-                                       - evaluate(data.gravity[a], p, memo)))
-            for a in range(n):
-                for b in range(a + 1, n):
-                    want = evaluate(data.coriolis_entry(a, b), p, memo)
-                    worst = max(worst, abs(self.coriolis[idx, a, b] - want))
-            for a in range(n):
-                for i in range(m):
-                    for j in range(i + 1, m):
-                        want = evaluate(data.theta_entry(a, i, j), p, memo)
-                        worst = max(worst, abs(self.torsion_spatial[idx, a, i, j] - want))
-            out[idx] = worst
-        return out
+        n, m = structure.n, structure.dim
+        pairs = np.triu_indices(n, 1)
+        planes = np.array([(a, i, j) for a in range(n) for i in range(m)
+                           for j in range(i + 1, m)], dtype=int).reshape(-1, 3).T
+        want = compile_exprs({
+            "gravity": data.gravity,
+            "coriolis": [data.coriolis_entry(a, b) for a, b in zip(*pairs)],
+            "theta": [data.theta_entry(a, i, j) for a, i, j in zip(*planes)],
+        })(np.reshape(self.points, (-1, m)))
+        diffs = np.concatenate([
+            self.gravity - want["gravity"],
+            self.coriolis[:, pairs[0], pairs[1]] - want["coriolis"],
+            self.torsion_spatial[:, planes[0], planes[1], planes[2]] - want["theta"]],
+            axis=1)
+        # fmax, like max(worst, x), passes over a NaN deviation
+        return np.fmax.reduce(np.abs(diffs), axis=1, initial=0.0)
 
 
 def observable_map(connection, observer, points=None):
@@ -419,33 +431,26 @@ def observable_map(connection, observer, points=None):
     m, n = S.dim, S.n
     if points is None:
         points = S.sample_points()
+    stack = np.reshape(points, (-1, m))
     z = observer.components
-    dz = field_jacobian(z)
+    v = compile_exprs({"z": z, "frame": S.frame, "h": S.metric,
+                       "dz": field_jacobian(z)})(stack)
+    coframe = geometry.basis_inverse(v["z"], v["frame"], stack)[:, 1:, :]
+    gamma = connection.christoffel(stack)
+    zv = v["z"][:, None, :]
 
-    grav_img = np.zeros((len(points), n))
-    cor_img = np.zeros((len(points), n, n))
-    tor_img = np.zeros((len(points), n, m, m))
-    for idx, p in enumerate(points):
-        memo = {}
-        inv = geometry.adapted_frame_inverse(S, observer, p, memo)
-        coframe = inv[1:, :]
-        h = geometry.metric_matrix(S, p, memo)
-        frame_v = geometry.frame_matrix(S, p, memo)  # (m, n)
-        gamma = connection.christoffel(p)
-        zv = eval_fields(z, p, memo)
+    # nabla_z z, then nabla_{E_a} z for every frame direction
+    directions = np.concatenate([zv, v["frame"]], axis=1)
+    nz = nabla(gamma[:, None], v["dz"][:, None], directions, zv)  # (N, 1 + n, m)
+    grav_img = (coframe @ nz[:, 0, :, None])[..., 0]
+    coeff_nz = coframe @ np.swapaxes(nz[:, 1:], -1, -2)  # column a decomposes nabla_{E_a} z
+    pairing = np.swapaxes(coeff_nz, -1, -2) @ v["h"]  # [a, b] = <nabla_{E_a} z, E_b>
+    cor_img = 0.5 * (pairing - np.swapaxes(pairing, -1, -2))
 
-        # nabla_z z, then nabla_{E_a} z for every frame direction
-        nz = nabla(gamma, eval_jacobian(dz, p, memo), np.vstack([zv, frame_v.T]), zv)
-        grav_img[idx] = coframe @ nz[0]
-        coeff_nz = coframe @ nz[1:].T  # (n, n): column a decomposes nabla_{E_a} z
-        pairing = coeff_nz.T @ h  # [a, b] = <nabla_{E_a} z, E_b>
-        cor_img[idx] = 0.5 * (pairing - pairing.T)
-
-        for i in range(m):
-            for j in range(i + 1, m):
-                tor = gamma[:, i, j] - gamma[:, j, i]
-                coeffs = coframe @ tor
-                tor_img[idx, :, i, j] = coeffs
-                tor_img[idx, :, j, i] = -coeffs
+    i, j = np.triu_indices(m, 1)
+    coeffs = coframe @ (gamma[:, :, i, j] - gamma[:, :, j, i])  # (N, n, pairs)
+    tor_img = np.zeros((len(stack), n, m, m))
+    tor_img[:, :, i, j] = coeffs
+    tor_img[:, :, j, i] = -coeffs
     return ObservableImage(points=list(points), gravity=grav_img,
                            coriolis=cor_img, torsion_spatial=tor_img)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NewcartError
-from .geometry import eval_fields
+from .expr import compile as compile_exprs
 
 COMPLETED = "completed"
 LEFT_DOMAIN = "left_domain"
@@ -99,16 +99,17 @@ def integrate_geodesic(connection, x0, v0, tau0, tau1, dtau):
 
 def integrate_observer_flow(structure, observer, x0, tau0, tau1, dtau):
     """Integrate a flow line of the observer field; stored velocities are z(x)."""
-    comps = observer.components
+    z = compile_exprs(observer.components)
 
     def field(x, _v):
-        zv = eval_fields(comps, x)
+        zv = z(x)
         return zv, np.zeros_like(zv)
 
-    v0 = eval_fields(comps, np.asarray(x0, dtype=float))
+    v0 = z(np.asarray(x0, dtype=float))
     traj = _integrate(field, structure.domain_box, x0, v0, tau0, tau1, dtau)
-    for st in traj.states:
-        st.velocity = eval_fields(comps, st.position)
+    velocities = z(np.array([st.position for st in traj.states]))
+    for st, velocity in zip(traj.states, velocities):
+        st.velocity = velocity
     return traj
 
 

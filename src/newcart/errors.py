@@ -2,7 +2,12 @@
 
 
 class NewcartError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    An error raised by an evaluation over a stack of points names the
+    failing point by its index in the flattened stack as `point`."""
+
+    point = None
 
 
 class ExprSyntaxError(NewcartError):

@@ -2,11 +2,16 @@
 
 The expression language is deliberately small: constants, coordinates,
 arithmetic, and the functions sin, cos, tan, exp, log, sqrt.  Trees are
-immutable, evaluation is plain recursive IEEE-754 double arithmetic, and
-differentiation is exact and closed over the node set.  The only
-rewriting ever applied is constant folding plus elimination of additive
-and multiplicative neutral elements, so evaluation order is stable and
-repeated evaluation of one tree at one point is bit-for-bit identical.
+immutable and differentiation is exact and closed over the node set.  The
+only rewriting ever applied is constant folding plus elimination of
+additive and multiplicative neutral elements.
+
+Evaluation goes through `compile`: the trees are hash-consed, so that
+structurally equal subtrees share one slot, and laid out as one
+straight-line list of numpy steps in IEEE-754 double arithmetic.  A
+program evaluates every expression at a whole stack of points in one
+pass; repeated runs, and a run on many points against runs on each point
+alone, are bit-for-bit identical.
 
 Grammar (whitespace insignificant)::
 
@@ -26,18 +31,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
-
-_FUNCTION_IMPL = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,10 +186,9 @@ def pow_(a, b):
     if _is_const(b, 0.0):
         return ONE
     if isinstance(a, Const) and isinstance(b, Const):
-        try:
-            return Const(_pow_value(a.value, b.value, None))
-        except (DomainError, OverflowError):
-            pass
+        folded = _fold(lambda x: _pow_by(x, float(b.value)), a.value)
+        if folded is not None:
+            return folded
     return Pow(a, b)
 
 
@@ -204,13 +201,12 @@ def neg(a):
 
 
 def apply(fn, arg):
-    if fn not in _FUNCTION_IMPL:
+    if fn not in _FUNCTION_KERNELS:
         raise ValueError(f"unknown function '{fn}'")
     if isinstance(arg, Const):
-        try:
-            return Const(_apply_value(fn, arg.value, None))
-        except (DomainError, OverflowError):
-            pass
+        folded = _fold(_FUNCTION_KERNELS[fn], arg.value)
+        if folded is not None:
+            return folded
     return Apply(fn, arg)
 
 
@@ -236,86 +232,253 @@ def is_constant(e):
 
 
 # --- evaluation -----------------------------------------------------------
+#
+# A kernel maps argument arrays to (value, checks); each check is a
+# (mask, reason) pair, listed in the order the domain rules apply, and a
+# point fails at the first check whose mask holds there.  Failing points
+# carry meaningless values onward, never reported.
 
-def _pow_value(base, expo, node):
-    if float(expo).is_integer():
+def _pow_by(base, expo):
+    """base ** expo for an array of bases and one float exponent."""
+    checks = []
+    if expo.is_integer():
         k = int(expo)
         if k == 0:
-            return 1.0
-        if base == 0.0 and k < 0:
-            raise _domain_error("zero base with negative exponent", node)
-        # repeated multiplication keeps negative bases legal for integer powers
+            return np.ones_like(base), checks
+        if k < 0:
+            checks.append((base == 0.0, "zero base with negative exponent"))
         if abs(k) <= 64:
-            acc = 1.0
-            for _ in range(abs(k)):
-                acc *= base
-            return acc if k > 0 else 1.0 / acc
-        return math.pow(base, k)
-    if base <= 0.0:
-        raise _domain_error("non-integer power of non-positive base", node)
-    return math.pow(base, expo)
-
-
-def _apply_value(fn, x, node):
-    if fn == "log" and x <= 0.0:
-        raise _domain_error("log of non-positive argument", node)
-    if fn == "sqrt" and x < 0.0:
-        raise _domain_error("sqrt of negative argument", node)
-    try:
-        return _FUNCTION_IMPL[fn](x)
-    except OverflowError:
-        raise _domain_error(f"{fn} overflow", node) from None
-
-
-def _domain_error(what, node):
-    message = what if node is None else f"{what} in '{to_string(node)}'"
-    return DomainError(message, node, what)
-
-
-def evaluate(expr, point, memo=None):
-    """Evaluate `expr` at `point` (a sequence of floats).
-
-    A shared `memo` dict may be passed to reuse values of subtrees shared
-    by several expressions evaluated at the same point.  Entries keep a
-    strong reference to their node, so the id-based keys stay valid for
-    the memo's lifetime.
-    """
-    if memo is None:
-        memo = {}
-    return _eval(expr, point, memo)
-
-
-def _eval(e, p, memo):
-    key = id(e)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit[0]
-    t = type(e)
-    if t is Const:
-        v = e.value
-    elif t is Coord:
-        v = float(p[e.index])
-    elif t is Add:
-        v = _eval(e.left, p, memo) + _eval(e.right, p, memo)
-    elif t is Sub:
-        v = _eval(e.left, p, memo) - _eval(e.right, p, memo)
-    elif t is Mul:
-        v = _eval(e.left, p, memo) * _eval(e.right, p, memo)
-    elif t is Div:
-        den = _eval(e.right, p, memo)
-        if den == 0.0:
-            raise _domain_error("division by zero", e)
-        v = _eval(e.left, p, memo) / den
-    elif t is Pow:
-        v = _pow_value(_eval(e.left, p, memo), _eval(e.right, p, memo), e)
-    elif t is Neg:
-        v = -_eval(e.child, p, memo)
-    elif t is Apply:
-        v = _apply_value(e.fn, _eval(e.arg, p, memo), e)
+            # repeated multiplication keeps negative bases legal for integer powers
+            value = base
+            for _ in range(abs(k) - 1):
+                value = value * base
+            if k > 0:
+                return value, checks
+            checks.append((value == 0.0, "pow overflow"))
+            return 1.0 / value, checks
     else:
-        raise TypeError(f"not an expression node: {e!r}")
-    memo[key] = (v, e)
-    return v
+        checks.append((base <= 0.0, "non-integer power of non-positive base"))
+    value = np.power(base, expo)
+    if math.isfinite(expo):
+        checks.append((np.isinf(value) & np.isfinite(base), "pow overflow"))
+    return value, checks
+
+
+def _pow(base, expo):
+    """base ** expo elementwise; the points sharing an exponent go through _pow_by."""
+    value = np.empty_like(base)
+    checks = []
+    for e in np.unique(expo):
+        at = expo == e if e == e else np.isnan(expo)
+        value[at], part = _pow_by(base[at], float(e))
+        for bad, reason in part:
+            full = np.zeros_like(at)
+            full[at] = bad
+            checks.append((full, reason))
+    return value, checks
+
+
+def _trig(ufunc):
+    reason = f"{ufunc.__name__} of non-finite argument"
+
+    def kernel(x):
+        return ufunc(x), [(np.isinf(x), reason)]
+    return kernel
+
+
+def _exp(x):
+    value = np.exp(x)
+    return value, [(np.isinf(value) & np.isfinite(x), "exp overflow")]
+
+
+def _log(x):
+    return np.log(x), [(x <= 0.0, "log of non-positive argument")]
+
+
+def _sqrt(x):
+    return np.sqrt(x), [(x < 0.0, "sqrt of negative argument")]
+
+
+_FUNCTION_KERNELS = {"sin": _trig(np.sin), "cos": _trig(np.cos), "tan": _trig(np.tan),
+                     "exp": _exp, "log": _log, "sqrt": _sqrt}
+
+
+def _fold(kernel, value):
+    """Const of a kernel applied to one constant, or None where a domain rule fails."""
+    with np.errstate(all="ignore"):
+        out, checks = kernel(np.array([float(value)]))
+    if any(bad.any() for bad, _ in checks):
+        return None
+    return Const(float(out[0]))
+
+
+def _unary(ufunc, out, a):
+    def step(vals, faults):
+        vals[out] = ufunc(vals[a])
+    return step
+
+
+def _binary(ufunc, out, a, b):
+    def step(vals, faults):
+        vals[out] = ufunc(vals[a], vals[b])
+    return step
+
+
+def _nonzero(node, a):
+    def step(vals, faults):
+        bad = vals[a] == 0.0
+        if bad.any():
+            faults.append((bad, node, "division by zero"))
+    return step
+
+
+def _checked(kernel, node, out, args):
+    def step(vals, faults):
+        vals[out], checks = kernel(*[vals[a] for a in args])
+        for bad, reason in checks:
+            if bad.any():
+                faults.append((bad, node, reason))
+    return step
+
+
+_BINARY = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
+
+
+class Program:
+    """Expressions compiled into one straight-line list of numpy steps.
+
+    Built by `compile`.  Structurally equal subtrees share one slot, keyed
+    by node type and value or child slots; steps run in the order a
+    recursive walk would first reach each node (a quotient's denominator,
+    and its zero check, before its numerator).
+    """
+
+    def __init__(self, exprs):
+        groups = exprs if isinstance(exprs, dict) else {None: exprs}
+        self._consts, self._coords, self._steps = [], [], []
+        keys, seen, checked, nonzero_consts = {}, {}, set(), set()
+
+        def visit(e):
+            slot = seen.get(id(e))
+            if slot is not None:
+                return slot
+            t = type(e)
+            if t is Const:
+                key = ("c", float(e.value).hex())
+            elif t is Coord:
+                key = ("x", e.index)
+            elif t is Neg:
+                key = ("neg", visit(e.child))
+            elif t is Apply:
+                key = (e.fn, visit(e.arg))
+            elif t is Div:
+                den = visit(e.right)
+                if den not in checked and den not in nonzero_consts:
+                    checked.add(den)
+                    self._steps.append(_nonzero(e, den))
+                key = ("/", visit(e.left), den)
+            elif t is Pow and type(e.right) is Const:
+                key = ("^", float(e.right.value), visit(e.left))
+            elif t in _BINARY or t is Pow:
+                key = (t, visit(e.left), visit(e.right))
+            else:
+                raise TypeError(f"not an expression node: {e!r}")
+            slot = keys.get(key)
+            if slot is None:
+                slot = keys[key] = len(keys)
+                self._emit(t, e, key, slot)
+                if t is Const and e.value != 0.0:
+                    nonzero_consts.add(slot)
+            seen[id(e)] = slot
+            return slot
+
+        self._layout, self._outputs, self._ends = [], [], {}
+        for name, group in groups.items():
+            table = np.array(group, dtype=object)
+            self._layout.append((name, len(self._outputs), table.shape))
+            self._outputs += [visit(e) for e in table.flat]
+            self._ends[name] = (len(self._steps), len(self._outputs))
+        self._ends[None] = (len(self._steps), len(self._outputs))  # everything
+        del visit  # it holds itself through its closure: free the compile state now
+        self._const_values = np.array([v for _, v in self._consts], dtype=float)
+        self.slot_count = len(keys)
+        self._single = not isinstance(exprs, dict)
+
+    def _emit(self, t, node, key, out):
+        if t is Const:
+            self._consts.append((out, float(node.value)))
+        elif t is Coord:
+            self._coords.append((out, node.index))
+        elif t is Neg:
+            self._steps.append(_unary(np.negative, out, key[1]))
+        elif t is Apply:
+            self._steps.append(_checked(_FUNCTION_KERNELS[node.fn], node, out, key[1:]))
+        elif t is Pow and key[0] == "^":
+            expo = key[1]
+            self._steps.append(_checked(lambda x: _pow_by(x, expo), node, out, key[2:]))
+        elif t is Pow:
+            self._steps.append(_checked(_pow, node, out, key[1:]))
+        else:
+            self._steps.append(_binary(_BINARY[t], out, *key[1:]))
+
+    def __call__(self, points, until=None):
+        """Every expression at every point of `points`, shape (..., m).
+
+        A single tree or nested sequence gives an array (..., *shape); a
+        dict gives a dict of such arrays.  With `until`, a group name of
+        a dict, only the groups up to and including it are evaluated.
+        Raises the DomainError that the lowest-index failing point (over
+        the flattened leading axes) raises on its own, with `point` set to
+        that index.
+        """
+        points = np.asarray(points, dtype=float)
+        lead = points.shape[:-1]
+        flat = points.reshape(-1, points.shape[-1])
+        count = len(flat)
+        vals = [None] * self.slot_count
+        rows = np.repeat(self._const_values[:, None], count, axis=1)
+        for (slot, _), row in zip(self._consts, rows):
+            vals[slot] = row
+        columns = np.ascontiguousarray(flat.T)
+        for slot, index in self._coords:
+            vals[slot] = columns[index]
+        faults = []
+        steps_end, outputs_end = self._ends[until]
+        with np.errstate(all="ignore"):
+            for step in self._steps[:steps_end]:
+                step(vals, faults)
+        if faults:
+            first = min(int(np.argmax(bad)) for bad, _, _ in faults)
+            _, node, reason = next(f for f in faults if f[0][first])
+            err = DomainError(f"{reason} in '{to_string(node)}'", node, reason)
+            err.point = first
+            raise err
+        table = np.array([vals[s] for s in self._outputs[:outputs_end]]).reshape(
+            outputs_end, count)
+        out = {}
+        for name, start, shape in self._layout:
+            out[name] = table[start:start + math.prod(shape)].T.reshape(lead + shape)
+            if name == until:
+                break
+        return out[None] if self._single else out
+
+
+def compile(exprs):
+    """Compile expressions into one batched Program.
+
+    `exprs` is an expression, a rectangular nested sequence of them, or a
+    dict of such groups; the program evaluates them all at once over a
+    stack of points.
+    """
+    return Program(exprs)
+
+
+def evaluate(expr, point):
+    """Value of `expr` at one point (a sequence of floats), as a float.
+
+    A one-point run of the expression's compiled program.
+    """
+    return float(compile(expr)(point))
 
 
 # --- differentiation ------------------------------------------------------
@@ -520,7 +683,7 @@ class _Parser:
         if kind == "num":
             return Const(float(text))
         if kind == "ident":
-            if text in _FUNCTION_IMPL:
+            if text in _FUNCTION_KERNELS:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, FrameDegenerate, NotSpatial,
                      ObserverInvalid)
-from .expr import Expr, differentiate, evaluate, mul, sub, sum_exprs
+from .expr import Expr, differentiate, mul, sub, sum_exprs
+from .expr import compile as compile_exprs
 from .report import CheckReport, make_entry
 
 SPATIAL_INPUT_TOL = 1e-6    # inputs may carry integration drift
@@ -85,9 +86,10 @@ class ObserverField:
     components: tuple[Expr, ...]
 
 
-def eval_fields(fields, p, memo=None):
-    """Evaluate a tuple of expressions into a numpy vector."""
-    return np.array([evaluate(e, p, memo) for e in fields])
+def eval_fields(fields, p):
+    """Evaluate a tuple of expressions at a point p, shape (m,), or at a
+    stack of points (..., m), into shape (..., len(fields))."""
+    return compile_exprs(fields)(p)
 
 
 def field_jacobian(field):
@@ -96,28 +98,17 @@ def field_jacobian(field):
     return [[differentiate(field[k], i) for i in range(m)] for k in range(m)]
 
 
-def eval_jacobian(table, p, memo=None):
-    """Evaluate a field_jacobian table into an m x m matrix."""
-    return np.array([[evaluate(e, p, memo) for e in row] for row in table])
+def omega_values(structure, p):
+    return eval_fields(structure.omega, p)
 
 
-def omega_values(structure, p, memo=None):
-    return eval_fields(structure.omega, p, memo)
-
-
-def frame_matrix(structure, p, memo=None):
+def frame_matrix(structure, p):
     """m x n matrix whose column a holds the components of E_a at p."""
-    cols = [eval_fields(f, p, memo) for f in structure.frame]
-    return np.column_stack(cols)
+    return np.swapaxes(compile_exprs(structure.frame)(p), -1, -2)
 
 
-def metric_matrix(structure, p, memo=None):
-    n = structure.n
-    h = np.empty((n, n))
-    for a in range(n):
-        for b in range(n):
-            h[a, b] = evaluate(structure.metric[a][b], p, memo)
-    return h
+def metric_matrix(structure, p):
+    return compile_exprs(structure.metric)(p)
 
 
 def omega_apply(structure, v, p):
@@ -125,8 +116,8 @@ def omega_apply(structure, v, p):
     return float(omega_values(structure, p) @ np.asarray(v, dtype=float))
 
 
-def observer_values(observer, p, memo=None):
-    return eval_fields(observer.components, p, memo)
+def observer_values(observer, p):
+    return eval_fields(observer.components, p)
 
 
 def project_spatial(structure, observer, v, p):
@@ -176,11 +167,9 @@ def d_omega(structure, x_field, y_field, p):
     oy = omega_of_field(structure, y_field)
     bracket = lie_bracket(x_field, y_field)
     ob = omega_of_field(structure, bracket)
-    memo = {}
-    val = evaluate(directional_derivative(x_field, oy), p, memo)
-    val -= evaluate(directional_derivative(y_field, ox), p, memo)
-    val -= evaluate(ob, p, memo)
-    return val
+    terms = compile_exprs([directional_derivative(x_field, oy),
+                           directional_derivative(y_field, ox), ob])(p)
+    return terms[..., 0] - terms[..., 1] - terms[..., 2]
 
 
 def frame_decompose(structure, v, p):
@@ -203,51 +192,65 @@ def inner(structure, v, w, p):
     return float(cv @ metric_matrix(structure, p) @ cw)
 
 
-def adapted_frame_inverse(structure, observer, p, memo=None):
-    """Inverse of the m x m matrix with columns (z, E_1..E_n) at p.
+def fail_at_first(bad, points, error, what):
+    """Raise `error` for the first point of a stack (..., m) at which `bad`
+    (shape (...)) holds, naming it as the error's `point`."""
+    bad = np.ravel(bad)
+    if bad.any():
+        k = int(np.argmax(bad))
+        err = error(f"{what} at {tuple(np.reshape(points, (bad.size, -1))[k])}")
+        err.point = k
+        raise err
 
-    Rows 1..n give the spatial coefficients of any tangent vector; row 0
-    reproduces the clock form whenever the structure is valid.  A basis
-    with |det| < BASIS_DET_TOL raises FrameDegenerate.
+
+def basis_inverse(z_values, frame_values, points):
+    """Inverse of the m x m matrix with columns (z, E_1..E_n) at each point.
+
+    z_values (..., m) and frame_values (..., n, m) are the field values at
+    points (..., m).  Rows 1..n give the spatial coefficients of any
+    tangent vector; row 0 reproduces the clock form whenever the structure
+    is valid.  A basis with |det| < BASIS_DET_TOL raises FrameDegenerate.
     """
-    m = structure.dim
-    basis = np.empty((m, m))
-    basis[:, 0] = observer_values(observer, p, memo)
-    basis[:, 1:] = frame_matrix(structure, p, memo)
-    if abs(np.linalg.det(basis)) < BASIS_DET_TOL:
-        raise FrameDegenerate(f"adapted basis singular at {tuple(p)}")
+    rows = np.concatenate([z_values[..., None, :], frame_values], axis=-2)
+    basis = np.swapaxes(rows, -1, -2)
+    fail_at_first(np.abs(np.linalg.det(basis)) < BASIS_DET_TOL, points,
+                  FrameDegenerate, "adapted basis singular")
     return np.linalg.inv(basis)
+
+
+def adapted_frame_inverse(structure, observer, p):
+    """basis_inverse of the observer and the frame at p, shape (m,) or (..., m)."""
+    v = compile_exprs({"z": observer.components, "frame": structure.frame})(p)
+    return basis_inverse(v["z"], v["frame"], p)
 
 
 def structure_entries(structure, observer):
     """Residual entries for every structure and observer invariant."""
     points = structure.sample_points()
-    m, n = structure.dim, structure.n
+    stack = np.reshape(points, (-1, structure.dim))
+    v = compile_exprs({"omega": structure.omega, "frame": structure.frame,
+                       "z": observer.components, "h": structure.metric})(stack)
+    ov, h = v["omega"][:, None, :], v["h"]  # ov: (N, 1, m), a row vector per point
+    fm = np.swapaxes(v["frame"], -1, -2)
+    # fmax, like max(0.0, x), ignores a NaN margin
+    nonzero = np.fmax(0.0, CLOCK_NONZERO_MARGIN - np.max(np.abs(ov), axis=(1, 2)))
+    annihilated = np.max(np.abs(ov @ fm), axis=(1, 2))
+    normalized = np.abs((ov @ v["z"][:, :, None])[:, 0, 0] - 1.0)
+    symmetry = np.max(np.abs(h - np.swapaxes(h, -1, -2)), axis=(1, 2))
+    nondegenerate = np.fmax(0.0, METRIC_DET_MARGIN - np.abs(np.linalg.det(h)))
+    smallest = np.linalg.svd(fm, compute_uv=False)[:, -1]
+    rank_margin = np.fmax(0.0, FRAME_RANK_MARGIN - smallest)
 
-    nonzero, annihilated, normalized = [], [], []
-    symmetry, nondegenerate, rank_margin = [], [], []
-    for p in points:
-        memo = {}
-        ov = omega_values(structure, p, memo)
-        nonzero.append(max(0.0, CLOCK_NONZERO_MARGIN - np.max(np.abs(ov))))
-        fm = frame_matrix(structure, p, memo)
-        annihilated.append(float(np.max(np.abs(ov @ fm))))
-        zv = observer_values(observer, p, memo)
-        normalized.append(abs(float(ov @ zv) - 1.0))
-        h = metric_matrix(structure, p, memo)
-        symmetry.append(float(np.max(np.abs(h - h.T))))
-        nondegenerate.append(max(0.0, METRIC_DET_MARGIN - abs(float(np.linalg.det(h)))))
-        sv = np.linalg.svd(fm, compute_uv=False)
-        smallest = float(sv[-1]) if len(sv) >= n else 0.0
-        rank_margin.append(max(0.0, FRAME_RANK_MARGIN - smallest))
+    def entry(name, tolerance, residuals):
+        return make_entry(name, tolerance, residuals.tolist(), points)
 
     return [
-        make_entry("clock form nonzero", 0.0, nonzero, points),
-        make_entry("frame annihilated by clock form", SPATIAL_RESULT_TOL, annihilated, points),
-        make_entry("observer normalization", SPATIAL_RESULT_TOL, normalized, points),
-        make_entry("metric symmetry", 0.0, symmetry, points),
-        make_entry("metric nondegenerate", 0.0, nondegenerate, points),
-        make_entry("frame rank", 0.0, rank_margin, points),
+        entry("clock form nonzero", 0.0, nonzero),
+        entry("frame annihilated by clock form", SPATIAL_RESULT_TOL, annihilated),
+        entry("observer normalization", SPATIAL_RESULT_TOL, normalized),
+        entry("metric symmetry", 0.0, symmetry),
+        entry("metric nondegenerate", 0.0, nondegenerate),
+        entry("frame rank", 0.0, rank_margin),
     ]
 
 

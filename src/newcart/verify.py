@@ -1,7 +1,9 @@
 """Named-residual checks: compatibility axioms, torsion-clock identity,
 observable round trip, and finite-difference validation of symbolic
 derivatives and of the builder's numeric spatial tensor derivatives, all
-evaluated over the structure's sample points.
+evaluated over the structure's sample points.  Each check compiles its
+expressions into one program and evaluates it, and the connection, over
+all its points at once.
 
 Tolerances: 1e-9 for algebraic identities, 1e-8 for metric
 compatibility, and a normalized 1e-6 for finite differences.  They are
@@ -18,11 +20,10 @@ import numpy as np
 from . import geometry
 from .connection import ConnectionData, build_connection, nabla, observable_map
 from .errors import NewcartError
-from .expr import (Coord, Const, differentiate, evaluate, is_constant, mul,
+from .expr import (Coord, Const, differentiate, is_constant, mul, sum_exprs,
                    to_string)
-from .geometry import (adapted_frame_inverse, eval_fields, eval_jacobian,
-                       field_jacobian, metric_matrix, omega_of_field,
-                       structure_entries)
+from .expr import compile as compile_exprs
+from .geometry import field_jacobian, omega_of_field, structure_entries
 from .report import CheckReport, make_entry
 
 CLOCK_TOL = 1e-9
@@ -62,32 +63,42 @@ def _check_field_seed(structure):
     return structure.rng_seed + 1
 
 
-def check_compatibility_omega(connection, structure, observer, points=None):
-    """|X(w(Y)) - w(nabla_X Y)| over coordinate and seeded random fields."""
+def _stack(structure, points):
+    """The sample points (or `points`) as one (N, m) array."""
     if points is None:
         points = structure.sample_points()
+    return np.reshape(points, (-1, structure.dim))
+
+
+def _residuals(values):
+    """Flat residual list, last axis varying fastest."""
+    return np.ravel(values).tolist()
+
+
+def check_compatibility_omega(connection, structure, observer, points=None):
+    """|X(w(Y)) - w(nabla_X Y)| over coordinate and seeded random fields."""
+    stack = _stack(structure, points)
     m = structure.dim
     fields = _coord_fields(m) + random_poly_fields(m, _check_field_seed(structure))
-    tables = [field_jacobian(f) for f in fields]
-    gammas, omegas, values, jacobians = [], [], [], []
-    for p in points:
-        memo = {}
-        gammas.append(connection.christoffel(p))
-        omegas.append(eval_fields(structure.omega, p, memo))
-        values.append([eval_fields(f, p, memo) for f in fields])
-        jacobians.append([eval_jacobian(t, p, memo) for t in tables])
-    gammas, omegas = np.array(gammas), np.array(omegas)
-    values, jacobians = np.array(values), np.array(jacobians)  # [point, field, ...]
-    residuals, where = [], []
-    for fx, x_field in enumerate(fields):
-        for fy, y_field in enumerate(fields):
-            lhs = geometry.directional_derivative(x_field, omega_of_field(structure, y_field))
-            nab = nabla(gammas, jacobians[:, fy], values[:, fx], values[:, fy])
-            clock = np.einsum("pk,pk->p", omegas, nab)
-            for p, rhs in zip(points, clock):
-                residuals.append(abs(evaluate(lhs, p) - float(rhs)))
-                where.append(p)
-    return make_entry("clock compatibility", CLOCK_TOL, residuals, where)
+    # X(w(Y)) as geometry.directional_derivative builds it, with the
+    # derivatives of each w(Y) built once for every X
+    d_clock = [[differentiate(omega_of_field(structure, y), i) for i in range(m)]
+               for y in fields]
+    v = compile_exprs({
+        "omega": structure.omega, "values": fields,
+        "jacobians": [field_jacobian(f) for f in fields],
+        "lhs": [[sum_exprs(mul(x[i], dy[i]) for i in range(m)) for dy in d_clock]
+                for x in fields],
+    })(stack)
+    values = v["values"]  # [point, field, k]
+    gamma = connection.christoffel(stack)[:, None, None]
+    # [point, X, Y] = nabla_X Y
+    nab = nabla(gamma, v["jacobians"][:, None], values[:, :, None], values[:, None, :])
+    clock = np.einsum("pk,pxyk->pxy", v["omega"], nab)
+    residuals = np.abs(v["lhs"] - clock)  # [point, X, Y]
+    return make_entry("clock compatibility", CLOCK_TOL,
+                      _residuals(np.moveaxis(residuals, 0, -1)),
+                      np.tile(stack, (len(fields) ** 2, 1)))
 
 
 def check_compatibility_metric(connection, structure, observer, points=None):
@@ -98,50 +109,47 @@ def check_compatibility_metric(connection, structure, observer, points=None):
     holds and keeps the residual defined for arbitrary user-supplied
     coefficients.
     """
-    if points is None:
-        points = structure.sample_points()
+    stack = _stack(structure, points)
     m, n = structure.dim, structure.n
-    tables = [field_jacobian(f) for f in structure.frame]
+    v = compile_exprs({
+        "z": observer.components, "frame": structure.frame, "h": structure.metric,
+        "d_frame": [field_jacobian(f) for f in structure.frame],
+        "dh": [[[differentiate(structure.metric[a][b], i) for b in range(n)]
+                for a in range(n)] for i in range(m)],
+    })(stack)
+    cof = geometry.basis_inverse(v["z"], v["frame"], stack)[:, 1:, :]
     coord = np.eye(m)[:, None, :]  # X = d_i, broadcast over the frame fields
-    states = []
-    for p in points:
-        memo = {}
-        cof = adapted_frame_inverse(structure, observer, p, memo)[1:, :]
-        frame_v = np.array([eval_fields(f, p, memo) for f in structure.frame])
-        d_frame = np.array([eval_jacobian(t, p, memo) for t in tables])
-        nab = nabla(connection.christoffel(p), d_frame, coord, frame_v)  # [i, a] = nabla_i E_a
-        states.append((nab @ cof.T, metric_matrix(structure, p, memo)))
-    residuals, where = [], []
-    for i in range(m):
-        for a in range(n):
-            for b in range(a, n):
-                lhs = differentiate(structure.metric[a][b], i)
-                for p, (nc, h) in zip(points, states):
-                    resid = abs(evaluate(lhs, p) - float(nc[i, a] @ h[:, b])
-                                - float(h[a, :] @ nc[i, b]))
-                    residuals.append(resid)
-                    where.append(p)
-    return make_entry("metric compatibility", METRIC_TOL, residuals, where)
+    gamma = connection.christoffel(stack)[:, None, None]
+    # [point, i, a] = nabla_i E_a
+    nab = nabla(gamma, v["d_frame"][:, None], coord, v["frame"][:, None])
+    # [point, i, a, b] = <nabla_i E_a, E_b>
+    paired = nab @ np.swapaxes(cof, -1, -2)[:, None] @ v["h"][:, None]
+    a, b = np.triu_indices(n)
+    residuals = np.abs(v["dh"][:, :, a, b] - paired[:, :, a, b] - paired[:, :, b, a])
+    return make_entry("metric compatibility", METRIC_TOL,
+                      _residuals(np.moveaxis(residuals, 0, -1)),
+                      np.tile(stack, (m * len(a), 1)))
 
 
 def check_torsion_clock(connection, structure, points=None):
     """Clock component of the torsion against the clock form's differential."""
-    if points is None:
-        points = structure.sample_points()
+    stack = _stack(structure, points)
     m = structure.dim
-    dw = [[differentiate(structure.omega[j], i) for j in range(m)] for i in range(m)]
-    residuals, where = [], []
-    for p in points:
-        memo = {}
-        om = eval_fields(structure.omega, p, memo)
-        gamma = connection.christoffel(p)
-        for i in range(m):
-            for j in range(i + 1, m):
-                tor = gamma[:, i, j] - gamma[:, j, i]
-                want = evaluate(dw[i][j], p, memo) - evaluate(dw[j][i], p, memo)
-                residuals.append(abs(float(om @ tor) - want))
-                where.append(p)
-    return make_entry("torsion clock identity", TORSION_TOL, residuals, where)
+    v = compile_exprs({"omega": structure.omega, "dw": _clock_differential(structure)})(stack)
+    gamma = connection.christoffel(stack)
+    i, j = np.triu_indices(m, 1)
+    tor = np.moveaxis(gamma[:, :, i, j] - gamma[:, :, j, i], -1, 1)  # [point, pair, k]
+    clock = (tor @ v["omega"][:, :, None])[..., 0]
+    want = v["dw"][:, i, j] - v["dw"][:, j, i]
+    residuals = np.abs(clock - want)  # [point, pair]
+    return make_entry("torsion clock identity", TORSION_TOL, _residuals(residuals),
+                      np.repeat(stack, len(i), axis=0))
+
+
+def _clock_differential(structure):
+    """Symbolic table [i][j] = d_i w_j."""
+    m = structure.dim
+    return [[differentiate(structure.omega[j], i) for j in range(m)] for i in range(m)]
 
 
 def check_roundtrip(structure, observer, data, connection=None, points=None):
@@ -180,16 +188,24 @@ def derivative_catalog(structure, observer=None, data=None):
     return catalog
 
 
-def _stencils(points, box, i):
-    """(p, p + h e_i, p - h e_i) for every point whose stencil stays in the box."""
-    for p in points:
-        if p[i] - FD_STEP < box[i][0] or p[i] + FD_STEP > box[i][1]:
-            continue
-        hi = np.array(p, dtype=float)
-        lo = np.array(p, dtype=float)
-        hi[i] += FD_STEP
-        lo[i] -= FD_STEP
-        yield p, hi, lo
+def _where_defined(run, count):
+    """Indices 0..count-1 at which `run` raises no NewcartError, and its result there.
+
+    `run` evaluates at an index array; an error names its failing point by
+    position in that array, which is then left out and the rest run again.
+    """
+    kept = np.arange(count)
+    while True:
+        try:
+            return kept, run(kept)
+        except NewcartError as err:
+            if err.point is None:
+                raise
+            kept = np.delete(kept, err.point)
+
+
+def _normalized(sym, fd):
+    return np.abs(sym - fd) / np.maximum(1.0, np.abs(fd))
 
 
 def fd_validate(structure, observer=None, data=None, kit=None, points=None,
@@ -200,47 +216,48 @@ def fd_validate(structure, observer=None, data=None, kit=None, points=None,
     and compared with the kit's d_k g.  Residuals are normalized,
     |sym - fd| / max(1, |fd|), which matches the tolerance
     max(1e-6, 1e-6 |value|).  Points whose stencil leaves the domain box
-    are skipped for that direction.
+    are skipped for that direction, and so are stencils at which any of
+    the values needed cannot be evaluated.
     """
-    if points is None:
-        points = structure.sample_points()
+    stack = _stack(structure, points)
     if catalog is None:
         catalog = derivative_catalog(structure, observer, data)
     m = structure.dim
-    box = structure.domain_box
+    lo, hi = np.array(structure.domain_box, dtype=float).reshape(m, 2).T
+    inside = (stack - FD_STEP >= lo) & (stack + FD_STEP <= hi)  # [point, direction]
+
+    def shifted(centres, directions, sign):
+        out = centres.copy()
+        out[np.arange(len(out)), directions] += sign * FD_STEP
+        return out
+
     residuals, where = [], []
     for _label, base in catalog:
         if is_constant(base):
             continue
+        value = compile_exprs(base)
         for i in range(m):
-            deriv = differentiate(base, i)
-            for p, hi, lo in _stencils(points, box, i):
-                try:
-                    fd = (evaluate(base, hi) - evaluate(base, lo)) / (2.0 * FD_STEP)
-                    sym = evaluate(deriv, p)
-                except NewcartError:
-                    continue
-                residuals.append(abs(sym - fd) / max(1.0, abs(fd)))
-                where.append(p)
+            deriv = compile_exprs(differentiate(base, i))
+            centres = stack[inside[:, i]]
+            up, down = shifted(centres, i, 1.0), shifted(centres, i, -1.0)
+            kept, (vu, vd, sym) = _where_defined(
+                lambda s: (value(up[s]), value(down[s]), deriv(centres[s])), len(centres))
+            residuals += _normalized(sym, (vu - vd) / (2.0 * FD_STEP)).tolist()
+            where += list(centres[kept])
 
     if kit is not None and not all(is_constant(e) for e in chain(
             kit.observer.components, *structure.frame, *structure.metric)):
-        upper = np.triu_indices(m)
-        for p in points:
-            try:
-                dg = kit.spatial_state(np.asarray(p, dtype=float))["dg"]
-            except NewcartError:
-                continue
-            for i in range(m):
-                for _, hi, lo in _stencils([p], box, i):
-                    try:
-                        fd = (kit.coframe_state(hi)["g"]
-                              - kit.coframe_state(lo)["g"]) / (2.0 * FD_STEP)
-                    except NewcartError:
-                        continue
-                    fd, sym = fd[upper], dg[i][upper]
-                    residuals.extend((np.abs(sym - fd) / np.maximum(1.0, np.abs(fd))).tolist())
-                    where.extend([p] * len(fd))
+        kept, dg = _where_defined(lambda s: kit.spatial_state(stack[s])["dg"], len(stack))
+        q, i = np.nonzero(inside[kept])  # stencils, point by point, then direction
+        centres = stack[kept][q]
+        up, down = shifted(centres, i, 1.0), shifted(centres, i, -1.0)
+        ok, (gu, gd) = _where_defined(
+            lambda s: (kit.coframe_state(up[s])["g"], kit.coframe_state(down[s])["g"]), len(q))
+        upper = (slice(None),) + np.triu_indices(m)
+        fd = ((gu - gd) / (2.0 * FD_STEP))[upper]
+        sym = dg[q[ok], i[ok]][upper]
+        residuals += _residuals(_normalized(sym, fd))
+        where += list(np.repeat(centres[ok], fd.shape[1], axis=0))
     return make_entry("derivative finite-difference check", FD_TOL, residuals, where)
 
 
@@ -251,22 +268,13 @@ def torsion_free_feasibility(structure, points=None):
     form's differential, so the request is feasible only where that
     differential vanishes.
     """
-    if points is None:
-        points = structure.sample_points()
-    m = structure.dim
-    dw = [[differentiate(structure.omega[j], i) for j in range(m)] for i in range(m)]
-    residuals, where = [], []
-    for p in points:
-        memo = {}
-        worst = 0.0
-        for i in range(m):
-            for j in range(i + 1, m):
-                worst = max(worst, abs(evaluate(dw[i][j], p, memo)
-                                       - evaluate(dw[j][i], p, memo)))
-        residuals.append(worst)
-        where.append(p)
+    stack = _stack(structure, points)
+    dw = compile_exprs(_clock_differential(structure))(stack)
+    i, j = np.triu_indices(structure.dim, 1)
+    # fmax, like max(worst, x), passes over a NaN difference
+    worst = np.fmax.reduce(np.abs(dw[:, i, j] - dw[:, j, i]), axis=1, initial=0.0)
     return make_entry("torsion-free feasibility (clock form must be closed)",
-                      TORSION_TOL, residuals, where)
+                      TORSION_TOL, worst.tolist(), stack)
 
 
 def run_all(structure, observer, data=None, connection=None, scenario_name="",

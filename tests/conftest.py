@@ -132,29 +132,28 @@ def brute_force_gamma(S, z, D, p):
     gravity, Coriolis, spatial torsion).  Returns (gamma, rank, residual).
     """
     m, n = S.dim, S.n
-    memo = {}
-    om = eval_fields(S.omega, p, memo)
-    zv = eval_fields(z.components, p, memo)
-    fm = frame_matrix(S, p, memo)
-    h = metric_matrix(S, p, memo)
-    cof = adapted_frame_inverse(S, z, p, memo)[1:, :]
-    dom = np.array([[evaluate(differentiate(S.omega[j], i), p, memo)
+    om = eval_fields(S.omega, p)
+    zv = eval_fields(z.components, p)
+    fm = frame_matrix(S, p)
+    h = metric_matrix(S, p)
+    cof = adapted_frame_inverse(S, z, p)[1:, :]
+    dom = np.array([[evaluate(differentiate(S.omega[j], i), p)
                      for j in range(m)] for i in range(m)])
-    dfr = np.array([[[evaluate(differentiate(S.frame[a][k], i), p, memo)
+    dfr = np.array([[[evaluate(differentiate(S.frame[a][k], i), p)
                       for i in range(m)] for k in range(m)] for a in range(n)])
-    dz = np.array([[evaluate(differentiate(z.components[k], i), p, memo)
+    dz = np.array([[evaluate(differentiate(z.components[k], i), p)
                     for i in range(m)] for k in range(m)])
-    dh = np.array([[[evaluate(differentiate(S.metric[a][b], i), p, memo)
+    dh = np.array([[[evaluate(differentiate(S.metric[a][b], i), p)
                      for b in range(n)] for a in range(n)] for i in range(m)])
-    grav = eval_fields(D.gravity, p, memo)
+    grav = eval_fields(D.gravity, p)
     W = np.zeros((n, n))
     for (a, b), ex in D.coriolis.items():
-        w = evaluate(ex, p, memo)
+        w = evaluate(ex, p)
         W[a, b] = w
         W[b, a] = -w
     TH = np.zeros((n, m, m))
     for (a, i, j), ex in D.theta.items():
-        v = evaluate(ex, p, memo)
+        v = evaluate(ex, p)
         TH[a, i, j] = v
         TH[a, j, i] = -v
 

@@ -125,6 +125,15 @@ def test_domain_error_names_chart_coordinates(tmp_path, capsys):
     assert "sqrt(x)" in err and "x1" not in err
 
 
+def test_overflow_is_a_clean_exit(tmp_path, capsys):
+    text = bundled_scenario_path("curvedh").read_text(encoding="utf-8")
+    path = tmp_path / "steep.scn"
+    path.write_text(text.replace("h11 = 1 + x^2/10", "h11 = 1 + x^2/10 + x^130.5/1e300"),
+                    encoding="utf-8")
+    assert main(["connection", str(path), "--at", "0.5,1e10"]) == 3
+    assert "error: pow overflow in 'x^130.5'" in capsys.readouterr().err
+
+
 def test_flow_command(tmp_path):
     out = tmp_path / "flow.csv"
     code = main(["flow", scn("flat"), "--from", "0,0.25",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from newcart.errors import DomainError, ExprSyntaxError, UnknownIdentifier
-from newcart.expr import (Const, Coord, Pow, Sub, apply, differentiate,
+from newcart.expr import (Const, Coord, Pow, Sub, apply, compile, differentiate,
                           evaluate, is_constant, mul, parse_expr, to_string)
 
 NAMES = ("t", "x")
@@ -90,6 +90,47 @@ def test_domain_error_names_subexpression():
     with pytest.raises(DomainError) as err:
         ev("1 + 1/x", (0.0, 0.0))
     assert "1.0/x" in str(err.value)
+
+
+@pytest.mark.parametrize("text,x,reason", [
+    ("x^130.5/1e300", 1e10, "pow overflow"),   # non-integer exponent
+    ("x^320", 10.0, "pow overflow"),           # integer exponent beyond 64
+    ("x^-2", 1e-200, "pow overflow"),          # 1/0 after the product underflows
+    ("exp(x)", 1000.0, "exp overflow"),
+    ("sin(x*x*x*x)", 1e100, "sin of non-finite argument"),
+    ("cos(x*x*x*x)", 1e100, "cos of non-finite argument"),
+    ("tan(x*x*x*x)", -1e100, "tan of non-finite argument"),
+])
+def test_overflow_and_non_finite_arguments_are_domain_errors(text, x, reason):
+    tree = parse_expr(text, ("x",))
+    with pytest.raises(DomainError) as one:
+        evaluate(tree, [x])
+    assert one.value.reason == reason
+    with pytest.raises(DomainError) as batch:
+        compile(tree)(np.array([[0.5], [x], [2.0]]))
+    assert batch.value.point == 1
+    assert (batch.value.reason, str(batch.value)) == (reason, str(one.value))
+
+
+def test_batch_error_is_the_lowest_failing_points_error():
+    tree = parse_expr("log(x) + 1/t", NAMES)
+    # point 1 fails first in program order (log), point 0 only later (division)
+    pts = np.array([[0.0, 2.0], [1.0, -1.0]])
+    with pytest.raises(DomainError) as one:
+        evaluate(tree, pts[0])
+    with pytest.raises(DomainError) as batch:
+        compile(tree)(pts)
+    assert batch.value.point == 0
+    assert batch.value.reason == one.value.reason == "division by zero"
+    assert str(batch.value) == str(one.value) == "division by zero in '1.0/x0'"
+    assert batch.value.subexpression == one.value.subexpression
+
+
+def test_denominator_is_checked_before_the_numerator():
+    # as in a recursive walk: 1/t fails before log(x) is reached
+    with pytest.raises(DomainError) as err:
+        ev("log(x)/t", (0.0, -1.0))
+    assert err.value.reason == "division by zero"
 
 
 def test_integer_powers_of_negative_base():
@@ -187,19 +228,24 @@ def test_derivative_matches_fd_on_random_trees():
 def test_evaluation_is_deterministic():
     rng = np.random.Generator(np.random.PCG64(13))
     tree = _random_tree(rng, NAMES, 5)
-    p = (0.37, -1.21)
-    first = evaluate(tree, p)
-    assert evaluate(tree, p) == first
-    assert evaluate(tree, p, memo={}) == first
+    program = compile(tree)
+    points = rng.uniform(-1.5, 1.5, size=(20, 2))
+    first = program(points)
+    assert program(points).tobytes() == first.tobytes()
+    assert compile(tree)(points).tobytes() == first.tobytes()
+    assert evaluate(tree, points[7]) == first[7]
 
 
-def test_shared_memo_reuses_subtrees_safely():
+def test_program_shares_subtrees_safely():
     e1 = parse_expr("sin(x) + t", NAMES)
     e2 = parse_expr("sin(x) * 2", NAMES)
     p = (0.5, 0.25)
-    memo = {}
-    assert evaluate(e1, p, memo) == evaluate(e1, p)
-    assert evaluate(e2, p, memo) == evaluate(e2, p)
+    program = compile([e1, e2])
+    # x, t, 2, sin(x), the sum and the product: sin(x) is one slot
+    assert program.slot_count == 6
+    both = program(p)
+    assert both[0] == evaluate(e1, p)
+    assert both[1] == evaluate(e2, p)
 
 
 def test_is_constant():

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from conftest import (NAMES2, NAMES3, exprs, flat_observer, flat_structure,
@@ -10,11 +11,14 @@ from conftest import (NAMES2, NAMES3, exprs, flat_observer, flat_structure,
                       mixed_structure, rot_observer, rot_structure,
                       twist_structure)
 import newcart.expr as expr_mod
+import newcart.verify as verify_mod
 from newcart.connection import (ConnectionData, build_connection,
                                 connection_from_exprs)
-from newcart.expr import Const, ZERO, mul, apply, parse_expr
+from newcart.errors import NewcartError
+from newcart.expr import (Const, ZERO, apply, differentiate, evaluate,
+                          is_constant, mul, parse_expr)
 from newcart.geometry import ObserverField
-from newcart.verify import (check_compatibility_metric,
+from newcart.verify import (FD_STEP, check_compatibility_metric,
                             check_compatibility_omega, check_roundtrip,
                             check_torsion_clock, fd_validate, run_all,
                             torsion_free_feasibility)
@@ -144,6 +148,71 @@ def test_fd_validate_catches_corrupted_spatial_tensor_derivative(monkeypatch, S,
     n = S.n
     monkeypatch.setattr(kit, "dh", [[[ZERO] * n for _ in range(n)] for _ in range(S.dim)])
     assert not fd_validate(S, z, D, kit=kit, catalog=[]).passed
+
+
+def _fd_residuals_point_by_point(S, catalog, kit, points):
+    """fd_validate's residuals, one stencil at a time, skipping every
+    stencil at which a value cannot be evaluated."""
+    m, box = S.dim, S.domain_box
+    residuals = []
+
+    def stencil(p, i):
+        if p[i] - FD_STEP < box[i][0] or p[i] + FD_STEP > box[i][1]:
+            return None
+        hi, lo = np.array(p), np.array(p)
+        hi[i] += FD_STEP
+        lo[i] -= FD_STEP
+        return hi, lo
+
+    for _label, base in catalog:
+        if is_constant(base):
+            continue
+        for i in range(m):
+            deriv = differentiate(base, i)
+            for p in points:
+                if (st := stencil(p, i)) is None:
+                    continue
+                try:
+                    fd = (evaluate(base, st[0]) - evaluate(base, st[1])) / (2.0 * FD_STEP)
+                    sym = evaluate(deriv, p)
+                except NewcartError:
+                    continue
+                residuals.append(abs(sym - fd) / max(1.0, abs(fd)))
+    upper = np.triu_indices(m)
+    for p in points:
+        try:
+            dg = kit.spatial_state(p)["dg"]
+        except NewcartError:
+            continue
+        for i in range(m):
+            if (st := stencil(p, i)) is None:
+                continue
+            try:
+                fd = (kit.coframe_state(st[0])["g"] - kit.coframe_state(st[1])["g"]) / (2.0 * FD_STEP)
+            except NewcartError:
+                continue
+            residuals += (np.abs(dg[i][upper] - fd[upper])
+                          / np.maximum(1.0, np.abs(fd[upper]))).tolist()
+    return residuals
+
+
+def test_fd_validate_skips_exactly_the_undefined_stencils(monkeypatch):
+    S = dataclasses.replace(flat_structure(), metric=((parse_expr("1 + sqrt(x)", NAMES2),),),
+                            domain_box=((0.0, 1.0), (-1.0, 1.0)), sample_count=40)
+    z = flat_observer()
+    D = ConnectionData((parse_expr("log(x + 0.5)", NAMES2),), {}, {})
+    kit = build_connection(S, z, D)._kit
+    # besides the samples: a centre at 0 (d_x sqrt undefined) and one whose
+    # lower stencil point is negative
+    points = S.sample_points() + [np.array([0.5, 0.0]), np.array([0.5, 0.5 * FD_STEP])]
+    captured = []
+    monkeypatch.setattr(verify_mod, "make_entry",
+                        lambda name, tol, residuals, where: captured.append(residuals))
+    fd_validate(S, z, D, kit=kit, points=points)
+    want = _fd_residuals_point_by_point(S, verify_mod.derivative_catalog(S, z, D), kit, points)
+    # with nothing skipped: 2 catalog entries and 3 entries of g, 2 directions each
+    assert 0 < len(want) < 10 * len(points)
+    assert captured == [want]
 
 
 def test_run_all_passes_on_healthy_scenarios():
