@@ -18,7 +18,6 @@ from .errors import DomainError, NewcartError, ScenarioError
 from .expr import to_string
 from .scenario import load_scenario
 
-USAGE_ERROR = 2
 SCENARIO_ERROR = 3
 CHECK_FAILED = 1
 
@@ -46,16 +45,11 @@ def _connection_for(scn):
     return build_connection(scn.structure, scn.observer, scn.data)
 
 
-def cmd_check(scn, args):
-    if scn.has_user_connection:
-        conn = connection_from_exprs(scn.structure, scn.observer, scn.christoffel)
-        report = verify.run_all(scn.structure, scn.observer, connection=conn,
-                                scenario_name=scn.name,
-                                expect_torsion_free=args.expect_torsion_free)
-    else:
-        report = verify.run_all(scn.structure, scn.observer, data=scn.data,
-                                scenario_name=scn.name,
-                                expect_torsion_free=args.expect_torsion_free)
+def cmd_check(scn, args, parser):
+    conn = _connection_for(scn) if scn.has_user_connection else None
+    report = verify.run_all(scn.structure, scn.observer, data=scn.data, connection=conn,
+                            scenario_name=scn.name,
+                            expect_torsion_free=args.expect_torsion_free)
     print(report.render_table())
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -95,7 +89,7 @@ def cmd_observables(scn, args, parser):
     return 0
 
 
-def cmd_roundtrip(scn, args):
+def cmd_roundtrip(scn, args, parser):
     if scn.has_user_connection:
         print("scenario supplies raw coefficients; no data triple to round-trip",
               file=sys.stderr)
@@ -129,6 +123,11 @@ def _write_curve(S, traj, path):
         print(f"error: {_error_text(traj.error, S.coord_names)}", file=sys.stderr)
     print("final position: " + ", ".join(repr(float(c)) for c in traj.final.position))
     return CHECK_FAILED if traj.termination in dynamics.FAILURES else 0
+
+
+COMMANDS = {"check": cmd_check, "connection": cmd_connection,
+            "observables": cmd_observables, "roundtrip": cmd_roundtrip,
+            "geodesic": cmd_geodesic, "flow": cmd_flow}
 
 
 def make_parser():
@@ -181,19 +180,7 @@ def main(argv=None):
     scn = None
     try:
         scn = load_scenario(args.scenario)
-        if args.command == "check":
-            return cmd_check(scn, args)
-        if args.command == "connection":
-            return cmd_connection(scn, args, parser)
-        if args.command == "observables":
-            return cmd_observables(scn, args, parser)
-        if args.command == "roundtrip":
-            return cmd_roundtrip(scn, args)
-        if args.command == "geodesic":
-            return cmd_geodesic(scn, args, parser)
-        if args.command == "flow":
-            return cmd_flow(scn, args, parser)
-        parser.error(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](scn, args, parser)
     except ScenarioError as err:
         print(f"scenario error: {err}", file=sys.stderr)
         return SCENARIO_ERROR
@@ -201,7 +188,6 @@ def main(argv=None):
         names = scn.structure.coord_names if scn is not None else None
         print(f"error: {_error_text(err, names)}", file=sys.stderr)
         return SCENARIO_ERROR
-    return USAGE_ERROR
 
 
 def entrypoint():

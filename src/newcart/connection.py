@@ -25,7 +25,9 @@ Only the user input and its first derivatives are symbolic.  Everything
 downstream is numeric at each point: the coframe Q (rows 1..n of the
 inverse of the adapted basis B = (z, E_1..E_n)), the spatial tensor
 g = Q^T h Q with g_ij = <P d_i, P d_j>, its derivatives from
-d_k(B^-1) = -B^-1 (d_k B) B^-1, and small dense solves.
+d_k(B^-1) = -B^-1 (d_k B) B^-1, the alternation terms from the values
+and Jacobians of the fields they act on, and small dense solves.  The
+symbolic `alternation_field` stays public as an independent oracle.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DimensionMismatch, MetricSingular, NotSpatial
-from .expr import (ZERO, const, differentiate, is_constant, mul, neg, sub,
+from .expr import (ZERO, differentiate, is_constant, mul, neg, sub,
                    sum_exprs)
 from .expr import compile as compile_exprs
 from .geometry import eval_fields, field_jacobian, lie_bracket
@@ -131,12 +133,19 @@ class _ConnectionKit:
     """Symbolic first derivatives of the input, compiled into one program
     and evaluated numerically over stacks of points.
 
+    Only z, the frame, h, the clock form, the data and the first
+    derivatives dz, d_frame, dh and tau = d omega are compiled.  The
+    alternation terms A(X, Y) = Theta(X, Y) + dw(X, Y) z + [X, Y] on the
+    fields z, P d_j = d_j - w_j z and E_a are then computed from these
+    point values, with the Jacobian of P d_j taken as
+    d_i (P d_j)^k = -tau_ij z^k - w_j d_i z^k.
+
     Every state method takes points of shape (..., m) and returns arrays
     with the same leading axes.
     """
 
-    # symbolic tables compiled into the program after the input itself
-    TABLES = ("dz", "d_frame", "dh", "tau", "a_zp", "a_ze", "a_pp", "a_pe")
+    # symbolic derivative tables compiled into the program after the input
+    TABLES = ("dz", "d_frame", "dh", "tau")
 
     def __init__(self, structure, observer, data):
         self.structure = structure
@@ -147,27 +156,17 @@ class _ConnectionKit:
         omega = structure.omega
         z = observer.components
 
-        self.p_fields = []
-        for j in range(m):
-            comps = tuple(sub(const(1.0 if k == j else 0.0), mul(omega[j], z[k]))
-                          for k in range(m))
-            self.p_fields.append(comps)
-
         self.dz = field_jacobian(z)
         self.d_frame = [field_jacobian(f) for f in structure.frame]
         self.dh = [[[differentiate(structure.metric[a][b], i) for b in range(n)]
                     for a in range(n)] for i in range(m)]
         self.tau = [[differentiate(omega[j], i) for j in range(m)] for i in range(m)]
-
-        def alt(u, v):
-            return alternation_field(structure, observer, data, u, v)
-
-        # A(z, P d_j), A(z, E_a), A(P d_i, P d_j) for i < j, A(P d_j, E_a)
-        self.a_zp = [alt(z, pj) for pj in self.p_fields]
-        self.a_ze = [alt(z, e) for e in structure.frame]
-        self.a_pp = [alt(self.p_fields[i], self.p_fields[j])
-                     for i in range(m) for j in range(i + 1, m)]
-        self.a_pe = [alt(pj, e) for pj in self.p_fields for e in structure.frame]
+        # (X, Y) pairs over the stacked fields z, P d_0..P d_{m-1}, E_1..E_n:
+        # (z, P d_j), (z, E_a), (P d_i, P d_j), (P d_j, E_a)
+        p, e = range(1, m + 1), range(m + 1, m + n + 1)
+        self._pairs = np.array([(0, j) for j in p] + [(0, a) for a in e]
+                               + [(i, j) for i in p for j in p]
+                               + [(j, a) for j in p for a in e]).T
         self.all_constant = all(is_constant(e) for e in chain(
             omega, z, *structure.frame, *structure.metric, data.gravity,
             data.coriolis.values(), data.theta.values()))
@@ -182,13 +181,15 @@ class _ConnectionKit:
     def program(self):
         """Groups in the order the states need them: coframe_state runs
         the program up to "h", spatial_state up to "dh"."""
-        S, data = self.structure, self.data
+        S, data, m, n = self.structure, self.data, self.m, self.n
         return compile_exprs({
             "z": self.observer.components, "frame": S.frame, "h": S.metric,
             "dz": self.dz, "d_frame": self.d_frame, "dh": self.dh,
             "omega": S.omega, "tau": self.tau, "gravity": data.gravity,
-            "coriolis": list(data.coriolis.values()),
-            "a_zp": self.a_zp, "a_ze": self.a_ze, "a_pp": self.a_pp, "a_pe": self.a_pe})
+            "coriolis": [[data.coriolis_entry(a, b) for b in range(n)] for a in range(n)],
+            # theta[a][i][j] for i < j only: contracted with X^i Y^j - X^j Y^i
+            "theta": [[[data.theta.get((a, i, j), ZERO) for j in range(m)]
+                       for i in range(m)] for a in range(n)]})
 
     def coframe_state(self, points, until="h"):
         """z, frame (..., n, m), h, the coframe Q and g = Q^T h Q."""
@@ -218,30 +219,31 @@ class _ConnectionKit:
 
     def point_state(self, points):
         """spatial_state, the clock form and its differential, the data,
-        and the frame coefficients of every alternation term."""
+        every alternation term A(X, Y) ("alt", [..., pair, k]) and its
+        frame coefficients."""
         m, n = self.m, self.n
         st = self.spatial_state(points, until=None)
-        coframe = st["coframe"]
-        lead = coframe.shape[:-2]
-
-        w_mat = np.zeros(lead + (n, n))
-        keys = list(self.data.coriolis)
-        if keys:
-            a, b = np.array(keys).T
-            w_mat[..., a, b] = st["coriolis"]
-            w_mat[..., b, a] = -st["coriolis"]
-
-        def coeffs(name):  # [..., a, field] = Q_a . A(field)
-            return coframe @ np.swapaxes(st[name], -1, -2)
-
-        upper = np.triu_indices(m, 1)
-        app = np.zeros(lead + (m, m, n))
-        app[..., upper[0], upper[1], :] = np.swapaxes(coeffs("a_pp"), -1, -2)
-        app[..., upper[1], upper[0], :] = -app[..., upper[0], upper[1], :]
-        st.update({
-            "w": w_mat, "azp": coeffs("a_zp"), "aze": coeffs("a_ze"), "app": app,
-            "ape": np.swapaxes(coeffs("a_pe"), -1, -2).reshape(lead + (m, n, n)),
-        })
+        z, omega, tau, dz = st["z"], st["omega"], st["tau"], st["dz"]
+        # values [..., field, k] and Jacobians [..., field, k, i] of z, P d_j, E_a
+        p_jac = -(np.swapaxes(tau, -1, -2)[..., :, None, :] * z[..., None, :, None]
+                  + omega[..., :, None, None] * dz[..., None, :, :])
+        p_values = np.eye(m) - omega[..., :, None] * z[..., None, :]
+        values = np.concatenate([z[..., None, :], p_values, st["frame"]], axis=-2)
+        jacobians = np.concatenate([dz[..., None, :, :], p_jac, st["d_frame"]], axis=-3)
+        x, y = values[..., self._pairs[0], :], values[..., self._pairs[1], :]
+        wedge = x[..., :, None] * y[..., None, :]
+        wedge = wedge - np.swapaxes(wedge, -1, -2)  # [..., pair, i, j] = X^i Y^j - X^j Y^i
+        bracket = (jacobians[..., self._pairs[1], :, :] @ x[..., None]
+                   - jacobians[..., self._pairs[0], :, :] @ y[..., None])[..., 0]
+        alt = (np.einsum("...aij,...pij->...pa", st["theta"], wedge) @ st["frame"]
+               + np.einsum("...ij,...pij->...p", tau, wedge)[..., None] * z[..., None, :]
+               + bracket)
+        # [..., pair, a] = Q_a . A(pair)
+        coeffs = np.swapaxes(st["coframe"] @ np.swapaxes(alt, -1, -2), -1, -2)
+        azp, aze, app, ape = np.split(coeffs, np.cumsum([m, n, m * m]), axis=-2)
+        st.update({"alt": alt, "azp": np.swapaxes(azp, -1, -2), "aze": np.swapaxes(aze, -1, -2),
+                   "app": app.reshape(app.shape[:-2] + (m, m, n)),
+                   "ape": ape.reshape(ape.shape[:-2] + (m, n, n))})
         return st
 
     def rhs_at(self, points):
@@ -259,7 +261,7 @@ class _ConnectionKit:
         hg = np.einsum("...ab,...b->...a", h, st["gravity"])
         grav = 2.0 * np.einsum("...i,...j,...a->...ija", omega_v, omega_v, hg)
 
-        cor_m = np.einsum("...bj,...ba->...ja", qp, st["w"])
+        cor_m = np.einsum("...bj,...ba->...ja", qp, st["coriolis"])
         om_i = omega_v[..., :, None, None]
         om_j = omega_v[..., None, :, None]
         cor = 2.0 * (om_i * cor_m[..., None, :, :] + om_j * cor_m[..., :, None, :])

@@ -44,13 +44,6 @@ class Trajectory:
         return self.states[-1]
 
 
-def _inside_box(box, x):
-    for (lo, hi), c in zip(box, x):
-        if c < lo or c > hi:
-            return False
-    return True
-
-
 def _rk4_step(f, x, v, dtau):
     k1x, k1v = f(x, v)
     k2x, k2v = f(x + 0.5 * dtau * k1x, v + 0.5 * dtau * k1v)
@@ -82,7 +75,7 @@ def _integrate(f, box, x0, v0, tau0, tau1, dtau):
             break
         x, v = nx, nv
         states.append(CurveState(tau0 + k * dtau, x.copy(), v.copy()))
-        if not _inside_box(box, x):
+        if any(c < lo or c > hi for (lo, hi), c in zip(box, x)):
             termination = LEFT_DOMAIN
             break
     return Trajectory(states=states, step=dtau, termination=termination, error=error)

@@ -132,10 +132,6 @@ def _coerce(v):
     return v if isinstance(v, Expr) else Const(float(v))
 
 
-def const(v):
-    return Const(float(v))
-
-
 def _is_const(e, value=None):
     return isinstance(e, Const) and (value is None or e.value == value)
 

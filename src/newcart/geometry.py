@@ -242,7 +242,7 @@ def structure_entries(structure, observer):
     rank_margin = np.fmax(0.0, FRAME_RANK_MARGIN - smallest)
 
     def entry(name, tolerance, residuals):
-        return make_entry(name, tolerance, residuals.tolist(), points)
+        return make_entry(name, tolerance, residuals, points)
 
     return [
         entry("clock form nonzero", 0.0, nonzero),

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass
 class CheckEntry:
@@ -19,15 +21,19 @@ class CheckEntry:
 def make_entry(name, tolerance, residuals, points=None):
     """Aggregate per-point residuals into a named entry.
 
-    `residuals` is a flat list of non-negative values; `points` (same
+    `residuals` is a flat sequence of non-negative values; `points` (same
     length, optional) locates each residual so the worst one is
-    reproducible as a single-point case.
+    reproducible as a single-point case.  The worst residual is the first
+    maximum, as Python's `max` finds it (a NaN first wins, a later NaN is
+    passed over), and the mean sums the residuals in order.
     """
-    if not residuals:
+    residuals = np.ravel(np.asarray(residuals, dtype=float))
+    if not residuals.size:
         return CheckEntry(name, 0.0, 0.0, tolerance, True, None)
-    worst = max(range(len(residuals)), key=lambda k: residuals[k])
+    worst = 0 if np.isnan(residuals[0]) else int(np.nanargmax(residuals))
     max_res = float(residuals[worst])
-    mean_res = float(sum(residuals) / len(residuals))
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, as in Python
+        mean_res = float(np.cumsum(residuals)[-1] / residuals.size)
     worst_point = None
     if points is not None:
         worst_point = tuple(float(c) for c in points[worst])

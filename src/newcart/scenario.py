@@ -18,7 +18,7 @@ Sections and keys (UTF-8, '#' comments, whitespace-insensitive)::
                                             connection workflow, unlisted
                                             coefficients are 0)
     [domain]      box = lo hi, lo hi, ...  (m pairs)
-                  samples = int ; seed = int
+                  samples = int ; seed = int  (ints >= 0, bounds finite)
 
 Omitted gravity/coriolis/theta sections mean zero data.  A christoffel
 section may not be combined with data sections.
@@ -26,6 +26,7 @@ section may not be combined with data sections.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -89,6 +90,18 @@ def _expr(text, coords, section, key):
         raise ScenarioParseError(str(err), section=section, key=key) from err
 
 
+def _number(kind, section, key, text, line):
+    """The int or float in a numeric field: a non-negative int, a finite float."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or not (value >= 0 if kind is int else math.isfinite(value)):
+        what = "a non-negative integer" if kind is int else "a finite number"
+        raise ScenarioParseError(f"'{text}' is not {what}", section=section, key=key, line=line)
+    return value
+
+
 def _expr_list(text, coords, section, key, want):
     parts = [part.strip() for part in text.split(",")]
     if len(parts) != want:
@@ -106,10 +119,7 @@ def load_scenario_text(text, name="scenario"):
     spacetime = sections["spacetime"]
     if "dim" not in spacetime or "coords" not in spacetime:
         raise ScenarioParseError("needs 'dim' and 'coords'", section="spacetime")
-    try:
-        m = int(spacetime["dim"][0])
-    except ValueError:
-        raise ScenarioParseError("dim must be an integer", section="spacetime") from None
+    m = _number(int, "spacetime", "dim", *spacetime["dim"])
     coords = tuple(c.strip() for c in spacetime["coords"][0].split(","))
     if len(coords) != m:
         raise DimensionMismatch(f"dim = {m} but {len(coords)} coordinate names given")
@@ -170,16 +180,17 @@ def load_scenario_text(text, name="scenario"):
     domain = sections["domain"]
     if "box" not in domain:
         raise ScenarioParseError("needs 'box'", section="domain")
-    box = []
+    box, line = [], domain["box"][1]
     for pair in domain["box"][0].split(","):
         nums = pair.split()
         if len(nums) != 2:
-            raise ScenarioParseError("box entries are 'lo hi' pairs", section="domain", key="box")
-        box.append((float(nums[0]), float(nums[1])))
+            raise ScenarioParseError("box entries are 'lo hi' pairs", section="domain",
+                                     key="box", line=line)
+        box.append(tuple(_number(float, "domain", "box", num, line) for num in nums))
     if len(box) != m:
         raise DimensionMismatch(f"[domain] box needs {m} intervals, got {len(box)}")
-    samples = int(domain.get("samples", ("50", 0))[0])
-    seed = int(domain.get("seed", ("0", 0))[0])
+    samples, seed = (_number(int, "domain", key, *domain.get(key, (default, None)))
+                     for key, default in (("samples", "50"), ("seed", "0")))
 
     structure = SpacetimeStructure(
         coord_names=coords, omega=omega, frame=tuple(fields),

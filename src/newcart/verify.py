@@ -2,8 +2,10 @@
 observable round trip, and finite-difference validation of symbolic
 derivatives and of the builder's numeric spatial tensor derivatives, all
 evaluated over the structure's sample points.  Each check compiles its
-expressions into one program and evaluates it, and the connection, over
-all its points at once.
+expressions into one program and evaluates it over all its points at
+once.  The clock check's fields are polynomials held as coefficient
+arrays, so their values and Jacobians are closed-form.  `run_all`
+evaluates the connection once at the sample points for all its checks.
 
 Tolerances: 1e-9 for algebraic identities, 1e-8 for metric
 compatibility, and a normalized 1e-6 for finite differences.  They are
@@ -14,16 +16,16 @@ small per-point solves used by the builder.
 from __future__ import annotations
 
 from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import geometry
-from .connection import ConnectionData, build_connection, nabla, observable_map
+from .connection import build_connection, nabla, observable_map
 from .errors import NewcartError
-from .expr import (Coord, Const, differentiate, is_constant, mul, sum_exprs,
-                   to_string)
+from .expr import Coord, Const, differentiate, is_constant, mul, to_string
 from .expr import compile as compile_exprs
-from .geometry import field_jacobian, omega_of_field, structure_entries
+from .geometry import field_jacobian, structure_entries
 from .report import CheckReport, make_entry
 
 CLOCK_TOL = 1e-9
@@ -35,27 +37,38 @@ FD_STEP = 1e-5
 RANDOM_FIELD_COUNT = 5
 
 
-def _coord_fields(m):
-    return [tuple(Const(1.0 if k == i else 0.0) for k in range(m)) for i in range(m)]
+def random_poly_coeffs(m, seed, count=RANDOM_FIELD_COUNT):
+    """Seeded random vector fields with polynomial components of degree <= 2,
+    as arrays (c, a, b): component k of field f is
+    c[f, k] + a[f, k] @ x + x @ b[f, k] @ x, with b[f, k] upper triangular."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    i, j = np.triu_indices(m)
+    # one draw per term, in the order of the terms of each component
+    draws = rng.uniform(-1.0, 1.0, (count, m, 1 + m + len(i)))
+    b = np.zeros((count, m, m, m))
+    b[..., i, j] = draws[..., 1 + m:]
+    return draws[..., 0], draws[..., 1:1 + m], b
 
 
 def random_poly_fields(m, seed, count=RANDOM_FIELD_COUNT):
-    """Seeded random vector fields with polynomial components of degree <= 2."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    fields = []
-    for _ in range(count):
-        comps = []
-        for _k in range(m):
-            e = Const(float(rng.uniform(-1.0, 1.0)))
-            for i in range(m):
-                e = e + mul(Const(float(rng.uniform(-1.0, 1.0))), Coord(i))
-            for i in range(m):
-                for j in range(i, m):
-                    c = Const(float(rng.uniform(-1.0, 1.0)))
-                    e = e + mul(c, mul(Coord(i), Coord(j)))
-            comps.append(e)
-        fields.append(tuple(comps))
-    return fields
+    """The fields of random_poly_coeffs as expression trees."""
+    def component(c, a, b):
+        e = Const(float(c))
+        for i in range(m):
+            e = e + mul(Const(float(a[i])), Coord(i))
+        for i, j in zip(*np.triu_indices(m)):
+            e = e + mul(Const(float(b[i, j])), mul(Coord(int(i)), Coord(int(j))))
+        return e
+    return [tuple(map(component, *f)) for f in zip(*random_poly_coeffs(m, seed, count))]
+
+
+def _poly_values(coeffs, stack):
+    """Values [point, field, k] and Jacobians [point, field, k, i] of the
+    polynomial fields (c, a, b) at a stack of points."""
+    c, a, b = coeffs
+    values = (c + np.einsum("fki,pi->pfk", a, stack)
+              + np.einsum("fkij,pi,pj->pfk", b, stack, stack))
+    return values, a + np.einsum("fkij,pj->pfki", b + np.swapaxes(b, -1, -2), stack)
 
 
 def _check_field_seed(structure):
@@ -70,35 +83,28 @@ def _stack(structure, points):
     return np.reshape(points, (-1, structure.dim))
 
 
-def _residuals(values):
-    """Flat residual list, last axis varying fastest."""
-    return np.ravel(values).tolist()
-
-
 def check_compatibility_omega(connection, structure, observer, points=None):
     """|X(w(Y)) - w(nabla_X Y)| over coordinate and seeded random fields."""
     stack = _stack(structure, points)
     m = structure.dim
-    fields = _coord_fields(m) + random_poly_fields(m, _check_field_seed(structure))
-    # X(w(Y)) as geometry.directional_derivative builds it, with the
-    # derivatives of each w(Y) built once for every X
-    d_clock = [[differentiate(omega_of_field(structure, y), i) for i in range(m)]
-               for y in fields]
-    v = compile_exprs({
-        "omega": structure.omega, "values": fields,
-        "jacobians": [field_jacobian(f) for f in fields],
-        "lhs": [[sum_exprs(mul(x[i], dy[i]) for i in range(m)) for dy in d_clock]
-                for x in fields],
-    })(stack)
-    values = v["values"]  # [point, field, k]
-    gamma = connection.christoffel(stack)[:, None, None]
+    # the coordinate fields d_i, then the random ones
+    fields = [np.concatenate([coord, rand]) for coord, rand in zip(
+        (np.eye(m), np.zeros((m, m, m)), np.zeros((m, m, m, m))),
+        random_poly_coeffs(m, _check_field_seed(structure)))]
+    values, jacobians = _poly_values(fields, stack)  # [point, field, k(, i)]
+    v = compile_exprs({"omega": structure.omega, "tau": _clock_differential(structure)})(stack)
+    # d_i(w(Y)) = tau_ij Y^j + w_j d_i Y^j, so X(w(Y)) is exact by the product rule
+    d_clock = (np.einsum("pij,pyj->pyi", v["tau"], values)
+               + np.einsum("pj,pyji->pyi", v["omega"], jacobians))
+    lhs = np.einsum("pxi,pyi->pxy", values, d_clock)
     # [point, X, Y] = nabla_X Y
-    nab = nabla(gamma, v["jacobians"][:, None], values[:, :, None], values[:, None, :])
+    nab = nabla(connection.christoffel(stack)[:, None, None], jacobians[:, None],
+                values[:, :, None], values[:, None, :])
     clock = np.einsum("pk,pxyk->pxy", v["omega"], nab)
-    residuals = np.abs(v["lhs"] - clock)  # [point, X, Y]
+    residuals = np.abs(lhs - clock)  # [point, X, Y]
     return make_entry("clock compatibility", CLOCK_TOL,
-                      _residuals(np.moveaxis(residuals, 0, -1)),
-                      np.tile(stack, (len(fields) ** 2, 1)))
+                      np.moveaxis(residuals, 0, -1),
+                      np.tile(stack, (values.shape[1] ** 2, 1)))
 
 
 def check_compatibility_metric(connection, structure, observer, points=None):
@@ -127,7 +133,7 @@ def check_compatibility_metric(connection, structure, observer, points=None):
     a, b = np.triu_indices(n)
     residuals = np.abs(v["dh"][:, :, a, b] - paired[:, :, a, b] - paired[:, :, b, a])
     return make_entry("metric compatibility", METRIC_TOL,
-                      _residuals(np.moveaxis(residuals, 0, -1)),
+                      np.moveaxis(residuals, 0, -1),
                       np.tile(stack, (m * len(a), 1)))
 
 
@@ -142,7 +148,7 @@ def check_torsion_clock(connection, structure, points=None):
     clock = (tor @ v["omega"][:, :, None])[..., 0]
     want = v["dw"][:, i, j] - v["dw"][:, j, i]
     residuals = np.abs(clock - want)  # [point, pair]
-    return make_entry("torsion clock identity", TORSION_TOL, _residuals(residuals),
+    return make_entry("torsion clock identity", TORSION_TOL, residuals,
                       np.repeat(stack, len(i), axis=0))
 
 
@@ -159,7 +165,7 @@ def check_roundtrip(structure, observer, data, connection=None, points=None):
     image = observable_map(connection, observer, points=points)
     deviations = image.deviations(data, structure)
     return make_entry("observable round trip", ROUNDTRIP_TOL,
-                      list(deviations), image.points)
+                      deviations, image.points)
 
 
 def derivative_catalog(structure, observer=None, data=None):
@@ -256,7 +262,7 @@ def fd_validate(structure, observer=None, data=None, kit=None, points=None,
         upper = (slice(None),) + np.triu_indices(m)
         fd = ((gu - gd) / (2.0 * FD_STEP))[upper]
         sym = dg[q[ok], i[ok]][upper]
-        residuals += _residuals(_normalized(sym, fd))
+        residuals += _normalized(sym, fd).ravel().tolist()
         where += list(np.repeat(centres[ok], fd.shape[1], axis=0))
     return make_entry("derivative finite-difference check", FD_TOL, residuals, where)
 
@@ -274,7 +280,7 @@ def torsion_free_feasibility(structure, points=None):
     # fmax, like max(worst, x), passes over a NaN difference
     worst = np.fmax.reduce(np.abs(dw[:, i, j] - dw[:, j, i]), axis=1, initial=0.0)
     return make_entry("torsion-free feasibility (clock form must be closed)",
-                      TORSION_TOL, worst.tolist(), stack)
+                      TORSION_TOL, worst, stack)
 
 
 def run_all(structure, observer, data=None, connection=None, scenario_name="",
@@ -300,19 +306,19 @@ def run_all(structure, observer, data=None, connection=None, scenario_name="",
 
     points = structure.sample_points()
     if connection is None:
-        if data is None:
-            data = ConnectionData.zero(structure.n)
         connection = build_connection(structure, observer, data)
-        entries.append(fd_validate(structure, observer, data,
-                                   kit=connection._kit, points=points))
-    else:
-        entries.append(fd_validate(structure, observer, data, points=points))
-    entries.append(check_compatibility_omega(connection, structure, observer, points))
-    entries.append(check_compatibility_metric(connection, structure, observer, points))
-    entries.append(check_torsion_clock(connection, structure, points))
+    entries.append(fd_validate(structure, observer, data, kit=connection._kit, points=points))
+    stack = _stack(structure, points)
+    gamma = connection.christoffel(stack)
+    # the checks below share this one evaluation of Gamma at the sample points
+    sampled = SimpleNamespace(structure=connection.structure, christoffel=lambda p: (
+        gamma if np.array_equal(p, stack) else connection.christoffel(p)))
+    entries.append(check_compatibility_omega(sampled, structure, observer, points))
+    entries.append(check_compatibility_metric(sampled, structure, observer, points))
+    entries.append(check_torsion_clock(sampled, structure, points))
     if connection.is_built and connection.data is not None:
         entries.append(check_roundtrip(structure, observer, connection.data,
-                                       connection=connection, points=points))
+                                       connection=sampled, points=points))
     if expect_torsion_free:
         entries.append(torsion_free_feasibility(structure, points))
     return report

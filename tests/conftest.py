@@ -1,5 +1,7 @@
 """Shared in-memory structures, data builders, and the brute-force oracle."""
 
+import itertools
+
 import numpy as np
 
 from newcart.connection import ConnectionData
@@ -120,6 +122,52 @@ def m4_data():
         theta={(0, 1, 2): parse_expr("0.1*w", NAMES4),
                (2, 0, 3): parse_expr("0.05*x*y", NAMES4),
                (1, 2, 3): parse_expr("0.07", NAMES4)})
+
+
+def synthetic_case(m, seed, samples=12):
+    """Seeded (structure, observer, data) at chart dimension m, position-
+    dependent throughout, with every Coriolis and spatial torsion entry set.
+
+    Only the time component of the clock form is nonzero, so frame fields
+    with no time component lie in its kernel, and the observer's time
+    component 1/O_0 normalizes it.  Every other entry is 1 or 0 plus a small
+    term c*u*v; the (u, v) cycle starts at (t, x1), so the clock form is not
+    closed.  The frame stays near the coordinate frame and h diagonally
+    dominant in the box.
+    """
+    rng = np.random.default_rng([m, seed])
+    n = m - 1
+    names = ("t",) + tuple(f"x{i}" for i in range(1, m))
+    pairs = itertools.cycle(list(itertools.combinations_with_replacement(names, 2))[1:])
+
+    def term(scale):
+        u, v = next(pairs)
+        return f"{rng.choice([-1.0, 1.0]) * rng.uniform(0.5 * scale, scale):.3f}*{u}*{v}"
+
+    def one(text):
+        return parse_expr(text, names)
+
+    clock = f"1 + {term(0.1)}"
+    frame = [["0"] * m for _ in range(n)]
+    for a in range(n):
+        frame[a][1 + a] = f"1 + {term(0.1)}"
+    if n > 1:
+        frame[0][2] = term(0.1)
+    h = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            h[a][b] = h[b][a] = one(f"1 + {term(0.05)}" if a == b else term(0.05))
+    S = SpacetimeStructure(
+        coord_names=names, omega=exprs(names, clock, *["0"] * n),
+        frame=tuple(exprs(names, *f) for f in frame), metric=tuple(map(tuple, h)),
+        domain_box=((0.0, 1.0),) + ((-1.0, 1.0),) * n, sample_count=samples, rng_seed=seed)
+    z = ObserverField(exprs(names, f"1/({clock})", *[term(0.1) for _ in range(n)]))
+    D = ConnectionData(
+        gravity=exprs(names, *[f"0.3 + {term(0.3)}" for _ in range(n)]),
+        coriolis={(a, b): one(term(0.3)) for a in range(n) for b in range(a + 1, n)},
+        theta={(a, i, j): one(term(0.2))
+               for a in range(n) for i in range(m) for j in range(i + 1, m)})
+    return S, z, D
 
 
 def gravity_data(g):

@@ -51,6 +51,18 @@ def test_missing_scenario_is_exit_3(capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old,new,where", [
+    ("seed = 14", "seed = x 14", "key 'seed', line 37"),
+    ("box = 0 1, -1 1, -1 1", "box = 0 *, -1 1, -1 1", "key 'box', line 35"),
+])
+def test_bad_numeric_field_is_exit_3(tmp_path, capsys, old, new, where):
+    path = tmp_path / "twist.scn"
+    text = bundled_scenario_path("twist").read_text(encoding="utf-8")
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["check", str(path)]) == 3
+    assert f"scenario error: section [domain], {where}" in capsys.readouterr().err
+
+
 def test_usage_errors_are_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["geodesic", scn("grav")])  # missing required flags

@@ -9,13 +9,14 @@ from conftest import (NAMES2, NAMES3, brute_force_gamma, coord_field, exprs,
                       flat_observer, flat_structure, curvedh_structure,
                       gravity_data, m4_data, m4_observer, m4_structure,
                       mixed_data, mixed_observer, mixed_structure,
-                      rot_observer, rot_structure, twist_structure)
+                      rot_observer, rot_structure, synthetic_case,
+                      twist_structure)
 from newcart.connection import (ConnectionData, alternation_at, build_connection,
                                 connection_from_exprs, coriolis_of,
                                 covariant_derivative, observable_map, gravity_of,
                                 koszul_rhs, nabla, torsion_at)
 from newcart.errors import MetricSingular, NotSpatial
-from newcart.expr import Const, ZERO, differentiate, evaluate, parse_expr
+from newcart.expr import Const, ZERO, differentiate, evaluate, mul, parse_expr, sub
 from newcart.geometry import (ObserverField, SpacetimeStructure, eval_fields,
                               frame_decompose, metric_matrix, omega_apply,
                               project_spatial)
@@ -247,12 +248,49 @@ def test_injectivity_witness():
 
 
 def test_against_brute_force_oracle():
-    S, z, D = mixed_structure(), mixed_observer(), mixed_data()
-    C = build_connection(S, z, D)
-    for p in S.sample_points()[:4]:
-        bf, rank, resid = brute_force_gamma(S, z, D, p)
-        assert rank == 27 and resid <= 1e-12
-        assert np.max(np.abs(C.christoffel(p) - bf)) <= 1e-12
+    cases = [(mixed_structure(), mixed_observer(), mixed_data()),
+             (m4_structure(), m4_observer(), m4_data())]
+    for S, z, D in cases:
+        C = build_connection(S, z, D)
+        for p in S.sample_points()[:4]:
+            bf, rank, resid = brute_force_gamma(S, z, D, p)
+            assert rank == S.dim ** 3 and resid <= 1e-12
+            assert np.max(np.abs(C.christoffel(p) - bf)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_kit_alternation_matches_symbolic_oracle(m):
+    S, z, D = synthetic_case(m, seed=m)
+    n = S.n
+    kit = build_connection(S, z, D)._kit
+    st = kit.point_state(np.array(S.sample_points()[:3]))
+    zf = z.components
+    # P d_j = d_j - w_j z, built symbolically as the oracle's input
+    pf = [tuple(sub(Const(float(k == j)), mul(S.omega[j], zf[k])) for k in range(m))
+          for j in range(m)]
+    fields = [zf] + pf + list(S.frame)  # the kit's stacking order
+    for q, p in enumerate(S.sample_points()[:3]):
+        want = [alternation_at(S, z, D, fields[a], fields[b], p) for a, b in kit._pairs.T]
+        assert np.max(np.abs(st["alt"][q] - want)) <= 1e-13
+
+        def coeffs(x, y):
+            return st["coframe"][q] @ alternation_at(S, z, D, x, y, p)
+        want = {
+            "azp": np.array([coeffs(zf, pj) for pj in pf]).T,
+            "aze": np.array([coeffs(zf, e) for e in S.frame]).T,
+            "app": np.array([[coeffs(pi, pj) for pj in pf] for pi in pf]),
+            "ape": np.array([[coeffs(pj, e) for e in S.frame] for pj in pf]),
+        }
+        assert want["ape"].shape == (m, n, n)
+        for name, value in want.items():
+            assert np.max(np.abs(st[name][q] - value)) <= 1e-13, name
+
+
+def test_kit_compiles_only_first_derivatives():
+    # the alternation terms are numeric: the program holds the input and its
+    # first derivatives (111 steps here; the symbolic alternation tables took 774)
+    S, z, D = synthetic_case(4, seed=3)
+    assert len(build_connection(S, z, D)._kit.program._steps) <= 150
 
 
 def test_mixed_roundtrip():

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from newcart.errors import (DimensionMismatch, MissingSection,
+from newcart.errors import (DimensionMismatch, MissingSection, ScenarioError,
                             ScenarioParseError)
 from newcart.expr import evaluate
 from newcart.geometry import eval_fields, metric_matrix
@@ -118,6 +119,41 @@ def test_coordinate_name_function_collision():
     bad = MINIMAL.replace("coords = t, x", "coords = t, sin")
     with pytest.raises(ScenarioParseError):
         load_scenario_text(bad)
+
+
+@pytest.mark.parametrize("key,old,new,line", [
+    ("dim", "dim = 2", "dim = two", 3),
+    ("box", "box = 0 1, -1 1", "box = 0 *, -1 1", 14),
+    ("box", "box = 0 1, -1 1", "box = 0 1, -1 inf", 14),
+    ("box", "box = 0 1, -1 1", "box = 0 1, nan 1", 14),
+    ("samples", "box = 0 1, -1 1", "box = 0 1, -1 1\nsamples = 4.5", 15),
+    ("seed", "box = 0 1, -1 1", "box = 0 1, -1 1\nseed = x 14", 15),
+    ("seed", "box = 0 1, -1 1", "box = 0 1, -1 1\nseed = -1", 15),
+])
+def test_numeric_fields_name_section_key_and_line(key, old, new, line):
+    with pytest.raises(ScenarioParseError) as err:
+        load_scenario_text(MINIMAL.replace(old, new))
+    assert (err.value.key, err.value.line) == (key, line)
+    assert err.value.section == ("spacetime" if key == "dim" else "domain")
+
+
+_BUNDLED = ["flat", "grav", "rot", "twist", "curvedh", "bad_observer", "bad_frame",
+            "zero_connection_curvedh"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_bundled_scenarios_load_or_raise_scenario_errors(data):
+    text = bundled_scenario_path(data.draw(st.sampled_from(_BUNDLED))).read_text()
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = data.draw(st.integers(0, len(text)))
+        cut = data.draw(st.integers(0, 1))
+        put = data.draw(st.text(alphabet="0123456789.-+*/^(),= xtye_[]#\n", max_size=1))
+        text = text[:at] + put + text[at + cut:]
+    try:
+        load_scenario_text(text)
+    except ScenarioError:
+        pass
 
 
 def test_box_arity():

@@ -12,16 +12,17 @@ from conftest import (NAMES2, NAMES3, exprs, flat_observer, flat_structure,
                       twist_structure)
 import newcart.expr as expr_mod
 import newcart.verify as verify_mod
-from newcart.connection import (ConnectionData, build_connection,
+from newcart.connection import (Connection, ConnectionData, build_connection,
                                 connection_from_exprs)
 from newcart.errors import NewcartError
-from newcart.expr import (Const, ZERO, apply, differentiate, evaluate,
-                          is_constant, mul, parse_expr)
-from newcart.geometry import ObserverField
+from newcart.expr import (Const, Coord, ZERO, apply, differentiate, evaluate,
+                          is_constant, mul, parse_expr, to_string)
+from newcart.expr import compile as compile_exprs
+from newcart.geometry import ObserverField, field_jacobian
 from newcart.verify import (FD_STEP, check_compatibility_metric,
                             check_compatibility_omega, check_roundtrip,
-                            check_torsion_clock, fd_validate, run_all,
-                            torsion_free_feasibility)
+                            check_torsion_clock, fd_validate, random_poly_coeffs,
+                            random_poly_fields, run_all, torsion_free_feasibility)
 
 
 def twist_observer():
@@ -295,3 +296,69 @@ def test_entry_invariants():
     for e in report.entries:
         assert e.max_residual >= e.mean_residual >= 0.0
         assert e.passed == (e.max_residual <= e.tolerance)
+
+
+def _poly_fields_reference(m, seed, count=5):
+    """The check fields as they were first built: one scalar draw per term."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    fields = []
+    for _ in range(count):
+        comps = []
+        for _k in range(m):
+            e = Const(float(rng.uniform(-1.0, 1.0)))
+            for i in range(m):
+                e = e + mul(Const(float(rng.uniform(-1.0, 1.0))), Coord(i))
+            for i in range(m):
+                for j in range(i, m):
+                    e = e + mul(Const(float(rng.uniform(-1.0, 1.0))), mul(Coord(i), Coord(j)))
+            comps.append(e)
+        fields.append(tuple(comps))
+    return fields
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_check_fields_print_as_the_reference_draws(m):
+    names = tuple(f"q{i}" for i in range(m))
+    for seed in (0, 1, 8, 15, 12345):
+        got = [[to_string(c, names) for c in f] for f in random_poly_fields(m, seed)]
+        want = [[to_string(c, names) for c in f] for f in _poly_fields_reference(m, seed)]
+        assert got == want
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_check_field_values_and_jacobians_match_compiled_trees(m):
+    # terms are bounded by 1 for |x| <= 1: at most 21 of them per component
+    tol = 1e-12
+    stack = np.random.default_rng(m).uniform(-1.0, 1.0, (30, m))
+    for seed in (3, 4):
+        fields = random_poly_fields(m, seed)
+        values, jacobians = verify_mod._poly_values(random_poly_coeffs(m, seed), stack)
+        want = compile_exprs({"values": fields,
+                              "jacobians": [field_jacobian(f) for f in fields]})(stack)
+        assert np.max(np.abs(values - want["values"])) <= tol
+        assert np.max(np.abs(jacobians - want["jacobians"])) <= tol
+
+
+def test_run_all_evaluates_gamma_once(monkeypatch):
+    calls = []
+    christoffel = Connection.christoffel
+
+    def counted(self, p):
+        calls.append(np.shape(p))
+        return christoffel(self, p)
+
+    monkeypatch.setattr(Connection, "christoffel", counted)
+    S, z = mixed_structure(), mixed_observer()
+    report = run_all(S, z, data=mixed_data())
+    assert calls == [(S.sample_count, S.dim)]
+    calls.clear()
+    run_all(S, z, connection=connection_from_exprs(S, z, _zero_table(3)))
+    assert calls == [(S.sample_count, S.dim)]
+    # sharing changes no figure of the report
+    monkeypatch.setattr(Connection, "christoffel", christoffel)
+    C = build_connection(S, z, mixed_data())
+    points = S.sample_points()
+    alone = [check_compatibility_omega(C, S, z, points),
+             check_compatibility_metric(C, S, z, points), check_torsion_clock(C, S, points),
+             check_roundtrip(S, z, mixed_data(), C, points)]
+    assert report.entries[-4:] == alone
