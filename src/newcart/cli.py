@@ -1,13 +1,14 @@
 """Command-line surface: validate, inspect, round-trip, and integrate.
 
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 usage
-errors, 3 scenario errors (unreadable, malformed, or numerically
-unusable files).
+errors (bad arguments, an output file that cannot be written), 3
+scenario errors (unreadable, malformed, or numerically unusable files).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -22,14 +23,33 @@ SCENARIO_ERROR = 3
 CHECK_FAILED = 1
 
 
+def _finite(text):
+    """A finite float: the type of every numeric option."""
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"needs finite numbers, got {text!r}")
+
+
 def _point(text, m, parser, flag):
     parts = text.split(",")
     if len(parts) != m:
         parser.error(f"{flag} needs {m} comma-separated numbers")
     try:
-        return np.array([float(x) for x in parts])
-    except ValueError:
-        parser.error(f"{flag} needs numbers, got {text!r}")
+        return np.array([_finite(x) for x in parts])
+    except argparse.ArgumentTypeError as err:
+        parser.error(f"{flag} {err}")
+
+
+def _span(args, parser):
+    """The curve parameter's (t0, t1, dt): dt > 0 and t1 > t0."""
+    if not args.dt > 0.0:
+        parser.error("--dt must be positive")
+    if not args.t1 > args.t0:
+        parser.error("--t1 must exceed --t0")
+    return args.t0, args.t1, args.dt
 
 
 def _error_text(err, names):
@@ -105,14 +125,14 @@ def cmd_geodesic(scn, args, parser):
     x0 = _point(args.start, S.dim, parser, "--from")
     v0 = _point(args.vel, S.dim, parser, "--vel")
     conn = _connection_for(scn)
-    traj = dynamics.integrate_geodesic(conn, x0, v0, args.t0, args.t1, args.dt)
+    traj = dynamics.integrate_geodesic(conn, x0, v0, *_span(args, parser))
     return _write_curve(S, traj, args.out)
 
 
 def cmd_flow(scn, args, parser):
     S = scn.structure
     x0 = _point(args.start, S.dim, parser, "--from")
-    traj = dynamics.integrate_observer_flow(S, scn.observer, x0, args.t0, args.t1, args.dt)
+    traj = dynamics.integrate_observer_flow(S, scn.observer, x0, *_span(args, parser))
     return _write_curve(S, traj, args.out)
 
 
@@ -143,33 +163,26 @@ def make_parser():
     p.add_argument("--expect-torsion-free", action="store_true",
                    help="additionally require that a symmetric connection is feasible")
 
-    p = sub.add_parser("connection", help="print coefficients at a point")
-    p.add_argument("scenario")
-    p.add_argument("--at", required=True)
-
-    p = sub.add_parser("observables", help="print the observable triple at a point")
-    p.add_argument("scenario")
-    p.add_argument("--at", required=True)
+    for name, text in (("connection", "print coefficients at a point"),
+                       ("observables", "print the observable triple at a point")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("scenario")
+        p.add_argument("--at", required=True)
 
     p = sub.add_parser("roundtrip", help="rebuild the data from the connection")
     p.add_argument("scenario")
 
-    p = sub.add_parser("geodesic", help="integrate an auto-parallel curve")
-    p.add_argument("scenario")
-    p.add_argument("--from", dest="start", required=True)
-    p.add_argument("--vel", required=True)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--dt", type=float, required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("flow", help="integrate an observer flow line")
-    p.add_argument("scenario")
-    p.add_argument("--from", dest="start", required=True)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--dt", type=float, required=True)
-    p.add_argument("--out", required=True)
+    for name, text in (("geodesic", "integrate an auto-parallel curve"),
+                       ("flow", "integrate an observer flow line")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("scenario")
+        p.add_argument("--from", dest="start", required=True)
+        if name == "geodesic":
+            p.add_argument("--vel", required=True)
+        p.add_argument("--t0", type=_finite, default=0.0)
+        p.add_argument("--t1", type=_finite, required=True)
+        p.add_argument("--dt", type=_finite, required=True)
+        p.add_argument("--out", required=True)
 
     return parser
 
@@ -188,6 +201,8 @@ def main(argv=None):
         names = scn.structure.coord_names if scn is not None else None
         print(f"error: {_error_text(err, names)}", file=sys.stderr)
         return SCENARIO_ERROR
+    except OSError as err:  # an output file (--json, --out) that cannot be written
+        parser.error(str(err))
 
 
 def entrypoint():

@@ -130,8 +130,9 @@ def alternation_at(structure, observer, data, x_field, y_field, p):
 
 
 class _ConnectionKit:
-    """Symbolic first derivatives of the input, compiled into one program
-    and evaluated numerically over stacks of points.
+    """The geometric state of a connection: the input and its symbolic first
+    derivatives, compiled into one program and evaluated numerically over
+    stacks of points.  Gamma, the checks and the observables all read it.
 
     Only z, the frame, h, the clock form, the data and the first
     derivatives dz, d_frame, dh and tau = d omega are compiled.  The
@@ -301,19 +302,20 @@ class Connection:
     recomputed at every call and nothing is kept per point, so memory
     does not grow with the number of points asked for.  A connection
     whose inputs are all constant computes Gamma once and returns that
-    array afterwards.  Returned arrays are read-only.
+    array afterwards.  Returned arrays are read-only.  Every connection
+    owns a kit (with zero data when it has none), which the checks read;
+    Gamma comes from `gamma_exprs` when given and from the kit otherwise.
     """
 
-    def __init__(self, structure, observer, data=None, kit=None, gamma_exprs=None):
-        if (kit is None) == (gamma_exprs is None):
-            raise ValueError("provide exactly one of kit or gamma_exprs")
+    def __init__(self, structure, observer, data=None, gamma_exprs=None):
         self.structure = structure
         self.observer = observer
         self.data = data
-        self._kit = kit
-        if kit is not None:
-            self._evaluate = kit.christoffel_at
-            self._constant = kit.all_constant
+        self._kit = _ConnectionKit(structure, observer,
+                                   ConnectionData.zero(structure.n) if data is None else data)
+        if gamma_exprs is None:
+            self._evaluate = self._kit.christoffel_at
+            self._constant = self._kit.all_constant
         else:
             self._evaluate = compile_exprs(gamma_exprs)
             self._constant = all(is_constant(e) for plane in gamma_exprs
@@ -322,7 +324,7 @@ class Connection:
 
     @property
     def is_built(self):
-        return self._kit is not None
+        return self.data is not None
 
     def christoffel(self, p):
         p = np.asarray(p, dtype=float)
@@ -348,8 +350,7 @@ def build_connection(structure, observer, data=None):
     """Construct the compatible connection determined by the data triple."""
     if data is None:
         data = ConnectionData.zero(structure.n)
-    return Connection(structure, observer, data=data,
-                      kit=_ConnectionKit(structure, observer, data))
+    return Connection(structure, observer, data=data)
 
 
 def connection_from_exprs(structure, observer, gamma_exprs):
@@ -372,12 +373,10 @@ def torsion_at(connection, x_field, y_field, p):
 
 
 def gravity_of(connection, observer):
-    """Evaluator of nabla_z z at a point or a stack of points."""
-    z = observer.components
-    program = compile_exprs({"z": z, "dz": field_jacobian(z)})
-
+    """Evaluator of nabla_z z at a point or a stack of points, with z the
+    connection's observer."""
     def at(p):
-        v = program(p)
+        v = connection._kit.program(p, until="dz")
         return nabla(connection.christoffel(p), v["dz"], v["z"], v["z"])
 
     return at
@@ -385,17 +384,15 @@ def gravity_of(connection, observer):
 
 def coriolis_of(connection, observer, v, w, p):
     """Half the antisymmetrized pairing of nabla z against two spatial vectors."""
-    S = connection.structure
-    for vec in (v, w):
-        pairing = geometry.omega_apply(S, vec, p)
-        if abs(pairing) > geometry.SPATIAL_INPUT_TOL:
-            raise NotSpatial(f"clock pairing {pairing!r} at {tuple(p)}")
+    st = connection._kit.coframe_state(p, until="omega")
+    vw = np.array([v, w], dtype=float)
     # nabla_v z and nabla_w z; tensorial in the direction
-    z = observer.components
-    zs = compile_exprs({"z": z, "dz": field_jacobian(z)})(p)
-    nv, nw = nabla(connection.christoffel(p), zs["dz"], np.array([v, w], dtype=float),
-                   zs["z"])
-    return 0.5 * (geometry.inner(S, nv, w, p) - geometry.inner(S, v, nw, p))
+    vectors = np.concatenate([vw, nabla(connection.christoffel(p), st["dz"], vw, st["z"])])
+    for pairing in vectors @ st["omega"]:
+        if abs(pairing) > geometry.SPATIAL_INPUT_TOL:
+            raise NotSpatial(f"clock pairing {float(pairing)!r} at {tuple(p)}")
+    cv, cw, cnv, cnw = vectors @ st["coframe"].T  # frame coefficients
+    return float(0.5 * (cnv @ st["h"] @ cw - cv @ st["h"] @ cnw))
 
 
 @dataclass
@@ -434,10 +431,8 @@ def observable_map(connection, observer, points=None):
     if points is None:
         points = S.sample_points()
     stack = np.reshape(points, (-1, m))
-    z = observer.components
-    v = compile_exprs({"z": z, "frame": S.frame, "h": S.metric,
-                       "dz": field_jacobian(z)})(stack)
-    coframe = geometry.basis_inverse(v["z"], v["frame"], stack)[:, 1:, :]
+    v = connection._kit.coframe_state(stack, until="dz")
+    coframe = v["coframe"]
     gamma = connection.christoffel(stack)
     zv = v["z"][:, None, :]
 

@@ -1,10 +1,10 @@
 """Named-residual checks: compatibility axioms, torsion-clock identity,
 observable round trip, and finite-difference validation of symbolic
 derivatives and of the builder's numeric spatial tensor derivatives, all
-evaluated over the structure's sample points.  Each check compiles its
-expressions into one program and evaluates it over all its points at
-once.  The clock check's fields are polynomials held as coefficient
-arrays, so their values and Jacobians are closed-form.  `run_all`
+evaluated over the structure's sample points.  The connection checks
+compile nothing: they read every value they need from the connection's
+kit, over all their points at once.  The clock check's fields are
+coefficient arrays with closed-form values and Jacobians.  `run_all`
 evaluates the connection once at the sample points for all its checks.
 
 Tolerances: 1e-9 for algebraic identities, 1e-8 for metric
@@ -20,10 +20,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import geometry
 from .connection import build_connection, nabla, observable_map
 from .errors import NewcartError
-from .expr import Coord, Const, differentiate, is_constant, mul, to_string
+from .expr import differentiate, is_constant
 from .expr import compile as compile_exprs
 from .geometry import field_jacobian, structure_entries
 from .report import CheckReport, make_entry
@@ -50,16 +49,15 @@ def random_poly_coeffs(m, seed, count=RANDOM_FIELD_COUNT):
     return draws[..., 0], draws[..., 1:1 + m], b
 
 
-def random_poly_fields(m, seed, count=RANDOM_FIELD_COUNT):
-    """The fields of random_poly_coeffs as expression trees."""
-    def component(c, a, b):
-        e = Const(float(c))
-        for i in range(m):
-            e = e + mul(Const(float(a[i])), Coord(i))
-        for i, j in zip(*np.triu_indices(m)):
-            e = e + mul(Const(float(b[i, j])), mul(Coord(int(i)), Coord(int(j))))
-        return e
-    return [tuple(map(component, *f)) for f in zip(*random_poly_coeffs(m, seed, count))]
+def _check_field_strings(m, seed, names):
+    """The fields of random_poly_coeffs as to_string prints their sums of terms."""
+    c, a, b = random_poly_coeffs(m, seed)
+    i, j = np.triu_indices(m)
+    monomials = ["", *(f"*{x}" for x in names), *(f"*({names[p]}*{names[q]})"
+                                                   for p, q in zip(i, j))]
+    terms = np.concatenate([c[..., None], a, b[..., i, j]], axis=-1)  # [field, k, term]
+    return tuple(tuple(" + ".join(f"{float(t)!r}{x}" for t, x in zip(component, monomials))
+                       for component in field) for field in terms)
 
 
 def _poly_values(coeffs, stack):
@@ -92,7 +90,7 @@ def check_compatibility_omega(connection, structure, observer, points=None):
         (np.eye(m), np.zeros((m, m, m)), np.zeros((m, m, m, m))),
         random_poly_coeffs(m, _check_field_seed(structure)))]
     values, jacobians = _poly_values(fields, stack)  # [point, field, k(, i)]
-    v = compile_exprs({"omega": structure.omega, "tau": _clock_differential(structure)})(stack)
+    v = connection._kit.program(stack, until="tau")
     # d_i(w(Y)) = tau_ij Y^j + w_j d_i Y^j, so X(w(Y)) is exact by the product rule
     d_clock = (np.einsum("pij,pyj->pyi", v["tau"], values)
                + np.einsum("pj,pyji->pyi", v["omega"], jacobians))
@@ -117,19 +115,13 @@ def check_compatibility_metric(connection, structure, observer, points=None):
     """
     stack = _stack(structure, points)
     m, n = structure.dim, structure.n
-    v = compile_exprs({
-        "z": observer.components, "frame": structure.frame, "h": structure.metric,
-        "d_frame": [field_jacobian(f) for f in structure.frame],
-        "dh": [[[differentiate(structure.metric[a][b], i) for b in range(n)]
-                for a in range(n)] for i in range(m)],
-    })(stack)
-    cof = geometry.basis_inverse(v["z"], v["frame"], stack)[:, 1:, :]
+    v = connection._kit.coframe_state(stack, until="dh")
     coord = np.eye(m)[:, None, :]  # X = d_i, broadcast over the frame fields
     gamma = connection.christoffel(stack)[:, None, None]
     # [point, i, a] = nabla_i E_a
     nab = nabla(gamma, v["d_frame"][:, None], coord, v["frame"][:, None])
     # [point, i, a, b] = <nabla_i E_a, E_b>
-    paired = nab @ np.swapaxes(cof, -1, -2)[:, None] @ v["h"][:, None]
+    paired = nab @ np.swapaxes(v["coframe"], -1, -2)[:, None] @ v["h"][:, None]
     a, b = np.triu_indices(n)
     residuals = np.abs(v["dh"][:, :, a, b] - paired[:, :, a, b] - paired[:, :, b, a])
     return make_entry("metric compatibility", METRIC_TOL,
@@ -141,21 +133,15 @@ def check_torsion_clock(connection, structure, points=None):
     """Clock component of the torsion against the clock form's differential."""
     stack = _stack(structure, points)
     m = structure.dim
-    v = compile_exprs({"omega": structure.omega, "dw": _clock_differential(structure)})(stack)
+    v = connection._kit.program(stack, until="tau")
     gamma = connection.christoffel(stack)
     i, j = np.triu_indices(m, 1)
     tor = np.moveaxis(gamma[:, :, i, j] - gamma[:, :, j, i], -1, 1)  # [point, pair, k]
     clock = (tor @ v["omega"][:, :, None])[..., 0]
-    want = v["dw"][:, i, j] - v["dw"][:, j, i]
+    want = v["tau"][:, i, j] - v["tau"][:, j, i]
     residuals = np.abs(clock - want)  # [point, pair]
     return make_entry("torsion clock identity", TORSION_TOL, residuals,
                       np.repeat(stack, len(i), axis=0))
-
-
-def _clock_differential(structure):
-    """Symbolic table [i][j] = d_i w_j."""
-    m = structure.dim
-    return [[differentiate(structure.omega[j], i) for j in range(m)] for i in range(m)]
 
 
 def check_roundtrip(structure, observer, data, connection=None, points=None):
@@ -275,9 +261,9 @@ def torsion_free_feasibility(structure, points=None):
     differential vanishes.
     """
     stack = _stack(structure, points)
-    dw = compile_exprs(_clock_differential(structure))(stack)
+    dw = compile_exprs(field_jacobian(structure.omega))(stack)  # [k, i] = d_i w_k
     i, j = np.triu_indices(structure.dim, 1)
-    # fmax, like max(worst, x), passes over a NaN difference
+    # fmax, like max(worst, x), passes over a NaN difference; |a - b| is symmetric
     worst = np.fmax.reduce(np.abs(dw[:, i, j] - dw[:, j, i]), axis=1, initial=0.0)
     return make_entry("torsion-free feasibility (clock form must be closed)",
                       TORSION_TOL, worst, stack)
@@ -293,13 +279,12 @@ def run_all(structure, observer, data=None, connection=None, scenario_name="",
     corrupted scenario fails exactly at its defective entry.
     """
     entries = structure_entries(structure, observer)
-    fields = random_poly_fields(structure.dim, _check_field_seed(structure))
     report = CheckReport(
         scenario=scenario_name,
         seed=structure.rng_seed,
         entries=entries,
-        check_fields=tuple(tuple(to_string(c, structure.coord_names) for c in f)
-                           for f in fields),
+        check_fields=_check_field_strings(structure.dim, _check_field_seed(structure),
+                                          structure.coord_names),
     )
     if not report.passed:
         return report
@@ -307,16 +292,18 @@ def run_all(structure, observer, data=None, connection=None, scenario_name="",
     points = structure.sample_points()
     if connection is None:
         connection = build_connection(structure, observer, data)
-    entries.append(fd_validate(structure, observer, data, kit=connection._kit, points=points))
+    kit = connection._kit  # Gamma comes from it only for a built connection
+    entries.append(fd_validate(structure, observer, data, points=points,
+                               kit=kit if connection.is_built else None))
     stack = _stack(structure, points)
     gamma = connection.christoffel(stack)
     # the checks below share this one evaluation of Gamma at the sample points
-    sampled = SimpleNamespace(structure=connection.structure, christoffel=lambda p: (
+    sampled = SimpleNamespace(structure=connection.structure, _kit=kit, christoffel=lambda p: (
         gamma if np.array_equal(p, stack) else connection.christoffel(p)))
     entries.append(check_compatibility_omega(sampled, structure, observer, points))
     entries.append(check_compatibility_metric(sampled, structure, observer, points))
     entries.append(check_torsion_clock(sampled, structure, points))
-    if connection.is_built and connection.data is not None:
+    if connection.is_built:
         entries.append(check_roundtrip(structure, observer, connection.data,
                                        connection=sampled, points=points))
     if expect_torsion_free:

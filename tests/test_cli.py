@@ -72,6 +72,35 @@ def test_usage_errors_are_exit_2():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    ("geodesic grav --from 0,0 --vel 1,0 --t1 1 --dt 0 --out {out}", "--dt must be positive"),
+    ("geodesic grav --from 0,0 --vel 1,0 --t1 1 --dt -0.01 --out {out}",
+     "--dt must be positive"),
+    ("geodesic grav --from 0,0 --vel 1,0 --t0 2 --t1 1 --dt 0.01 --out {out}",
+     "--t1 must exceed --t0"),
+    ("flow flat --from 0,0 --t0 1 --t1 1 --dt 0.01 --out {out}", "--t1 must exceed --t0"),
+    ("geodesic grav --from 0,0 --vel 1,0 --t1 nan --dt 0.01 --out {out}",
+     "argument --t1: needs finite numbers, got 'nan'"),
+    ("flow flat --from 0,0 --t1 1 --dt inf --out {out}",
+     "argument --dt: needs finite numbers, got 'inf'"),
+    ("connection grav --at nan,0", "--at needs finite numbers, got 'nan'"),
+    ("observables rot --at 0,x,0", "--at needs finite numbers, got 'x'"),
+    ("geodesic grav --from 0,0 --vel 1,0 --t1 1 --dt 0.01 --out {missing}",
+     "No such file or directory: '{missing}'"),
+    ("flow flat --from 0,0 --t1 1 --dt 0.01 --out {directory}",
+     "Is a directory: '{directory}'"),
+    ("check flat --json {missing}", "No such file or directory: '{missing}'"),
+])
+def test_bad_arguments_are_usage_errors(tmp_path, capsys, argv, message):
+    paths = {"out": tmp_path / "curve.csv", "directory": tmp_path,
+             "missing": tmp_path / "no" / "file"}
+    command, name, *rest = argv.format(**paths).split()
+    with pytest.raises(SystemExit) as err:
+        main([command, scn(name), *rest])
+    assert err.value.code == 2
+    assert message.format(**paths) in capsys.readouterr().err
+
+
 def test_connection_prints_coefficients(capsys):
     assert main(["connection", scn("grav"), "--at", "0,0"]) == 0
     out = capsys.readouterr().out

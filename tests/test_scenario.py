@@ -127,6 +127,7 @@ def test_coordinate_name_function_collision():
     ("box", "box = 0 1, -1 1", "box = 0 1, -1 inf", 14),
     ("box", "box = 0 1, -1 1", "box = 0 1, nan 1", 14),
     ("samples", "box = 0 1, -1 1", "box = 0 1, -1 1\nsamples = 4.5", 15),
+    ("samples", "box = 0 1, -1 1", "box = 0 1, -1 1\nsamples = 0", 15),
     ("seed", "box = 0 1, -1 1", "box = 0 1, -1 1\nseed = x 14", 15),
     ("seed", "box = 0 1, -1 1", "box = 0 1, -1 1\nseed = -1", 15),
 ])

@@ -9,11 +9,12 @@ from conftest import (NAMES2, NAMES3, exprs, flat_observer, flat_structure,
                       curvedh_structure, gravity_data, m4_data, m4_observer,
                       m4_structure, mixed_data, mixed_observer,
                       mixed_structure, rot_observer, rot_structure,
-                      twist_structure)
+                      synthetic_case, twist_structure)
 import newcart.expr as expr_mod
 import newcart.verify as verify_mod
 from newcart.connection import (Connection, ConnectionData, build_connection,
-                                connection_from_exprs)
+                                connection_from_exprs, coriolis_of, gravity_of,
+                                observable_map)
 from newcart.errors import NewcartError
 from newcart.expr import (Const, Coord, ZERO, apply, differentiate, evaluate,
                           is_constant, mul, parse_expr, to_string)
@@ -22,7 +23,7 @@ from newcart.geometry import ObserverField, field_jacobian
 from newcart.verify import (FD_STEP, check_compatibility_metric,
                             check_compatibility_omega, check_roundtrip,
                             check_torsion_clock, fd_validate, random_poly_coeffs,
-                            random_poly_fields, run_all, torsion_free_feasibility)
+                            run_all, torsion_free_feasibility)
 
 
 def twist_observer():
@@ -320,8 +321,9 @@ def _poly_fields_reference(m, seed, count=5):
 def test_check_fields_print_as_the_reference_draws(m):
     names = tuple(f"q{i}" for i in range(m))
     for seed in (0, 1, 8, 15, 12345):
-        got = [[to_string(c, names) for c in f] for f in random_poly_fields(m, seed)]
-        want = [[to_string(c, names) for c in f] for f in _poly_fields_reference(m, seed)]
+        got = verify_mod._check_field_strings(m, seed, names)
+        want = tuple(tuple(to_string(c, names) for c in f)
+                     for f in _poly_fields_reference(m, seed))
         assert got == want
 
 
@@ -330,8 +332,10 @@ def test_check_field_values_and_jacobians_match_compiled_trees(m):
     # terms are bounded by 1 for |x| <= 1: at most 21 of them per component
     tol = 1e-12
     stack = np.random.default_rng(m).uniform(-1.0, 1.0, (30, m))
+    names = tuple(f"q{i}" for i in range(m))
     for seed in (3, 4):
-        fields = random_poly_fields(m, seed)
+        fields = [tuple(parse_expr(c, names) for c in f)
+                  for f in verify_mod._check_field_strings(m, seed, names)]
         values, jacobians = verify_mod._poly_values(random_poly_coeffs(m, seed), stack)
         want = compile_exprs({"values": fields,
                               "jacobians": [field_jacobian(f) for f in fields]})(stack)
@@ -362,3 +366,27 @@ def test_run_all_evaluates_gamma_once(monkeypatch):
              check_compatibility_metric(C, S, z, points), check_torsion_clock(C, S, points),
              check_roundtrip(S, z, mixed_data(), C, points)]
     assert report.entries[-4:] == alone
+
+
+@pytest.mark.parametrize("user", [False, True], ids=["built", "user"])
+def test_checks_read_the_kit_and_compile_nothing(monkeypatch, user):
+    if user:  # constant clock form and observer: nabla_v z stays spatial
+        S, z = curvedh_structure(), flat_observer()
+        C = connection_from_exprs(S, z, _zero_table(2))
+    else:
+        S, z, D = synthetic_case(4, seed=5)
+        C = build_connection(S, z, D)
+    points = S.sample_points()
+    p = points[0]
+    frame = C._kit.program(p, until="frame")["frame"]  # compiles the kit program
+    built = []
+    init = expr_mod.Program.__init__
+    monkeypatch.setattr(expr_mod.Program, "__init__",
+                        lambda self, exprs: (built.append(exprs), init(self, exprs))[1])
+    check_compatibility_omega(C, S, z, points)
+    check_compatibility_metric(C, S, z, points)
+    check_torsion_clock(C, S, points)
+    observable_map(C, z, points)
+    gravity_of(C, z)(np.array(points))
+    coriolis_of(C, z, frame[0], frame[-1], p)
+    assert built == []
