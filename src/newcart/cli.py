@@ -44,11 +44,15 @@ def _point(text, m, parser, flag):
 
 
 def _span(args, parser):
-    """The curve parameter's (t0, t1, dt): dt > 0 and t1 > t0."""
+    """The curve parameter's (t0, t1, dt): dt > 0, t1 > t0 and finitely many steps."""
     if not args.dt > 0.0:
         parser.error("--dt must be positive")
     if not args.t1 > args.t0:
         parser.error("--t1 must exceed --t0")
+    try:
+        dynamics.step_count(args.t0, args.t1, args.dt)
+    except ValueError:
+        parser.error("(--t1 - --t0) / --dt must be a finite step count")
     return args.t0, args.t1, args.dt
 
 

@@ -199,7 +199,7 @@ class _ConnectionKit:
         inverse = geometry.basis_inverse(st["z"], st["frame"], points)
         coframe = inverse[..., 1:, :]  # (..., n, m); column j decomposes P d_j
         st.update(p=points, inverse=inverse, coframe=coframe,
-                  g=np.swapaxes(coframe, -1, -2) @ st["h"] @ coframe)
+                  g=coframe.swapaxes(-1, -2) @ st["h"] @ coframe)
         return st
 
     def spatial_state(self, points, until="dh"):
@@ -208,14 +208,14 @@ class _ConnectionKit:
         st = self.coframe_state(points, until)
         inverse, coframe, h = st["inverse"], st["coframe"], st["h"]
         # [..., i, k, c] = d_i B_kc
-        d_basis = np.concatenate([np.swapaxes(st["dz"], -1, -2)[..., None],
-                                  np.swapaxes(st["d_frame"], -1, -3)], axis=-1)
+        d_basis = np.concatenate([st["dz"].swapaxes(-1, -2)[..., None],
+                                  st["d_frame"].swapaxes(-1, -3)], axis=-1)
         inv_i = inverse[..., None, :, :]  # broadcast over the derivative index
         d_coframe = -(inv_i @ d_basis @ inv_i)[..., 1:, :]  # (..., m, n, m)
         coframe_i = coframe[..., None, :, :]
-        half = np.swapaxes(d_coframe, -1, -2) @ h[..., None, :, :] @ coframe_i
-        st["dg"] = (half + np.swapaxes(half, -1, -2)
-                    + np.swapaxes(coframe_i, -1, -2) @ st["dh"] @ coframe_i)
+        half = d_coframe.swapaxes(-1, -2) @ h[..., None, :, :] @ coframe_i
+        st["dg"] = (half + half.swapaxes(-1, -2)
+                    + coframe_i.swapaxes(-1, -2) @ st["dh"] @ coframe_i)
         return st
 
     def point_state(self, points):
@@ -225,26 +225,28 @@ class _ConnectionKit:
         m, n = self.m, self.n
         st = self.spatial_state(points, until=None)
         z, omega, tau, dz = st["z"], st["omega"], st["tau"], st["dz"]
+        lead = z.shape[:-1]
         # values [..., field, k] and Jacobians [..., field, k, i] of z, P d_j, E_a
-        p_jac = -(np.swapaxes(tau, -1, -2)[..., :, None, :] * z[..., None, :, None]
+        p_jac = -(tau.swapaxes(-1, -2)[..., :, None, :] * z[..., None, :, None]
                   + omega[..., :, None, None] * dz[..., None, :, :])
         p_values = np.eye(m) - omega[..., :, None] * z[..., None, :]
         values = np.concatenate([z[..., None, :], p_values, st["frame"]], axis=-2)
         jacobians = np.concatenate([dz[..., None, :, :], p_jac, st["d_frame"]], axis=-3)
         x, y = values[..., self._pairs[0], :], values[..., self._pairs[1], :]
         wedge = x[..., :, None] * y[..., None, :]
-        wedge = wedge - np.swapaxes(wedge, -1, -2)  # [..., pair, i, j] = X^i Y^j - X^j Y^i
+        wedge = wedge - wedge.swapaxes(-1, -2)  # [..., pair, i, j] = X^i Y^j - X^j Y^i
         bracket = (jacobians[..., self._pairs[1], :, :] @ x[..., None]
                    - jacobians[..., self._pairs[0], :, :] @ y[..., None])[..., 0]
-        alt = (np.einsum("...aij,...pij->...pa", st["theta"], wedge) @ st["frame"]
-               + np.einsum("...ij,...pij->...p", tau, wedge)[..., None] * z[..., None, :]
+        wedge = wedge.reshape(wedge.shape[:-2] + (m * m,))
+        alt = ((wedge @ st["theta"].reshape(lead + (n, m * m)).swapaxes(-1, -2)) @ st["frame"]
+               + (wedge @ tau.reshape(lead + (m * m, 1))) * z[..., None, :]
                + bracket)
         # [..., pair, a] = Q_a . A(pair)
-        coeffs = np.swapaxes(st["coframe"] @ np.swapaxes(alt, -1, -2), -1, -2)
-        azp, aze, app, ape = np.split(coeffs, np.cumsum([m, n, m * m]), axis=-2)
-        st.update({"alt": alt, "azp": np.swapaxes(azp, -1, -2), "aze": np.swapaxes(aze, -1, -2),
-                   "app": app.reshape(app.shape[:-2] + (m, m, n)),
-                   "ape": ape.reshape(ape.shape[:-2] + (m, n, n))})
+        coeffs = alt @ st["coframe"].swapaxes(-1, -2)
+        st.update({"alt": alt, "azp": coeffs[..., :m, :].swapaxes(-1, -2),
+                   "aze": coeffs[..., m:m + n, :].swapaxes(-1, -2),
+                   "app": coeffs[..., m + n:m + n + m * m, :].reshape(lead + (m, m, n)),
+                   "ape": coeffs[..., m + n + m * m:, :].reshape(lead + (m, n, n))})
         return st
 
     def rhs_at(self, points):
@@ -253,29 +255,30 @@ class _ConnectionKit:
         omega_v, frame_v, h = st["omega"], st["frame"], st["h"]
         g_v, dg_v, d_frame_v = st["g"], st["dg"], st["d_frame"]
         qp = st["coframe"]
+        frame_t, qp_t = frame_v.swapaxes(-1, -2), qp.swapaxes(-1, -2)
 
-        term1 = (np.einsum("...ijl,...al->...ija", dg_v, frame_v)
-                 + np.einsum("...jl,...ali->...ija", g_v, d_frame_v))
-        deriv = (term1 + np.swapaxes(term1, -3, -2)
-                 - np.einsum("...ak,...kij->...ija", frame_v, dg_v))
+        # [..., i, j, a] = d_i g_jl E_a^l + g_jl d_i E_a^l
+        term1 = (dg_v @ frame_t[..., None, :, :]
+                 + g_v[..., None, :, :] @ d_frame_v.swapaxes(-1, -3))
+        dg_flat = dg_v.reshape(dg_v.shape[:-2] + (-1,)).swapaxes(-1, -2)  # [..., ij, k]
+        deriv = term1 + term1.swapaxes(-3, -2) - (dg_flat @ frame_t).reshape(term1.shape)
 
-        hg = np.einsum("...ab,...b->...a", h, st["gravity"])
-        grav = 2.0 * np.einsum("...i,...j,...a->...ija", omega_v, omega_v, hg)
-
-        cor_m = np.einsum("...bj,...ba->...ja", qp, st["coriolis"])
+        hg = (h @ st["gravity"][..., None])[..., None, None, :, 0]
         om_i = omega_v[..., :, None, None]
         om_j = omega_v[..., None, :, None]
+        grav = 2.0 * (om_i * om_j * hg)
+
+        cor_m = qp_t @ st["coriolis"]
         cor = 2.0 * (om_i * cor_m[..., None, :, :] + om_j * cor_m[..., :, None, :])
 
-        qp_t = np.swapaxes(qp, -1, -2)
-        h_azp = np.swapaxes(h @ st["azp"], -1, -2)   # (..., m, n)
-        q_aze = qp_t @ h @ st["aze"]                  # (..., m, n)
+        h_azp = (h @ st["azp"]).swapaxes(-1, -2)   # (..., m, n)
+        q_aze = qp_t @ h @ st["aze"]                # (..., m, n)
         # [..., j, a, i] = <A(P d_j, E_a), P d_i>
         ape_q = st["ape"] @ h[..., None, :, :] @ qp[..., None, :, :]
         aterms = (om_i * (h_azp - q_aze)[..., None, :, :]
                   - om_j * (h_azp + q_aze)[..., :, None, :]
                   + st["app"] @ h[..., None, :, :]
-                  - np.moveaxis(ape_q, -1, -3) - np.swapaxes(ape_q, -1, -2))
+                  - ape_q.swapaxes(-1, -3).swapaxes(-1, -2) - ape_q.swapaxes(-1, -2))
         return deriv + grav + cor + aterms, st
 
     def christoffel_at(self, points):
@@ -285,11 +288,10 @@ class _ConnectionKit:
         geometry.fail_at_first(np.abs(np.linalg.det(h)) <= METRIC_DET_TOL, st["p"],
                                MetricSingular, "spatial metric singular")
         lead = rhs.shape[:-3]
-        flat = np.swapaxes(rhs.reshape(lead + (m * m, n)), -1, -2)
-        c = np.swapaxes(np.linalg.solve(2.0 * h, flat), -1, -2).reshape(lead + (m, m, n))
-        gamma = (np.einsum("...ij,...k->...kij", st["tau"], st["z"])
-                 + np.einsum("...ija,...ak->...kij", c, st["frame"]))
-        return gamma
+        # [..., a, ij]: the frame coefficients of Gamma_ij
+        c = np.linalg.solve(2.0 * h, rhs.reshape(lead + (m * m, n)).swapaxes(-1, -2))
+        return (st["z"][..., :, None, None] * st["tau"][..., None, :, :]
+                + (st["frame"].swapaxes(-1, -2) @ c).reshape(lead + (m, m, m)))
 
 
 class Connection:

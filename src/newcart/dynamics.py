@@ -54,6 +54,14 @@ def _rk4_step(f, x, v, dtau):
     return nx, nv
 
 
+def step_count(tau0, tau1, dtau):
+    """Whole steps of dtau from tau0 to tau1; ValueError when not finite."""
+    count = np.floor((tau1 - tau0) / dtau * (1.0 + 1e-12))
+    if not np.isfinite(count):
+        raise ValueError(f"({tau1!r} - {tau0!r}) / {dtau!r} is not a finite step count")
+    return int(count)
+
+
 def _integrate(f, box, x0, v0, tau0, tau1, dtau):
     if dtau <= 0.0:
         raise ValueError("step size must be positive")
@@ -62,7 +70,7 @@ def _integrate(f, box, x0, v0, tau0, tau1, dtau):
     x = np.asarray(x0, dtype=float).copy()
     v = np.asarray(v0, dtype=float).copy()
     states = [CurveState(tau0, x.copy(), v.copy())]
-    steps = int(np.floor((tau1 - tau0) / dtau * (1.0 + 1e-12)))
+    steps = step_count(tau0, tau1, dtau)
     termination, error = COMPLETED, None
     for k in range(1, steps + 1):
         try:

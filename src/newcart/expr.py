@@ -7,11 +7,11 @@ only rewriting ever applied is constant folding plus elimination of
 additive and multiplicative neutral elements.
 
 Evaluation goes through `compile`: the trees are hash-consed, so that
-structurally equal subtrees share one slot, and laid out as one
-straight-line list of numpy steps in IEEE-754 double arithmetic.  A
-program evaluates every expression at a whole stack of points in one
-pass; repeated runs, and a run on many points against runs on each point
-alone, are bit-for-bit identical.
+structurally equal subtrees share one slot, and the operations that share
+a level and a kind run as one numpy call over a (slot, point) array, in
+IEEE-754 double arithmetic.  A program evaluates every expression at a
+whole stack of points in one pass; repeated runs, and a run on many points
+against runs on each point alone, are bit-for-bit identical.
 
 Grammar (whitespace insignificant)::
 
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -308,51 +309,49 @@ def _fold(kernel, value):
     return Const(float(out[0]))
 
 
-def _unary(ufunc, out, a):
-    def step(vals, faults):
-        vals[out] = ufunc(vals[a])
-    return step
+def _ufunc(ufunc):
+    def kernel(*args):
+        return ufunc(*args), ()
+    return kernel
 
 
-def _binary(ufunc, out, a, b):
-    def step(vals, faults):
-        vals[out] = ufunc(vals[a], vals[b])
-    return step
+def _divisor(x):
+    """A quotient's zero check: no value, one check on the denominator."""
+    return None, [(x == 0.0, "division by zero")]
 
 
-def _nonzero(node, a):
-    def step(vals, faults):
-        bad = vals[a] == 0.0
-        if bad.any():
-            faults.append((bad, node, "division by zero"))
-    return step
+_KERNELS = {Neg: _ufunc(np.negative), Add: _ufunc(np.add), Sub: _ufunc(np.subtract),
+            Mul: _ufunc(np.multiply), Div: _ufunc(np.divide)}
 
 
-def _checked(kernel, node, out, args):
-    def step(vals, faults):
-        vals[out], checks = kernel(*[vals[a] for a in args])
-        for bad, reason in checks:
-            if bad.any():
-                faults.append((bad, node, reason))
-    return step
-
-
-_BINARY = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
+def _step(t, node, key, out):
+    """The step record (op, kernel, out, args, node) of a new slot."""
+    if key[0] == "^":
+        return key[:2], partial(_pow_by, expo=key[1]), out, key[2:], node
+    if t is Pow:  # a runtime exponent: a group of its own
+        return (_pow, out), _pow, out, key[1:], node
+    kernel = _FUNCTION_KERNELS[node.fn] if t is Apply else _KERNELS[t]
+    return kernel, kernel, out, key[1:], node
 
 
 class Program:
-    """Expressions compiled into one straight-line list of numpy steps.
+    """Expressions compiled into level-grouped numpy operations.
 
     Built by `compile`.  Structurally equal subtrees share one slot, keyed
-    by node type and value or child slots; steps run in the order a
-    recursive walk would first reach each node (a quotient's denominator,
-    and its zero check, before its numerator).
+    by node type and value or child slots.  `_steps` holds one record per
+    operation in the order a recursive walk would first reach each node (a
+    quotient's denominator, and its zero check, before its numerator); a
+    fault is reported in that order.  A step's level is 1 + the highest
+    level of its arguments, constants and coordinates being level 0.  The
+    steps sharing a level and an operation (a ufunc, a function kernel, one
+    constant exponent) run as one gather, kernel and scatter over a (slot,
+    point) array; a power with a non-constant exponent is a group alone.
     """
 
     def __init__(self, exprs):
         groups = exprs if isinstance(exprs, dict) else {None: exprs}
-        self._consts, self._coords, self._steps = [], [], []
-        keys, seen, checked, nonzero_consts = {}, {}, set(), set()
+        consts, coords, self._steps = [], [], []
+        keys, seen, checked = {}, {}, set()
 
         def visit(e):
             slot = seen.get(id(e))
@@ -369,53 +368,63 @@ class Program:
                 key = (e.fn, visit(e.arg))
             elif t is Div:
                 den = visit(e.right)
-                if den not in checked and den not in nonzero_consts:
+                if den not in checked and (type(e.right) is not Const or e.right.value == 0.0):
                     checked.add(den)
-                    self._steps.append(_nonzero(e, den))
+                    self._steps.append((_divisor, _divisor, None, (den,), e))
                 key = ("/", visit(e.left), den)
             elif t is Pow and type(e.right) is Const:
                 key = ("^", float(e.right.value), visit(e.left))
-            elif t in _BINARY or t is Pow:
+            elif t in _KERNELS or t is Pow:
                 key = (t, visit(e.left), visit(e.right))
             else:
                 raise TypeError(f"not an expression node: {e!r}")
             slot = keys.get(key)
             if slot is None:
                 slot = keys[key] = len(keys)
-                self._emit(t, e, key, slot)
-                if t is Const and e.value != 0.0:
-                    nonzero_consts.add(slot)
+                if t is Const:
+                    consts.append((slot, float(e.value)))
+                elif t is Coord:
+                    coords.append((slot, e.index))
+                else:
+                    self._steps.append(_step(t, e, key, slot))
             seen[id(e)] = slot
             return slot
 
-        self._layout, self._outputs, self._ends = [], [], {}
+        layout, outputs, steps_ends, self._output_ends = [], [], {}, {}
         for name, group in groups.items():
             table = np.array(group, dtype=object)
-            self._layout.append((name, len(self._outputs), table.shape))
-            self._outputs += [visit(e) for e in table.flat]
-            self._ends[name] = (len(self._steps), len(self._outputs))
-        self._ends[None] = (len(self._steps), len(self._outputs))  # everything
+            layout.append((name, len(outputs), table.shape))
+            outputs += [visit(e) for e in table.flat]
+            steps_ends[name], self._output_ends[name] = len(self._steps), len(outputs)
+        steps_ends[None], self._output_ends[None] = len(self._steps), len(outputs)  # everything
         del visit  # it holds itself through its closure: free the compile state now
-        self._const_values = np.array([v for _, v in self._consts], dtype=float)
         self.slot_count = len(keys)
         self._single = not isinstance(exprs, dict)
+        self._layout, self._outputs = layout, np.array(outputs, dtype=np.intp)
+        self._const_slots = np.array([c[0] for c in consts], dtype=np.intp)
+        self._const_values = np.array([c[1] for c in consts], dtype=float)[:, None]
+        self._coords = np.array(coords, dtype=np.intp).reshape(-1, 2).T
+        self._groups = self._schedule(steps_ends)
 
-    def _emit(self, t, node, key, out):
-        if t is Const:
-            self._consts.append((out, float(node.value)))
-        elif t is Coord:
-            self._coords.append((out, node.index))
-        elif t is Neg:
-            self._steps.append(_unary(np.negative, out, key[1]))
-        elif t is Apply:
-            self._steps.append(_checked(_FUNCTION_KERNELS[node.fn], node, out, key[1:]))
-        elif t is Pow and key[0] == "^":
-            expo = key[1]
-            self._steps.append(_checked(lambda x: _pow_by(x, expo), node, out, key[2:]))
-        elif t is Pow:
-            self._steps.append(_checked(_pow, node, out, key[1:]))
-        else:
-            self._steps.append(_binary(_BINARY[t], out, *key[1:]))
+    def _schedule(self, steps_ends):
+        """Per group name, (kernel, out, args, ordinals) of each group by
+        level; a prefix of the steps is a prefix of each group."""
+        level, groups = [0] * self.slot_count, {}
+        for ordinal, (op, kernel, out, args, _) in enumerate(self._steps):
+            lv = 1 + max(level[a] for a in args)
+            if out is not None:
+                level[out] = lv
+            groups.setdefault((lv, op), (kernel, []))[1].append(ordinal)
+        schedule = []
+        for _, (kernel, ordinals) in sorted(groups.items(), key=lambda g: g[0][0]):
+            steps = [self._steps[k] for k in ordinals]
+            out = None if steps[0][2] is None else np.array([s[2] for s in steps])
+            args = [np.array(a) for a in zip(*(s[3] for s in steps))]
+            schedule.append((kernel, out, args, np.array(ordinals)))
+        return {name: [(kernel, out if out is None else out[:n], [a[:n] for a in args],
+                        ordinals[:n]) for kernel, out, args, ordinals in schedule
+                       if (n := int(np.searchsorted(ordinals, end)))]
+                for name, end in steps_ends.items()}
 
     def __call__(self, points, until=None):
         """Every expression at every point of `points`, shape (..., m).
@@ -430,27 +439,29 @@ class Program:
         points = np.asarray(points, dtype=float)
         lead = points.shape[:-1]
         flat = points.reshape(-1, points.shape[-1])
-        count = len(flat)
-        vals = [None] * self.slot_count
-        rows = np.repeat(self._const_values[:, None], count, axis=1)
-        for (slot, _), row in zip(self._consts, rows):
-            vals[slot] = row
-        columns = np.ascontiguousarray(flat.T)
-        for slot, index in self._coords:
-            vals[slot] = columns[index]
+        vals = np.empty((self.slot_count, len(flat)))
+        vals[self._const_slots] = self._const_values
+        vals[self._coords[0]] = flat.T[self._coords[1]]
         faults = []
-        steps_end, outputs_end = self._ends[until]
         with np.errstate(all="ignore"):
-            for step in self._steps[:steps_end]:
-                step(vals, faults)
+            for kernel, out, args, ordinals in self._groups[until]:
+                value, checks = kernel(*[vals.take(a, axis=0) for a in args])
+                if out is not None:
+                    vals[out] = value
+                for rank, (bad, reason) in enumerate(checks):
+                    if bad.any():
+                        faults.append((bad, ordinals, rank, reason))
         if faults:
-            first = min(int(np.argmax(bad)) for bad, _, _ in faults)
-            _, node, reason = next(f for f in faults if f[0][first])
+            # the lowest failing point, and there the first fault in walk order
+            first = min(int(np.argmax(bad.any(axis=0))) for bad, *_ in faults)
+            ordinal, _, reason = min((ordinals[bad[:, first]].min(), rank, reason)
+                                     for bad, ordinals, rank, reason in faults
+                                     if bad[:, first].any())
+            node = self._steps[ordinal][-1]
             err = DomainError(f"{reason} in '{to_string(node)}'", node, reason)
             err.point = first
             raise err
-        table = np.array([vals[s] for s in self._outputs[:outputs_end]]).reshape(
-            outputs_end, count)
+        table = vals.take(self._outputs[:self._output_ends[until]], axis=0)
         out = {}
         for name, start, shape in self._layout:
             out[name] = table[start:start + math.prod(shape)].T.reshape(lead + shape)

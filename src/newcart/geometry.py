@@ -76,7 +76,7 @@ class SpacetimeStructure:
         rng = np.random.Generator(np.random.PCG64(self.rng_seed))
         lo = np.array([b[0] for b in self.domain_box])
         hi = np.array([b[1] for b in self.domain_box])
-        return [lo + (hi - lo) * rng.random(self.dim) for _ in range(self.sample_count)]
+        return list(lo + (hi - lo) * rng.random((self.sample_count, self.dim)))
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ def basis_inverse(z_values, frame_values, points):
     is valid.  A basis with |det| < BASIS_DET_TOL raises FrameDegenerate.
     """
     rows = np.concatenate([z_values[..., None, :], frame_values], axis=-2)
-    basis = np.swapaxes(rows, -1, -2)
+    basis = rows.swapaxes(-1, -2)
     fail_at_first(np.abs(np.linalg.det(basis)) < BASIS_DET_TOL, points,
                   FrameDegenerate, "adapted basis singular")
     return np.linalg.inv(basis)
@@ -224,9 +224,11 @@ def adapted_frame_inverse(structure, observer, p):
     return basis_inverse(v["z"], v["frame"], p)
 
 
-def structure_entries(structure, observer):
-    """Residual entries for every structure and observer invariant."""
-    points = structure.sample_points()
+def structure_entries(structure, observer, points=None):
+    """Residual entries for every structure and observer invariant at
+    `points`, by default the structure's sample points."""
+    if points is None:
+        points = structure.sample_points()
     stack = np.reshape(points, (-1, structure.dim))
     v = compile_exprs({"omega": structure.omega, "frame": structure.frame,
                        "z": observer.components, "h": structure.metric})(stack)

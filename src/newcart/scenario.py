@@ -18,8 +18,8 @@ Sections and keys (UTF-8, '#' comments, whitespace-insensitive)::
                                             connection workflow, unlisted
                                             coefficients are 0)
     [domain]      box = lo hi, lo hi, ...  (m pairs)
-                  samples = int ; seed = int  (samples >= 1, seed >= 0,
-                                               bounds finite)
+                  samples = int ; seed = int  (1 <= samples <= 100000,
+                                               seed >= 0, bounds finite)
 
 Omitted gravity/coriolis/theta sections mean zero data.  A christoffel
 section may not be combined with data sections.
@@ -91,14 +91,15 @@ def _expr(text, coords, section, key):
         raise ScenarioParseError(str(err), section=section, key=key) from err
 
 
-def _number(kind, section, key, text, line, least=0):
-    """The int or float in a numeric field: an int >= least, a finite float."""
+def _number(kind, section, key, text, line, least=0, most=math.inf):
+    """The int or float in a numeric field: an int in [least, most], a finite float."""
     try:
         value = kind(text)
     except ValueError:
         value = None
-    if value is None or not (value >= least if kind is int else math.isfinite(value)):
-        what = f"an integer >= {least}" if kind is int else "a finite number"
+    if value is None or not (least <= value <= most if kind is int else math.isfinite(value)):
+        what = (f"an integer >= {least}" + (f" and <= {most}" if most < math.inf else "")
+                if kind is int else "a finite number")
         raise ScenarioParseError(f"'{text}' is not {what}", section=section, key=key, line=line)
     return value
 
@@ -190,9 +191,10 @@ def load_scenario_text(text, name="scenario"):
         box.append(tuple(_number(float, "domain", "box", num, line) for num in nums))
     if len(box) != m:
         raise DimensionMismatch(f"[domain] box needs {m} intervals, got {len(box)}")
-    # a check over no sample points would pass on nothing
-    samples, seed = (_number(int, "domain", key, *domain.get(key, (default, None)), least)
-                     for key, default, least in (("samples", "50", 1), ("seed", "0", 0)))
+    # a check over no sample points would pass on nothing; a huge count exhausts memory
+    samples, seed = (_number(int, "domain", key, *domain.get(key, (default, None)), *bounds)
+                     for key, default, *bounds in (("samples", "50", 1, 100_000),
+                                                   ("seed", "0", 0)))
 
     structure = SpacetimeStructure(
         coord_names=coords, omega=omega, frame=tuple(fields),

@@ -278,7 +278,8 @@ def run_all(structure, observer, data=None, connection=None, scenario_name="",
     Connection checks are skipped when the structure itself fails, so a
     corrupted scenario fails exactly at its defective entry.
     """
-    entries = structure_entries(structure, observer)
+    points = structure.sample_points()
+    entries = structure_entries(structure, observer, points)
     report = CheckReport(
         scenario=scenario_name,
         seed=structure.rng_seed,
@@ -289,7 +290,6 @@ def run_all(structure, observer, data=None, connection=None, scenario_name="",
     if not report.passed:
         return report
 
-    points = structure.sample_points()
     if connection is None:
         connection = build_connection(structure, observer, data)
     kit = connection._kit  # Gamma comes from it only for a built connection

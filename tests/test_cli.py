@@ -54,6 +54,7 @@ def test_missing_scenario_is_exit_3(capsys):
 @pytest.mark.parametrize("old,new,where", [
     ("seed = 14", "seed = x 14", "key 'seed', line 37"),
     ("box = 0 1, -1 1, -1 1", "box = 0 *, -1 1, -1 1", "key 'box', line 35"),
+    ("samples = 40", "samples = 100001", "key 'samples', line 36"),
 ])
 def test_bad_numeric_field_is_exit_3(tmp_path, capsys, old, new, where):
     path = tmp_path / "twist.scn"
@@ -79,6 +80,8 @@ def test_usage_errors_are_exit_2():
     ("geodesic grav --from 0,0 --vel 1,0 --t0 2 --t1 1 --dt 0.01 --out {out}",
      "--t1 must exceed --t0"),
     ("flow flat --from 0,0 --t0 1 --t1 1 --dt 0.01 --out {out}", "--t1 must exceed --t0"),
+    ("geodesic grav --from 0,0 --vel 1,0 --t1 1e308 --dt 1e-300 --out {out}",
+     "(--t1 - --t0) / --dt must be a finite step count"),
     ("geodesic grav --from 0,0 --vel 1,0 --t1 nan --dt 0.01 --out {out}",
      "argument --t1: needs finite numbers, got 'nan'"),
     ("flow flat --from 0,0 --t1 1 --dt inf --out {out}",

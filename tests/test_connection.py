@@ -293,6 +293,14 @@ def test_kit_compiles_only_first_derivatives():
     assert len(build_connection(S, z, D)._kit.program._steps) <= 150
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_kit_program_groups_do_not_grow_with_m(m):
+    # steps that share a level and an operation run as one numpy operation:
+    # the group count stays flat while the step count grows with m
+    S, z, D = synthetic_case(m, seed=7)
+    assert len(build_connection(S, z, D)._kit.program._groups[None]) <= 12
+
+
 def test_mixed_roundtrip():
     S, z, D = mixed_structure(), mixed_observer(), mixed_data()
     C = build_connection(S, z, D)

@@ -211,6 +211,9 @@ def test_invalid_integration_arguments():
         integrate_geodesic(C, np.zeros(2), np.ones(2), 0.0, 1.0, -1e-3)
     with pytest.raises(ValueError):
         integrate_geodesic(C, np.zeros(2), np.ones(2), 1.0, 0.5, 1e-3)
+    # (tau1 - tau0) / dtau overflows: no finite number of steps
+    with pytest.raises(ValueError, match="not a finite step count"):
+        integrate_geodesic(C, np.zeros(2), np.ones(2), 0.0, 1e308, 1e-300)
 
 
 def test_trajectory_csv_format():

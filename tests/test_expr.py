@@ -126,6 +126,16 @@ def test_batch_error_is_the_lowest_failing_points_error():
     assert batch.value.subexpression == one.value.subexpression
 
 
+def test_fault_order_is_walk_order_not_level_order():
+    # sqrt(x - 3) fails at a lower level than log(x*x - 1), but the walk
+    # reaches the log first, at every point where both fail
+    program = compile(parse_expr("log(x*x - 1) + sqrt(x - 3)", ["x"]))
+    for stack, point in (([0.5], 0), ([[4.0], [0.5], [0.2]], 1)):
+        with pytest.raises(DomainError) as err:
+            program(np.array(stack))
+        assert (err.value.reason, err.value.point) == ("log of non-positive argument", point)
+
+
 def test_denominator_is_checked_before_the_numerator():
     # as in a recursive walk: 1/t fails before log(x) is reached
     with pytest.raises(DomainError) as err:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (NAMES2, NAMES3, exprs, flat_observer, flat_structure,
-                      mixed_observer, mixed_structure, twist_structure)
+                      mixed_observer, mixed_structure, synthetic_case, twist_structure)
 from newcart.errors import FrameDegenerate, NotSpatial, ObserverInvalid
 from newcart.expr import Const, parse_expr, evaluate
 from newcart.connection import build_connection
@@ -16,6 +16,18 @@ from newcart.geometry import (ObserverField, SpacetimeStructure,
 
 def twist_observer():
     return ObserverField(exprs(NAMES3, "1", "0", "0"))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_sample_points_are_the_per_point_draws(m):
+    # one (count, m) draw takes the same values from the stream as count draws of m
+    S = synthetic_case(m, seed=7, samples=37)[0]
+    rng = np.random.Generator(np.random.PCG64(S.rng_seed))
+    lo, hi = np.array(S.domain_box).T
+    want = [lo + (hi - lo) * rng.random(m) for _ in range(S.sample_count)]
+    got = S.sample_points()
+    assert isinstance(got, list) and len(got) == len(want)
+    assert all(p.tobytes() == q.tobytes() for p, q in zip(got, want))
 
 
 def test_omega_apply_flat():

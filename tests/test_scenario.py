@@ -128,6 +128,7 @@ def test_coordinate_name_function_collision():
     ("box", "box = 0 1, -1 1", "box = 0 1, nan 1", 14),
     ("samples", "box = 0 1, -1 1", "box = 0 1, -1 1\nsamples = 4.5", 15),
     ("samples", "box = 0 1, -1 1", "box = 0 1, -1 1\nsamples = 0", 15),
+    ("samples", "box = 0 1, -1 1", "box = 0 1, -1 1\nsamples = 100001", 15),
     ("seed", "box = 0 1, -1 1", "box = 0 1, -1 1\nseed = x 14", 15),
     ("seed", "box = 0 1, -1 1", "box = 0 1, -1 1\nseed = -1", 15),
 ])
@@ -136,6 +137,12 @@ def test_numeric_fields_name_section_key_and_line(key, old, new, line):
         load_scenario_text(MINIMAL.replace(old, new))
     assert (err.value.key, err.value.line) == (key, line)
     assert err.value.section == ("spacetime" if key == "dim" else "domain")
+
+
+def test_samples_upper_bound_is_inclusive():
+    # loading draws no point, so the bound itself allocates nothing here
+    text = MINIMAL.replace("box = 0 1, -1 1", "box = 0 1, -1 1\nsamples = 100000")
+    assert load_scenario_text(text).structure.sample_count == 100_000
 
 
 _BUNDLED = ["flat", "grav", "rot", "twist", "curvedh", "bad_observer", "bad_frame",

@@ -19,7 +19,7 @@ from newcart.errors import NewcartError
 from newcart.expr import (Const, Coord, ZERO, apply, differentiate, evaluate,
                           is_constant, mul, parse_expr, to_string)
 from newcart.expr import compile as compile_exprs
-from newcart.geometry import ObserverField, field_jacobian
+from newcart.geometry import ObserverField, SpacetimeStructure, field_jacobian
 from newcart.verify import (FD_STEP, check_compatibility_metric,
                             check_compatibility_omega, check_roundtrip,
                             check_torsion_clock, fd_validate, random_poly_coeffs,
@@ -341,6 +341,16 @@ def test_check_field_values_and_jacobians_match_compiled_trees(m):
                               "jacobians": [field_jacobian(f) for f in fields]})(stack)
         assert np.max(np.abs(values - want["values"])) <= tol
         assert np.max(np.abs(jacobians - want["jacobians"])) <= tol
+
+
+def test_run_all_draws_the_sample_points_once(monkeypatch):
+    calls = []
+    draw = SpacetimeStructure.sample_points
+    monkeypatch.setattr(SpacetimeStructure, "sample_points",
+                        lambda self: calls.append(1) or draw(self))
+    S, z, D = synthetic_case(3, seed=7)
+    assert run_all(S, z, data=D).passed
+    assert len(calls) == 1
 
 
 def test_run_all_evaluates_gamma_once(monkeypatch):
