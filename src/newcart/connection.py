@@ -2,9 +2,9 @@
 
 The construction fixes an observer z and solves, at each point, the
 Koszul-type relation that expresses twice the spatial inner product of
-the covariant derivative against a frame field.  Writing X' = P(X),
-Y' = P(Y) for the spatial projections and A for the alternation
-A(X,Y) = nabla_X Y - nabla_Y X, the relation used here is
+the covariant derivative against a spatial vector V.  Writing
+X' = P(X), Y' = P(Y) for the spatial projections and A for the
+alternation A(X,Y) = nabla_X Y - nabla_Y X, the relation is
 
     2<P(nabla_X Y), V> =
         X<Y', V> + Y<X', V> - V<X', Y'>
@@ -15,19 +15,31 @@ A(X,Y) = nabla_X Y - nabla_Y X, the relation used here is
 
 with w the clock form, G the gravity data, om the Coriolis data, and
 A assembled from the data as A(X,Y) = Theta(X,Y) + dw(X,Y) z + [X,Y].
-The temporal part of the coefficients is forced by clock compatibility:
-w_k Gamma^k_ij = d_i w_j.  The correctness contract is not the printed
-formula but the verification suite: clock and metric compatibility, the
-torsion-clock identity, and the data round trip must all hold on every
-scenario.
+
+Gamma is computed from this relation at X = d_i, Y = d_j and V = P d_l,
+contracted with E_b^l.  There the A(z, .) terms cancel the bracket and
+dz parts of A(P d_i, P d_j), the dw z parts pair to zero because the
+spatial inner product annihilates z, and every w_l term vanishes against
+the spatial E_b.  What is left needs only g_ij = <P d_i, P d_j>, its
+first derivatives and the data:
+
+    2<P(nabla_i d_j), E_b> =
+        E_b^l (d_i g_jl + d_j g_il - d_l g_ij)
+      + 2 w_i w_j (h G)_b + 2 w_i (Q^T om)_jb + 2 w_j (Q^T om)_ib
+      + Theta^a_ij h_ab - (h Q)_ai Theta^a_jl E_b^l - (h Q)_aj Theta^a_il E_b^l
+
+with Q the coframe.  The temporal part of the coefficients is forced by
+clock compatibility: w_k Gamma^k_ij = d_i w_j.  The correctness contract
+is not the printed formula but the verification suite: clock and metric
+compatibility, the torsion-clock identity, and the data round trip must
+all hold on every scenario.
 
 Only the user input and its first derivatives are symbolic.  Everything
 downstream is numeric at each point: the coframe Q (rows 1..n of the
 inverse of the adapted basis B = (z, E_1..E_n)), the spatial tensor
-g = Q^T h Q with g_ij = <P d_i, P d_j>, its derivatives from
-d_k(B^-1) = -B^-1 (d_k B) B^-1, the alternation terms from the values
-and Jacobians of the fields they act on, and small dense solves.  The
-symbolic `alternation_field` stays public as an independent oracle.
+g = Q^T h Q, its derivatives from d_k(B^-1) = -B^-1 (d_k B) B^-1, and
+small dense solves.  The symbolic `alternation_field` stays public as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -44,7 +56,7 @@ from .errors import DimensionMismatch, MetricSingular, NotSpatial
 from .expr import (ZERO, differentiate, is_constant, mul, neg, sub,
                    sum_exprs)
 from .expr import compile as compile_exprs
-from .geometry import eval_fields, field_jacobian, lie_bracket
+from .geometry import eval_fields, field_jacobian, lie_bracket, upper_pairs
 
 METRIC_DET_TOL = 1e-10
 
@@ -135,11 +147,11 @@ class _ConnectionKit:
     stacks of points.  Gamma, the checks and the observables all read it.
 
     Only z, the frame, h, the clock form, the data and the first
-    derivatives dz, d_frame, dh and tau = d omega are compiled.  The
-    alternation terms A(X, Y) = Theta(X, Y) + dw(X, Y) z + [X, Y] on the
-    fields z, P d_j = d_j - w_j z and E_a are then computed from these
-    point values, with the Jacobian of P d_j taken as
-    d_i (P d_j)^k = -tau_ij z^k - w_j d_i z^k.
+    derivatives dz, d_frame, dh and tau = d omega are compiled.  Gamma
+    reads g, d g, the coframe and the data from `spatial_state` and
+    evaluates the reduced relation of the module docstring; no
+    alternation term is formed, since with coordinate fields and a spatial
+    test vector the relation's A terms reduce to the Theta data.
 
     Every state method takes points of shape (..., m) and returns arrays
     with the same leading axes.
@@ -162,12 +174,6 @@ class _ConnectionKit:
         self.dh = [[[differentiate(structure.metric[a][b], i) for b in range(n)]
                     for a in range(n)] for i in range(m)]
         self.tau = [[differentiate(omega[j], i) for j in range(m)] for i in range(m)]
-        # (X, Y) pairs over the stacked fields z, P d_0..P d_{m-1}, E_1..E_n:
-        # (z, P d_j), (z, E_a), (P d_i, P d_j), (P d_j, E_a)
-        p, e = range(1, m + 1), range(m + 1, m + n + 1)
-        self._pairs = np.array([(0, j) for j in p] + [(0, a) for a in e]
-                               + [(i, j) for i in p for j in p]
-                               + [(j, a) for j in p for a in e]).T
         self.all_constant = all(is_constant(e) for e in chain(
             omega, z, *structure.frame, *structure.metric, data.gravity,
             data.coriolis.values(), data.theta.values()))
@@ -188,7 +194,7 @@ class _ConnectionKit:
             "dz": self.dz, "d_frame": self.d_frame, "dh": self.dh,
             "omega": S.omega, "tau": self.tau, "gravity": data.gravity,
             "coriolis": [[data.coriolis_entry(a, b) for b in range(n)] for a in range(n)],
-            # theta[a][i][j] for i < j only: contracted with X^i Y^j - X^j Y^i
+            # theta[a][i][j] for i < j only: Theta^a_ij = theta[a][i][j] - theta[a][j][i]
             "theta": [[[data.theta.get((a, i, j), ZERO) for j in range(m)]
                        for i in range(m)] for a in range(n)]})
 
@@ -218,68 +224,28 @@ class _ConnectionKit:
                     + coframe_i.swapaxes(-1, -2) @ st["dh"] @ coframe_i)
         return st
 
-    def point_state(self, points):
-        """spatial_state, the clock form and its differential, the data,
-        every alternation term A(X, Y) ("alt", [..., pair, k]) and its
-        frame coefficients."""
-        m, n = self.m, self.n
-        st = self.spatial_state(points, until=None)
-        z, omega, tau, dz = st["z"], st["omega"], st["tau"], st["dz"]
-        lead = z.shape[:-1]
-        # values [..., field, k] and Jacobians [..., field, k, i] of z, P d_j, E_a
-        p_jac = -(tau.swapaxes(-1, -2)[..., :, None, :] * z[..., None, :, None]
-                  + omega[..., :, None, None] * dz[..., None, :, :])
-        p_values = np.eye(m) - omega[..., :, None] * z[..., None, :]
-        values = np.concatenate([z[..., None, :], p_values, st["frame"]], axis=-2)
-        jacobians = np.concatenate([dz[..., None, :, :], p_jac, st["d_frame"]], axis=-3)
-        x, y = values[..., self._pairs[0], :], values[..., self._pairs[1], :]
-        wedge = x[..., :, None] * y[..., None, :]
-        wedge = wedge - wedge.swapaxes(-1, -2)  # [..., pair, i, j] = X^i Y^j - X^j Y^i
-        bracket = (jacobians[..., self._pairs[1], :, :] @ x[..., None]
-                   - jacobians[..., self._pairs[0], :, :] @ y[..., None])[..., 0]
-        wedge = wedge.reshape(wedge.shape[:-2] + (m * m,))
-        alt = ((wedge @ st["theta"].reshape(lead + (n, m * m)).swapaxes(-1, -2)) @ st["frame"]
-               + (wedge @ tau.reshape(lead + (m * m, 1))) * z[..., None, :]
-               + bracket)
-        # [..., pair, a] = Q_a . A(pair)
-        coeffs = alt @ st["coframe"].swapaxes(-1, -2)
-        st.update({"alt": alt, "azp": coeffs[..., :m, :].swapaxes(-1, -2),
-                   "aze": coeffs[..., m:m + n, :].swapaxes(-1, -2),
-                   "app": coeffs[..., m + n:m + n + m * m, :].reshape(lead + (m, m, n)),
-                   "ape": coeffs[..., m + n + m * m:, :].reshape(lead + (m, n, n))})
-        return st
-
     def rhs_at(self, points):
-        """Right-hand side of the pointwise relation, shape (..., m, m, n)."""
-        st = self.point_state(points)
-        omega_v, frame_v, h = st["omega"], st["frame"], st["h"]
-        g_v, dg_v, d_frame_v = st["g"], st["dg"], st["d_frame"]
-        qp = st["coframe"]
-        frame_t, qp_t = frame_v.swapaxes(-1, -2), qp.swapaxes(-1, -2)
+        """Right-hand side of the reduced relation, shape (..., m, m, n)."""
+        st = self.spatial_state(points, until=None)
+        omega, frame_t, h, dg = st["omega"], st["frame"].swapaxes(-1, -2), st["h"], st["dg"]
+        q_t = st["coframe"].swapaxes(-1, -2)
+        # [..., i, j, b] = E_b^l (d_i g_jl + d_j g_il - d_l g_ij)
+        half = dg @ frame_t[..., None, :, :]
+        dg_flat = dg.reshape(dg.shape[:-2] + (-1,)).swapaxes(-1, -2)  # [..., ij, l]
+        rhs = half + half.swapaxes(-3, -2) - (dg_flat @ frame_t).reshape(half.shape)
 
-        # [..., i, j, a] = d_i g_jl E_a^l + g_jl d_i E_a^l
-        term1 = (dg_v @ frame_t[..., None, :, :]
-                 + g_v[..., None, :, :] @ d_frame_v.swapaxes(-1, -3))
-        dg_flat = dg_v.reshape(dg_v.shape[:-2] + (-1,)).swapaxes(-1, -2)  # [..., ij, k]
-        deriv = term1 + term1.swapaxes(-3, -2) - (dg_flat @ frame_t).reshape(term1.shape)
+        om_i, om_j = omega[..., :, None, None], omega[..., None, :, None]
+        rhs += 2.0 * (om_i * om_j * (h @ st["gravity"][..., None])[..., None, None, :, 0])
+        cor = q_t @ st["coriolis"]  # [..., j, b] = om(P d_j, E_b)
+        rhs += 2.0 * (om_i * cor[..., None, :, :] + om_j * cor[..., :, None, :])
 
-        hg = (h @ st["gravity"][..., None])[..., None, None, :, 0]
-        om_i = omega_v[..., :, None, None]
-        om_j = omega_v[..., None, :, None]
-        grav = 2.0 * (om_i * om_j * hg)
-
-        cor_m = qp_t @ st["coriolis"]
-        cor = 2.0 * (om_i * cor_m[..., None, :, :] + om_j * cor_m[..., :, None, :])
-
-        h_azp = (h @ st["azp"]).swapaxes(-1, -2)   # (..., m, n)
-        q_aze = qp_t @ h @ st["aze"]                # (..., m, n)
-        # [..., j, a, i] = <A(P d_j, E_a), P d_i>
-        ape_q = st["ape"] @ h[..., None, :, :] @ qp[..., None, :, :]
-        aterms = (om_i * (h_azp - q_aze)[..., None, :, :]
-                  - om_j * (h_azp + q_aze)[..., :, None, :]
-                  + st["app"] @ h[..., None, :, :]
-                  - ape_q.swapaxes(-1, -3).swapaxes(-1, -2) - ape_q.swapaxes(-1, -2))
-        return deriv + grav + cor + aterms, st
+        m, n, lead = self.m, self.n, omega.shape[:-1]
+        theta = st["theta"] - st["theta"].swapaxes(-1, -2)  # [..., a, i, j] = Theta^a_ij
+        rhs += (theta.reshape(lead + (n, m * m)).swapaxes(-1, -2) @ h).reshape(half.shape)
+        # [..., i, j, b] = <P d_i, E_a> Theta^a(d_j, E_b)
+        pairs = ((q_t @ h) @ (theta @ frame_t[..., None, :, :]).reshape(lead + (n, m * n))
+                 ).reshape(half.shape)
+        return rhs - pairs - pairs.swapaxes(-3, -2), st
 
     def christoffel_at(self, points):
         rhs, st = self.rhs_at(points)
@@ -409,7 +375,7 @@ class ObservableImage:
     def deviations(self, data, structure):
         """Per-point max deviation of the image from a data triple."""
         n, m = structure.n, structure.dim
-        pairs = np.triu_indices(n, 1)
+        pairs = upper_pairs(n)
         planes = np.array([(a, i, j) for a in range(n) for i in range(m)
                            for j in range(i + 1, m)], dtype=int).reshape(-1, 3).T
         want = compile_exprs({
@@ -446,7 +412,7 @@ def observable_map(connection, observer, points=None):
     pairing = np.swapaxes(coeff_nz, -1, -2) @ v["h"]  # [a, b] = <nabla_{E_a} z, E_b>
     cor_img = 0.5 * (pairing - np.swapaxes(pairing, -1, -2))
 
-    i, j = np.triu_indices(m, 1)
+    i, j = upper_pairs(m)
     coeffs = coframe @ (gamma[:, :, i, j] - gamma[:, :, j, i])  # (N, n, pairs)
     tor_img = np.zeros((len(stack), n, m, m))
     tor_img[:, :, i, j] = coeffs

@@ -24,7 +24,7 @@ from .connection import build_connection, nabla, observable_map
 from .errors import NewcartError
 from .expr import differentiate, is_constant
 from .expr import compile as compile_exprs
-from .geometry import field_jacobian, structure_entries
+from .geometry import field_jacobian, structure_entries, upper_pairs
 from .report import CheckReport, make_entry
 
 CLOCK_TOL = 1e-9
@@ -41,7 +41,7 @@ def random_poly_coeffs(m, seed, count=RANDOM_FIELD_COUNT):
     as arrays (c, a, b): component k of field f is
     c[f, k] + a[f, k] @ x + x @ b[f, k] @ x, with b[f, k] upper triangular."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    i, j = np.triu_indices(m)
+    i, j = upper_pairs(m, diagonal=True)
     # one draw per term, in the order of the terms of each component
     draws = rng.uniform(-1.0, 1.0, (count, m, 1 + m + len(i)))
     b = np.zeros((count, m, m, m))
@@ -52,7 +52,7 @@ def random_poly_coeffs(m, seed, count=RANDOM_FIELD_COUNT):
 def _check_field_strings(m, seed, names):
     """The fields of random_poly_coeffs as to_string prints their sums of terms."""
     c, a, b = random_poly_coeffs(m, seed)
-    i, j = np.triu_indices(m)
+    i, j = upper_pairs(m, diagonal=True)
     monomials = ["", *(f"*{x}" for x in names), *(f"*({names[p]}*{names[q]})"
                                                    for p, q in zip(i, j))]
     terms = np.concatenate([c[..., None], a, b[..., i, j]], axis=-1)  # [field, k, term]
@@ -122,7 +122,7 @@ def check_compatibility_metric(connection, structure, observer, points=None):
     nab = nabla(gamma, v["d_frame"][:, None], coord, v["frame"][:, None])
     # [point, i, a, b] = <nabla_i E_a, E_b>
     paired = nab @ np.swapaxes(v["coframe"], -1, -2)[:, None] @ v["h"][:, None]
-    a, b = np.triu_indices(n)
+    a, b = upper_pairs(n, diagonal=True)
     residuals = np.abs(v["dh"][:, :, a, b] - paired[:, :, a, b] - paired[:, :, b, a])
     return make_entry("metric compatibility", METRIC_TOL,
                       np.moveaxis(residuals, 0, -1),
@@ -135,7 +135,7 @@ def check_torsion_clock(connection, structure, points=None):
     m = structure.dim
     v = connection._kit.program(stack, until="tau")
     gamma = connection.christoffel(stack)
-    i, j = np.triu_indices(m, 1)
+    i, j = upper_pairs(m)
     tor = np.moveaxis(gamma[:, :, i, j] - gamma[:, :, j, i], -1, 1)  # [point, pair, k]
     clock = (tor @ v["omega"][:, :, None])[..., 0]
     want = v["tau"][:, i, j] - v["tau"][:, j, i]
@@ -245,7 +245,7 @@ def fd_validate(structure, observer=None, data=None, kit=None, points=None,
         up, down = shifted(centres, i, 1.0), shifted(centres, i, -1.0)
         ok, (gu, gd) = _where_defined(
             lambda s: (kit.coframe_state(up[s])["g"], kit.coframe_state(down[s])["g"]), len(q))
-        upper = (slice(None),) + np.triu_indices(m)
+        upper = (slice(None),) + upper_pairs(m, diagonal=True)
         fd = ((gu - gd) / (2.0 * FD_STEP))[upper]
         sym = dg[q[ok], i[ok]][upper]
         residuals += _normalized(sym, fd).ravel().tolist()
@@ -262,7 +262,7 @@ def torsion_free_feasibility(structure, points=None):
     """
     stack = _stack(structure, points)
     dw = compile_exprs(field_jacobian(structure.omega))(stack)  # [k, i] = d_i w_k
-    i, j = np.triu_indices(structure.dim, 1)
+    i, j = upper_pairs(structure.dim)
     # fmax, like max(worst, x), passes over a NaN difference; |a - b| is symmetric
     worst = np.fmax.reduce(np.abs(dw[:, i, j] - dw[:, j, i]), axis=1, initial=0.0)
     return make_entry("torsion-free feasibility (clock form must be closed)",

@@ -16,10 +16,11 @@ from newcart.connection import (ConnectionData, alternation_at, build_connection
                                 covariant_derivative, observable_map, gravity_of,
                                 koszul_rhs, nabla, torsion_at)
 from newcart.errors import MetricSingular, NotSpatial
-from newcart.expr import Const, ZERO, differentiate, evaluate, mul, parse_expr, sub
+from newcart.expr import Const, ZERO, differentiate, evaluate, parse_expr
 from newcart.geometry import (ObserverField, SpacetimeStructure, eval_fields,
                               frame_decompose, metric_matrix, omega_apply,
                               project_spatial)
+from newcart.verify import run_all
 
 
 def twist_observer():
@@ -247,48 +248,44 @@ def test_injectivity_witness():
         assert np.max(np.abs(rest)) <= 1e-12
 
 
+def _assert_matches_brute_force(S, z, D, count):
+    C = build_connection(S, z, D)
+    for p in S.sample_points()[:count]:
+        bf, rank, resid = brute_force_gamma(S, z, D, p)
+        assert rank == S.dim ** 3 and resid <= 1e-12
+        assert np.max(np.abs(C.christoffel(p) - bf)) <= 1e-12
+
+
 def test_against_brute_force_oracle():
-    cases = [(mixed_structure(), mixed_observer(), mixed_data()),
-             (m4_structure(), m4_observer(), m4_data())]
-    for S, z, D in cases:
-        C = build_connection(S, z, D)
-        for p in S.sample_points()[:4]:
-            bf, rank, resid = brute_force_gamma(S, z, D, p)
-            assert rank == S.dim ** 3 and resid <= 1e-12
-            assert np.max(np.abs(C.christoffel(p) - bf)) <= 1e-12
+    _assert_matches_brute_force(mixed_structure(), mixed_observer(), mixed_data(), 4)
+    _assert_matches_brute_force(m4_structure(), m4_observer(), m4_data(), 4)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
-def test_kit_alternation_matches_symbolic_oracle(m):
-    S, z, D = synthetic_case(m, seed=m)
-    n = S.n
-    kit = build_connection(S, z, D)._kit
-    st = kit.point_state(np.array(S.sample_points()[:3]))
-    zf = z.components
-    # P d_j = d_j - w_j z, built symbolically as the oracle's input
-    pf = [tuple(sub(Const(float(k == j)), mul(S.omega[j], zf[k])) for k in range(m))
-          for j in range(m)]
-    fields = [zf] + pf + list(S.frame)  # the kit's stacking order
-    for q, p in enumerate(S.sample_points()[:3]):
-        want = [alternation_at(S, z, D, fields[a], fields[b], p) for a, b in kit._pairs.T]
-        assert np.max(np.abs(st["alt"][q] - want)) <= 1e-13
+def test_against_brute_force_oracle_synthetic(m):
+    _assert_matches_brute_force(*synthetic_case(m, seed=m), 3)
 
-        def coeffs(x, y):
-            return st["coframe"][q] @ alternation_at(S, z, D, x, y, p)
-        want = {
-            "azp": np.array([coeffs(zf, pj) for pj in pf]).T,
-            "aze": np.array([coeffs(zf, e) for e in S.frame]).T,
-            "app": np.array([[coeffs(pi, pj) for pj in pf] for pi in pf]),
-            "ape": np.array([[coeffs(pj, e) for e in S.frame] for pj in pf]),
-        }
-        assert want["ape"].shape == (m, n, n)
-        for name, value in want.items():
-            assert np.max(np.abs(st[name][q] - value)) <= 1e-13, name
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(m=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_random_polynomial_structures_pass_and_match_koszul_rhs(m, seed, data):
+    S, z, D = synthetic_case(m, seed)
+    entries = run_all(S, z, data=D).entries
+    assert [e.name for e in entries if not e.passed] == []
+    assert {"clock compatibility", "metric compatibility", "torsion clock identity",
+            "derivative finite-difference check",
+            "observable round trip"} <= {e.name for e in entries}
+    p = np.array(S.sample_points()[0])
+    i, j, a = (data.draw(st.integers(0, k - 1)) for k in (m, m, S.n))
+    C = build_connection(S, z, D)
+    v = C._kit.coframe_state(p)
+    c = v["coframe"] @ C.christoffel(p)[:, i, j]  # frame coefficients c^b_ij
+    assert koszul_rhs(S, z, D, i, j, a, p) == pytest.approx(2.0 * v["h"][a] @ c, abs=1e-12)
 
 
 def test_kit_compiles_only_first_derivatives():
-    # the alternation terms are numeric: the program holds the input and its
-    # first derivatives (111 steps here; the symbolic alternation tables took 774)
+    # the program holds the input and its first derivatives only (111 steps
+    # here; the symbolic alternation tables once took 774)
     S, z, D = synthetic_case(4, seed=3)
     assert len(build_connection(S, z, D)._kit.program._steps) <= 150
 

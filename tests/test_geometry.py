@@ -11,7 +11,7 @@ from newcart.connection import build_connection
 from newcart.geometry import (ObserverField, SpacetimeStructure,
                               adapted_frame_inverse, d_omega, eval_fields,
                               frame_decompose, inner, lie_bracket, omega_apply,
-                              project_spatial, validate_structure)
+                              project_spatial, upper_pairs, validate_structure)
 
 
 def twist_observer():
@@ -261,3 +261,14 @@ def test_validate_structure_frame_not_annihilated():
 
 def test_validate_structure_mixed_passes():
     assert validate_structure(mixed_structure(), mixed_observer()).passed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_upper_pairs_are_triu_indices(n, diagonal):
+    got, want = upper_pairs(n, diagonal), np.triu_indices(n, 0 if diagonal else 1)
+    assert len(got) == 2
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    if n == 1 and not diagonal:
+        assert got[0].size == got[1].size == 0

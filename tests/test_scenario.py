@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from newcart.errors import (DimensionMismatch, MissingSection, ScenarioError,
-                            ScenarioParseError)
+from newcart.connection import connection_from_exprs
+from newcart.errors import (DimensionMismatch, MissingSection, NewcartError,
+                            ScenarioError, ScenarioParseError)
 from newcart.expr import evaluate
 from newcart.geometry import eval_fields, metric_matrix
 from newcart.scenario import (bundled_scenario_path, load_scenario,
                               load_scenario_text, serialize_scenario)
+from newcart.verify import run_all
 
 MINIMAL = """
 [spacetime]
@@ -159,9 +161,19 @@ def test_mutated_bundled_scenarios_load_or_raise_scenario_errors(data):
         put = data.draw(st.text(alphabet="0123456789.-+*/^(),= xtye_[]#\n", max_size=1))
         text = text[:at] + put + text[at + cut:]
     try:
-        load_scenario_text(text)
+        scn = load_scenario_text(text)
     except ScenarioError:
-        pass
+        return
+    # what loads ends in a report or a NewcartError, never a traceback
+    try:
+        conn = (connection_from_exprs(scn.structure, scn.observer, scn.christoffel)
+                if scn.has_user_connection else None)
+        report = run_all(scn.structure, scn.observer, data=scn.data, connection=conn,
+                         scenario_name=scn.name)
+    except NewcartError:
+        return
+    report.render_table()
+    report.to_json()
 
 
 def test_box_arity():
