@@ -3,7 +3,7 @@
 from .connection import (Connection, ConnectionData, alternation_at,
                          build_connection, connection_from_exprs,
                          coriolis_of, covariant_derivative, gravity_of,
-                         koszul_rhs, observable_map, torsion_at)
+                         observable_map, torsion_at)
 from .dynamics import (Trajectory, integrate_geodesic, integrate_observer_flow,
                        trajectory_csv, write_trajectory)
 from .errors import (DimensionMismatch, DomainError, ExprSyntaxError,

@@ -98,7 +98,7 @@ def cmd_observables(scn, args, parser):
     S = scn.structure
     p = _point(args.at, S.dim, parser, "--at")
     conn = _connection_for(scn)
-    image = observable_map(conn, scn.observer, points=[p])
+    image = observable_map(conn.state([p]))
     names = S.coord_names
     for a in range(S.n):
         print(f"gravity^{a + 1} = {float(image.gravity[0, a])!r}")

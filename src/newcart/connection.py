@@ -38,7 +38,9 @@ Only the user input and its first derivatives are symbolic.  Everything
 downstream is numeric at each point: the coframe Q (rows 1..n of the
 inverse of the adapted basis B = (z, E_1..E_n)), the spatial tensor
 g = Q^T h Q, its derivatives from d_k(B^-1) = -B^-1 (d_k B) B^-1, and
-small dense solves.  The symbolic `alternation_field` stays public as an
+small dense solves.  `Connection.state` evaluates all of it once over a
+stack of points, Gamma included, and every check and observable reads
+that one state.  The symbolic `alternation_field` stays public as an
 independent oracle.
 """
 
@@ -141,54 +143,61 @@ def alternation_at(structure, observer, data, x_field, y_field, p):
     return eval_fields(alternation_field(structure, observer, data, x_field, y_field), p)
 
 
-class _ConnectionKit:
-    """The geometric state of a connection: the input and its symbolic first
-    derivatives, compiled into one program and evaluated numerically over
-    stacks of points.  Gamma, the checks and the observables all read it.
+class Connection:
+    """The geometric state of a connection, and its coefficients Gamma^k_ij.
 
-    Only z, the frame, h, the clock form, the data and the first
-    derivatives dz, d_frame, dh and tau = d omega are compiled.  Gamma
-    reads g, d g, the coframe and the data from `spatial_state` and
-    evaluates the reduced relation of the module docstring; no
-    alternation term is formed, since with coordinate fields and a spatial
-    test vector the relation's A terms reduce to the Theta data.
+    Convention: nabla_{d_i} d_j = Gamma^k_ij d_k; the lower index pair
+    need not be symmetric.  The input (with zero data when the connection
+    has none) and its symbolic first derivatives dz, d_frame, dh and
+    tau = d omega are compiled into one program.  `state` evaluates it
+    over points of shape (..., m) and returns every value the checks and
+    the observables read, Gamma included, with the same leading axes;
+    `coframe_state` and `spatial_state` are its partial evaluations.
+    Gamma comes from `gamma_exprs` when given, and otherwise from the
+    reduced relation of the module docstring: with coordinate fields and a
+    spatial test vector its A terms reduce to the Theta data, so no
+    alternation term is formed.
 
-    Every state method takes points of shape (..., m) and returns arrays
-    with the same leading axes.
+    `christoffel` takes one point (m,) and returns (m, m, m), or a stack
+    of points (..., m) and returns (..., m, m, m) in one batched
+    evaluation.  Nothing is kept per point, so memory does not grow with
+    the number of points asked for.  A connection whose inputs are all
+    constant computes Gamma once and returns that array afterwards.
+    Returned arrays are read-only.
     """
 
-    # symbolic derivative tables compiled into the program after the input
-    TABLES = ("dz", "d_frame", "dh", "tau")
-
-    def __init__(self, structure, observer, data):
+    def __init__(self, structure, observer, data=None, gamma_exprs=None):
         self.structure = structure
         self.observer = observer
         self.data = data
         m, n = structure.dim, structure.n
-        self.m, self.n = m, n
-        omega = structure.omega
-        z = observer.components
-
+        omega, z = structure.omega, observer.components
         self.dz = field_jacobian(z)
         self.d_frame = [field_jacobian(f) for f in structure.frame]
         self.dh = [[[differentiate(structure.metric[a][b], i) for b in range(n)]
                     for a in range(n)] for i in range(m)]
         self.tau = [[differentiate(omega[j], i) for j in range(m)] for i in range(m)]
-        self.all_constant = all(is_constant(e) for e in chain(
-            omega, z, *structure.frame, *structure.metric, data.gravity,
-            data.coriolis.values(), data.theta.values()))
+        if gamma_exprs is None:
+            self._user = None
+            inputs = chain(omega, z, *structure.frame, *structure.metric)
+            if data is not None:
+                inputs = chain(inputs, data.gravity, data.coriolis.values(), data.theta.values())
+        else:
+            self._user = compile_exprs(gamma_exprs)
+            inputs = (e for plane in gamma_exprs for row in plane for e in row)
+        self._constant = all(is_constant(e) for e in inputs)
+        self._const_gamma = None
 
-    def __setattr__(self, name, value):
-        # a replaced table must reach the numbers: compile again on next use
-        super().__setattr__(name, value)
-        if name in self.TABLES:
-            self.__dict__.pop("program", None)
+    @property
+    def is_built(self):
+        return self.data is not None
 
     @cached_property
     def program(self):
         """Groups in the order the states need them: coframe_state runs
         the program up to "h", spatial_state up to "dh"."""
-        S, data, m, n = self.structure, self.data, self.m, self.n
+        S, m, n = self.structure, self.structure.dim, self.structure.n
+        data = ConnectionData.zero(n) if self.data is None else self.data
         return compile_exprs({
             "z": self.observer.components, "frame": S.frame, "h": S.metric,
             "dz": self.dz, "d_frame": self.d_frame, "dh": self.dh,
@@ -224,9 +233,19 @@ class _ConnectionKit:
                     + coframe_i.swapaxes(-1, -2) @ st["dh"] @ coframe_i)
         return st
 
-    def rhs_at(self, points):
-        """Right-hand side of the reduced relation, shape (..., m, m, n)."""
+    def state(self, points=None):
+        """The whole program and spatial_state at `points`, by default the
+        structure's sample points, with gamma (..., m, m, m); a built
+        connection adds rhs (..., m, m, n), the right-hand side
+        2<P(nabla_i d_j), E_b> of the reduced relation."""
+        if points is None:
+            points = self.structure.sample_points()
+        # a user table runs before the input, so that its errors come first
+        gamma = None if self._user is None else self._user(points)
         st = self.spatial_state(points, until=None)
+        if gamma is not None:
+            st["gamma"] = gamma
+            return st
         omega, frame_t, h, dg = st["omega"], st["frame"].swapaxes(-1, -2), st["h"], st["dg"]
         q_t = st["coframe"].swapaxes(-1, -2)
         # [..., i, j, b] = E_b^l (d_i g_jl + d_j g_il - d_l g_ij)
@@ -239,66 +258,27 @@ class _ConnectionKit:
         cor = q_t @ st["coriolis"]  # [..., j, b] = om(P d_j, E_b)
         rhs += 2.0 * (om_i * cor[..., None, :, :] + om_j * cor[..., :, None, :])
 
-        m, n, lead = self.m, self.n, omega.shape[:-1]
+        m, n, lead = self.structure.dim, self.structure.n, omega.shape[:-1]
         theta = st["theta"] - st["theta"].swapaxes(-1, -2)  # [..., a, i, j] = Theta^a_ij
         rhs += (theta.reshape(lead + (n, m * m)).swapaxes(-1, -2) @ h).reshape(half.shape)
         # [..., i, j, b] = <P d_i, E_a> Theta^a(d_j, E_b)
         pairs = ((q_t @ h) @ (theta @ frame_t[..., None, :, :]).reshape(lead + (n, m * n))
                  ).reshape(half.shape)
-        return rhs - pairs - pairs.swapaxes(-3, -2), st
+        st["rhs"] = rhs = rhs - pairs - pairs.swapaxes(-3, -2)
 
-    def christoffel_at(self, points):
-        rhs, st = self.rhs_at(points)
-        m, n = self.m, self.n
-        h = st["h"]
         geometry.fail_at_first(np.abs(np.linalg.det(h)) <= METRIC_DET_TOL, st["p"],
                                MetricSingular, "spatial metric singular")
-        lead = rhs.shape[:-3]
         # [..., a, ij]: the frame coefficients of Gamma_ij
         c = np.linalg.solve(2.0 * h, rhs.reshape(lead + (m * m, n)).swapaxes(-1, -2))
-        return (st["z"][..., :, None, None] * st["tau"][..., None, :, :]
-                + (st["frame"].swapaxes(-1, -2) @ c).reshape(lead + (m, m, m)))
-
-
-class Connection:
-    """Evaluator of coefficients Gamma^k_ij at chart points.
-
-    Convention: nabla_{d_i} d_j = Gamma^k_ij d_k; the lower index pair
-    need not be symmetric.  `christoffel` takes one point (m,) and
-    returns (m, m, m), or a stack of points (..., m) and returns
-    (..., m, m, m) in one batched evaluation.  Coefficients are
-    recomputed at every call and nothing is kept per point, so memory
-    does not grow with the number of points asked for.  A connection
-    whose inputs are all constant computes Gamma once and returns that
-    array afterwards.  Returned arrays are read-only.  Every connection
-    owns a kit (with zero data when it has none), which the checks read;
-    Gamma comes from `gamma_exprs` when given and from the kit otherwise.
-    """
-
-    def __init__(self, structure, observer, data=None, gamma_exprs=None):
-        self.structure = structure
-        self.observer = observer
-        self.data = data
-        self._kit = _ConnectionKit(structure, observer,
-                                   ConnectionData.zero(structure.n) if data is None else data)
-        if gamma_exprs is None:
-            self._evaluate = self._kit.christoffel_at
-            self._constant = self._kit.all_constant
-        else:
-            self._evaluate = compile_exprs(gamma_exprs)
-            self._constant = all(is_constant(e) for plane in gamma_exprs
-                                 for row in plane for e in row)
-        self._const_gamma = None
-
-    @property
-    def is_built(self):
-        return self.data is not None
+        st["gamma"] = (st["z"][..., :, None, None] * st["tau"][..., None, :, :]
+                       + (frame_t @ c).reshape(lead + (m, m, m)))
+        return st
 
     def christoffel(self, p):
         p = np.asarray(p, dtype=float)
         gamma = self._const_gamma
         if gamma is None:
-            gamma = self._evaluate(p)
+            gamma = self.state(p)["gamma"] if self._user is None else self._user(p)
             gamma.setflags(write=False)
             if not (self._constant and p.ndim == 1):
                 return gamma
@@ -306,12 +286,6 @@ class Connection:
         if p.ndim == 1:
             return gamma
         return np.broadcast_to(gamma, p.shape[:-1] + gamma.shape)
-
-
-def koszul_rhs(structure, observer, data, i, j, a, p):
-    """One component of the pointwise right-hand side, 2<P(nabla_i d_j), E_a>."""
-    rhs, _ = _ConnectionKit(structure, observer, data).rhs_at(p)
-    return float(rhs[i, j, a])
 
 
 def build_connection(structure, observer, data=None):
@@ -340,22 +314,22 @@ def torsion_at(connection, x_field, y_field, p):
     return forward - backward - bracket
 
 
-def gravity_of(connection, observer):
+def gravity_of(connection):
     """Evaluator of nabla_z z at a point or a stack of points, with z the
     connection's observer."""
     def at(p):
-        v = connection._kit.program(p, until="dz")
-        return nabla(connection.christoffel(p), v["dz"], v["z"], v["z"])
+        st = connection.state(p)
+        return nabla(st["gamma"], st["dz"], st["z"], st["z"])
 
     return at
 
 
-def coriolis_of(connection, observer, v, w, p):
+def coriolis_of(connection, v, w, p):
     """Half the antisymmetrized pairing of nabla z against two spatial vectors."""
-    st = connection._kit.coframe_state(p, until="omega")
+    st = connection.state(p)
     vw = np.array([v, w], dtype=float)
     # nabla_v z and nabla_w z; tensorial in the direction
-    vectors = np.concatenate([vw, nabla(connection.christoffel(p), st["dz"], vw, st["z"])])
+    vectors = np.concatenate([vw, nabla(st["gamma"], st["dz"], vw, st["z"])])
     for pairing in vectors @ st["omega"]:
         if abs(pairing) > geometry.SPATIAL_INPUT_TOL:
             raise NotSpatial(f"clock pairing {float(pairing)!r} at {tuple(p)}")
@@ -392,30 +366,25 @@ class ObservableImage:
         return np.fmax.reduce(np.abs(diffs), axis=1, initial=0.0)
 
 
-def observable_map(connection, observer, points=None):
-    """Evaluate the observable triple of a connection over sample points."""
-    S = connection.structure
-    m, n = S.dim, S.n
-    if points is None:
-        points = S.sample_points()
-    stack = np.reshape(points, (-1, m))
-    v = connection._kit.coframe_state(stack, until="dz")
-    coframe = v["coframe"]
-    gamma = connection.christoffel(stack)
-    zv = v["z"][:, None, :]
+def observable_map(state):
+    """The observable triple of a connection from its state at a stack of
+    points, shape (N, m)."""
+    coframe, gamma = state["coframe"], state["gamma"]
+    n, m = coframe.shape[-2:]
+    zv = state["z"][:, None, :]
 
     # nabla_z z, then nabla_{E_a} z for every frame direction
-    directions = np.concatenate([zv, v["frame"]], axis=1)
-    nz = nabla(gamma[:, None], v["dz"][:, None], directions, zv)  # (N, 1 + n, m)
+    directions = np.concatenate([zv, state["frame"]], axis=1)
+    nz = nabla(gamma[:, None], state["dz"][:, None], directions, zv)  # (N, 1 + n, m)
     grav_img = (coframe @ nz[:, 0, :, None])[..., 0]
     coeff_nz = coframe @ np.swapaxes(nz[:, 1:], -1, -2)  # column a decomposes nabla_{E_a} z
-    pairing = np.swapaxes(coeff_nz, -1, -2) @ v["h"]  # [a, b] = <nabla_{E_a} z, E_b>
+    pairing = np.swapaxes(coeff_nz, -1, -2) @ state["h"]  # [a, b] = <nabla_{E_a} z, E_b>
     cor_img = 0.5 * (pairing - np.swapaxes(pairing, -1, -2))
 
     i, j = upper_pairs(m)
     coeffs = coframe @ (gamma[:, :, i, j] - gamma[:, :, j, i])  # (N, n, pairs)
-    tor_img = np.zeros((len(stack), n, m, m))
+    tor_img = np.zeros((len(gamma), n, m, m))
     tor_img[:, :, i, j] = coeffs
     tor_img[:, :, j, i] = -coeffs
-    return ObservableImage(points=list(points), gravity=grav_img,
+    return ObservableImage(points=list(state["p"]), gravity=grav_img,
                            coriolis=cor_img, torsion_spatial=tor_img)

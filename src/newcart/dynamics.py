@@ -99,7 +99,12 @@ def integrate_geodesic(connection, x0, v0, tau0, tau1, dtau):
 
 
 def integrate_observer_flow(structure, observer, x0, tau0, tau1, dtau):
-    """Integrate a flow line of the observer field; stored velocities are z(x)."""
+    """Integrate a flow line of the observer field; stored velocities are z(x).
+
+    Every state is kept.  Where z cannot be evaluated at the last state,
+    its velocity is nan, and a curve that had completed ends with
+    "evaluation_failure" and that error instead.
+    """
     z = compile_exprs(observer.components)
 
     def field(x, _v):
@@ -108,7 +113,14 @@ def integrate_observer_flow(structure, observer, x0, tau0, tau1, dtau):
 
     v0 = z(np.asarray(x0, dtype=float))
     traj = _integrate(field, structure.domain_box, x0, v0, tau0, tau1, dtau)
-    velocities = z(np.array([st.position for st in traj.states]))
+    positions = np.array([st.position for st in traj.states])
+    try:
+        velocities = z(positions)
+    except NewcartError as err:
+        # z was defined at every state but the last, which began no step
+        velocities = np.concatenate([z(positions[:-1]), np.full((1, len(v0)), np.nan)])
+        if traj.termination == COMPLETED:
+            traj.termination, traj.error = EVALUATION_FAILURE, err
     for st, velocity in zip(traj.states, velocities):
         st.velocity = velocity
     return traj

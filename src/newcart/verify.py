@@ -2,10 +2,10 @@
 observable round trip, and finite-difference validation of symbolic
 derivatives and of the builder's numeric spatial tensor derivatives, all
 evaluated over the structure's sample points.  The connection checks
-compile nothing: they read every value they need from the connection's
-kit, over all their points at once.  The clock check's fields are
-coefficient arrays with closed-form values and Jacobians.  `run_all`
-evaluates the connection once at the sample points for all its checks.
+compile nothing: each is a function of one `Connection.state` at a stack
+of points, shape (N, m), which holds every value they read.  The clock
+check's fields are coefficient arrays with closed-form values and
+Jacobians.  `run_all` evaluates the state once for all its checks.
 
 Tolerances: 1e-9 for algebraic identities, 1e-8 for metric
 compatibility, and a normalized 1e-6 for finite differences.  They are
@@ -16,7 +16,6 @@ small per-point solves used by the builder.
 from __future__ import annotations
 
 from itertools import chain
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -81,31 +80,29 @@ def _stack(structure, points):
     return np.reshape(points, (-1, structure.dim))
 
 
-def check_compatibility_omega(connection, structure, observer, points=None):
+def check_compatibility_omega(state, structure):
     """|X(w(Y)) - w(nabla_X Y)| over coordinate and seeded random fields."""
-    stack = _stack(structure, points)
-    m = structure.dim
+    stack, m = state["p"], structure.dim
     # the coordinate fields d_i, then the random ones
     fields = [np.concatenate([coord, rand]) for coord, rand in zip(
         (np.eye(m), np.zeros((m, m, m)), np.zeros((m, m, m, m))),
         random_poly_coeffs(m, _check_field_seed(structure)))]
     values, jacobians = _poly_values(fields, stack)  # [point, field, k(, i)]
-    v = connection._kit.program(stack, until="tau")
     # d_i(w(Y)) = tau_ij Y^j + w_j d_i Y^j, so X(w(Y)) is exact by the product rule
-    d_clock = (np.einsum("pij,pyj->pyi", v["tau"], values)
-               + np.einsum("pj,pyji->pyi", v["omega"], jacobians))
+    d_clock = (np.einsum("pij,pyj->pyi", state["tau"], values)
+               + np.einsum("pj,pyji->pyi", state["omega"], jacobians))
     lhs = np.einsum("pxi,pyi->pxy", values, d_clock)
     # [point, X, Y] = nabla_X Y
-    nab = nabla(connection.christoffel(stack)[:, None, None], jacobians[:, None],
+    nab = nabla(state["gamma"][:, None, None], jacobians[:, None],
                 values[:, :, None], values[:, None, :])
-    clock = np.einsum("pk,pxyk->pxy", v["omega"], nab)
+    clock = np.einsum("pk,pxyk->pxy", state["omega"], nab)
     residuals = np.abs(lhs - clock)  # [point, X, Y]
     return make_entry("clock compatibility", CLOCK_TOL,
                       np.moveaxis(residuals, 0, -1),
                       np.tile(stack, (values.shape[1] ** 2, 1)))
 
 
-def check_compatibility_metric(connection, structure, observer, points=None):
+def check_compatibility_metric(state):
     """|X<V,W> - <nabla_X V, W> - <V, nabla_X W>| on frame pairs.
 
     Covariant derivatives are projected onto the spatial frame before
@@ -113,42 +110,38 @@ def check_compatibility_metric(connection, structure, observer, points=None):
     holds and keeps the residual defined for arbitrary user-supplied
     coefficients.
     """
-    stack = _stack(structure, points)
-    m, n = structure.dim, structure.n
-    v = connection._kit.coframe_state(stack, until="dh")
+    n, m = state["coframe"].shape[-2:]
     coord = np.eye(m)[:, None, :]  # X = d_i, broadcast over the frame fields
-    gamma = connection.christoffel(stack)[:, None, None]
     # [point, i, a] = nabla_i E_a
-    nab = nabla(gamma, v["d_frame"][:, None], coord, v["frame"][:, None])
+    nab = nabla(state["gamma"][:, None, None], state["d_frame"][:, None], coord,
+                state["frame"][:, None])
     # [point, i, a, b] = <nabla_i E_a, E_b>
-    paired = nab @ np.swapaxes(v["coframe"], -1, -2)[:, None] @ v["h"][:, None]
+    paired = nab @ np.swapaxes(state["coframe"], -1, -2)[:, None] @ state["h"][:, None]
     a, b = upper_pairs(n, diagonal=True)
-    residuals = np.abs(v["dh"][:, :, a, b] - paired[:, :, a, b] - paired[:, :, b, a])
+    residuals = np.abs(state["dh"][:, :, a, b] - paired[:, :, a, b] - paired[:, :, b, a])
     return make_entry("metric compatibility", METRIC_TOL,
                       np.moveaxis(residuals, 0, -1),
-                      np.tile(stack, (m * len(a), 1)))
+                      np.tile(state["p"], (m * len(a), 1)))
 
 
-def check_torsion_clock(connection, structure, points=None):
+def check_torsion_clock(state):
     """Clock component of the torsion against the clock form's differential."""
-    stack = _stack(structure, points)
-    m = structure.dim
-    v = connection._kit.program(stack, until="tau")
-    gamma = connection.christoffel(stack)
-    i, j = upper_pairs(m)
+    stack, gamma, tau = state["p"], state["gamma"], state["tau"]
+    i, j = upper_pairs(stack.shape[-1])
     tor = np.moveaxis(gamma[:, :, i, j] - gamma[:, :, j, i], -1, 1)  # [point, pair, k]
-    clock = (tor @ v["omega"][:, :, None])[..., 0]
-    want = v["tau"][:, i, j] - v["tau"][:, j, i]
+    clock = (tor @ state["omega"][:, :, None])[..., 0]
+    want = tau[:, i, j] - tau[:, j, i]
     residuals = np.abs(clock - want)  # [point, pair]
     return make_entry("torsion clock identity", TORSION_TOL, residuals,
                       np.repeat(stack, len(i), axis=0))
 
 
-def check_roundtrip(structure, observer, data, connection=None, points=None):
-    """Rebuild the data triple from the built connection and compare."""
-    if connection is None:
-        connection = build_connection(structure, observer, data)
-    image = observable_map(connection, observer, points=points)
+def check_roundtrip(structure, observer, data, state=None):
+    """Rebuild the data triple from the built connection's state, by
+    default at the sample points, and compare."""
+    if state is None:
+        state = build_connection(structure, observer, data).state()
+    image = observable_map(state)
     deviations = image.deviations(data, structure)
     return make_entry("observable round trip", ROUNDTRIP_TOL,
                       deviations, image.points)
@@ -200,12 +193,12 @@ def _normalized(sym, fd):
     return np.abs(sym - fd) / np.maximum(1.0, np.abs(fd))
 
 
-def fd_validate(structure, observer=None, data=None, kit=None, points=None,
+def fd_validate(structure, observer=None, data=None, connection=None, points=None,
                 catalog=None):
     """Central-difference check of every symbolic derivative in the catalog.
 
-    With a connection kit, its numeric spatial tensor g is differenced too
-    and compared with the kit's d_k g.  Residuals are normalized,
+    With a connection, its numeric spatial tensor g is differenced too
+    and compared with its d_k g.  Residuals are normalized,
     |sym - fd| / max(1, |fd|), which matches the tolerance
     max(1e-6, 1e-6 |value|).  Points whose stencil leaves the domain box
     are skipped for that direction, and so are stencils at which any of
@@ -237,14 +230,15 @@ def fd_validate(structure, observer=None, data=None, kit=None, points=None,
             residuals += _normalized(sym, (vu - vd) / (2.0 * FD_STEP)).tolist()
             where += list(centres[kept])
 
-    if kit is not None and not all(is_constant(e) for e in chain(
-            kit.observer.components, *structure.frame, *structure.metric)):
-        kept, dg = _where_defined(lambda s: kit.spatial_state(stack[s])["dg"], len(stack))
+    if connection is not None and not all(is_constant(e) for e in chain(
+            connection.observer.components, *structure.frame, *structure.metric)):
+        kept, dg = _where_defined(lambda s: connection.spatial_state(stack[s])["dg"], len(stack))
         q, i = np.nonzero(inside[kept])  # stencils, point by point, then direction
         centres = stack[kept][q]
         up, down = shifted(centres, i, 1.0), shifted(centres, i, -1.0)
         ok, (gu, gd) = _where_defined(
-            lambda s: (kit.coframe_state(up[s])["g"], kit.coframe_state(down[s])["g"]), len(q))
+            lambda s: (connection.coframe_state(up[s])["g"],
+                       connection.coframe_state(down[s])["g"]), len(q))
         upper = (slice(None),) + upper_pairs(m, diagonal=True)
         fd = ((gu - gd) / (2.0 * FD_STEP))[upper]
         sym = dg[q[ok], i[ok]][upper]
@@ -292,20 +286,15 @@ def run_all(structure, observer, data=None, connection=None, scenario_name="",
 
     if connection is None:
         connection = build_connection(structure, observer, data)
-    kit = connection._kit  # Gamma comes from it only for a built connection
     entries.append(fd_validate(structure, observer, data, points=points,
-                               kit=kit if connection.is_built else None))
-    stack = _stack(structure, points)
-    gamma = connection.christoffel(stack)
-    # the checks below share this one evaluation of Gamma at the sample points
-    sampled = SimpleNamespace(structure=connection.structure, _kit=kit, christoffel=lambda p: (
-        gamma if np.array_equal(p, stack) else connection.christoffel(p)))
-    entries.append(check_compatibility_omega(sampled, structure, observer, points))
-    entries.append(check_compatibility_metric(sampled, structure, observer, points))
-    entries.append(check_torsion_clock(sampled, structure, points))
+                               connection=connection if connection.is_built else None))
+    # the checks below share this one evaluation at the sample points
+    state = connection.state(points)
+    entries.append(check_compatibility_omega(state, structure))
+    entries.append(check_compatibility_metric(state))
+    entries.append(check_torsion_clock(state))
     if connection.is_built:
-        entries.append(check_roundtrip(structure, observer, connection.data,
-                                       connection=sampled, points=points))
+        entries.append(check_roundtrip(structure, observer, connection.data, state))
     if expect_torsion_free:
         entries.append(torsion_free_feasibility(structure, points))
     return report

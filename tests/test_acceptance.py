@@ -47,11 +47,9 @@ def test_criterion_2_axiom_suite():
     for name in SCENARIOS:
         scn = _load(name)
         S, z = scn.structure, scn.observer
-        C = build_connection(S, z, scn.data)
-        points = S.sample_points()
-        for entry in (check_compatibility_omega(C, S, z, points),
-                      check_compatibility_metric(C, S, z, points),
-                      check_torsion_clock(C, S, points)):
+        state = build_connection(S, z, scn.data).state()
+        for entry in (check_compatibility_omega(state, S), check_compatibility_metric(state),
+                      check_torsion_clock(state)):
             if not entry.passed:
                 failures.append((name, entry.name, entry.max_residual))
     assert _report(2, "axiom suite on bundled scenarios", not failures), failures

@@ -3,6 +3,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from newcart.cli import main
@@ -185,6 +186,48 @@ def test_flow_command(tmp_path):
     assert code == 0
     final = [float(v) for v in out.read_text().strip().split("\n")[-1].split(",")]
     assert abs(final[2] - 0.25) <= 1e-12
+
+
+# z is defined at every stored state but the last: the flow goes past c
+FLOW_EDGE = """[spacetime]
+dim = 2
+coords = t, x
+[omega]
+O = 1, 0
+[observer]
+z = 1, {z}
+[frame]
+E1 = 0, 1
+[metric]
+h11 = 1
+[domain]
+box = -5 5, {box}
+samples = 10
+seed = 1
+"""
+LEAVES, ENTERS = 0.027372805019272528, 3.4726271949807272
+
+
+@pytest.mark.parametrize("z,box,start,t1,termination,code", [
+    (f"-exp(t) + sqrt(x - {LEAVES}) - sqrt(x - {LEAVES})", f"{LEAVES} 20", "0,3.5", "3",
+     "left_domain", 0),
+    (f"exp(t) + sqrt({ENTERS} - x) - sqrt({ENTERS} - x)", "-20 20", "0,0", "3",
+     "evaluation_failure", 1),
+    # the last state completes the run: z fails only when the velocities are written
+    (f"exp(t) + sqrt({ENTERS} - x) - sqrt({ENTERS} - x)", "-20 20", "0,0", "1.5",
+     "evaluation_failure", 1),
+], ids=["left_domain", "evaluation_failure", "completed"])
+def test_flow_keeps_every_state_when_z_fails_at_the_last(tmp_path, capsys, z, box, start,
+                                                         t1, termination, code):
+    path, out = tmp_path / "edge.scn", tmp_path / "flow.csv"
+    path.write_text(FLOW_EDGE.format(z=z, box=box), encoding="utf-8")
+    assert main(["flow", str(path), "--from", start, "--t1", t1, "--dt", "0.5",
+                 "--out", str(out)]) == code
+    assert f"termination: {termination}" in capsys.readouterr().out
+    rows = [[float(v) for v in line.split(",")] for line in out.read_text().split("\n")[1:-1]]
+    assert [row[0] for row in rows] == [0.0, 0.5, 1.0, 1.5]
+    assert all(np.isfinite(row[3:]).all() for row in rows[:-1])
+    assert np.isnan(rows[-1][3:]).all()
 
 
 def test_expect_torsion_free_flag(tmp_path):

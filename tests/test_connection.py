@@ -14,7 +14,7 @@ from conftest import (NAMES2, NAMES3, brute_force_gamma, coord_field, exprs,
 from newcart.connection import (ConnectionData, alternation_at, build_connection,
                                 connection_from_exprs, coriolis_of,
                                 covariant_derivative, observable_map, gravity_of,
-                                koszul_rhs, nabla, torsion_at)
+                                nabla, torsion_at)
 from newcart.errors import MetricSingular, NotSpatial
 from newcart.expr import Const, ZERO, differentiate, evaluate, parse_expr
 from newcart.geometry import (ObserverField, SpacetimeStructure, eval_fields,
@@ -58,8 +58,9 @@ def test_koszul_rhs_uniform_gravity():
     S, z = flat_structure(), flat_observer()
     D = gravity_data(-9.8)
     p = np.array([0.4, -0.2])
-    assert koszul_rhs(S, z, D, 0, 0, 0, p) == pytest.approx(-19.6, abs=1e-12)
-    assert koszul_rhs(S, z, D, 1, 1, 0, p) == pytest.approx(0.0, abs=1e-12)
+    rhs = build_connection(S, z, D).state(p)["rhs"]
+    assert rhs[0, 0, 0] == pytest.approx(-19.6, abs=1e-12)
+    assert rhs[1, 1, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_uniform_gravity_connection():
@@ -77,7 +78,7 @@ def test_uniform_gravity_connection():
 def test_gravity_of_matches_data_and_is_spatial():
     S, z = flat_structure(), flat_observer()
     C = build_connection(S, z, gravity_data(-9.8))
-    at = gravity_of(C, z)
+    at = gravity_of(C)
     for p in S.sample_points()[:10]:
         g = at(p)
         assert np.allclose(g, [0.0, -9.8], atol=1e-12)
@@ -136,27 +137,27 @@ def test_rot_roundtrip_and_coriolis():
     S, z = rot_structure(), rot_observer()
     D = ConnectionData((ZERO, ZERO), {(0, 1): Const(0.5)}, {})
     C = build_connection(S, z, D)
-    image = observable_map(C, z)
+    image = observable_map(C.state())
     assert image.deviations(D, S).max() <= 1e-9
     p = S.sample_points()[0]
     e1 = np.array([0.0, 1.0, 0.0])
     e2 = np.array([0.0, 0.0, 1.0])
-    assert coriolis_of(C, z, e1, e2, p) == pytest.approx(0.5, abs=1e-9)
-    assert coriolis_of(C, z, e1, e1, p) == pytest.approx(0.0, abs=1e-12)
+    assert coriolis_of(C, e1, e2, p) == pytest.approx(0.5, abs=1e-9)
+    assert coriolis_of(C, e1, e1, p) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rot_with_theta_roundtrip():
     S, z = rot_structure(), rot_observer()
     D = ConnectionData((ZERO, ZERO), {(0, 1): Const(0.5)}, {(0, 1, 2): Const(0.3)})
     C = build_connection(S, z, D)
-    assert observable_map(C, z).deviations(D, S).max() <= 1e-9
+    assert observable_map(C.state()).deviations(D, S).max() <= 1e-9
 
 
 def test_coriolis_requires_spatial_arguments():
     S, z = rot_structure(), rot_observer()
     C = build_connection(S, z, ConnectionData.zero(2))
     with pytest.raises(NotSpatial):
-        coriolis_of(C, z, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]),
+        coriolis_of(C, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]),
                     np.array([0.1, 0.0, 0.0]))
 
 
@@ -278,16 +279,37 @@ def test_random_polynomial_structures_pass_and_match_koszul_rhs(m, seed, data):
     p = np.array(S.sample_points()[0])
     i, j, a = (data.draw(st.integers(0, k - 1)) for k in (m, m, S.n))
     C = build_connection(S, z, D)
-    v = C._kit.coframe_state(p)
+    v = C.coframe_state(p)
     c = v["coframe"] @ C.christoffel(p)[:, i, j]  # frame coefficients c^b_ij
-    assert koszul_rhs(S, z, D, i, j, a, p) == pytest.approx(2.0 * v["h"][a] @ c, abs=1e-12)
+    assert C.state(p)["rhs"][i, j, a] == pytest.approx(2.0 * v["h"][a] @ c, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", ["mixed", 2, 3, 4, 5, "user"])
+def test_state_gamma_is_christoffel_bitwise(case):
+    if case == "mixed":
+        S = mixed_structure()
+        C = build_connection(S, mixed_observer(), mixed_data())
+    elif case == "user":
+        S = curvedh_structure()
+        table = [[[ZERO] * 2 for _ in range(2)] for _ in range(2)]
+        table[1][1][1] = parse_expr("x/5 + t", NAMES2)
+        table[0][1][0] = parse_expr("sin(x)", NAMES2)
+        C = connection_from_exprs(S, flat_observer(), table)
+    else:
+        S, z, D = synthetic_case(case, seed=case)
+        C = build_connection(S, z, D)
+    points = S.sample_points()
+    for p in (points, points[0]):
+        want = C.christoffel(p)
+        got = C.state(p)["gamma"]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_kit_compiles_only_first_derivatives():
     # the program holds the input and its first derivatives only (111 steps
     # here; the symbolic alternation tables once took 774)
     S, z, D = synthetic_case(4, seed=3)
-    assert len(build_connection(S, z, D)._kit.program._steps) <= 150
+    assert len(build_connection(S, z, D).program._steps) <= 150
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -295,13 +317,13 @@ def test_kit_program_groups_do_not_grow_with_m(m):
     # steps that share a level and an operation run as one numpy operation:
     # the group count stays flat while the step count grows with m
     S, z, D = synthetic_case(m, seed=7)
-    assert len(build_connection(S, z, D)._kit.program._groups[None]) <= 12
+    assert len(build_connection(S, z, D).program._groups[None]) <= 12
 
 
 def test_mixed_roundtrip():
     S, z, D = mixed_structure(), mixed_observer(), mixed_data()
     C = build_connection(S, z, D)
-    assert observable_map(C, z).deviations(D, S).max() <= 1e-9
+    assert observable_map(C.state()).deviations(D, S).max() <= 1e-9
 
 
 def test_metric_singular_raises():
@@ -323,7 +345,7 @@ def test_user_supplied_connection_observables():
     table[1][0][0] = Const(-9.8)
     C = connection_from_exprs(S, z, tuple(tuple(tuple(r) for r in pl) for pl in table))
     assert not C.is_built
-    at = gravity_of(C, z)
+    at = gravity_of(C)
     assert np.allclose(at(np.array([0.2, 0.2])), [0.0, -9.8], atol=1e-12)
 
 
@@ -346,8 +368,7 @@ def test_connection_keeps_no_per_point_state():
     C = build_connection(S, z, mixed_data())
 
     def sizes():
-        return {(type(owner).__name__, name): len(value)
-                for owner in (C, C._kit) for name, value in vars(owner).items()
+        return {name: len(value) for name, value in vars(C).items()
                 if isinstance(value, (dict, list))}
 
     before = sizes()
@@ -387,11 +408,11 @@ def test_nabla_matches_per_point_formula(data):
     (m4_structure(samples=5), m4_observer(), m4_data()),
 ])
 def test_numeric_g_is_inner_product_of_projected_coordinate_fields(S, z, D):
-    kit = build_connection(S, z, D)._kit
+    C = build_connection(S, z, D)
     m = S.dim
     for p in S.sample_points():
         coeffs = [frame_decompose(S, project_spatial(S, z, np.eye(m)[i], p), p)
                   for i in range(m)]
         h = metric_matrix(S, p)
         want = np.array([[ci @ h @ cj for cj in coeffs] for ci in coeffs])
-        assert np.max(np.abs(kit.spatial_state(p)["g"] - want)) <= 1e-12
+        assert np.max(np.abs(C.spatial_state(p)["g"] - want)) <= 1e-12

@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it does not use."""
+"""Source hygiene: no module of the package imports a name it does not use,
+or reaches into another object's private attributes."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,22 @@ def test_unused_imports_are_found():
                          ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_reaches(source):
+    """(line, text) of every single-underscore attribute taken from
+    anything but self or cls; dunders are exempt."""
+    return sorted((node.lineno, ast.unparse(node)) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and not (node.attr.startswith("__") and node.attr.endswith("__"))
+                  and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")))
+
+
+def test_private_reaches_are_found():
+    source = "self._a\ncls._b.c\nobject.__setattr__\nconnection._kit.program\nx = y()._z\n"
+    assert private_reaches(source) == [(4, "connection._kit"), (5, "y()._z")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_private_reach_through(path):
+    assert private_reaches(path.read_text(encoding="utf-8")) == []

@@ -45,18 +45,18 @@ def _table_with(m, entries):
 def test_omega_check_passes_on_built_connections():
     S, z = flat_structure(), flat_observer()
     C = build_connection(S, z, ConnectionData.zero(1))
-    entry = check_compatibility_omega(C, S, z)
+    entry = check_compatibility_omega(C.state(), S)
     assert entry.passed and entry.max_residual <= 1e-12
 
     S, z = rot_structure(), rot_observer()
     C = build_connection(S, z, ConnectionData((ZERO, ZERO), {(0, 1): Const(0.5)}, {}))
-    assert check_compatibility_omega(C, S, z).passed
+    assert check_compatibility_omega(C.state(), S).passed
 
 
 def test_omega_check_fails_on_bad_user_connection():
     S, z = flat_structure(), flat_observer()
     C = connection_from_exprs(S, z, _table_with(2, {(0, 0, 0): Const(1.0)}))
-    entry = check_compatibility_omega(C, S, z)
+    entry = check_compatibility_omega(C.state(), S)
     assert not entry.passed
     # the coordinate pair (d_t, d_t) contributes residual exactly 1; the
     # random polynomial fields can only push the maximum higher
@@ -67,16 +67,16 @@ def test_omega_check_fails_on_bad_user_connection():
 def test_metric_check_passes_on_built_connections():
     S, z = flat_structure(), flat_observer()
     C = build_connection(S, z, ConnectionData.zero(1))
-    entry = check_compatibility_metric(C, S, z)
+    entry = check_compatibility_metric(C.state())
     assert entry.passed and entry.max_residual <= 1e-12
     C = build_connection(S, z, gravity_data(-9.8))
-    assert check_compatibility_metric(C, S, z).passed
+    assert check_compatibility_metric(C.state()).passed
 
 
 def test_metric_check_fails_for_zero_connection_on_varying_metric():
     S, z = curvedh_structure(), flat_observer()
     C = connection_from_exprs(S, z, _zero_table(2))
-    entry = check_compatibility_metric(C, S, z)
+    entry = check_compatibility_metric(C.state())
     assert not entry.passed
     # lhs is d(h11)/dx = x/5 while both covariant terms vanish
     worst_x = entry.worst_point[1]
@@ -86,18 +86,18 @@ def test_metric_check_fails_for_zero_connection_on_varying_metric():
 def test_theorem1_check():
     S, z = flat_structure(), flat_observer()
     C = build_connection(S, z, ConnectionData.zero(1))
-    assert check_torsion_clock(C, S).passed
+    assert check_torsion_clock(C.state()).passed
 
     S, z = twist_structure(), twist_observer()
     for data in (ConnectionData.zero(2),
                  ConnectionData((Const(0.3), ZERO), {(0, 1): Const(0.4)},
                                 {(0, 1, 2): Const(0.2)})):
         C = build_connection(S, z, data)
-        assert check_torsion_clock(C, S).passed
+        assert check_torsion_clock(C.state()).passed
 
     # a symmetric (zero) coefficient table cannot reproduce dO = dx^dy
     C = connection_from_exprs(S, z, _zero_table(3))
-    entry = check_torsion_clock(C, S)
+    entry = check_torsion_clock(C.state())
     assert not entry.passed
     assert entry.max_residual == pytest.approx(1.0, abs=1e-12)
 
@@ -143,16 +143,16 @@ def test_fd_validate_catches_corrupted_rule(monkeypatch):
     (curvedh_structure(), flat_observer(), ConnectionData.zero(1)),
     (m4_structure(), m4_observer(), m4_data()),
 ])
-def test_fd_validate_catches_corrupted_spatial_tensor_derivative(monkeypatch, S, z, D):
+def test_fd_validate_catches_corrupted_spatial_tensor_derivative(S, z, D):
     # with an empty catalog only the numeric g against d_k g is checked
-    kit = build_connection(S, z, D)._kit
-    assert fd_validate(S, z, D, kit=kit, catalog=[]).passed
+    assert fd_validate(S, z, D, connection=build_connection(S, z, D), catalog=[]).passed
     n = S.n
-    monkeypatch.setattr(kit, "dh", [[[ZERO] * n for _ in range(n)] for _ in range(S.dim)])
-    assert not fd_validate(S, z, D, kit=kit, catalog=[]).passed
+    corrupted = build_connection(S, z, D)
+    corrupted.dh = [[[ZERO] * n for _ in range(n)] for _ in range(S.dim)]  # before first use
+    assert not fd_validate(S, z, D, connection=corrupted, catalog=[]).passed
 
 
-def _fd_residuals_point_by_point(S, catalog, kit, points):
+def _fd_residuals_point_by_point(S, catalog, C, points):
     """fd_validate's residuals, one stencil at a time, skipping every
     stencil at which a value cannot be evaluated."""
     m, box = S.dim, S.domain_box
@@ -183,14 +183,14 @@ def _fd_residuals_point_by_point(S, catalog, kit, points):
     upper = np.triu_indices(m)
     for p in points:
         try:
-            dg = kit.spatial_state(p)["dg"]
+            dg = C.spatial_state(p)["dg"]
         except NewcartError:
             continue
         for i in range(m):
             if (st := stencil(p, i)) is None:
                 continue
             try:
-                fd = (kit.coframe_state(st[0])["g"] - kit.coframe_state(st[1])["g"]) / (2.0 * FD_STEP)
+                fd = (C.coframe_state(st[0])["g"] - C.coframe_state(st[1])["g"]) / (2.0 * FD_STEP)
             except NewcartError:
                 continue
             residuals += (np.abs(dg[i][upper] - fd[upper])
@@ -203,15 +203,15 @@ def test_fd_validate_skips_exactly_the_undefined_stencils(monkeypatch):
                             domain_box=((0.0, 1.0), (-1.0, 1.0)), sample_count=40)
     z = flat_observer()
     D = ConnectionData((parse_expr("log(x + 0.5)", NAMES2),), {}, {})
-    kit = build_connection(S, z, D)._kit
+    C = build_connection(S, z, D)
     # besides the samples: a centre at 0 (d_x sqrt undefined) and one whose
     # lower stencil point is negative
     points = S.sample_points() + [np.array([0.5, 0.0]), np.array([0.5, 0.5 * FD_STEP])]
     captured = []
     monkeypatch.setattr(verify_mod, "make_entry",
                         lambda name, tol, residuals, where: captured.append(residuals))
-    fd_validate(S, z, D, kit=kit, points=points)
-    want = _fd_residuals_point_by_point(S, verify_mod.derivative_catalog(S, z, D), kit, points)
+    fd_validate(S, z, D, connection=C, points=points)
+    want = _fd_residuals_point_by_point(S, verify_mod.derivative_catalog(S, z, D), C, points)
     # with nothing skipped: 2 catalog entries and 3 entries of g, 2 directions each
     assert 0 < len(want) < 10 * len(points)
     assert captured == [want]
@@ -355,13 +355,13 @@ def test_run_all_draws_the_sample_points_once(monkeypatch):
 
 def test_run_all_evaluates_gamma_once(monkeypatch):
     calls = []
-    christoffel = Connection.christoffel
+    state = Connection.state
 
-    def counted(self, p):
-        calls.append(np.shape(p))
-        return christoffel(self, p)
+    def counted(self, points=None):
+        calls.append(np.shape(points))
+        return state(self, points)
 
-    monkeypatch.setattr(Connection, "christoffel", counted)
+    monkeypatch.setattr(Connection, "state", counted)
     S, z = mixed_structure(), mixed_observer()
     report = run_all(S, z, data=mixed_data())
     assert calls == [(S.sample_count, S.dim)]
@@ -369,12 +369,12 @@ def test_run_all_evaluates_gamma_once(monkeypatch):
     run_all(S, z, connection=connection_from_exprs(S, z, _zero_table(3)))
     assert calls == [(S.sample_count, S.dim)]
     # sharing changes no figure of the report
-    monkeypatch.setattr(Connection, "christoffel", christoffel)
+    monkeypatch.setattr(Connection, "state", state)
     C = build_connection(S, z, mixed_data())
     points = S.sample_points()
-    alone = [check_compatibility_omega(C, S, z, points),
-             check_compatibility_metric(C, S, z, points), check_torsion_clock(C, S, points),
-             check_roundtrip(S, z, mixed_data(), C, points)]
+    alone = [check_compatibility_omega(C.state(points), S),
+             check_compatibility_metric(C.state(points)), check_torsion_clock(C.state(points)),
+             check_roundtrip(S, z, mixed_data(), C.state(points))]
     assert report.entries[-4:] == alone
 
 
@@ -388,15 +388,15 @@ def test_checks_read_the_kit_and_compile_nothing(monkeypatch, user):
         C = build_connection(S, z, D)
     points = S.sample_points()
     p = points[0]
-    frame = C._kit.program(p, until="frame")["frame"]  # compiles the kit program
+    frame = C.program(p, until="frame")["frame"]  # compiles the connection's program
     built = []
     init = expr_mod.Program.__init__
     monkeypatch.setattr(expr_mod.Program, "__init__",
                         lambda self, exprs: (built.append(exprs), init(self, exprs))[1])
-    check_compatibility_omega(C, S, z, points)
-    check_compatibility_metric(C, S, z, points)
-    check_torsion_clock(C, S, points)
-    observable_map(C, z, points)
-    gravity_of(C, z)(np.array(points))
-    coriolis_of(C, z, frame[0], frame[-1], p)
+    check_compatibility_omega(C.state(points), S)
+    check_compatibility_metric(C.state(points))
+    check_torsion_clock(C.state(points))
+    observable_map(C.state(points))
+    gravity_of(C)(np.array(points))
+    coriolis_of(C, frame[0], frame[-1], p)
     assert built == []
