@@ -1,19 +1,15 @@
 """Clock-form space-time structures, compatible connections, and free fall."""
 
-from .connection import (Connection, ConnectionData, alternation_at,
-                         build_connection, connection_from_exprs,
-                         coriolis_of, covariant_derivative, gravity_of,
-                         observable_map, torsion_at)
+from .connection import (Connection, ConnectionData, build_connection,
+                         connection_from_exprs, observable_map)
 from .dynamics import (Trajectory, integrate_geodesic, integrate_observer_flow,
                        trajectory_csv, write_trajectory)
 from .errors import (DimensionMismatch, DomainError, ExprSyntaxError,
                      FrameDegenerate, MetricSingular, MissingSection,
-                     NewcartError, NotSpatial, ObserverInvalid, ScenarioError,
-                     ScenarioParseError, UnknownIdentifier)
+                     NewcartError, ScenarioError, ScenarioParseError,
+                     UnknownIdentifier)
 from .expr import Expr, differentiate, evaluate, parse_expr, to_string
-from .geometry import (ObserverField, SpacetimeStructure, d_omega,
-                       frame_decompose, inner, lie_bracket, omega_apply,
-                       project_spatial, validate_structure)
+from .geometry import ObserverField, SpacetimeStructure, validate_structure
 from .report import CheckEntry, CheckReport
 from .scenario import (Scenario, bundled_scenario_path, load_scenario,
                        load_scenario_text, serialize_scenario)

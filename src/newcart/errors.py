@@ -43,14 +43,6 @@ class DomainError(NewcartError):
         super().__init__(message)
 
 
-class ObserverInvalid(NewcartError):
-    """Observer field is not normalized against the clock form."""
-
-
-class NotSpatial(NewcartError):
-    """A vector expected to lie in the kernel of the clock form does not."""
-
-
 class FrameDegenerate(NewcartError):
     """Spatial frame loses rank (or the adapted basis is singular) at a point."""
 

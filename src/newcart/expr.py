@@ -207,13 +207,6 @@ def apply(fn, arg):
     return Apply(fn, arg)
 
 
-def sum_exprs(terms):
-    acc = ZERO
-    for t in terms:
-        acc = add(acc, t)
-    return acc
-
-
 def is_constant(e):
     """True when the tree contains no coordinate node."""
     t = type(e)

@@ -24,13 +24,14 @@ def make_entry(name, tolerance, residuals, points=None):
     `residuals` is a flat sequence of non-negative values; `points` (same
     length, optional) locates each residual so the worst one is
     reproducible as a single-point case.  The worst residual is the first
-    maximum, as Python's `max` finds it (a NaN first wins, a later NaN is
-    passed over), and the mean sums the residuals in order.
+    maximum, where a NaN ranks above every number: the first NaN is the
+    worst residual and fails the entry.  The mean sums the residuals in
+    order.
     """
     residuals = np.ravel(np.asarray(residuals, dtype=float))
     if not residuals.size:
         return CheckEntry(name, 0.0, 0.0, tolerance, True, None)
-    worst = 0 if np.isnan(residuals[0]) else int(np.nanargmax(residuals))
+    worst = int(np.argmax(residuals))  # argmax stops at the first NaN
     max_res = float(residuals[worst])
     with np.errstate(over="ignore"):  # a sum past the float range is inf, as in Python
         mean_res = float(np.cumsum(residuals)[-1] / residuals.size)

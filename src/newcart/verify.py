@@ -148,7 +148,9 @@ def check_roundtrip(structure, observer, data, state=None):
 
 
 def derivative_catalog(structure, observer=None, data=None):
-    """Every named coefficient whose symbolic derivatives the pipeline uses."""
+    """Every named input coefficient whose symbolic derivatives `fd_validate`
+    checks.  The connection's program uses the derivatives of the clock
+    form, observer, frame and Gram matrix, and only the data's values."""
     names = structure.coord_names
     catalog = []
     for i, e in enumerate(structure.omega):
@@ -257,8 +259,8 @@ def torsion_free_feasibility(structure, points=None):
     stack = _stack(structure, points)
     dw = compile_exprs(field_jacobian(structure.omega))(stack)  # [k, i] = d_i w_k
     i, j = upper_pairs(structure.dim)
-    # fmax, like max(worst, x), passes over a NaN difference; |a - b| is symmetric
-    worst = np.fmax.reduce(np.abs(dw[:, i, j] - dw[:, j, i]), axis=1, initial=0.0)
+    # |a - b| is symmetric; a NaN difference stays NaN, so the entry fails
+    worst = np.max(np.abs(dw[:, i, j] - dw[:, j, i]), axis=1, initial=0.0)
     return make_entry("torsion-free feasibility (clock form must be closed)",
                       TORSION_TOL, worst, stack)
 

@@ -1,0 +1,70 @@
+"""Reference values that the tests hold the pipeline against.
+
+Built from `expr.compile`, `expr.differentiate`, expression arithmetic
+and numpy only, one point at a time: nothing here reads a connection's
+state or calls the package's basis inverse, so an agreement with
+`Connection.state` or `observable_map` is an agreement between two
+independent computations.
+"""
+
+import numpy as np
+
+from newcart.expr import ZERO, differentiate
+from newcart.expr import compile as compile_exprs
+
+
+def eval_fields(fields, p):
+    """Values of a tuple of expressions at p, shape (len(fields),)."""
+    return compile_exprs(fields)(p)
+
+
+def frame_matrix(structure, p):
+    """m x n matrix whose column a holds the components of E_a at p."""
+    return compile_exprs(structure.frame)(p).T
+
+
+def metric_matrix(structure, p):
+    return compile_exprs(structure.metric)(p)
+
+
+def omega_apply(structure, v, p):
+    """Pairing of the clock form with a tangent vector at p."""
+    return float(eval_fields(structure.omega, p) @ np.asarray(v, dtype=float))
+
+
+def project_spatial(structure, observer, v, p):
+    """v - omega(v) z(p)."""
+    v = np.asarray(v, dtype=float)
+    return v - omega_apply(structure, v, p) * eval_fields(observer.components, p)
+
+
+def frame_decompose(structure, v, p):
+    """Frame coefficients of a spatial vector at p, by least squares."""
+    coeffs, _, rank, _ = np.linalg.lstsq(frame_matrix(structure, p),
+                                         np.asarray(v, dtype=float), rcond=None)
+    assert rank == structure.n
+    return coeffs
+
+
+def lie_bracket(x_field, y_field):
+    """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k, as expressions."""
+    m = len(x_field)
+    return tuple(sum((x_field[i] * differentiate(y_field[k], i)
+                      - y_field[i] * differentiate(x_field[k], i) for i in range(m)), ZERO)
+                 for k in range(m))
+
+
+def covariant_derivative(connection, x_field, y_field, p):
+    """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at p, with Gamma
+    from `connection.christoffel`."""
+    m = len(y_field)
+    x, y = eval_fields(x_field, p), eval_fields(y_field, p)
+    dy = compile_exprs([[differentiate(y_field[k], i) for i in range(m)] for k in range(m)])(p)
+    return dy @ x + np.einsum("kij,i,j->k", connection.christoffel(p), x, y)
+
+
+def torsion_at(connection, x_field, y_field, p):
+    """Tor(X, Y) = nabla_X Y - nabla_Y X - [X, Y] at p."""
+    return (covariant_derivative(connection, x_field, y_field, p)
+            - covariant_derivative(connection, y_field, x_field, p)
+            - eval_fields(lie_bracket(x_field, y_field), p))

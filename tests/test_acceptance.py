@@ -9,14 +9,14 @@ import numpy as np
 
 import newcart.expr as expr_mod
 from newcart.cli import main
-from newcart.connection import ConnectionData, build_connection, torsion_at
+from newcart.connection import ConnectionData, build_connection
 from newcart.dynamics import integrate_geodesic
 from newcart.expr import Const, apply, mul
-from newcart.geometry import omega_apply
 from newcart.scenario import bundled_scenario_path, load_scenario
 from newcart.verify import (check_compatibility_metric,
                             check_compatibility_omega, check_torsion_clock,
                             check_roundtrip, fd_validate, run_all)
+from reference import omega_apply, torsion_at
 
 SCENARIOS = ("flat", "grav", "rot", "twist", "curvedh")
 

@@ -47,6 +47,45 @@ def test_corrupted_fixtures_fail_designated_entry(tmp_path, fixture, entry):
     assert failed == [entry]
 
 
+NAN_GAMMA_SCENARIO = """[spacetime]
+dim = 2
+coords = t, x
+
+[omega]
+O = 1, 0
+
+[observer]
+z = 1, 0
+
+[frame]
+E1 = 0, 1
+
+[metric]
+h11 = 1
+
+[christoffel]
+C1_00 = x^64 - x^64
+
+[domain]
+box = 0 1, 0 100000
+samples = 20
+seed = 0
+"""
+
+
+def test_check_fails_on_a_nan_residual_after_the_first_point(tmp_path, capsys):
+    # x^64 is inf for x above about 6.4e4, so Gamma is nan at most sample
+    # points, though not at the first one
+    path = tmp_path / "nan.scn"
+    path.write_text(NAN_GAMMA_SCENARIO)
+    report = tmp_path / "report.json"
+    assert main(["check", str(path), "--json", str(report)]) == 1
+    assert "overall: FAIL" in capsys.readouterr().out
+    entries = {e["name"]: e for e in json.loads(report.read_text())["entries"]}
+    for name in ("clock compatibility", "metric compatibility"):
+        assert np.isnan(entries[name]["max"]) and not entries[name]["pass"]
+
+
 def test_missing_scenario_is_exit_3(capsys):
     assert main(["check", "/no/such/file.scn"]) == 3
     assert "scenario error" in capsys.readouterr().err

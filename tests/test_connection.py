@@ -11,20 +11,32 @@ from conftest import (NAMES2, NAMES3, brute_force_gamma, coord_field, exprs,
                       mixed_data, mixed_observer, mixed_structure,
                       rot_observer, rot_structure, synthetic_case,
                       twist_structure)
-from newcart.connection import (ConnectionData, alternation_at, build_connection,
-                                connection_from_exprs, coriolis_of,
-                                covariant_derivative, observable_map, gravity_of,
-                                nabla, torsion_at)
-from newcart.errors import MetricSingular, NotSpatial
+from newcart.connection import (ConnectionData, build_connection,
+                                connection_from_exprs, observable_map, nabla)
+from newcart.errors import DimensionMismatch, MetricSingular
 from newcart.expr import Const, ZERO, differentiate, evaluate, parse_expr
-from newcart.geometry import (ObserverField, SpacetimeStructure, eval_fields,
-                              frame_decompose, metric_matrix, omega_apply,
-                              project_spatial)
+from newcart.geometry import ObserverField, SpacetimeStructure
 from newcart.verify import run_all
+from reference import (covariant_derivative, eval_fields, frame_decompose,
+                       metric_matrix, omega_apply, project_spatial, torsion_at)
 
 
 def twist_observer():
     return ObserverField(exprs(NAMES3, "1", "0", "0"))
+
+
+def alternation_at(S, z, D, x_field, y_field, p):
+    """A(X, Y) = nabla_X Y - nabla_Y X of the connection built from D, which
+    the data fix as Theta(X, Y) + dw(X, Y) z + [X, Y]."""
+    C = build_connection(S, z, D)
+    return (covariant_derivative(C, x_field, y_field, p)
+            - covariant_derivative(C, y_field, x_field, p))
+
+
+def gravity_at(C, p):
+    """nabla_z z at p, from the connection's state."""
+    st = C.state(p)
+    return nabla(st["gamma"], st["dz"], st["z"], st["z"])
 
 
 # --- flat space ------------------------------------------------------------
@@ -78,9 +90,8 @@ def test_uniform_gravity_connection():
 def test_gravity_of_matches_data_and_is_spatial():
     S, z = flat_structure(), flat_observer()
     C = build_connection(S, z, gravity_data(-9.8))
-    at = gravity_of(C)
     for p in S.sample_points()[:10]:
-        g = at(p)
+        g = gravity_at(C, p)
         assert np.allclose(g, [0.0, -9.8], atol=1e-12)
         assert abs(omega_apply(S, g, p)) <= 1e-9
 
@@ -139,11 +150,10 @@ def test_rot_roundtrip_and_coriolis():
     C = build_connection(S, z, D)
     image = observable_map(C.state())
     assert image.deviations(D, S).max() <= 1e-9
-    p = S.sample_points()[0]
-    e1 = np.array([0.0, 1.0, 0.0])
-    e2 = np.array([0.0, 0.0, 1.0])
-    assert coriolis_of(C, e1, e2, p) == pytest.approx(0.5, abs=1e-9)
-    assert coriolis_of(C, e1, e1, p) == pytest.approx(0.0, abs=1e-12)
+    # the frame is E_1 = d_x, E_2 = d_y; the first row is the first sample point
+    coriolis = image.coriolis[0]
+    assert coriolis[0, 1] == pytest.approx(0.5, abs=1e-9)
+    assert coriolis[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rot_with_theta_roundtrip():
@@ -151,14 +161,6 @@ def test_rot_with_theta_roundtrip():
     D = ConnectionData((ZERO, ZERO), {(0, 1): Const(0.5)}, {(0, 1, 2): Const(0.3)})
     C = build_connection(S, z, D)
     assert observable_map(C.state()).deviations(D, S).max() <= 1e-9
-
-
-def test_coriolis_requires_spatial_arguments():
-    S, z = rot_structure(), rot_observer()
-    C = build_connection(S, z, ConnectionData.zero(2))
-    with pytest.raises(NotSpatial):
-        coriolis_of(C, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]),
-                    np.array([0.1, 0.0, 0.0]))
 
 
 # --- covariant derivative ---------------------------------------------------
@@ -210,7 +212,6 @@ def test_torsion_flat_zero_and_self():
 def test_spatial_torsion_recovery_is_tensorial():
     S, z = mixed_structure(), mixed_observer()
     C = build_connection(S, z, mixed_data())
-    from newcart.geometry import project_spatial
     f = parse_expr("1 + t*x", NAMES3)
     X = exprs(NAMES3, "1", "y", "x")
     Y = exprs(NAMES3, "x", "1", "t")
@@ -326,6 +327,48 @@ def test_mixed_roundtrip():
     assert observable_map(C.state()).deviations(D, S).max() <= 1e-9
 
 
+@pytest.mark.parametrize("gravity,coriolis,theta", [
+    ((ZERO,), {}, {}),
+    ((ZERO, ZERO, ZERO), {}, {}),
+    ((ZERO, ZERO), {(0, 7): Const(3.0)}, {}),
+    ((ZERO, ZERO), {(-1, 0): Const(3.0)}, {}),
+    ((ZERO, ZERO), {}, {(5, 0, 1): Const(3.0)}),
+    ((ZERO, ZERO), {}, {(0, 1, 3): Const(3.0)}),
+], ids=["gravity_short", "gravity_long", "coriolis_b", "coriolis_negative", "theta_a",
+        "theta_j"])
+def test_data_outside_the_chart_is_rejected(gravity, coriolis, theta):
+    S, z = rot_structure(), rot_observer()
+    with pytest.raises(DimensionMismatch):
+        build_connection(S, z, ConnectionData(gravity, coriolis, theta))
+    with pytest.raises(DimensionMismatch):
+        run_all(S, z, data=ConnectionData(gravity, coriolis, theta))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_observables_match_the_reference(m):
+    # both sides read one Gamma and solve well-conditioned O(1) systems, so
+    # they agree to rounding; the bound leaves three orders of margin
+    tol = 1e-12
+    S, z, D = synthetic_case(m, seed=m)
+    C = build_connection(S, z, D)
+    points = S.sample_points()
+    state = C.state(np.array(points))
+    image = observable_map(state)
+    fields = [coord_field(m, i) for i in range(m)]
+    for q, p in enumerate(points):
+        # least-squares frame coefficients of P(d_i) against the coframe's columns
+        lstsq = np.array([frame_decompose(S, project_spatial(S, z, np.eye(m)[i], p), p)
+                          for i in range(m)]).T
+        assert np.max(np.abs(lstsq - state["coframe"][q])) <= tol
+        gravity = frame_decompose(S, covariant_derivative(C, z.components, z.components, p), p)
+        assert np.max(np.abs(gravity - image.gravity[q])) <= tol
+        for i in range(m):
+            for j in range(i + 1, m):
+                tor = frame_decompose(S, project_spatial(
+                    S, z, torsion_at(C, fields[i], fields[j], p), p), p)
+                assert np.max(np.abs(tor - image.torsion_spatial[q][:, i, j])) <= tol
+
+
 def test_metric_singular_raises():
     S = SpacetimeStructure(
         coord_names=NAMES2,
@@ -345,8 +388,7 @@ def test_user_supplied_connection_observables():
     table[1][0][0] = Const(-9.8)
     C = connection_from_exprs(S, z, tuple(tuple(tuple(r) for r in pl) for pl in table))
     assert not C.is_built
-    at = gravity_of(C)
-    assert np.allclose(at(np.array([0.2, 0.2])), [0.0, -9.8], atol=1e-12)
+    assert np.allclose(gravity_at(C, np.array([0.2, 0.2])), [0.0, -9.8], atol=1e-12)
 
 
 def test_christoffel_repeats_equal_read_only_arrays():

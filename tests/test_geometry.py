@@ -1,21 +1,45 @@
-"""Kinematic layer: pairing, projection, brackets, decomposition, validation."""
+"""Kinematic layer: pairing, projection, brackets, decomposition, validation.
+
+Point values of the kinematic quantities come from one place, a
+connection's state: the clock pairing from its omega, dw from its tau,
+frame coefficients and the spatial projection from its coframe, and the
+spatial inner product from g = Q^T h Q.
+"""
 
 import numpy as np
 import pytest
 
 from conftest import (NAMES2, NAMES3, exprs, flat_observer, flat_structure,
                       mixed_observer, mixed_structure, synthetic_case, twist_structure)
-from newcart.errors import FrameDegenerate, NotSpatial, ObserverInvalid
+from newcart.errors import FrameDegenerate
 from newcart.expr import Const, parse_expr, evaluate
 from newcart.connection import build_connection
-from newcart.geometry import (ObserverField, SpacetimeStructure,
-                              adapted_frame_inverse, d_omega, eval_fields,
-                              frame_decompose, inner, lie_bracket, omega_apply,
-                              project_spatial, upper_pairs, validate_structure)
+from newcart.geometry import (ObserverField, SpacetimeStructure, basis_inverse,
+                              upper_pairs, validate_structure)
+from reference import eval_fields, lie_bracket
 
 
 def twist_observer():
     return ObserverField(exprs(NAMES3, "1", "0", "0"))
+
+
+def state_at(S, z, p):
+    return build_connection(S, z).state(np.asarray(p, dtype=float))
+
+
+def project(st, v):
+    """P(v) = v - w(v) z, as E_a Q^a(v) from the state's frame and coframe."""
+    return st["frame"].T @ (st["coframe"] @ np.asarray(v, dtype=float))
+
+
+def d_omega(st, x, y):
+    """dw(X, Y) = X^i Y^j (d_i w_j - d_j w_i) from the state's tau."""
+    return float(x @ (st["tau"] - st["tau"].T) @ y)
+
+
+def inner(st, v, w):
+    """<P v, P w> = v^T g w with the state's g = Q^T h Q."""
+    return float(np.asarray(v) @ st["g"] @ np.asarray(w))
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -31,55 +55,44 @@ def test_sample_points_are_the_per_point_draws(m):
 
 
 def test_omega_apply_flat():
-    S = flat_structure()
-    assert omega_apply(S, (1.0, 0.0), np.array([0.3, 0.2])) == 1.0
-    assert omega_apply(S, (0.0, 1.0), np.array([0.3, 0.2])) == 0.0
+    omega = state_at(flat_structure(), flat_observer(), [0.3, 0.2])["omega"]
+    assert omega @ (1.0, 0.0) == 1.0
+    assert omega @ (0.0, 1.0) == 0.0
 
 
 def test_omega_apply_twist_hand_value():
-    S = twist_structure()
     p = np.array([0.0, 2.0, 0.0])
-    assert omega_apply(S, (0.0, 0.0, 1.0), p) == 2.0
+    assert state_at(twist_structure(), twist_observer(), p)["omega"] @ (0.0, 0.0, 1.0) == 2.0
 
 
 def test_project_spatial_kills_observer():
-    S, z = flat_structure(), flat_observer()
-    p = np.array([0.1, 0.4])
-    zp = eval_fields(z.components, p)
-    assert np.max(np.abs(project_spatial(S, z, zp, p))) <= 1e-12
+    st = state_at(flat_structure(), flat_observer(), [0.1, 0.4])
+    assert np.max(np.abs(project(st, st["z"]))) <= 1e-12
 
 
 def test_project_spatial_fixes_spatial_vectors():
-    S, z = flat_structure(), flat_observer()
-    p = np.array([0.1, 0.4])
+    st = state_at(flat_structure(), flat_observer(), [0.1, 0.4])
     v = np.array([0.0, 2.5])
-    assert np.allclose(project_spatial(S, z, v, p), v, atol=0)
+    assert np.allclose(project(st, v), v, atol=0)
 
 
 def test_project_spatial_twist_hand_value():
-    S = twist_structure()
-    z = twist_observer()
-    p = np.array([0.0, 2.0, 0.0])
-    out = project_spatial(S, z, (0.0, 0.0, 1.0), p)
+    st = state_at(twist_structure(), twist_observer(), [0.0, 2.0, 0.0])
+    out = project(st, (0.0, 0.0, 1.0))
     assert np.allclose(out, [-2.0, 0.0, 1.0], atol=1e-15)
-
-
-def test_project_spatial_rejects_bad_observer():
-    S = flat_structure()
-    bad = ObserverField(exprs(NAMES2, "2", "0"))
-    with pytest.raises(ObserverInvalid):
-        project_spatial(S, bad, (1.0, 0.0), np.array([0.0, 0.0]))
 
 
 def test_projector_idempotent_and_annihilated():
     S, z = mixed_structure(), mixed_observer()
+    C = build_connection(S, z)
     rng = np.random.Generator(np.random.PCG64(2))
     for p in S.sample_points():
+        st = C.state(p)
         v = rng.uniform(-1, 1, size=3)
-        once = project_spatial(S, z, v, p)
-        twice = project_spatial(S, z, once, p)
+        once = project(st, v)
+        twice = project(st, once)
         assert np.max(np.abs(once - twice)) <= 1e-12
-        assert abs(omega_apply(S, once, p)) <= 1e-9
+        assert abs(st["omega"] @ once) <= 1e-9
 
 
 def test_lie_bracket_coordinates_commute():
@@ -106,30 +119,35 @@ def test_lie_bracket_antisymmetric_on_self():
 
 def test_d_omega_flat_zero():
     S = flat_structure()
+    C = build_connection(S, flat_observer())
     X = exprs(NAMES2, "t", "x^2")
     Y = exprs(NAMES2, "1", "t*x")
     for p in S.sample_points()[:5]:
-        assert abs(d_omega(S, X, Y, p)) <= 1e-12
+        x, y = eval_fields(X, p), eval_fields(Y, p)
+        assert abs(d_omega(C.state(p), x, y)) <= 1e-12
 
 
 def test_d_omega_twist_hand_value():
     S = twist_structure()
-    dx = exprs(NAMES3, "0", "1", "0")
-    dy = exprs(NAMES3, "0", "0", "1")
+    C = build_connection(S, twist_observer())
+    dx, dy = np.eye(3)[1], np.eye(3)[2]
     for p in S.sample_points()[:5]:
-        assert abs(d_omega(S, dx, dy, p) - 1.0) <= 1e-12
-        assert d_omega(S, dx, dx, p) == 0.0
+        st = C.state(p)
+        assert abs(d_omega(st, dx, dy) - 1.0) <= 1e-12
+        assert d_omega(st, dx, dx) == 0.0
 
 
 def test_d_omega_matches_finite_differences():
     S = mixed_structure()
+    C = build_connection(S, mixed_observer())
     m = S.dim
     h = 1e-5
-    fields = [tuple(Const(1.0 if k == i else 0.0) for k in range(m)) for i in range(m)]
+    fields = np.eye(m)
     for p in S.sample_points():
         if any(p[i] - h < S.domain_box[i][0] or p[i] + h > S.domain_box[i][1]
                for i in range(m)):
             continue
+        st = C.state(p)
         for i in range(m):
             for j in range(m):
                 hi = p.copy(); hi[i] += h
@@ -138,29 +156,23 @@ def test_d_omega_matches_finite_differences():
                 hj = p.copy(); hj[j] += h
                 lj = p.copy(); lj[j] -= h
                 fd -= (evaluate(S.omega[i], hj) - evaluate(S.omega[i], lj)) / (2 * h)
-                assert abs(d_omega(S, fields[i], fields[j], p) - fd) <= 1e-6
+                assert abs(d_omega(st, fields[i], fields[j]) - fd) <= 1e-6
 
 
 def test_frame_decompose_frame_member_and_zero():
     S = twist_structure()
     p = np.array([0.2, 0.5, -0.3])
+    coframe = state_at(S, twist_observer(), p)["coframe"]
     e1 = eval_fields(S.frame[0], p)
-    assert np.allclose(frame_decompose(S, e1, p), [1.0, 0.0], atol=1e-12)
-    assert np.allclose(frame_decompose(S, np.zeros(3), p), [0.0, 0.0], atol=0)
+    assert np.allclose(coframe @ e1, [1.0, 0.0], atol=1e-12)
+    assert np.allclose(coframe @ np.zeros(3), [0.0, 0.0], atol=0)
 
 
 def test_frame_decompose_twist_hand_value():
-    S = twist_structure()
     p = np.array([0.0, 2.0, 0.0])
-    # the structure's box does not contain x = 2, but decomposition is pointwise
-    coeffs = frame_decompose(S, (-2.0, 0.0, 1.0), p)
+    # the structure's box does not contain x = 2, but the state is pointwise
+    coeffs = state_at(twist_structure(), twist_observer(), p)["coframe"] @ (-2.0, 0.0, 1.0)
     assert np.allclose(coeffs, [0.0, 1.0], atol=1e-12)
-
-
-def test_frame_decompose_rejects_nonspatial():
-    S = flat_structure()
-    with pytest.raises(NotSpatial):
-        frame_decompose(S, (1.0, 0.0), np.array([0.0, 0.0]))
 
 
 def test_frame_decompose_degenerate_frame():
@@ -172,7 +184,7 @@ def test_frame_decompose_degenerate_frame():
                 (parse_expr("0", NAMES3), parse_expr("1", NAMES3))),
         domain_box=((0, 1), (-1, 1), (-1, 1)), sample_count=5, rng_seed=1)
     with pytest.raises(FrameDegenerate):
-        frame_decompose(S, (0.0, 1.0, 0.0), np.array([0.0, 0.0, 0.0]))
+        state_at(S, twist_observer(), np.array([0.0, 0.0, 0.0]))
 
 
 def test_adapted_basis_guard_rejects_tiny_determinant():
@@ -185,32 +197,32 @@ def test_adapted_basis_guard_rejects_tiny_determinant():
         domain_box=((0, 1), (-1, 1)), sample_count=5, rng_seed=1)
     z, p = flat_observer(), np.array([0.5, 0.0])
     with pytest.raises(FrameDegenerate):
-        adapted_frame_inverse(S, z, p)
+        basis_inverse(np.array([1.0, 0.0]), np.array([[0.0, 1e-15]]), p)
     with pytest.raises(FrameDegenerate):
         build_connection(S, z).christoffel(p)
 
 
 def test_decompose_recompose_identity():
     S = mixed_structure()
+    C = build_connection(S, mixed_observer())
     rng = np.random.Generator(np.random.PCG64(4))
     for p in S.sample_points()[:10]:
         coeffs = rng.uniform(-1, 1, size=S.n)
         fm = np.column_stack([eval_fields(f, p) for f in S.frame])
         v = fm @ coeffs
-        back = frame_decompose(S, v, p)
+        back = C.state(p)["coframe"] @ v
         assert np.max(np.abs(back - coeffs)) <= 1e-9
 
 
 def test_inner_euclidean_and_symmetry():
-    S = flat_structure()
-    p = np.array([0.3, 0.1])
+    st = state_at(flat_structure(), flat_observer(), [0.3, 0.1])
     e1 = np.array([0.0, 1.0])
-    assert inner(S, e1, e1, p) == 1.0
+    assert inner(st, e1, e1) == 1.0
     rng = np.random.Generator(np.random.PCG64(8))
     for _ in range(5):
         v = np.array([0.0, rng.uniform(-1, 1)])
         w = np.array([0.0, rng.uniform(-1, 1)])
-        assert inner(S, v, w, p) == inner(S, w, v, p)
+        assert inner(st, v, w) == inner(st, w, v)
 
 
 def test_inner_indefinite_metric():
@@ -223,9 +235,8 @@ def test_inner_indefinite_metric():
         domain_box=((0, 1), (-1, 1), (-1, 1)), sample_count=5, rng_seed=1)
     z = ObserverField(exprs(NAMES3, "1", "0", "0"))
     assert validate_structure(S, z).passed
-    p = np.array([0.5, 0.0, 0.0])
     e2 = np.array([0.0, 0.0, 1.0])
-    assert inner(S, e2, e2, p) == -1.0
+    assert inner(state_at(S, z, [0.5, 0.0, 0.0]), e2, e2) == -1.0
 
 
 def test_validate_structure_flat_passes():
@@ -257,6 +268,19 @@ def test_validate_structure_frame_not_annihilated():
     entry = {e.name: e for e in report.entries}["frame annihilated by clock form"]
     assert not entry.passed
     assert entry.worst_point is not None
+
+
+def test_validate_structure_non_finite_frame_fails():
+    # x^64 is inf for x above about 6.4e4, so E_1 is nan at most sample points
+    S = SpacetimeStructure(
+        coord_names=NAMES2,
+        omega=exprs(NAMES2, "1", "0"),
+        frame=(exprs(NAMES2, "0", "1 + x^64 - x^64"),),
+        metric=((parse_expr("1", NAMES2),),),
+        domain_box=((0, 1), (0, 1e5)), sample_count=20, rng_seed=0)
+    entries = {e.name: e for e in validate_structure(S, flat_observer()).entries}
+    for name in ("frame annihilated by clock form", "frame rank"):
+        assert np.isnan(entries[name].max_residual) and not entries[name].passed
 
 
 def test_validate_structure_mixed_passes():

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it does not use,
-or reaches into another object's private attributes."""
+reaches into another object's private attributes, or defines a top-level
+function or class that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -52,3 +53,41 @@ def test_private_reaches_are_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_no_private_reach_through(path):
     assert private_reaches(path.read_text(encoding="utf-8")) == []
+
+
+def _reads(tree, skip=None):
+    """Names and attribute names loaded anywhere in `tree` outside `skip`."""
+    skipped = set() if skip is None else {id(node) for node in ast.walk(skip)}
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            and id(node) not in skipped}
+
+
+def unread_definitions(sources):
+    """(module, name) of every top-level def or class in `sources`
+    ({module: text}) that no module reads outside its own body and that
+    the "__init__" module does not re-export."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    exported = {alias.asname or alias.name for node in ast.walk(trees["__init__"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unread = []
+    for module, tree in trees.items():
+        elsewhere = set().union(*(_reads(t) for m, t in trees.items() if m != module))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name not in exported | elsewhere | _reads(tree, skip=node)):
+                unread.append((module, node.name))
+    return unread
+
+
+def test_unread_definitions_are_found():
+    sources = {"__init__": "from .a import api\n",
+               "a": "def api():\n    return helper()\n\ndef helper():\n    pass\n\n"
+                    "def recursive():\n    return recursive()\n\nclass Used:\n    pass\n",
+               "b": "from . import a\n\ndef orphan():\n    return a.Used\n"}
+    assert unread_definitions(sources) == [("a", "recursive"), ("b", "orphan")]
+
+
+def test_every_definition_is_read():
+    assert unread_definitions({path.stem: path.read_text(encoding="utf-8")
+                               for path in PACKAGE.glob("*.py")}) == []

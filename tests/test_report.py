@@ -11,8 +11,10 @@ NAN, INF = float("nan"), float("inf")
 
 
 def _reference(residuals):
-    """First maximum under Python's max, and the in-order sum over the count."""
-    worst = max(range(len(residuals)), key=lambda k: residuals[k])
+    """The first NaN, or else the first maximum under Python's max, and the
+    in-order sum over the count."""
+    nans = [k for k, r in enumerate(residuals) if math.isnan(r)]
+    worst = nans[0] if nans else max(range(len(residuals)), key=lambda k: residuals[k])
     total = 0.0
     for r in residuals:
         total += r
@@ -39,10 +41,10 @@ def test_nan_first_wins_and_fails():
     assert entry.worst_point == (0.0, -0.0) and not entry.passed
 
 
-def test_later_nan_is_passed_over():
+def test_later_nan_is_the_worst_and_fails():
     entry = make_entry("e", 5.0, [0.5, NAN, 3.0, NAN], _points(4))
-    assert entry.max_residual == 3.0 and entry.worst_point == (2.0, -2.0)
-    assert math.isnan(entry.mean_residual) and entry.passed
+    assert math.isnan(entry.max_residual) and entry.worst_point == (1.0, -1.0)
+    assert math.isnan(entry.mean_residual) and not entry.passed
 
 
 def test_inf_is_the_maximum():

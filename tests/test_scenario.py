@@ -8,10 +8,10 @@ from newcart.connection import connection_from_exprs
 from newcart.errors import (DimensionMismatch, MissingSection, NewcartError,
                             ScenarioError, ScenarioParseError)
 from newcart.expr import evaluate
-from newcart.geometry import eval_fields, metric_matrix
 from newcart.scenario import (bundled_scenario_path, load_scenario,
                               load_scenario_text, serialize_scenario)
 from newcart.verify import run_all
+from reference import eval_fields, metric_matrix
 
 MINIMAL = """
 [spacetime]
