@@ -122,10 +122,12 @@ class Connection:
     Convention: nabla_{d_i} d_j = Gamma^k_ij d_k; the lower index pair
     need not be symmetric.  The input (with zero data when the connection
     has none) and its symbolic first derivatives dz, d_frame, dh and
-    tau = d omega are compiled into one program.  `state` evaluates it
+    tau = d omega are compiled into one program; these tables are the
+    ones the finite-difference check validates.  `state` evaluates it
     over points of shape (..., m) and returns every value the checks and
     the observables read, Gamma included, with the same leading axes;
-    `coframe_state` and `spatial_state` are its partial evaluations.
+    `coframe_state` and `spatial_state` run the same whole program and
+    stop before Gamma, so they fail wherever any input is undefined.
     Gamma comes from `gamma_exprs` when given, and otherwise from the
     reduced relation of the module docstring: with coordinate fields and a
     spatial test vector its A terms reduce to the Theta data, so no
@@ -144,6 +146,9 @@ class Connection:
         self.observer = observer
         self.data = data
         m, n = structure.dim, structure.n
+        if gamma_exprs is not None and not (len(gamma_exprs) == m and all(
+                len(plane) == m and all(len(row) == m for row in plane) for plane in gamma_exprs)):
+            raise DimensionMismatch(f"Christoffel table must be {m}x{m}x{m}")
         if data is not None:
             if len(data.gravity) != n:
                 raise DimensionMismatch(f"gravity needs {n} components")
@@ -174,8 +179,6 @@ class Connection:
 
     @cached_property
     def program(self):
-        """Groups in the order the states need them: coframe_state runs
-        the program up to "h", spatial_state up to "dh"."""
         S, m, n = self.structure, self.structure.dim, self.structure.n
         data = ConnectionData.zero(n) if self.data is None else self.data
         return compile_exprs({
@@ -187,20 +190,20 @@ class Connection:
             "theta": [[[data.theta.get((a, i, j), ZERO) for j in range(m)]
                        for i in range(m)] for a in range(n)]})
 
-    def coframe_state(self, points, until="h"):
-        """z, frame (..., n, m), h, the coframe Q and g = Q^T h Q."""
+    def coframe_state(self, points):
+        """The program's values, the coframe Q (..., n, m) and g = Q^T h Q."""
         points = np.asarray(points, dtype=float)
-        st = self.program(points, until=until)
+        st = self.program(points)
         inverse = geometry.basis_inverse(st["z"], st["frame"], points)
         coframe = inverse[..., 1:, :]  # (..., n, m); column j decomposes P d_j
         st.update(p=points, inverse=inverse, coframe=coframe,
                   g=coframe.swapaxes(-1, -2) @ st["h"] @ coframe)
         return st
 
-    def spatial_state(self, points, until="dh"):
-        """coframe_state plus d_frame and dg[..., k, i, j] = d_k g_ij, with
+    def spatial_state(self, points):
+        """coframe_state plus dg[..., k, i, j] = d_k g_ij, with
         d_k g = (d_k Q)^T h Q + Q^T (d_k h) Q + Q^T h (d_k Q)."""
-        st = self.coframe_state(points, until)
+        st = self.coframe_state(points)
         inverse, coframe, h = st["inverse"], st["coframe"], st["h"]
         # [..., i, k, c] = d_i B_kc
         d_basis = np.concatenate([st["dz"].swapaxes(-1, -2)[..., None],
@@ -214,15 +217,15 @@ class Connection:
         return st
 
     def state(self, points=None):
-        """The whole program and spatial_state at `points`, by default the
-        structure's sample points, with gamma (..., m, m, m); a built
-        connection adds rhs (..., m, m, n), the right-hand side
-        2<P(nabla_i d_j), E_b> of the reduced relation."""
+        """spatial_state at `points`, by default the structure's sample
+        points, with gamma (..., m, m, m); a built connection adds rhs
+        (..., m, m, n), the right-hand side 2<P(nabla_i d_j), E_b> of the
+        reduced relation."""
         if points is None:
             points = self.structure.sample_points()
         # a user table runs before the input, so that its errors come first
         gamma = None if self._user is None else self._user(points)
-        st = self.spatial_state(points, until=None)
+        st = self.spatial_state(points)
         if gamma is not None:
             st["gamma"] = gamma
             return st
@@ -246,7 +249,9 @@ class Connection:
                  ).reshape(half.shape)
         st["rhs"] = rhs = rhs - pairs - pairs.swapaxes(-3, -2)
 
-        geometry.fail_at_first(np.abs(np.linalg.det(h)) <= METRIC_DET_TOL, st["p"],
+        with np.errstate(invalid="ignore"):  # a NaN h gives a NaN Gamma, not a warning
+            det = np.linalg.det(h)
+        geometry.fail_at_first(np.abs(det) <= METRIC_DET_TOL, st["p"],
                                MetricSingular, "spatial metric singular")
         # [..., a, ij]: the frame coefficients of Gamma_ij
         c = np.linalg.solve(2.0 * h, rhs.reshape(lead + (m * m, n)).swapaxes(-1, -2))

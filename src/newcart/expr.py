@@ -383,13 +383,11 @@ class Program:
             seen[id(e)] = slot
             return slot
 
-        layout, outputs, steps_ends, self._output_ends = [], [], {}, {}
+        layout, outputs = [], []
         for name, group in groups.items():
             table = np.array(group, dtype=object)
             layout.append((name, len(outputs), table.shape))
             outputs += [visit(e) for e in table.flat]
-            steps_ends[name], self._output_ends[name] = len(self._steps), len(outputs)
-        steps_ends[None], self._output_ends[None] = len(self._steps), len(outputs)  # everything
         del visit  # it holds itself through its closure: free the compile state now
         self.slot_count = len(keys)
         self._single = not isinstance(exprs, dict)
@@ -397,11 +395,10 @@ class Program:
         self._const_slots = np.array([c[0] for c in consts], dtype=np.intp)
         self._const_values = np.array([c[1] for c in consts], dtype=float)[:, None]
         self._coords = np.array(coords, dtype=np.intp).reshape(-1, 2).T
-        self._groups = self._schedule(steps_ends)
+        self._groups = self._schedule()
 
-    def _schedule(self, steps_ends):
-        """Per group name, (kernel, out, args, ordinals) of each group by
-        level; a prefix of the steps is a prefix of each group."""
+    def _schedule(self):
+        """(kernel, out, args, ordinals) of each group of steps, by level."""
         level, groups = [0] * self.slot_count, {}
         for ordinal, (op, kernel, out, args, _) in enumerate(self._steps):
             lv = 1 + max(level[a] for a in args)
@@ -414,20 +411,15 @@ class Program:
             out = None if steps[0][2] is None else np.array([s[2] for s in steps])
             args = [np.array(a) for a in zip(*(s[3] for s in steps))]
             schedule.append((kernel, out, args, np.array(ordinals)))
-        return {name: [(kernel, out if out is None else out[:n], [a[:n] for a in args],
-                        ordinals[:n]) for kernel, out, args, ordinals in schedule
-                       if (n := int(np.searchsorted(ordinals, end)))]
-                for name, end in steps_ends.items()}
+        return schedule
 
-    def __call__(self, points, until=None):
+    def __call__(self, points):
         """Every expression at every point of `points`, shape (..., m).
 
         A single tree or nested sequence gives an array (..., *shape); a
-        dict gives a dict of such arrays.  With `until`, a group name of
-        a dict, only the groups up to and including it are evaluated.
-        Raises the DomainError that the lowest-index failing point (over
-        the flattened leading axes) raises on its own, with `point` set to
-        that index.
+        dict gives a dict of such arrays.  Raises the DomainError that the
+        lowest-index failing point (over the flattened leading axes)
+        raises on its own, with `point` set to that index.
         """
         points = np.asarray(points, dtype=float)
         lead = points.shape[:-1]
@@ -437,7 +429,7 @@ class Program:
         vals[self._coords[0]] = flat.T[self._coords[1]]
         faults = []
         with np.errstate(all="ignore"):
-            for kernel, out, args, ordinals in self._groups[until]:
+            for kernel, out, args, ordinals in self._groups:
                 value, checks = kernel(*[vals.take(a, axis=0) for a in args])
                 if out is not None:
                     vals[out] = value
@@ -454,12 +446,9 @@ class Program:
             err = DomainError(f"{reason} in '{to_string(node)}'", node, reason)
             err.point = first
             raise err
-        table = vals.take(self._outputs[:self._output_ends[until]], axis=0)
-        out = {}
-        for name, start, shape in self._layout:
-            out[name] = table[start:start + math.prod(shape)].T.reshape(lead + shape)
-            if name == until:
-                break
+        table = vals.take(self._outputs, axis=0)
+        out = {name: table[start:start + math.prod(shape)].T.reshape(lead + shape)
+               for name, start, shape in self._layout}
         return out[None] if self._single else out
 
 
@@ -467,8 +456,8 @@ def compile(exprs):
     """Compile expressions into one batched Program.
 
     `exprs` is an expression, a rectangular nested sequence of them, or a
-    dict of such groups; the program evaluates them all at once over a
-    stack of points.
+    dict of such groups; every run of the program evaluates them all at
+    once over a stack of points.
     """
     return Program(exprs)
 

@@ -122,8 +122,9 @@ def basis_inverse(z_values, frame_values, points):
     """
     rows = np.concatenate([z_values[..., None, :], frame_values], axis=-2)
     basis = rows.swapaxes(-1, -2)
-    fail_at_first(np.abs(np.linalg.det(basis)) < BASIS_DET_TOL, points,
-                  FrameDegenerate, "adapted basis singular")
+    with np.errstate(invalid="ignore"):  # a NaN basis inverts to NaN, without a warning
+        det = np.linalg.det(basis)
+    fail_at_first(np.abs(det) < BASIS_DET_TOL, points, FrameDegenerate, "adapted basis singular")
     return np.linalg.inv(basis)
 
 
@@ -142,7 +143,8 @@ def structure_entries(structure, observer, points=None):
     annihilated = np.max(np.abs(ov @ fm), axis=(1, 2))
     normalized = np.abs((ov @ v["z"][:, :, None])[:, 0, 0] - 1.0)
     symmetry = np.max(np.abs(h - np.swapaxes(h, -1, -2)), axis=(1, 2))
-    nondegenerate = np.maximum(0.0, METRIC_DET_MARGIN - np.abs(np.linalg.det(h)))
+    with np.errstate(invalid="ignore"):
+        nondegenerate = np.maximum(0.0, METRIC_DET_MARGIN - np.abs(np.linalg.det(h)))
     smallest = np.full(len(fm), np.nan)  # svd does not converge on a non-finite frame
     finite = np.isfinite(fm).all(axis=(1, 2))
     smallest[finite] = np.linalg.svd(fm[finite], compute_uv=False)[:, -1]

@@ -1,11 +1,14 @@
 """Named-residual checks: compatibility axioms, torsion-clock identity,
 observable round trip, and finite-difference validation of symbolic
 derivatives and of the builder's numeric spatial tensor derivatives, all
-evaluated over the structure's sample points.  The connection checks
-compile nothing: each is a function of one `Connection.state` at a stack
-of points, shape (N, m), which holds every value they read.  The clock
-check's fields are coefficient arrays with closed-form values and
-Jacobians.  `run_all` evaluates the state once for all its checks.
+evaluated over the structure's sample points.  Every connection check
+but the finite-difference one compiles nothing: each is a function of
+one `Connection.state` at a stack of points, shape (N, m), which holds
+every value they read.  The clock check's fields are coefficient arrays
+with closed-form values and Jacobians.  `run_all` evaluates the state
+once for all those checks.  The finite-difference check validates the
+derivative tables the connection's program compiles, so a wrong table
+cannot pass by being differentiated afresh.
 
 Tolerances: 1e-9 for algebraic identities, 1e-8 for metric
 compatibility, and a normalized 1e-6 for finite differences.  They are
@@ -23,7 +26,7 @@ from .connection import build_connection, nabla, observable_map
 from .errors import NewcartError
 from .expr import differentiate, is_constant
 from .expr import compile as compile_exprs
-from .geometry import field_jacobian, structure_entries, upper_pairs
+from .geometry import structure_entries, upper_pairs
 from .report import CheckReport, make_entry
 
 CLOCK_TOL = 1e-9
@@ -71,13 +74,6 @@ def _poly_values(coeffs, stack):
 def _check_field_seed(structure):
     # separate stream from the sample-point generator, still scenario-pinned
     return structure.rng_seed + 1
-
-
-def _stack(structure, points):
-    """The sample points (or `points`) as one (N, m) array."""
-    if points is None:
-        points = structure.sample_points()
-    return np.reshape(points, (-1, structure.dim))
 
 
 def check_compatibility_omega(state, structure):
@@ -147,31 +143,32 @@ def check_roundtrip(structure, observer, data, state=None):
                       deviations, image.points)
 
 
-def derivative_catalog(structure, observer=None, data=None):
-    """Every named input coefficient whose symbolic derivatives `fd_validate`
-    checks.  The connection's program uses the derivatives of the clock
-    form, observer, frame and Gram matrix, and only the data's values."""
+def derivative_catalog(connection):
+    """(label, coefficient, row) of every input coefficient whose symbolic
+    derivatives `fd_validate` checks, row[i] being its d_i.  For the clock
+    form, observer, frame and Gram matrix the row is read from the
+    connection's own tables (tau, dz, d_frame, dh), the ones its program
+    compiles; a non-constant datum, whose value alone the connection
+    reads, is differentiated here."""
+    structure, data, m = connection.structure, connection.data, connection.structure.dim
     names = structure.coord_names
-    catalog = []
-    for i, e in enumerate(structure.omega):
-        catalog.append((f"omega[{names[i]}]", e))
-    if observer is not None:
-        for k, e in enumerate(observer.components):
-            catalog.append((f"z[{names[k]}]", e))
-    for a, f in enumerate(structure.frame):
-        for k, e in enumerate(f):
-            catalog.append((f"frame{a + 1}[{names[k]}]", e))
+    catalog = [(f"omega[{names[j]}]", e, [connection.tau[i][j] for i in range(m)])
+               for j, e in enumerate(structure.omega)]
+    catalog += [(f"z[{names[k]}]", e, connection.dz[k])
+                for k, e in enumerate(connection.observer.components)]
+    catalog += [(f"frame{a + 1}[{names[k]}]", e, connection.d_frame[a][k])
+                for a, f in enumerate(structure.frame) for k, e in enumerate(f)]
     n = structure.n
-    for a in range(n):
-        for b in range(a, n):
-            catalog.append((f"h{a + 1}{b + 1}", structure.metric[a][b]))
+    catalog += [(f"h{a + 1}{b + 1}", structure.metric[a][b],
+                 [connection.dh[i][a][b] for i in range(m)])
+                for a in range(n) for b in range(a, n)]
     if data is not None:
-        for a, e in enumerate(data.gravity):
-            catalog.append((f"gravity{a + 1}", e))
-        for (a, b), e in sorted(data.coriolis.items()):
-            catalog.append((f"coriolis{a + 1}{b + 1}", e))
-        for (a, i, j), e in sorted(data.theta.items()):
-            catalog.append((f"torsion{a + 1}[{i}{j}]", e))
+        named = chain(
+            ((f"gravity{a + 1}", e) for a, e in enumerate(data.gravity)),
+            ((f"coriolis{a + 1}{b + 1}", e) for (a, b), e in sorted(data.coriolis.items())),
+            ((f"torsion{a + 1}[{i}{j}]", e) for (a, i, j), e in sorted(data.theta.items())))
+        catalog += [(label, e, [differentiate(e, i) for i in range(m)])
+                    for label, e in named if not is_constant(e)]
     return catalog
 
 
@@ -195,21 +192,23 @@ def _normalized(sym, fd):
     return np.abs(sym - fd) / np.maximum(1.0, np.abs(fd))
 
 
-def fd_validate(structure, observer=None, data=None, connection=None, points=None,
-                catalog=None):
-    """Central-difference check of every symbolic derivative in the catalog.
+def fd_validate(connection, points=None, catalog=None):
+    """Central-difference check of the symbolic derivatives in the catalog,
+    by default `derivative_catalog(connection)`, at `points`, by default the
+    structure's sample points.
 
-    With a connection, its numeric spatial tensor g is differenced too
-    and compared with its d_k g.  Residuals are normalized,
-    |sym - fd| / max(1, |fd|), which matches the tolerance
-    max(1e-6, 1e-6 |value|).  Points whose stencil leaves the domain box
-    are skipped for that direction, and so are stencils at which any of
-    the values needed cannot be evaluated.
+    For a built connection whose z, frame or h is not constant, its
+    numeric spatial tensor g is differenced too and compared with its
+    d_k g.  Residuals are normalized, |sym - fd| / max(1, |fd|), which
+    matches the tolerance max(1e-6, 1e-6 |value|).  Points whose stencil
+    leaves the domain box are skipped for that direction, and so are
+    stencils at which any of the values needed cannot be evaluated; for g
+    that is wherever any input of the connection's program is undefined.
     """
-    stack = _stack(structure, points)
+    structure, m = connection.structure, connection.structure.dim
+    stack = np.reshape(structure.sample_points() if points is None else points, (-1, m))
     if catalog is None:
-        catalog = derivative_catalog(structure, observer, data)
-    m = structure.dim
+        catalog = derivative_catalog(connection)
     lo, hi = np.array(structure.domain_box, dtype=float).reshape(m, 2).T
     inside = (stack - FD_STEP >= lo) & (stack + FD_STEP <= hi)  # [point, direction]
 
@@ -219,12 +218,12 @@ def fd_validate(structure, observer=None, data=None, connection=None, points=Non
         return out
 
     residuals, where = [], []
-    for _label, base in catalog:
+    for _label, base, row in catalog:
         if is_constant(base):
             continue
         value = compile_exprs(base)
         for i in range(m):
-            deriv = compile_exprs(differentiate(base, i))
+            deriv = compile_exprs(row[i])
             centres = stack[inside[:, i]]
             up, down = shifted(centres, i, 1.0), shifted(centres, i, -1.0)
             kept, (vu, vd, sym) = _where_defined(
@@ -232,7 +231,7 @@ def fd_validate(structure, observer=None, data=None, connection=None, points=Non
             residuals += _normalized(sym, (vu - vd) / (2.0 * FD_STEP)).tolist()
             where += list(centres[kept])
 
-    if connection is not None and not all(is_constant(e) for e in chain(
+    if connection.is_built and not all(is_constant(e) for e in chain(
             connection.observer.components, *structure.frame, *structure.metric)):
         kept, dg = _where_defined(lambda s: connection.spatial_state(stack[s])["dg"], len(stack))
         q, i = np.nonzero(inside[kept])  # stencils, point by point, then direction
@@ -249,20 +248,20 @@ def fd_validate(structure, observer=None, data=None, connection=None, points=Non
     return make_entry("derivative finite-difference check", FD_TOL, residuals, where)
 
 
-def torsion_free_feasibility(structure, points=None):
-    """Whether a symmetric compatible connection can exist at all.
+def torsion_free_feasibility(state):
+    """Whether a symmetric compatible connection can exist at all, from a
+    connection's state at a stack of points (N, m).
 
     The clock component of any compatible torsion equals the clock
     form's differential, so the request is feasible only where that
     differential vanishes.
     """
-    stack = _stack(structure, points)
-    dw = compile_exprs(field_jacobian(structure.omega))(stack)  # [k, i] = d_i w_k
-    i, j = upper_pairs(structure.dim)
+    tau = state["tau"]  # [point, i, j] = d_i w_j
+    i, j = upper_pairs(tau.shape[-1])
     # |a - b| is symmetric; a NaN difference stays NaN, so the entry fails
-    worst = np.max(np.abs(dw[:, i, j] - dw[:, j, i]), axis=1, initial=0.0)
+    worst = np.max(np.abs(tau[:, i, j] - tau[:, j, i]), axis=1, initial=0.0)
     return make_entry("torsion-free feasibility (clock form must be closed)",
-                      TORSION_TOL, worst, stack)
+                      TORSION_TOL, worst, state["p"])
 
 
 def run_all(structure, observer, data=None, connection=None, scenario_name="",
@@ -288,8 +287,7 @@ def run_all(structure, observer, data=None, connection=None, scenario_name="",
 
     if connection is None:
         connection = build_connection(structure, observer, data)
-    entries.append(fd_validate(structure, observer, data, points=points,
-                               connection=connection if connection.is_built else None))
+    entries.append(fd_validate(connection, points))
     # the checks below share this one evaluation at the sample points
     state = connection.state(points)
     entries.append(check_compatibility_omega(state, structure))
@@ -298,5 +296,5 @@ def run_all(structure, observer, data=None, connection=None, scenario_name="",
     if connection.is_built:
         entries.append(check_roundtrip(structure, observer, connection.data, state))
     if expect_torsion_free:
-        entries.append(torsion_free_feasibility(structure, points))
+        entries.append(torsion_free_feasibility(state))
     return report

@@ -153,7 +153,7 @@ def test_criterion_6_derivative_validation():
     ok = True
     for name in SCENARIOS:
         scn = _load(name)
-        entry = fd_validate(scn.structure, scn.observer, scn.data)
+        entry = fd_validate(build_connection(scn.structure, scn.observer, scn.data))
         if not entry.passed:
             ok = False
 
@@ -171,7 +171,7 @@ def test_criterion_6_derivative_validation():
     good_rule = expr_mod.FUNCTION_DERIVATIVES["sin"]
     try:
         expr_mod.FUNCTION_DERIVATIVES["sin"] = lambda u, du: mul(apply("sin", u), du)
-        mutated = fd_validate(S, z, ConnectionData.zero(1))
+        mutated = fd_validate(build_connection(S, z, ConnectionData.zero(1)))
     finally:
         expr_mod.FUNCTION_DERIVATIVES["sin"] = good_rule
     ok = ok and not mutated.passed

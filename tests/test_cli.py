@@ -86,6 +86,36 @@ def test_check_fails_on_a_nan_residual_after_the_first_point(tmp_path, capsys):
         assert np.isnan(entries[name]["max"]) and not entries[name]["pass"]
 
 
+# x^64 - x^64 is inf - inf = nan for x above about 6.4e4
+NAN_INPUT = NAN_GAMMA_SCENARIO.replace("[christoffel]\nC1_00 = x^64 - x^64\n\n", "")
+
+
+@pytest.mark.parametrize("old,new", [("h11 = 1", "h11 = 1 + x^64 - x^64"),
+                                     ("E1 = 0, 1", "E1 = 0, 1 + x^64 - x^64")],
+                         ids=["metric", "frame"])
+def test_nan_input_fails_without_numpy_warnings(tmp_path, capsys, old, new):
+    # a determinant of a nan matrix is nan: the outcome is a failing entry,
+    # nan coefficients or a numeric failure, and stderr stays empty
+    path, csv = tmp_path / "nan.scn", tmp_path / "curve.csv"
+    path.write_text(NAN_INPUT.replace(old, new), encoding="utf-8")
+    if old.startswith("h11"):
+        assert main(["check", str(path)]) == 1
+        out = capsys.readouterr()
+        assert re.search(r"metric nondegenerate +nan +nan +0e\+00  FAIL", out.out)
+        assert out.out.endswith("overall: FAIL\n") and out.err == ""
+    assert main(["connection", str(path), "--at", "0,99999"]) == 0
+    out = capsys.readouterr()
+    assert out.out.count("= nan\n") == 8 and out.err == ""
+    assert main(["observables", str(path), "--at", "0,99999"]) == 0
+    out = capsys.readouterr()
+    assert out.out == "gravity^1 = nan\ntorsion^1_tx = nan\n" and out.err == ""
+    assert main(["geodesic", str(path), "--from", "0,99999", "--vel", "1,0",
+                 "--t1", "1", "--dt", "0.1", "--out", str(csv)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ("1 states, termination: numeric_failure\n"
+                       "final position: 0.0, 99999.0\n") and out.err == ""
+
+
 def test_missing_scenario_is_exit_3(capsys):
     assert main(["check", "/no/such/file.scn"]) == 3
     assert "scenario error" in capsys.readouterr().err

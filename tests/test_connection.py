@@ -318,7 +318,7 @@ def test_kit_program_groups_do_not_grow_with_m(m):
     # steps that share a level and an operation run as one numpy operation:
     # the group count stays flat while the step count grows with m
     S, z, D = synthetic_case(m, seed=7)
-    assert len(build_connection(S, z, D).program._groups[None]) <= 12
+    assert len(build_connection(S, z, D).program._groups) <= 12
 
 
 def test_mixed_roundtrip():
@@ -342,6 +342,17 @@ def test_data_outside_the_chart_is_rejected(gravity, coriolis, theta):
         build_connection(S, z, ConnectionData(gravity, coriolis, theta))
     with pytest.raises(DimensionMismatch):
         run_all(S, z, data=ConnectionData(gravity, coriolis, theta))
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 3, 2), (3, 2, 3), (4, 3, 3)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_christoffel_table_of_the_wrong_shape_is_rejected(shape):
+    S, z = rot_structure(), rot_observer()
+    table = np.full(shape, ZERO, dtype=object).tolist()
+    with pytest.raises(DimensionMismatch):
+        connection_from_exprs(S, z, table)
+    with pytest.raises(DimensionMismatch):
+        run_all(S, z, connection=connection_from_exprs(S, z, table))
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])

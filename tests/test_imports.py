@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it does not use,
-reaches into another object's private attributes, or defines a top-level
-function or class that nothing reads."""
+reaches into another object's private attributes, defines a top-level
+function or class that nothing reads, or takes a parameter that it never
+reads."""
 
 import ast
 from pathlib import Path
@@ -91,3 +92,52 @@ def test_unread_definitions_are_found():
 def test_every_definition_is_read():
     assert unread_definitions({path.stem: path.read_text(encoding="utf-8")
                                for path in PACKAGE.glob("*.py")}) == []
+
+
+def unread_parameters(source, exempt=()):
+    """(line, function, parameter) of every parameter of a def or lambda in
+    `source` that its body never reads.  Parameters named with a leading
+    underscore and the functions named in `exempt` are skipped."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        if name in exempt:
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+                  if p is not None and not p.arg.startswith("_")]
+        body = [n for stmt in (node.body if isinstance(node.body, list) else [node.body])
+                for n in ast.walk(stmt)]
+        # x += 1 reads x through a Store target
+        read = ({n.id for n in body if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                | {n.target.id for n in body
+                   if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)})
+        unread += [(node.lineno, name, p) for p in params if p not in read]
+    return unread
+
+
+def command_handlers(cli_source):
+    """Names of the functions that the COMMANDS dict of `cli_source` maps to."""
+    for node in ast.parse(cli_source).body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                and any(isinstance(t, ast.Name) and t.id == "COMMANDS" for t in node.targets)):
+            return {v.id for v in node.value.values if isinstance(v, ast.Name)}
+    return set()
+
+
+def test_unread_parameters_are_found():
+    source = ("def f(a, b, _c, *args, d, **kw):\n    return a + kw['x']\n\n"
+              "def g(x, y):\n    x += 1\n    def inner():\n        return y\n    return inner\n\n"
+              "def handler(scn, parser):\n    return scn\n\n"
+              "h = lambda u, v: u\n\nCOMMANDS = {'run': handler}\n")
+    assert command_handlers(source) == {"handler"}
+    assert unread_parameters(source, exempt=command_handlers(source)) == [
+        (1, "f", "b"), (1, "f", "args"), (1, "f", "d"), (13, "<lambda>", "v")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_parameter_is_read(path):
+    handlers = command_handlers((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert unread_parameters(path.read_text(encoding="utf-8"), exempt=handlers) == []

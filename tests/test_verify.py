@@ -116,7 +116,7 @@ def test_roundtrip_check():
 
 def test_fd_validate_polynomial_scenarios_are_tight():
     S, z = curvedh_structure(), flat_observer()
-    entry = fd_validate(S, z, ConnectionData.zero(1))
+    entry = fd_validate(build_connection(S, z, ConnectionData.zero(1)))
     assert entry.passed
     assert entry.max_residual <= 1e-8
 
@@ -125,7 +125,7 @@ def test_fd_validate_transcendental_scenario():
     S = flat_structure()
     z = ObserverField(exprs(NAMES2, "1", "0.2*sin(x) + 0.1*exp(x/2)"))
     D = ConnectionData((parse_expr("cos(x)/4", NAMES2),), {}, {})
-    entry = fd_validate(S, z, D)
+    entry = fd_validate(build_connection(S, z, D))
     assert entry.passed
 
 
@@ -134,7 +134,7 @@ def test_fd_validate_catches_corrupted_rule(monkeypatch):
     z = ObserverField(exprs(NAMES2, "1", "0.2*sin(x)"))
     monkeypatch.setitem(expr_mod.FUNCTION_DERIVATIVES, "sin",
                         lambda u, du: mul(apply("sin", u), du))
-    entry = fd_validate(S, z, ConnectionData.zero(1))
+    entry = fd_validate(build_connection(S, z, ConnectionData.zero(1)))
     assert not entry.passed
 
 
@@ -144,11 +144,23 @@ def test_fd_validate_catches_corrupted_rule(monkeypatch):
 ])
 def test_fd_validate_catches_corrupted_spatial_tensor_derivative(S, z, D):
     # with an empty catalog only the numeric g against d_k g is checked
-    assert fd_validate(S, z, D, connection=build_connection(S, z, D), catalog=[]).passed
+    assert fd_validate(build_connection(S, z, D), catalog=[]).passed
     n = S.n
     corrupted = build_connection(S, z, D)
     corrupted.dh = [[[ZERO] * n for _ in range(n)] for _ in range(S.dim)]  # before first use
-    assert not fd_validate(S, z, D, connection=corrupted, catalog=[]).passed
+    assert not fd_validate(corrupted, catalog=[]).passed
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_fd_check_reads_the_connections_tau(m):
+    # the clock form is not closed, so a transposed tau is a wrong d omega;
+    # the clock and torsion-clock checks read the same tau, so only the FD
+    # check can see it
+    S, z, D = synthetic_case(m, 7)
+    C = build_connection(S, z, D)
+    C.tau = [list(row) for row in zip(*C.tau)]  # before first use
+    failed = [e.name for e in run_all(S, z, connection=C).entries if not e.passed]
+    assert failed == ["derivative finite-difference check"]
 
 
 def _fd_residuals_point_by_point(S, catalog, C, points):
@@ -165,7 +177,7 @@ def _fd_residuals_point_by_point(S, catalog, C, points):
         lo[i] -= FD_STEP
         return hi, lo
 
-    for _label, base in catalog:
+    for _label, base, _row in catalog:
         if is_constant(base):
             continue
         for i in range(m):
@@ -209,8 +221,8 @@ def test_fd_validate_skips_exactly_the_undefined_stencils(monkeypatch):
     captured = []
     monkeypatch.setattr(verify_mod, "make_entry",
                         lambda name, tol, residuals, where: captured.append(residuals))
-    fd_validate(S, z, D, connection=C, points=points)
-    want = _fd_residuals_point_by_point(S, verify_mod.derivative_catalog(S, z, D), C, points)
+    fd_validate(C, points)
+    want = _fd_residuals_point_by_point(S, verify_mod.derivative_catalog(C), C, points)
     # with nothing skipped: 2 catalog entries and 3 entries of g, 2 directions each
     assert 0 < len(want) < 10 * len(points)
     assert captured == [want]
@@ -255,7 +267,8 @@ def test_torsion_free_feasibility_entry():
     assert not entry.passed
     assert entry.max_residual == pytest.approx(1.0, abs=1e-12)
 
-    assert torsion_free_feasibility(flat_structure()).passed
+    assert torsion_free_feasibility(
+        build_connection(flat_structure(), flat_observer()).state()).passed
 
 
 def test_reports_are_deterministic():
@@ -395,4 +408,5 @@ def test_checks_read_the_kit_and_compile_nothing(monkeypatch, user):
     check_compatibility_metric(C.state(points))
     check_torsion_clock(C.state(points))
     observable_map(C.state(points))
+    torsion_free_feasibility(C.state(points))
     assert built == []
