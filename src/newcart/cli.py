@@ -1,8 +1,9 @@
 """Command-line surface: validate, inspect, round-trip, and integrate.
 
-Exit codes: 0 all requested checks pass, 1 a check failed, 2 usage
-errors (bad arguments, an output file that cannot be written), 3
-scenario errors (unreadable, malformed, or numerically unusable files).
+Exit codes: 0 all requested checks pass, 1 a check failed (or a curve
+failed, or a printed coefficient is not finite), 2 usage errors (bad
+arguments, an output file that cannot be written), 3 scenario errors
+(unreadable, malformed, or numerically unusable files).
 """
 
 from __future__ import annotations
@@ -81,36 +82,33 @@ def cmd_check(scn, args, parser):
     return 0 if report.passed else CHECK_FAILED
 
 
+def _print_values(lines):
+    """Print `label = value` lines; exit 1 when a value is not finite."""
+    for label, value in lines:
+        print(f"{label} = {float(value)!r}")
+    return 0 if all(math.isfinite(value) for _, value in lines) else CHECK_FAILED
+
+
 def cmd_connection(scn, args, parser):
-    p = _point(args.at, scn.structure.dim, parser, "--at")
-    conn = _connection_for(scn)
-    gamma = conn.christoffel(p)
-    names = scn.structure.coord_names
+    m, names = scn.structure.dim, scn.structure.coord_names
+    p = _point(args.at, m, parser, "--at")
+    gamma = _connection_for(scn).christoffel(p)
     print(f"coefficients at ({', '.join(repr(float(c)) for c in p)}):")
-    for k in range(scn.structure.dim):
-        for i in range(scn.structure.dim):
-            for j in range(scn.structure.dim):
-                print(f"Gamma^{names[k]}_{names[i]}{names[j]} = {float(gamma[k, i, j])!r}")
-    return 0
+    return _print_values([(f"Gamma^{names[k]}_{names[i]}{names[j]}", gamma[k, i, j])
+                          for k in range(m) for i in range(m) for j in range(m)])
 
 
 def cmd_observables(scn, args, parser):
     S = scn.structure
     p = _point(args.at, S.dim, parser, "--at")
-    conn = _connection_for(scn)
-    image = observable_map(conn.state([p]))
-    names = S.coord_names
-    for a in range(S.n):
-        print(f"gravity^{a + 1} = {float(image.gravity[0, a])!r}")
-    for a in range(S.n):
-        for b in range(a + 1, S.n):
-            print(f"coriolis_{a + 1}{b + 1} = {float(image.coriolis[0, a, b])!r}")
-    for a in range(S.n):
-        for i in range(S.dim):
-            for j in range(i + 1, S.dim):
-                value = float(image.torsion_spatial[0, a, i, j])
-                print(f"torsion^{a + 1}_{names[i]}{names[j]} = {value!r}")
-    return 0
+    image = observable_map(_connection_for(scn).state([p]))
+    names, n = S.coord_names, S.n
+    return _print_values(
+        [(f"gravity^{a + 1}", image.gravity[0, a]) for a in range(n)]
+        + [(f"coriolis_{a + 1}{b + 1}", image.coriolis[0, a, b])
+           for a in range(n) for b in range(a + 1, n)]
+        + [(f"torsion^{a + 1}_{names[i]}{names[j]}", image.torsion_spatial[0, a, i, j])
+           for a in range(n) for i in range(S.dim) for j in range(i + 1, S.dim)])
 
 
 def cmd_roundtrip(scn, args, parser):

@@ -126,8 +126,8 @@ class Connection:
     ones the finite-difference check validates.  `state` evaluates it
     over points of shape (..., m) and returns every value the checks and
     the observables read, Gamma included, with the same leading axes;
-    `coframe_state` and `spatial_state` run the same whole program and
-    stop before Gamma, so they fail wherever any input is undefined.
+    `spatial_state` runs the whole program too and stops before Gamma, so
+    it fails wherever any input is undefined.
     Gamma comes from `gamma_exprs` when given, and otherwise from the
     reduced relation of the module docstring: with coordinate fields and a
     spatial test vector its A terms reduce to the Theta data, so no
@@ -190,21 +190,15 @@ class Connection:
             "theta": [[[data.theta.get((a, i, j), ZERO) for j in range(m)]
                        for i in range(m)] for a in range(n)]})
 
-    def coframe_state(self, points):
-        """The program's values, the coframe Q (..., n, m) and g = Q^T h Q."""
+    def spatial_state(self, points):
+        """The program's values at points (..., m), the coframe Q
+        (..., n, m), g = Q^T h Q and dg[..., k, i, j] = d_k g_ij, with
+        d_k g = (d_k Q)^T h Q + Q^T (d_k h) Q + Q^T h (d_k Q)."""
         points = np.asarray(points, dtype=float)
         st = self.program(points)
         inverse = geometry.basis_inverse(st["z"], st["frame"], points)
-        coframe = inverse[..., 1:, :]  # (..., n, m); column j decomposes P d_j
-        st.update(p=points, inverse=inverse, coframe=coframe,
-                  g=coframe.swapaxes(-1, -2) @ st["h"] @ coframe)
-        return st
-
-    def spatial_state(self, points):
-        """coframe_state plus dg[..., k, i, j] = d_k g_ij, with
-        d_k g = (d_k Q)^T h Q + Q^T (d_k h) Q + Q^T h (d_k Q)."""
-        st = self.coframe_state(points)
-        inverse, coframe, h = st["inverse"], st["coframe"], st["h"]
+        coframe, h = inverse[..., 1:, :], st["h"]  # column j of Q decomposes P d_j
+        st.update(p=points, coframe=coframe, g=coframe.swapaxes(-1, -2) @ h @ coframe)
         # [..., i, k, c] = d_i B_kc
         d_basis = np.concatenate([st["dz"].swapaxes(-1, -2)[..., None],
                                   st["d_frame"].swapaxes(-1, -3)], axis=-1)

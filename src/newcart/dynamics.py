@@ -113,14 +113,11 @@ def integrate_observer_flow(structure, observer, x0, tau0, tau1, dtau):
 
     v0 = z(np.asarray(x0, dtype=float))
     traj = _integrate(field, structure.domain_box, x0, v0, tau0, tau1, dtau)
-    positions = np.array([st.position for st in traj.states])
-    try:
-        velocities = z(positions)
-    except NewcartError as err:
-        # z was defined at every state but the last, which began no step
-        velocities = np.concatenate([z(positions[:-1]), np.full((1, len(v0)), np.nan)])
-        if traj.termination == COMPLETED:
-            traj.termination, traj.error = EVALUATION_FAILURE, err
+    # z was defined at every state but the last, which began no step
+    velocities, undefined, error = z.run([st.position for st in traj.states])
+    velocities[undefined.any(axis=1)] = np.nan
+    if error is not None and traj.termination == COMPLETED:
+        traj.termination, traj.error = EVALUATION_FAILURE, error
     for st, velocity in zip(traj.states, velocities):
         st.velocity = velocity
     return traj

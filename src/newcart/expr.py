@@ -339,6 +339,8 @@ class Program:
     steps sharing a level and an operation (a ufunc, a function kernel, one
     constant exponent) run as one gather, kernel and scatter over a (slot,
     point) array; a power with a non-constant exponent is a group alone.
+    A run with a fault marks where each slot is undefined in one more pass
+    over the groups, each step ORing its arguments' marks into its slot.
     """
 
     def __init__(self, exprs):
@@ -413,6 +415,16 @@ class Program:
             schedule.append((kernel, out, args, np.array(ordinals)))
         return schedule
 
+    def run(self, points):
+        """(values, undefined, error) of one run over points (..., m):
+        the values a call returns; where, in their layout, an operation in
+        an output's cone fails at a point; the error a call raises, or None.
+        """
+        points = np.asarray(points, dtype=float)
+        table, bad, error = self._evaluate(points.reshape(-1, points.shape[-1]))
+        bad = np.zeros(table.shape, dtype=bool) if bad is None else bad
+        return self._unpack(table, points), self._unpack(bad, points), error
+
     def __call__(self, points):
         """Every expression at every point of `points`, shape (..., m).
 
@@ -422,8 +434,19 @@ class Program:
         raises on its own, with `point` set to that index.
         """
         points = np.asarray(points, dtype=float)
-        lead = points.shape[:-1]
-        flat = points.reshape(-1, points.shape[-1])
+        table, _, error = self._evaluate(points.reshape(-1, points.shape[-1]))
+        if error is not None:
+            raise error
+        return self._unpack(table, points)
+
+    def _unpack(self, table, points):
+        out = {name: table[start:start + math.prod(shape)].T.reshape(points.shape[:-1] + shape)
+               for name, start, shape in self._layout}
+        return out[None] if self._single else out
+
+    def _evaluate(self, flat):
+        """(output, point) values at points (N, m), the (output, point) mask
+        of where each is undefined (None when nothing fails), the error."""
         vals = np.empty((self.slot_count, len(flat)))
         vals[self._const_slots] = self._const_values
         vals[self._coords[0]] = flat.T[self._coords[1]]
@@ -436,20 +459,30 @@ class Program:
                 for rank, (bad, reason) in enumerate(checks):
                     if bad.any():
                         faults.append((bad, ordinals, rank, reason))
-        if faults:
-            # the lowest failing point, and there the first fault in walk order
-            first = min(int(np.argmax(bad.any(axis=0))) for bad, *_ in faults)
-            ordinal, _, reason = min((ordinals[bad[:, first]].min(), rank, reason)
-                                     for bad, ordinals, rank, reason in faults
-                                     if bad[:, first].any())
-            node = self._steps[ordinal][-1]
-            err = DomainError(f"{reason} in '{to_string(node)}'", node, reason)
-            err.point = first
-            raise err
         table = vals.take(self._outputs, axis=0)
-        out = {name: table[start:start + math.prod(shape)].T.reshape(lead + shape)
-               for name, start, shape in self._layout}
-        return out[None] if self._single else out
+        if not faults:
+            return table, None, None
+        # the lowest failing point, and there the first fault in walk order
+        first = min(int(np.argmax(bad.any(axis=0))) for bad, *_ in faults)
+        ordinal, _, reason = min((ordinals[bad[:, first]].min(), rank, reason)
+                                 for bad, ordinals, rank, reason in faults
+                                 if bad[:, first].any())
+        node = self._steps[ordinal][-1]
+        error = DomainError(f"{reason} in '{to_string(node)}'", node, reason)
+        error.point = first
+        # a zero divisor marks the quotients over it: its slot may be an output
+        quotients = {}
+        for _, kernel, out, args, _ in self._steps:
+            if kernel is _KERNELS[Div]:
+                quotients.setdefault(args[1], []).append(out)
+        undefined = np.zeros(vals.shape, dtype=bool)
+        for bad, ordinals, *_ in faults:
+            for row, (_, kernel, out, args, _) in zip(bad, (self._steps[k] for k in ordinals)):
+                undefined[quotients[args[0]] if kernel is _divisor else out] |= row
+        for _, out, args, _ in self._groups:
+            if out is not None:
+                undefined[out] |= np.logical_or.reduce([undefined[a] for a in args])
+        return table, undefined.take(self._outputs, axis=0), error
 
 
 def compile(exprs):

@@ -107,32 +107,30 @@ def fail_at_first(bad, points, error, what):
     bad = np.ravel(bad)
     if bad.any():
         k = int(np.argmax(bad))
-        err = error(f"{what} at {tuple(np.reshape(points, (bad.size, -1))[k])}")
+        err = error(f"{what} at {tuple(np.reshape(points, (bad.size, -1))[k].tolist())}")
         err.point = k
         raise err
 
 
-def basis_inverse(z_values, frame_values, points):
-    """Inverse of the m x m matrix with columns (z, E_1..E_n) at each point.
+def adapted_basis(z_values, frame_values):
+    """The matrices with columns (z, E_1..E_n), from z (..., m) and the
+    frame (..., n, m), and where they are singular: |det| < BASIS_DET_TOL."""
+    basis = np.concatenate([z_values[..., None, :], frame_values], axis=-2).swapaxes(-1, -2)
+    with np.errstate(invalid="ignore"):  # a NaN basis is not singular, and warns nothing
+        return basis, np.abs(np.linalg.det(basis)) < BASIS_DET_TOL
 
-    z_values (..., m) and frame_values (..., n, m) are the field values at
-    points (..., m).  Rows 1..n give the spatial coefficients of any
-    tangent vector; row 0 reproduces the clock form whenever the structure
-    is valid.  A basis with |det| < BASIS_DET_TOL raises FrameDegenerate.
-    """
-    rows = np.concatenate([z_values[..., None, :], frame_values], axis=-2)
-    basis = rows.swapaxes(-1, -2)
-    with np.errstate(invalid="ignore"):  # a NaN basis inverts to NaN, without a warning
-        det = np.linalg.det(basis)
-    fail_at_first(np.abs(det) < BASIS_DET_TOL, points, FrameDegenerate, "adapted basis singular")
+
+def basis_inverse(z_values, frame_values, points):
+    """Inverse of the adapted basis at points (..., m), or FrameDegenerate.
+    Rows 1..n give the spatial coefficients of any tangent vector; row 0
+    reproduces the clock form whenever the structure is valid."""
+    basis, singular = adapted_basis(z_values, frame_values)
+    fail_at_first(singular, points, FrameDegenerate, "adapted basis singular")
     return np.linalg.inv(basis)
 
 
-def structure_entries(structure, observer, points=None):
-    """Residual entries for every structure and observer invariant at
-    `points`, by default the structure's sample points."""
-    if points is None:
-        points = structure.sample_points()
+def structure_entries(structure, observer, points):
+    """Residual entries for every structure and observer invariant at `points`."""
     stack = np.reshape(points, (-1, structure.dim))
     v = compile_exprs({"omega": structure.omega, "frame": structure.frame,
                        "z": observer.components, "h": structure.metric})(stack)
@@ -172,4 +170,5 @@ def validate_structure(structure, observer, scenario_name=""):
     example h11 = 1 + sqrt(x) with x in [-1, 1]).
     """
     return CheckReport(scenario=scenario_name, seed=structure.rng_seed,
-                       entries=structure_entries(structure, observer))
+                       entries=structure_entries(structure, observer,
+                                                 structure.sample_points()))

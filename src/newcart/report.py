@@ -18,15 +18,14 @@ class CheckEntry:
     worst_point: tuple | None
 
 
-def make_entry(name, tolerance, residuals, points=None):
+def make_entry(name, tolerance, residuals, points):
     """Aggregate per-point residuals into a named entry.
 
     `residuals` is a flat sequence of non-negative values; `points` (same
-    length, optional) locates each residual so the worst one is
-    reproducible as a single-point case.  The worst residual is the first
-    maximum, where a NaN ranks above every number: the first NaN is the
-    worst residual and fails the entry.  The mean sums the residuals in
-    order.
+    length) locates each residual so the worst one is reproducible as a
+    single-point case.  The worst residual is the first maximum, where a
+    NaN ranks above every number: the first NaN is the worst residual and
+    fails the entry.  The mean sums the residuals in order.
     """
     residuals = np.ravel(np.asarray(residuals, dtype=float))
     if not residuals.size:
@@ -35,9 +34,7 @@ def make_entry(name, tolerance, residuals, points=None):
     max_res = float(residuals[worst])
     with np.errstate(over="ignore"):  # a sum past the float range is inf, as in Python
         mean_res = float(np.cumsum(residuals)[-1] / residuals.size)
-    worst_point = None
-    if points is not None:
-        worst_point = tuple(float(c) for c in points[worst])
+    worst_point = tuple(float(c) for c in points[worst])
     return CheckEntry(name, max_res, mean_res, tolerance, max_res <= tolerance, worst_point)
 
 

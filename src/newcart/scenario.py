@@ -104,6 +104,18 @@ def _number(kind, section, key, text, line, least=0, most=math.inf):
     return value
 
 
+def _indexed(sections, section, shape):
+    """(key, indices, value) of each entry of an indexed section, in file
+    order.  A key has the `shape`, each lower-case letter of it one digit."""
+    pattern = shape[0] + re.sub("[a-z]", r"(\\d)", shape[1:])
+    for key, (value, lineno) in sections.get(section, {}).items():
+        match = re.fullmatch(pattern, key)
+        if not match:
+            raise ScenarioParseError(f"{section} keys look like '{shape}'", section=section,
+                                     key=key, line=lineno)
+        yield key, tuple(int(g) for g in match.groups()), value
+
+
 def _expr_list(text, coords, section, key, want):
     parts = [part.strip() for part in text.split(",")]
     if len(parts) != want:
@@ -160,12 +172,7 @@ def load_scenario_text(text, name="scenario"):
                                 + ", ".join(sorted(extra)))
 
     metric = [[None] * n for _ in range(n)]
-    for key, (value, lineno) in sections["metric"].items():
-        match = re.fullmatch(r"h(\d)(\d)", key)
-        if not match:
-            raise ScenarioParseError("metric keys look like 'hab'", section="metric",
-                                     key=key, line=lineno)
-        a, b = int(match.group(1)), int(match.group(2))
+    for key, (a, b), value in _indexed(sections, "metric", "hab"):
         if not (1 <= a <= b <= n):
             raise DimensionMismatch(f"[metric] key {key} out of range for n = {n}")
         e = _expr(value, coords, "metric", key)
@@ -209,12 +216,7 @@ def load_scenario_text(text, name="scenario"):
                     "christoffel section cannot be combined with connection data",
                     section="christoffel")
         table = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
-        for key, (value, lineno) in sections["christoffel"].items():
-            match = re.fullmatch(r"C(\d)_(\d)(\d)", key)
-            if not match:
-                raise ScenarioParseError("christoffel keys look like 'Ck_ij'",
-                                         section="christoffel", key=key, line=lineno)
-            k, i, j = (int(match.group(g)) for g in (1, 2, 3))
+        for key, (k, i, j), value in _indexed(sections, "christoffel", "Ck_ij"):
             if not (k < m and i < m and j < m):
                 raise DimensionMismatch(f"[christoffel] key {key} out of range for m = {m}")
             table[k][i][j] = _expr(value, coords, "christoffel", key)
@@ -227,22 +229,12 @@ def load_scenario_text(text, name="scenario"):
                 raise ScenarioParseError("only key 'G' is allowed", section="gravity")
             gravity = _expr_list(sections["gravity"]["G"][0], coords, "gravity", "G", n)
         coriolis = {}
-        for key, (value, lineno) in sections.get("coriolis", {}).items():
-            match = re.fullmatch(r"w(\d)(\d)", key)
-            if not match:
-                raise ScenarioParseError("coriolis keys look like 'wab'",
-                                         section="coriolis", key=key, line=lineno)
-            a, b = int(match.group(1)), int(match.group(2))
+        for key, (a, b), value in _indexed(sections, "coriolis", "wab"):
             if not (1 <= a < b <= n):
                 raise DimensionMismatch(f"[coriolis] key {key} needs 1 <= a < b <= {n}")
             coriolis[(a - 1, b - 1)] = _expr(value, coords, "coriolis", key)
         theta = {}
-        for key, (value, lineno) in sections.get("theta", {}).items():
-            match = re.fullmatch(r"T(\d)_(\d)(\d)", key)
-            if not match:
-                raise ScenarioParseError("theta keys look like 'Ta_ij'",
-                                         section="theta", key=key, line=lineno)
-            a, i, j = (int(match.group(g)) for g in (1, 2, 3))
+        for key, (a, i, j), value in _indexed(sections, "theta", "Ta_ij"):
             if not (1 <= a <= n):
                 raise DimensionMismatch(f"[theta] frame index in {key} out of range for n = {n}")
             if not (i < j < m):

@@ -23,10 +23,9 @@ from itertools import chain
 import numpy as np
 
 from .connection import build_connection, nabla, observable_map
-from .errors import NewcartError
 from .expr import differentiate, is_constant
 from .expr import compile as compile_exprs
-from .geometry import structure_entries, upper_pairs
+from .geometry import adapted_basis, structure_entries, upper_pairs
 from .report import CheckReport, make_entry
 
 CLOCK_TOL = 1e-9
@@ -38,15 +37,15 @@ FD_STEP = 1e-5
 RANDOM_FIELD_COUNT = 5
 
 
-def random_poly_coeffs(m, seed, count=RANDOM_FIELD_COUNT):
+def random_poly_coeffs(m, seed):
     """Seeded random vector fields with polynomial components of degree <= 2,
     as arrays (c, a, b): component k of field f is
     c[f, k] + a[f, k] @ x + x @ b[f, k] @ x, with b[f, k] upper triangular."""
     rng = np.random.Generator(np.random.PCG64(seed))
     i, j = upper_pairs(m, diagonal=True)
     # one draw per term, in the order of the terms of each component
-    draws = rng.uniform(-1.0, 1.0, (count, m, 1 + m + len(i)))
-    b = np.zeros((count, m, m, m))
+    draws = rng.uniform(-1.0, 1.0, (RANDOM_FIELD_COUNT, m, 1 + m + len(i)))
+    b = np.zeros((RANDOM_FIELD_COUNT, m, m, m))
     b[..., i, j] = draws[..., 1 + m:]
     return draws[..., 0], draws[..., 1:1 + m], b
 
@@ -172,22 +171,6 @@ def derivative_catalog(connection):
     return catalog
 
 
-def _where_defined(run, count):
-    """Indices 0..count-1 at which `run` raises no NewcartError, and its result there.
-
-    `run` evaluates at an index array; an error names its failing point by
-    position in that array, which is then left out and the rest run again.
-    """
-    kept = np.arange(count)
-    while True:
-        try:
-            return kept, run(kept)
-        except NewcartError as err:
-            if err.point is None:
-                raise
-            kept = np.delete(kept, err.point)
-
-
 def _normalized(sym, fd):
     return np.abs(sym - fd) / np.maximum(1.0, np.abs(fd))
 
@@ -202,8 +185,11 @@ def fd_validate(connection, points=None, catalog=None):
     d_k g.  Residuals are normalized, |sym - fd| / max(1, |fd|), which
     matches the tolerance max(1e-6, 1e-6 |value|).  Points whose stencil
     leaves the domain box are skipped for that direction, and so are
-    stencils at which any of the values needed cannot be evaluated; for g
-    that is wherever any input of the connection's program is undefined.
+    stencils at which any of the values needed is undefined; for g that
+    is wherever any input of the connection's program is undefined or the
+    adapted basis is singular.  The centres and their stencils form one
+    grid: the catalog's coefficients run once at the stencils and their
+    rows once at the centres, and the connection's program once on all.
     """
     structure, m = connection.structure, connection.structure.dim
     stack = np.reshape(structure.sample_points() if points is None else points, (-1, m))
@@ -211,41 +197,42 @@ def fd_validate(connection, points=None, catalog=None):
         catalog = derivative_catalog(connection)
     lo, hi = np.array(structure.domain_box, dtype=float).reshape(m, 2).T
     inside = (stack - FD_STEP >= lo) & (stack + FD_STEP <= hi)  # [point, direction]
+    # [0] the centres, [1 + i] and [1 + m + i] their stencils up and down direction i
+    grid = np.array([stack] * (1 + 2 * m))
+    axis = np.arange(m)
+    grid[1 + axis, :, axis] += FD_STEP
+    grid[1 + m + axis, :, axis] -= FD_STEP
+    residuals, where = [np.empty(0)], [np.empty((0, m))]
 
-    def shifted(centres, directions, sign):
-        out = centres.copy()
-        out[np.arange(len(out)), directions] += sign * FD_STEP
-        return out
-
-    residuals, where = [], []
-    for _label, base, row in catalog:
-        if is_constant(base):
-            continue
-        value = compile_exprs(base)
-        for i in range(m):
-            deriv = compile_exprs(row[i])
-            centres = stack[inside[:, i]]
-            up, down = shifted(centres, i, 1.0), shifted(centres, i, -1.0)
-            kept, (vu, vd, sym) = _where_defined(
-                lambda s: (value(up[s]), value(down[s]), deriv(centres[s])), len(centres))
-            residuals += _normalized(sym, (vu - vd) / (2.0 * FD_STEP)).tolist()
-            where += list(centres[kept])
+    checked = [(base, row) for _label, base, row in catalog if not is_constant(base)]
+    if checked:
+        bases, rows = zip(*checked)
+        value, bad_value, _ = compile_exprs(bases).run(grid[1:])  # [stencil, point, entry]
+        sym, bad_sym, _ = compile_exprs(rows).run(stack)  # [point, entry, direction]
+        value, bad_value = value.transpose(2, 0, 1), bad_value.transpose(2, 0, 1)
+        # [entry, direction, point]
+        keep = inside.T & ~bad_value[:, :m] & ~bad_value[:, m:] & ~bad_sym.transpose(1, 2, 0)
+        fd = (value[:, :m] - value[:, m:]) / (2.0 * FD_STEP)
+        residuals.append(_normalized(sym.transpose(1, 2, 0), fd)[keep])
+        where.append(np.broadcast_to(stack, keep.shape + (m,))[keep])
 
     if connection.is_built and not all(is_constant(e) for e in chain(
             connection.observer.components, *structure.frame, *structure.metric)):
-        kept, dg = _where_defined(lambda s: connection.spatial_state(stack[s])["dg"], len(stack))
-        q, i = np.nonzero(inside[kept])  # stencils, point by point, then direction
-        centres = stack[kept][q]
-        up, down = shifted(centres, i, 1.0), shifted(centres, i, -1.0)
-        ok, (gu, gd) = _where_defined(
-            lambda s: (connection.coframe_state(up[s])["g"],
-                       connection.coframe_state(down[s])["g"]), len(q))
+        value, undefined, _ = connection.program.run(grid)
+        usable = ~adapted_basis(value["z"], value["frame"])[1]  # [row, point]
+        for bad in undefined.values():
+            usable &= ~bad.reshape(bad.shape[:2] + (-1,)).any(axis=-1)
+        st = connection.spatial_state(grid[usable])
+        at = np.cumsum(usable).reshape(usable.shape) - 1  # [row, point] -> index into st
+        # stencils, point by point, then direction
+        q, i = np.nonzero(inside & usable[0, :, None] & (usable[1:1 + m] & usable[1 + m:]).T)
         upper = (slice(None),) + upper_pairs(m, diagonal=True)
-        fd = ((gu - gd) / (2.0 * FD_STEP))[upper]
-        sym = dg[q[ok], i[ok]][upper]
-        residuals += _normalized(sym, fd).ravel().tolist()
-        where += list(np.repeat(centres[ok], fd.shape[1], axis=0))
-    return make_entry("derivative finite-difference check", FD_TOL, residuals, where)
+        fd = ((st["g"][at[1 + i, q]] - st["g"][at[1 + m + i, q]]) / (2.0 * FD_STEP))[upper]
+        sym = st["dg"][at[0, q], i][upper]
+        residuals.append(_normalized(sym, fd).ravel())
+        where.append(np.repeat(stack[q], fd.shape[1], axis=0))
+    return make_entry("derivative finite-difference check", FD_TOL,
+                      np.concatenate(residuals).tolist(), np.concatenate(where))
 
 
 def torsion_free_feasibility(state):

@@ -103,10 +103,10 @@ def test_nan_input_fails_without_numpy_warnings(tmp_path, capsys, old, new):
         out = capsys.readouterr()
         assert re.search(r"metric nondegenerate +nan +nan +0e\+00  FAIL", out.out)
         assert out.out.endswith("overall: FAIL\n") and out.err == ""
-    assert main(["connection", str(path), "--at", "0,99999"]) == 0
+    assert main(["connection", str(path), "--at", "0,99999"]) == 1
     out = capsys.readouterr()
     assert out.out.count("= nan\n") == 8 and out.err == ""
-    assert main(["observables", str(path), "--at", "0,99999"]) == 0
+    assert main(["observables", str(path), "--at", "0,99999"]) == 1
     out = capsys.readouterr()
     assert out.out == "gravity^1 = nan\ntorsion^1_tx = nan\n" and out.err == ""
     assert main(["geodesic", str(path), "--from", "0,99999", "--vel", "1,0",
@@ -114,6 +114,35 @@ def test_nan_input_fails_without_numpy_warnings(tmp_path, capsys, old, new):
     out = capsys.readouterr()
     assert out.out == ("1 states, termination: numeric_failure\n"
                        "final position: 0.0, 99999.0\n") and out.err == ""
+
+
+# the adapted basis is singular at x = 2, the Gram matrix at x = 0.5
+SINGULAR = """[spacetime]
+dim = 2
+coords = t, x
+[omega]
+O = 1, 0
+[observer]
+z = 1, 0
+[frame]
+E1 = 0, x - 2
+[metric]
+h11 = x - 0.5
+[domain]
+box = -1 1, 0 3
+"""
+
+
+def test_errors_name_the_point_in_plain_floats(tmp_path, capsys):
+    path, csv = tmp_path / "singular.scn", tmp_path / "curve.csv"
+    path.write_text(SINGULAR, encoding="utf-8")
+    assert main(["connection", str(path), "--at", "0,2"]) == 3
+    assert capsys.readouterr().err == "error: adapted basis singular at (0.0, 2.0)\n"
+    assert main(["observables", str(path), "--at", "0,0.5"]) == 3
+    assert capsys.readouterr().err == "error: spatial metric singular at (0.0, 0.5)\n"
+    assert main(["geodesic", str(path), "--from", "0,0.5", "--vel", "1,0",
+                 "--t1", "1", "--dt", "0.1", "--out", str(csv)]) == 1
+    assert capsys.readouterr().err == "error: spatial metric singular at (0.0, 0.5)\n"
 
 
 def test_missing_scenario_is_exit_3(capsys):

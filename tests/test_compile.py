@@ -241,3 +241,32 @@ def test_print_parse_roundtrip_on_random_trees(tree, pts):
             assert same_bits(first[1], second[1])
         else:
             assert first[1] == second[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.recursive(leaves, any_tree, max_leaves=8), min_size=1, max_size=3),
+       points)
+def test_run_marks_where_each_tree_alone_fails(trees, pts):
+    # the first tree's subtrees share its slots: a denominator is an output too
+    trees = trees + list(_subtrees(trees[0]))[1:]
+    pts = np.array(pts)
+    program = compile(trees)
+    values, undefined, error = program.run(pts)
+    assert values.shape == undefined.shape == (len(pts), len(trees))
+    for k, tree in enumerate(trees):
+        alone = compile(tree)
+        for q, p in enumerate(pts):
+            try:
+                value = alone(p)
+            except DomainError:
+                assert undefined[q, k]
+                continue
+            assert not undefined[q, k] and same_bits(values[q, k], value)
+    try:
+        program(pts)
+    except DomainError as err:
+        assert error is not None and undefined.any()
+        assert (str(error), error.point, error.subexpression, error.reason) == (
+            str(err), err.point, err.subexpression, err.reason)
+    else:
+        assert error is None and not undefined.any()

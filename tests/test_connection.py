@@ -280,7 +280,7 @@ def test_random_polynomial_structures_pass_and_match_koszul_rhs(m, seed, data):
     p = np.array(S.sample_points()[0])
     i, j, a = (data.draw(st.integers(0, k - 1)) for k in (m, m, S.n))
     C = build_connection(S, z, D)
-    v = C.coframe_state(p)
+    v = C.spatial_state(p)
     c = v["coframe"] @ C.christoffel(p)[:, i, j]  # frame coefficients c^b_ij
     assert C.state(p)["rhs"][i, j, a] == pytest.approx(2.0 * v["h"][a] @ c, abs=1e-12)
 

@@ -56,7 +56,7 @@ def test_inf_is_the_maximum():
 def test_mean_sums_in_order():
     # in order, each 1e-16 is lost against 1.0; a pairwise or blocked sum keeps them
     residuals = [1.0] + [1e-16] * 40
-    assert make_entry("e", 1.0, residuals).mean_residual == 1.0 / 41
+    assert make_entry("e", 1.0, residuals, _points(41)).mean_residual == 1.0 / 41
 
 
 def test_empty_residuals_pass():

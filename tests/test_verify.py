@@ -201,7 +201,7 @@ def _fd_residuals_point_by_point(S, catalog, C, points):
             if (st := stencil(p, i)) is None:
                 continue
             try:
-                fd = (C.coframe_state(st[0])["g"] - C.coframe_state(st[1])["g"]) / (2.0 * FD_STEP)
+                fd = (C.spatial_state(st[0])["g"] - C.spatial_state(st[1])["g"]) / (2.0 * FD_STEP)
             except NewcartError:
                 continue
             residuals += (np.abs(dg[i][upper] - fd[upper])
@@ -226,6 +226,44 @@ def test_fd_validate_skips_exactly_the_undefined_stencils(monkeypatch):
     # with nothing skipped: 2 catalog entries and 3 entries of g, 2 directions each
     assert 0 < len(want) < 10 * len(points)
     assert captured == [want]
+
+
+def test_fd_validate_skips_stencils_where_the_basis_is_singular(monkeypatch):
+    S = dataclasses.replace(flat_structure(samples=20), domain_box=((0.0, 1.0), (0.0, 1.0)))
+    # E1 vanishes at c, the upper x stencil point of the first sample
+    c = float(S.sample_points()[0][1] + FD_STEP)
+    assert c == 0.2368205065960997
+    S = dataclasses.replace(S, frame=(exprs(NAMES2, "0", f"x - {c!r}"),))
+    report = run_all(S, flat_observer())
+    assert report.passed
+    fd = next(e for e in report.entries if e.name == "derivative finite-difference check")
+    assert fd.max_residual == pytest.approx(6.101e-07, rel=1e-3)
+    C = build_connection(S, flat_observer())
+    captured = []
+    monkeypatch.setattr(verify_mod, "make_entry",
+                        lambda name, tol, residuals, where: captured.append(residuals))
+    fd_validate(C)
+    want = _fd_residuals_point_by_point(S, verify_mod.derivative_catalog(C), C,
+                                        S.sample_points())
+    assert captured == [want]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_fd_validate_compiles_at_most_two_programs(m, monkeypatch):
+    S, z, D = synthetic_case(m, 7)
+    C = build_connection(S, z, D)
+    compiled, init = [], expr_mod.Program.__init__
+
+    def counting(self, exprs):
+        compiled.append(self)
+        init(self, exprs)
+
+    monkeypatch.setattr(expr_mod.Program, "__init__", counting)
+    fd_validate(C)  # the connection's own program is compiled on first use
+    assert len(compiled) <= 3 and any(p is C.program for p in compiled)
+    compiled.clear()
+    fd_validate(C)
+    assert len(compiled) <= 2
 
 
 def test_run_all_passes_on_healthy_scenarios():
