@@ -72,6 +72,26 @@ def nabla(gamma, dy, x, y):
             + np.einsum("...kij,...i,...j->...k", gamma, x, y))
 
 
+def spatial_state(values, points):
+    """The values of one run of a connection's program at points (..., m),
+    with p, the coframe Q (..., n, m), g = Q^T h Q and dg[..., k, i, j] =
+    d_k g_ij added in place, from d_k g = (d_k Q)^T h Q + Q^T (d_k h) Q +
+    Q^T h (d_k Q)."""
+    inverse = geometry.basis_inverse(values["z"], values["frame"], points)
+    coframe, h = inverse[..., 1:, :], values["h"]  # column j of Q decomposes P d_j
+    values.update(p=points, coframe=coframe, g=coframe.swapaxes(-1, -2) @ h @ coframe)
+    # [..., i, k, c] = d_i B_kc
+    d_basis = np.concatenate([values["dz"].swapaxes(-1, -2)[..., None],
+                              values["d_frame"].swapaxes(-1, -3)], axis=-1)
+    inv_i = inverse[..., None, :, :]  # broadcast over the derivative index
+    d_coframe = -(inv_i @ d_basis @ inv_i)[..., 1:, :]  # (..., m, n, m)
+    coframe_i = coframe[..., None, :, :]
+    half = d_coframe.swapaxes(-1, -2) @ h[..., None, :, :] @ coframe_i
+    values["dg"] = (half + half.swapaxes(-1, -2)
+                    + coframe_i.swapaxes(-1, -2) @ values["dh"] @ coframe_i)
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class ConnectionData:
     """Coordinates of a connection under the observable map.
@@ -108,13 +128,6 @@ class ConnectionData:
             return self.coriolis.get((a, b), ZERO)
         return neg(self.coriolis.get((b, a), ZERO))
 
-    def theta_entry(self, a, i, j):
-        if i == j:
-            return ZERO
-        if i < j:
-            return self.theta.get((a, i, j), ZERO)
-        return neg(self.theta.get((a, j, i), ZERO))
-
 
 class Connection:
     """The geometric state of a connection, and its coefficients Gamma^k_ij.
@@ -123,11 +136,13 @@ class Connection:
     need not be symmetric.  The input (with zero data when the connection
     has none) and its symbolic first derivatives dz, d_frame, dh and
     tau = d omega are compiled into one program; these tables are the
-    ones the finite-difference check validates.  `state` evaluates it
-    over points of shape (..., m) and returns every value the checks and
-    the observables read, Gamma included, with the same leading axes;
-    `spatial_state` runs the whole program too and stops before Gamma, so
-    it fails wherever any input is undefined.
+    ones the finite-difference check validates.  `state` runs it once
+    over points of shape (..., m), so it fails wherever any input is
+    undefined, and returns every value the checks and the observables
+    read, `spatial_state`'s and Gamma's, with the same leading axes.  The
+    data enter the state as point values only: gravity (..., n), coriolis
+    (..., n, n) and theta (..., n, m, m), the layout `observable_map`
+    returns.
     Gamma comes from `gamma_exprs` when given, and otherwise from the
     reduced relation of the module docstring: with coordinate fields and a
     spatial test vector its A terms reduce to the Theta data, so no
@@ -190,36 +205,16 @@ class Connection:
             "theta": [[[data.theta.get((a, i, j), ZERO) for j in range(m)]
                        for i in range(m)] for a in range(n)]})
 
-    def spatial_state(self, points):
-        """The program's values at points (..., m), the coframe Q
-        (..., n, m), g = Q^T h Q and dg[..., k, i, j] = d_k g_ij, with
-        d_k g = (d_k Q)^T h Q + Q^T (d_k h) Q + Q^T h (d_k Q)."""
-        points = np.asarray(points, dtype=float)
-        st = self.program(points)
-        inverse = geometry.basis_inverse(st["z"], st["frame"], points)
-        coframe, h = inverse[..., 1:, :], st["h"]  # column j of Q decomposes P d_j
-        st.update(p=points, coframe=coframe, g=coframe.swapaxes(-1, -2) @ h @ coframe)
-        # [..., i, k, c] = d_i B_kc
-        d_basis = np.concatenate([st["dz"].swapaxes(-1, -2)[..., None],
-                                  st["d_frame"].swapaxes(-1, -3)], axis=-1)
-        inv_i = inverse[..., None, :, :]  # broadcast over the derivative index
-        d_coframe = -(inv_i @ d_basis @ inv_i)[..., 1:, :]  # (..., m, n, m)
-        coframe_i = coframe[..., None, :, :]
-        half = d_coframe.swapaxes(-1, -2) @ h[..., None, :, :] @ coframe_i
-        st["dg"] = (half + half.swapaxes(-1, -2)
-                    + coframe_i.swapaxes(-1, -2) @ st["dh"] @ coframe_i)
-        return st
-
     def state(self, points=None):
-        """spatial_state at `points`, by default the structure's sample
-        points, with gamma (..., m, m, m); a built connection adds rhs
-        (..., m, m, n), the right-hand side 2<P(nabla_i d_j), E_b> of the
-        reduced relation."""
-        if points is None:
-            points = self.structure.sample_points()
+        """spatial_state of one program run at `points`, by default the
+        structure's sample points, with gamma (..., m, m, m); a built
+        connection adds rhs (..., m, m, n), the right-hand side
+        2<P(nabla_i d_j), E_b> of the reduced relation."""
+        points = np.asarray(self.structure.sample_points() if points is None else points,
+                            dtype=float)
         # a user table runs before the input, so that its errors come first
         gamma = None if self._user is None else self._user(points)
-        st = self.spatial_state(points)
+        st = spatial_state(self.program(points), points)
         if gamma is not None:
             st["gamma"] = gamma
             return st
@@ -279,38 +274,13 @@ def connection_from_exprs(structure, observer, gamma_exprs):
     return Connection(structure, observer, gamma_exprs=gamma_exprs)
 
 
-@dataclass
-class ObservableImage:
-    """(gravity, Coriolis, spatial torsion) of a connection at sample points."""
-
-    points: list
-    gravity: np.ndarray          # (N, n) frame coefficients of nabla_z z
-    coriolis: np.ndarray         # (N, n, n), antisymmetric per point
-    torsion_spatial: np.ndarray  # (N, n, m, m): coefficients of P(Tor(d_i, d_j))
-
-    def deviations(self, data, structure):
-        """Per-point max deviation of the image from a data triple."""
-        n, m = structure.n, structure.dim
-        pairs = upper_pairs(n)
-        planes = np.array([(a, i, j) for a in range(n) for i in range(m)
-                           for j in range(i + 1, m)], dtype=int).reshape(-1, 3).T
-        want = compile_exprs({
-            "gravity": data.gravity,
-            "coriolis": [data.coriolis_entry(a, b) for a, b in zip(*pairs)],
-            "theta": [data.theta_entry(a, i, j) for a, i, j in zip(*planes)],
-        })(np.reshape(self.points, (-1, m)))
-        diffs = np.concatenate([
-            self.gravity - want["gravity"],
-            self.coriolis[:, pairs[0], pairs[1]] - want["coriolis"],
-            self.torsion_spatial[:, planes[0], planes[1], planes[2]] - want["theta"]],
-            axis=1)
-        # a NaN deviation stays NaN, so the round trip fails there
-        return np.max(np.abs(diffs), axis=1, initial=0.0)
-
-
 def observable_map(state):
     """The observable triple of a connection from its state at a stack of
-    points, shape (N, m)."""
+    points, shape (N, m), in the layout of the state's own data: gravity
+    (N, n) holds the frame coefficients of nabla_z z, coriolis (N, n, n)
+    the antisymmetric <nabla_{E_a} z, E_b>, and theta (N, n, m, m) the frame
+    coefficients of P(Tor(d_i, d_j)) at i < j and 0 elsewhere.  So
+    `{**state, **observable_map(state)}` is a state whose data are the image."""
     coframe, gamma = state["coframe"], state["gamma"]
     n, m = coframe.shape[-2:]
     zv = state["z"][:, None, :]
@@ -318,15 +288,12 @@ def observable_map(state):
     # nabla_z z, then nabla_{E_a} z for every frame direction
     directions = np.concatenate([zv, state["frame"]], axis=1)
     nz = nabla(gamma[:, None], state["dz"][:, None], directions, zv)  # (N, 1 + n, m)
-    grav_img = (coframe @ nz[:, 0, :, None])[..., 0]
     coeff_nz = coframe @ np.swapaxes(nz[:, 1:], -1, -2)  # column a decomposes nabla_{E_a} z
     pairing = np.swapaxes(coeff_nz, -1, -2) @ state["h"]  # [a, b] = <nabla_{E_a} z, E_b>
-    cor_img = 0.5 * (pairing - np.swapaxes(pairing, -1, -2))
 
     i, j = upper_pairs(m)
-    coeffs = coframe @ (gamma[:, :, i, j] - gamma[:, :, j, i])  # (N, n, pairs)
-    tor_img = np.zeros((len(gamma), n, m, m))
-    tor_img[:, :, i, j] = coeffs
-    tor_img[:, :, j, i] = -coeffs
-    return ObservableImage(points=list(state["p"]), gravity=grav_img,
-                           coriolis=cor_img, torsion_spatial=tor_img)
+    theta = np.zeros((len(gamma), n, m, m))
+    theta[:, :, i, j] = coframe @ (gamma[:, :, i, j] - gamma[:, :, j, i])
+    return {"gravity": (coframe @ nz[:, 0, :, None])[..., 0],
+            "coriolis": 0.5 * (pairing - np.swapaxes(pairing, -1, -2)),
+            "theta": theta}

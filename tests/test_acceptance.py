@@ -62,7 +62,8 @@ def test_criterion_3_roundtrip_and_injectivity():
         scn = _load(name)
         if scn.data.theta:
             saw_nonzero_theta = True
-        entry = check_roundtrip(scn.structure, scn.observer, scn.data)
+        entry = check_roundtrip(
+            build_connection(scn.structure, scn.observer, scn.data).state())
         if not entry.passed:
             failures.append((name, entry.max_residual))
     ok = not failures and saw_nonzero_theta

@@ -116,6 +116,30 @@ def test_nan_input_fails_without_numpy_warnings(tmp_path, capsys, old, new):
                        "final position: 0.0, 99999.0\n") and out.err == ""
 
 
+@pytest.mark.parametrize("name,old,new,argv,code,err", [
+    ("twist", "E1 = 0, 1, 0", "E1 = 0, 1e300*x, 0", ["check"], 1, ""),
+    ("grav", "G = 9.8", "G = exp(1000*x)", ["check"], 3,
+     "error: exp overflow in 'exp(1000.0*x)'\n"),
+    ("grav", "O = 1, 0", "O = -1e308, 0", ["connection", "--at", "0.3,0.3"], 1, ""),
+    ("curvedh", "z = 1, 0", "z = 1, 1e308",
+     ["flow", "--from", "0.3,0.3", "--t1", "0.3", "--dt", "0.05"], 1, ""),
+    ("grav", "E1 = 0, 1", "E1 = 1e300*x, 1", ["observables", "--at", "0.3,0.3"], 0, ""),
+], ids=["check-fails", "check-error", "connection", "flow", "observables"])
+def test_overflowing_input_prints_no_numpy_warnings(tmp_path, capsys, name, old, new, argv,
+                                                    code, err):
+    # each outcome is a failing entry, a non-finite printed value, a numeric
+    # failure or the error line; the overflow on the way warns nothing
+    text = bundled_scenario_path(name).read_text(encoding="utf-8")
+    assert text.count(f"\n{old}\n") == 1
+    path = tmp_path / "overflow.scn"
+    path.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"), encoding="utf-8")
+    command, *options = argv
+    if command == "flow":
+        options += ["--out", str(tmp_path / "curve.csv")]
+    assert main([command, str(path), *options]) == code
+    assert capsys.readouterr().err == err
+
+
 # the adapted basis is singular at x = 2, the Gram matrix at x = 0.5
 SINGULAR = """[spacetime]
 dim = 2

@@ -12,11 +12,12 @@ from conftest import (NAMES2, NAMES3, brute_force_gamma, coord_field, exprs,
                       rot_observer, rot_structure, synthetic_case,
                       twist_structure)
 from newcart.connection import (ConnectionData, build_connection,
-                                connection_from_exprs, observable_map, nabla)
+                                connection_from_exprs, observable_map, nabla,
+                                spatial_state)
 from newcart.errors import DimensionMismatch, MetricSingular
 from newcart.expr import Const, ZERO, differentiate, evaluate, parse_expr
 from newcart.geometry import ObserverField, SpacetimeStructure
-from newcart.verify import run_all
+from newcart.verify import check_roundtrip, run_all
 from reference import (covariant_derivative, eval_fields, frame_decompose,
                        metric_matrix, omega_apply, project_spatial, torsion_at)
 
@@ -149,9 +150,9 @@ def test_rot_roundtrip_and_coriolis():
     D = ConnectionData((ZERO, ZERO), {(0, 1): Const(0.5)}, {})
     C = build_connection(S, z, D)
     image = observable_map(C.state())
-    assert image.deviations(D, S).max() <= 1e-9
+    assert check_roundtrip(C.state()).max_residual <= 1e-9
     # the frame is E_1 = d_x, E_2 = d_y; the first row is the first sample point
-    coriolis = image.coriolis[0]
+    coriolis = image["coriolis"][0]
     assert coriolis[0, 1] == pytest.approx(0.5, abs=1e-9)
     assert coriolis[0, 0] == pytest.approx(0.0, abs=1e-12)
 
@@ -160,7 +161,7 @@ def test_rot_with_theta_roundtrip():
     S, z = rot_structure(), rot_observer()
     D = ConnectionData((ZERO, ZERO), {(0, 1): Const(0.5)}, {(0, 1, 2): Const(0.3)})
     C = build_connection(S, z, D)
-    assert observable_map(C.state()).deviations(D, S).max() <= 1e-9
+    assert check_roundtrip(C.state()).max_residual <= 1e-9
 
 
 # --- covariant derivative ---------------------------------------------------
@@ -280,7 +281,7 @@ def test_random_polynomial_structures_pass_and_match_koszul_rhs(m, seed, data):
     p = np.array(S.sample_points()[0])
     i, j, a = (data.draw(st.integers(0, k - 1)) for k in (m, m, S.n))
     C = build_connection(S, z, D)
-    v = C.spatial_state(p)
+    v = spatial_state(C.program(p), p)
     c = v["coframe"] @ C.christoffel(p)[:, i, j]  # frame coefficients c^b_ij
     assert C.state(p)["rhs"][i, j, a] == pytest.approx(2.0 * v["h"][a] @ c, abs=1e-12)
 
@@ -324,7 +325,7 @@ def test_kit_program_groups_do_not_grow_with_m(m):
 def test_mixed_roundtrip():
     S, z, D = mixed_structure(), mixed_observer(), mixed_data()
     C = build_connection(S, z, D)
-    assert observable_map(C.state()).deviations(D, S).max() <= 1e-9
+    assert check_roundtrip(C.state()).max_residual <= 1e-9
 
 
 @pytest.mark.parametrize("gravity,coriolis,theta", [
@@ -372,12 +373,12 @@ def test_observables_match_the_reference(m):
                           for i in range(m)]).T
         assert np.max(np.abs(lstsq - state["coframe"][q])) <= tol
         gravity = frame_decompose(S, covariant_derivative(C, z.components, z.components, p), p)
-        assert np.max(np.abs(gravity - image.gravity[q])) <= tol
+        assert np.max(np.abs(gravity - image["gravity"][q])) <= tol
         for i in range(m):
             for j in range(i + 1, m):
                 tor = frame_decompose(S, project_spatial(
                     S, z, torsion_at(C, fields[i], fields[j], p), p), p)
-                assert np.max(np.abs(tor - image.torsion_spatial[q][:, i, j])) <= tol
+                assert np.max(np.abs(tor - image["theta"][q][:, i, j])) <= tol
 
 
 def test_metric_singular_raises():
@@ -468,4 +469,4 @@ def test_numeric_g_is_inner_product_of_projected_coordinate_fields(S, z, D):
                   for i in range(m)]
         h = metric_matrix(S, p)
         want = np.array([[ci @ h @ cj for cj in coeffs] for ci in coeffs])
-        assert np.max(np.abs(C.spatial_state(p)["g"] - want)) <= 1e-12
+        assert np.max(np.abs(spatial_state(C.program(p), p)["g"] - want)) <= 1e-12

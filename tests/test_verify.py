@@ -13,12 +13,13 @@ from conftest import (NAMES2, NAMES3, exprs, flat_observer, flat_structure,
 import newcart.expr as expr_mod
 import newcart.verify as verify_mod
 from newcart.connection import (Connection, ConnectionData, build_connection,
-                                connection_from_exprs, observable_map)
-from newcart.errors import NewcartError
+                                connection_from_exprs, observable_map, spatial_state)
+from newcart.errors import DomainError, NewcartError
 from newcart.expr import (Const, Coord, ZERO, apply, differentiate, evaluate,
                           is_constant, mul, parse_expr, to_string)
 from newcart.expr import compile as compile_exprs
 from newcart.geometry import ObserverField, SpacetimeStructure, field_jacobian
+from newcart.scenario import bundled_scenario_path, load_scenario_text
 from newcart.verify import (FD_STEP, check_compatibility_metric,
                             check_compatibility_omega, check_roundtrip,
                             check_torsion_clock, fd_validate, random_poly_coeffs,
@@ -103,15 +104,28 @@ def test_theorem1_check():
 
 def test_roundtrip_check():
     S, z = flat_structure(), flat_observer()
-    entry = check_roundtrip(S, z, ConnectionData.zero(1))
+    entry = check_roundtrip(build_connection(S, z, ConnectionData.zero(1)).state())
     assert entry.passed and entry.max_residual == 0.0
 
-    entry = check_roundtrip(S, z, gravity_data(-9.8))
+    entry = check_roundtrip(build_connection(S, z, gravity_data(-9.8)).state())
     assert entry.passed
 
     S, z = rot_structure(), rot_observer()
     D = ConnectionData((ZERO, ZERO), {(0, 1): Const(0.5)}, {(0, 1, 2): Const(0.3)})
-    assert check_roundtrip(S, z, D).passed
+    assert check_roundtrip(build_connection(S, z, D).state()).passed
+
+
+@pytest.mark.parametrize("group,index", [("gravity", (slice(None), 0)),
+                                         ("coriolis", (slice(None), 0, 1)),
+                                         ("theta", (slice(None), 0, 0, 2))])
+def test_roundtrip_fails_when_a_datum_moves_after_gamma(group, index):
+    state = build_connection(mixed_structure(), mixed_observer(), mixed_data()).state()
+    assert check_roundtrip(state).max_residual <= 1e-15
+    shifted = state[group].copy()
+    shifted[index] += 1e-6
+    entry = check_roundtrip({**state, group: shifted})
+    assert not entry.passed
+    assert entry.max_residual == pytest.approx(1e-6, abs=1e-12)
 
 
 def test_fd_validate_polynomial_scenarios_are_tight():
@@ -194,14 +208,15 @@ def _fd_residuals_point_by_point(S, catalog, C, points):
     upper = np.triu_indices(m)
     for p in points:
         try:
-            dg = C.spatial_state(p)["dg"]
+            dg = spatial_state(C.program(p), p)["dg"]
         except NewcartError:
             continue
         for i in range(m):
             if (st := stencil(p, i)) is None:
                 continue
             try:
-                fd = (C.spatial_state(st[0])["g"] - C.spatial_state(st[1])["g"]) / (2.0 * FD_STEP)
+                fd = (spatial_state(C.program(st[0]), st[0])["g"]
+                      - spatial_state(C.program(st[1]), st[1])["g"]) / (2.0 * FD_STEP)
             except NewcartError:
                 continue
             residuals += (np.abs(dg[i][upper] - fd[upper])
@@ -264,6 +279,32 @@ def test_fd_validate_compiles_at_most_two_programs(m, monkeypatch):
     compiled.clear()
     fd_validate(C)
     assert len(compiled) <= 2
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_built_run_all_compiles_four_programs_and_runs_five(m, monkeypatch):
+    # structure validation, the FD catalog's coefficients and rows, and the
+    # connection's program; that program runs once over the FD grid and once
+    # for the shared state
+    compiled, runs = [], []
+    program = expr_mod.Program
+    init, call, run = program.__init__, program.__call__, program.run
+    monkeypatch.setattr(program, "__init__",
+                        lambda self, exprs: (compiled.append(1), init(self, exprs))[1])
+    monkeypatch.setattr(program, "__call__",
+                        lambda self, points: (runs.append(1), call(self, points))[1])
+    monkeypatch.setattr(program, "run", lambda self, points: (runs.append(1), run(self, points))[1])
+    S, z, D = synthetic_case(m, 7)
+    assert run_all(S, z, data=D).passed
+    assert len(compiled) <= 4 and len(runs) <= 5
+
+
+def test_run_all_on_overflowing_data_raises_only_its_domain_error():
+    # FD differences the masked stencil values without a numpy warning
+    text = bundled_scenario_path("grav").read_text(encoding="utf-8")
+    scn = load_scenario_text(text.replace("G = 9.8\n", "G = exp(1000*x)\n"))
+    with pytest.raises(DomainError, match="exp overflow"):
+        run_all(scn.structure, scn.observer, data=scn.data)
 
 
 def test_run_all_passes_on_healthy_scenarios():
@@ -424,7 +465,7 @@ def test_run_all_evaluates_gamma_once(monkeypatch):
     points = S.sample_points()
     alone = [check_compatibility_omega(C.state(points), S),
              check_compatibility_metric(C.state(points)), check_torsion_clock(C.state(points)),
-             check_roundtrip(S, z, mixed_data(), C.state(points))]
+             check_roundtrip(C.state(points))]
     assert report.entries[-4:] == alone
 
 
@@ -447,4 +488,6 @@ def test_checks_read_the_kit_and_compile_nothing(monkeypatch, user):
     check_torsion_clock(C.state(points))
     observable_map(C.state(points))
     torsion_free_feasibility(C.state(points))
+    if not user:
+        check_roundtrip(C.state(points))
     assert built == []
