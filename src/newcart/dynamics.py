@@ -111,8 +111,8 @@ def integrate_observer_flow(structure, observer, x0, tau0, tau1, dtau):
         zv = z(x)
         return zv, np.zeros_like(zv)
 
-    v0 = z(np.asarray(x0, dtype=float))
-    traj = _integrate(field, structure.domain_box, x0, v0, tau0, tau1, dtau)
+    # the field ignores v, and every stored velocity is set from z below
+    traj = _integrate(field, structure.domain_box, x0, np.zeros(len(x0)), tau0, tau1, dtau)
     # z was defined at every state but the last, which began no step
     velocities, undefined, error = z.run([st.position for st in traj.states])
     velocities[undefined.any(axis=1)] = np.nan

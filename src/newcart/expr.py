@@ -582,7 +582,11 @@ def to_string(e, names=None):
     def s_base(node):
         t = type(node)
         if t is Const:
-            return repr(node.value)
+            value = node.value
+            if math.isfinite(value):
+                return repr(value)
+            # a folded overflow: 1e999 parses as inf, and inf - inf is nan
+            return "(1e999 - 1e999)" if value != value else ("-1e999" if value < 0 else "1e999")
         if t is Coord:
             return cname(node.index)
         if t is Neg:

@@ -1,15 +1,16 @@
 """Named-residual checks: compatibility axioms, torsion-clock identity,
-observable round trip, and finite-difference validation of symbolic
-derivatives and of the builder's numeric spatial tensor derivatives, all
-evaluated over the structure's sample points.  Every connection check
-but the finite-difference one compiles nothing: each is a function of
-one `Connection.state` at a stack of points, shape (N, m), which holds
-every value they read.  The clock check's fields are coefficient arrays
-with closed-form values and Jacobians, and the round trip compares the
-observable image with the data values the state holds.  `run_all`
-evaluates the state once for all those checks.  The finite-difference check validates the
-derivative tables the connection's program compiles, so a wrong table
-cannot pass by being differentiated afresh.
+observable round trip, and finite-difference validation of the symbolic
+derivative tables and of the builder's numeric spatial tensor
+derivatives, all evaluated over the structure's sample points.  No
+connection check compiles anything: each is a function of one
+`Connection.state` at a stack of points, shape (N, m), which holds every
+value they read.  The clock check's fields are coefficient arrays with
+closed-form values and Jacobians, and the round trip compares the
+observable image with the data values the state holds.  The
+finite-difference check reads the derivative tables of that state, the
+ones the connection's program compiles, so a wrong table cannot pass by
+being differentiated afresh; it runs the program once more, at the
+stencils only.  `run_all` evaluates the state once for all the checks.
 
 Tolerances: 1e-9 for algebraic identities, 1e-8 for metric
 compatibility, and a normalized 1e-6 for finite differences.  They are
@@ -23,9 +24,8 @@ from itertools import chain
 
 import numpy as np
 
-from .connection import build_connection, nabla, observable_map, spatial_state
-from .expr import differentiate, is_constant
-from .expr import compile as compile_exprs
+from .connection import build_connection, nabla, observable_map
+from .expr import is_constant
 from .geometry import adapted_basis, structure_entries, upper_pairs
 from .report import CheckReport, make_entry
 
@@ -150,32 +150,22 @@ def check_roundtrip(state):
 
 
 def derivative_catalog(connection):
-    """(label, coefficient, row) of every input coefficient whose symbolic
-    derivatives `fd_validate` checks, row[i] being its d_i.  For the clock
-    form, observer, frame and Gram matrix the row is read from the
-    connection's own tables (tau, dz, d_frame, dh), the ones its program
-    compiles; a non-constant datum, whose value alone the connection
-    reads, is differentiated here."""
-    structure, data, m = connection.structure, connection.data, connection.structure.dim
+    """(label, coefficient, group, index) of every input coefficient whose
+    derivatives `fd_validate` checks: the clock form, the observer, the
+    frame and the Gram matrix at a <= b.  `group` and `index` locate the
+    entry among the outputs of the connection's program; its row, d_i at
+    [point, i], is read from the state's own tables (tau, dz, d_frame,
+    dh), the ones that program compiles.  The data have no entry: the
+    connection reads their values only."""
+    structure, n = connection.structure, connection.structure.n
     names = structure.coord_names
-    catalog = [(f"omega[{names[j]}]", e, [connection.tau[i][j] for i in range(m)])
-               for j, e in enumerate(structure.omega)]
-    catalog += [(f"z[{names[k]}]", e, connection.dz[k])
-                for k, e in enumerate(connection.observer.components)]
-    catalog += [(f"frame{a + 1}[{names[k]}]", e, connection.d_frame[a][k])
-                for a, f in enumerate(structure.frame) for k, e in enumerate(f)]
-    n = structure.n
-    catalog += [(f"h{a + 1}{b + 1}", structure.metric[a][b],
-                 [connection.dh[i][a][b] for i in range(m)])
-                for a in range(n) for b in range(a, n)]
-    if data is not None:
-        named = chain(
-            ((f"gravity{a + 1}", e) for a, e in enumerate(data.gravity)),
-            ((f"coriolis{a + 1}{b + 1}", e) for (a, b), e in sorted(data.coriolis.items())),
-            ((f"torsion{a + 1}[{i}{j}]", e) for (a, i, j), e in sorted(data.theta.items())))
-        catalog += [(label, e, [differentiate(e, i) for i in range(m)])
-                    for label, e in named if not is_constant(e)]
-    return catalog
+    return ([(f"omega[{names[j]}]", e, "omega", (j,)) for j, e in enumerate(structure.omega)]
+            + [(f"z[{names[k]}]", e, "z", (k,))
+               for k, e in enumerate(connection.observer.components)]
+            + [(f"frame{a + 1}[{names[k]}]", e, "frame", (a, k))
+               for a, f in enumerate(structure.frame) for k, e in enumerate(f)]
+            + [(f"h{a + 1}{b + 1}", structure.metric[a][b], "h", (a, b))
+               for a in range(n) for b in range(a, n)])
 
 
 def _normalized(sym, up, down):
@@ -187,60 +177,64 @@ def _normalized(sym, up, down):
         return np.abs(sym - fd) / np.maximum(1.0, np.abs(fd))
 
 
-def fd_validate(connection, points=None, catalog=None):
-    """Central-difference check of the symbolic derivatives in the catalog,
-    by default `derivative_catalog(connection)`, at `points`, by default the
-    structure's sample points.
+def fd_validate(connection, state):
+    """Central-difference check of the derivative tables in a connection's
+    state at a stack of points, shape (N, m): the rows of
+    `derivative_catalog(connection)` for every non-constant coefficient,
+    and, for a built connection whose z, frame or h is not constant, the
+    numeric d_k g against the differenced spatial tensor g.
 
-    For a built connection whose z, frame or h is not constant, its
-    numeric spatial tensor g is differenced too and compared with its
-    d_k g.  Residuals are normalized, |sym - fd| / max(1, |fd|), which
-    matches the tolerance max(1e-6, 1e-6 |value|).  Points whose stencil
-    leaves the domain box are skipped for that direction, and so are
-    stencils at which any of the values needed is undefined; for g that
-    is wherever any input of the connection's program is undefined or the
-    adapted basis is singular.  The centres and their stencils form one
-    grid: the catalog's coefficients run once at the stencils and their
-    rows once at the centres, and the connection's program once on all.
+    Residuals are normalized, |sym - fd| / max(1, |fd|), which matches
+    the tolerance max(1e-6, 1e-6 |value|).  Points whose stencil leaves
+    the domain box are skipped for that direction, and so are stencils at
+    which any of the values needed is undefined; for g that is wherever
+    any input of the connection's program is undefined or the adapted
+    basis is singular.  The connection's program runs once, over the 2m
+    stencils of every point, and there only the coframe and g = Q^T h Q
+    are formed.
     """
-    structure, m = connection.structure, connection.structure.dim
-    stack = np.reshape(structure.sample_points() if points is None else points, (-1, m))
-    if catalog is None:
-        catalog = derivative_catalog(connection)
+    structure, stack = connection.structure, state["p"]
+    m = structure.dim
     lo, hi = np.array(structure.domain_box, dtype=float).reshape(m, 2).T
     inside = (stack - FD_STEP >= lo) & (stack + FD_STEP <= hi)  # [point, direction]
-    # [0] the centres, [1 + i] and [1 + m + i] their stencils up and down direction i
-    grid = np.array([stack] * (1 + 2 * m))
-    axis = np.arange(m)
-    grid[1 + axis, :, axis] += FD_STEP
-    grid[1 + m + axis, :, axis] -= FD_STEP
+    checked = [(group, index) for _label, e, group, index in derivative_catalog(connection)
+               if not is_constant(e)]
+    spatial = connection.is_built and not all(is_constant(e) for e in chain(
+        connection.observer.components, *structure.frame, *structure.metric))
+    if not (checked or spatial):
+        return make_entry("derivative finite-difference check", FD_TOL, [], stack)
+    # stencil [i] and [m + i]: the points one step up and down direction i
+    step = FD_STEP * np.eye(m)[:, None, :]
+    grid = np.concatenate([stack + step, stack - step])
+    value, undefined, _ = connection.program.run(grid)  # [stencil, point, ...]
     residuals, where = [np.empty(0)], [np.empty((0, m))]
 
-    checked = [(base, row) for _label, base, row in catalog if not is_constant(base)]
     if checked:
-        bases, rows = zip(*checked)
-        value, bad_value, _ = compile_exprs(bases).run(grid[1:])  # [stencil, point, entry]
-        sym, bad_sym, _ = compile_exprs(rows).run(stack)  # [point, entry, direction]
-        value, bad_value = value.transpose(2, 0, 1), bad_value.transpose(2, 0, 1)
-        # [entry, direction, point]
-        keep = inside.T & ~bad_value[:, :m] & ~bad_value[:, m:] & ~bad_sym.transpose(1, 2, 0)
-        residuals.append(_normalized(sym.transpose(1, 2, 0), value[:, :m], value[:, m:])[keep])
+        def entries(tables):  # the checked entries of grouped tables, stacked first
+            return np.array([tables[group][(..., *index)] for group, index in checked])
+
+        # each group's derivative table as [direction, point, entry...]
+        rows = {"omega": np.moveaxis(state["tau"], 1, 0), "z": np.moveaxis(state["dz"], -1, 0),
+                "frame": np.moveaxis(state["d_frame"], -1, 0), "h": np.moveaxis(state["dh"], 1, 0)}
+        # [entry, direction, point], and [entry, stencil, point]
+        sym, at, bad = entries(rows), entries(value), entries(undefined)
+        keep = inside.T & ~bad[:, :m] & ~bad[:, m:]
+        residuals.append(_normalized(sym, at[:, :m], at[:, m:])[keep])
         where.append(np.broadcast_to(stack, keep.shape + (m,))[keep])
 
-    if connection.is_built and not all(is_constant(e) for e in chain(
-            connection.observer.components, *structure.frame, *structure.metric)):
-        value, undefined, _ = connection.program.run(grid)
-        usable = ~adapted_basis(value["z"], value["frame"])[1]  # [row, point]
+    if spatial:
+        basis, singular = adapted_basis(value["z"], value["frame"])
+        usable = ~singular  # [stencil, point]
         for bad in undefined.values():
             usable &= ~bad.reshape(bad.shape[:2] + (-1,)).any(axis=-1)
-        st = spatial_state({k: v[usable] for k, v in value.items()}, grid[usable])
-        at = np.cumsum(usable).reshape(usable.shape) - 1  # [row, point] -> index into st
+        coframe = np.linalg.inv(basis[usable])[:, 1:]
+        g = np.empty(usable.shape + (m, m))
+        g[usable] = coframe.swapaxes(-1, -2) @ value["h"][usable] @ coframe
         # stencils, point by point, then direction
-        q, i = np.nonzero(inside & usable[0, :, None] & (usable[1:1 + m] & usable[1 + m:]).T)
+        q, i = np.nonzero(inside & (usable[:m] & usable[m:]).T)
         upper = (slice(None),) + upper_pairs(m, diagonal=True)
-        sym, g = st["dg"][at[0, q], i][upper], st["g"]
-        residuals.append(
-            _normalized(sym, g[at[1 + i, q]][upper], g[at[1 + m + i, q]][upper]).ravel())
+        sym = state["dg"][q, i][upper]
+        residuals.append(_normalized(sym, g[i, q][upper], g[m + i, q][upper]).ravel())
         where.append(np.repeat(stack[q], sym.shape[1], axis=0))
     return make_entry("derivative finite-difference check", FD_TOL,
                       np.concatenate(residuals).tolist(), np.concatenate(where))
@@ -285,9 +279,9 @@ def run_all(structure, observer, data=None, connection=None, scenario_name="",
 
     if connection is None:
         connection = build_connection(structure, observer, data)
-    entries.append(fd_validate(connection, points))
-    # the checks below share this one evaluation at the sample points
+    # every connection check reads this one evaluation at the sample points
     state = connection.state(points)
+    entries.append(fd_validate(connection, state))
     entries.append(check_compatibility_omega(state, structure))
     entries.append(check_compatibility_metric(state))
     entries.append(check_torsion_clock(state))

@@ -154,8 +154,8 @@ def test_criterion_6_derivative_validation():
     ok = True
     for name in SCENARIOS:
         scn = _load(name)
-        entry = fd_validate(build_connection(scn.structure, scn.observer, scn.data))
-        if not entry.passed:
+        C = build_connection(scn.structure, scn.observer, scn.data)
+        if not fd_validate(C, C.state()).passed:
             ok = False
 
     # mutated-rule fixture: a corrupted sine rule must be caught
@@ -172,7 +172,8 @@ def test_criterion_6_derivative_validation():
     good_rule = expr_mod.FUNCTION_DERIVATIVES["sin"]
     try:
         expr_mod.FUNCTION_DERIVATIVES["sin"] = lambda u, du: mul(apply("sin", u), du)
-        mutated = fd_validate(build_connection(S, z, ConnectionData.zero(1)))
+        C = build_connection(S, z, ConnectionData.zero(1))
+        mutated = fd_validate(C, C.state())
     finally:
         expr_mod.FUNCTION_DERIVATIVES["sin"] = good_rule
     ok = ok and not mutated.passed

@@ -352,6 +352,20 @@ def test_flow_keeps_every_state_when_z_fails_at_the_last(tmp_path, capsys, z, bo
     assert np.isnan(rows[-1][3:]).all()
 
 
+def test_flow_from_a_start_where_z_is_undefined_keeps_that_state(tmp_path, capsys):
+    text = bundled_scenario_path("curvedh").read_text(encoding="utf-8")
+    path, out = tmp_path / "sqrt_z.scn", tmp_path / "flow.csv"
+    path.write_text(text.replace("z = 1, 0\n", "z = 1, 0.1*sqrt(x)\n"), encoding="utf-8")
+    assert main(["flow", str(path), "--from", "0.3,-0.5", "--t1", "0.3", "--dt", "0.05",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "1 states, termination: evaluation_failure" in captured.out
+    assert "sqrt(x)" in captured.err
+    rows = [[float(v) for v in line.split(",")] for line in out.read_text().split("\n")[1:-1]]
+    assert len(rows) == 1 and rows[0][:3] == [0.0, 0.3, -0.5]
+    assert np.isnan(rows[0][3:]).all()
+
+
 def test_expect_torsion_free_flag(tmp_path):
     out = tmp_path / "r.json"
     assert main(["check", scn("twist"), "--expect-torsion-free",

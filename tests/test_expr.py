@@ -193,15 +193,20 @@ def _random_tree(rng, names, depth):
     return apply("cos", _random_tree(rng, names, depth - 1))
 
 
+# constants folded past the float range: inf, -inf and nan
+OVERFLOWS = ("1e308*10", "-1e308*10", "x - 1e308*10", "1e308*10 - 1e308*10",
+             "t*(1e308*10 - 1e308*10) + sin(x)", "x^2/(-1e308*10)")
+
+
 def test_print_parse_roundtrip_evaluates_identically():
     rng = np.random.Generator(np.random.PCG64(42))
-    for _ in range(60):
-        tree = _random_tree(rng, NAMES, 4)
+    trees = [_random_tree(rng, NAMES, 4) for _ in range(60)]
+    for tree in trees + [parse_expr(text, NAMES) for text in OVERFLOWS]:
         text = to_string(tree, NAMES)
         back = parse_expr(text, NAMES)
         for _ in range(100 // 60 + 2):
             p = rng.uniform(-2.0, 2.0, size=2)
-            assert evaluate(tree, p) == evaluate(back, p)
+            assert np.array_equal(evaluate(tree, p), evaluate(back, p), equal_nan=True), text
 
 
 def test_derivative_linearity():

@@ -233,6 +233,20 @@ def test_serialize_load_roundtrip_evaluates_identically(name):
                                 == evaluate(back.christoffel[k][i][j], p))
 
 
+def test_serialize_load_roundtrip_keeps_folded_overflows():
+    text = MINIMAL.replace("h11 = 1", "h11 = 1 + x^2*(1e308*10 - 1e308*10)")
+    text += "[gravity]\nG = t - 1e308*10\n[coriolis]\n[theta]\nT1_01 = 1e308*10*x\n"
+    scn = load_scenario_text(text)
+    back = load_scenario_text(serialize_scenario(scn))
+    p = (0.5, 0.25)
+    pairs = [(scn.structure.metric[0][0], back.structure.metric[0][0]),
+             (scn.data.gravity[0], back.data.gravity[0]),
+             (scn.data.theta[(0, 0, 1)], back.data.theta[(0, 0, 1)])]
+    values = [(evaluate(e, p), evaluate(f, p)) for e, f in pairs]
+    assert np.isnan(values[0]).all()
+    assert values[1:] == [(-np.inf, -np.inf), (np.inf, np.inf)]
+
+
 def test_unreadable_file():
     with pytest.raises(ScenarioParseError):
         load_scenario("/nonexistent/path/to/scenario.scn")

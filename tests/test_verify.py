@@ -130,7 +130,8 @@ def test_roundtrip_fails_when_a_datum_moves_after_gamma(group, index):
 
 def test_fd_validate_polynomial_scenarios_are_tight():
     S, z = curvedh_structure(), flat_observer()
-    entry = fd_validate(build_connection(S, z, ConnectionData.zero(1)))
+    C = build_connection(S, z, ConnectionData.zero(1))
+    entry = fd_validate(C, C.state())
     assert entry.passed
     assert entry.max_residual <= 1e-8
 
@@ -139,8 +140,8 @@ def test_fd_validate_transcendental_scenario():
     S = flat_structure()
     z = ObserverField(exprs(NAMES2, "1", "0.2*sin(x) + 0.1*exp(x/2)"))
     D = ConnectionData((parse_expr("cos(x)/4", NAMES2),), {}, {})
-    entry = fd_validate(build_connection(S, z, D))
-    assert entry.passed
+    C = build_connection(S, z, D)
+    assert fd_validate(C, C.state()).passed
 
 
 def test_fd_validate_catches_corrupted_rule(monkeypatch):
@@ -148,8 +149,8 @@ def test_fd_validate_catches_corrupted_rule(monkeypatch):
     z = ObserverField(exprs(NAMES2, "1", "0.2*sin(x)"))
     monkeypatch.setitem(expr_mod.FUNCTION_DERIVATIVES, "sin",
                         lambda u, du: mul(apply("sin", u), du))
-    entry = fd_validate(build_connection(S, z, ConnectionData.zero(1)))
-    assert not entry.passed
+    C = build_connection(S, z, ConnectionData.zero(1))
+    assert not fd_validate(C, C.state()).passed
 
 
 @pytest.mark.parametrize("S,z,D", [
@@ -157,12 +158,22 @@ def test_fd_validate_catches_corrupted_rule(monkeypatch):
     (m4_structure(), m4_observer(), m4_data()),
 ])
 def test_fd_validate_catches_corrupted_spatial_tensor_derivative(S, z, D):
-    # with an empty catalog only the numeric g against d_k g is checked
-    assert fd_validate(build_connection(S, z, D), catalog=[]).passed
-    n = S.n
-    corrupted = build_connection(S, z, D)
-    corrupted.dh = [[[ZERO] * n for _ in range(n)] for _ in range(S.dim)]  # before first use
-    assert not fd_validate(corrupted, catalog=[]).passed
+    C = build_connection(S, z, D)
+    state = C.state()
+    assert fd_validate(C, state).passed
+    # only the numeric d_k g moves, so only its check against g can fail
+    assert not fd_validate(C, {**state, "dg": state["dg"] + 1e-4}).passed
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_fd_validate_reads_the_states_derivative_tables(m):
+    S, z, D = synthetic_case(m, 7)
+    C = build_connection(S, z, D)
+    state = C.state()
+    assert fd_validate(C, state).passed
+    for table in ("tau", "dz", "d_frame", "dh", "dg"):
+        scaled = {**state, table: state[table] * (1 + 1e-4)}
+        assert not fd_validate(C, scaled).passed, table
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -191,7 +202,7 @@ def _fd_residuals_point_by_point(S, catalog, C, points):
         lo[i] -= FD_STEP
         return hi, lo
 
-    for _label, base, _row in catalog:
+    for _label, base, _group, _index in catalog:
         if is_constant(base):
             continue
         for i in range(m):
@@ -230,16 +241,16 @@ def test_fd_validate_skips_exactly_the_undefined_stencils(monkeypatch):
     z = flat_observer()
     D = ConnectionData((parse_expr("log(x + 0.5)", NAMES2),), {}, {})
     C = build_connection(S, z, D)
-    # besides the samples: a centre at 0 (d_x sqrt undefined) and one whose
-    # lower stencil point is negative
-    points = S.sample_points() + [np.array([0.5, 0.0]), np.array([0.5, 0.5 * FD_STEP])]
+    # the samples at which the state is defined, and a centre whose lower
+    # stencil point is negative
+    points = [p for p in S.sample_points() if p[1] > 0.0] + [np.array([0.5, 0.5 * FD_STEP])]
     captured = []
     monkeypatch.setattr(verify_mod, "make_entry",
                         lambda name, tol, residuals, where: captured.append(residuals))
-    fd_validate(C, points)
+    fd_validate(C, C.state(points))
     want = _fd_residuals_point_by_point(S, verify_mod.derivative_catalog(C), C, points)
-    # with nothing skipped: 2 catalog entries and 3 entries of g, 2 directions each
-    assert 0 < len(want) < 10 * len(points)
+    # with nothing skipped: 1 catalog entry (h11) and 3 entries of g, 2 directions each
+    assert 0 < len(want) < 8 * len(points)
     assert captured == [want]
 
 
@@ -257,35 +268,13 @@ def test_fd_validate_skips_stencils_where_the_basis_is_singular(monkeypatch):
     captured = []
     monkeypatch.setattr(verify_mod, "make_entry",
                         lambda name, tol, residuals, where: captured.append(residuals))
-    fd_validate(C)
+    fd_validate(C, C.state())
     want = _fd_residuals_point_by_point(S, verify_mod.derivative_catalog(C), C,
                                         S.sample_points())
     assert captured == [want]
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
-def test_fd_validate_compiles_at_most_two_programs(m, monkeypatch):
-    S, z, D = synthetic_case(m, 7)
-    C = build_connection(S, z, D)
-    compiled, init = [], expr_mod.Program.__init__
-
-    def counting(self, exprs):
-        compiled.append(self)
-        init(self, exprs)
-
-    monkeypatch.setattr(expr_mod.Program, "__init__", counting)
-    fd_validate(C)  # the connection's own program is compiled on first use
-    assert len(compiled) <= 3 and any(p is C.program for p in compiled)
-    compiled.clear()
-    fd_validate(C)
-    assert len(compiled) <= 2
-
-
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
-def test_built_run_all_compiles_four_programs_and_runs_five(m, monkeypatch):
-    # structure validation, the FD catalog's coefficients and rows, and the
-    # connection's program; that program runs once over the FD grid and once
-    # for the shared state
+def _count_compiles_and_runs(monkeypatch):
     compiled, runs = [], []
     program = expr_mod.Program
     init, call, run = program.__init__, program.__call__, program.run
@@ -294,9 +283,35 @@ def test_built_run_all_compiles_four_programs_and_runs_five(m, monkeypatch):
     monkeypatch.setattr(program, "__call__",
                         lambda self, points: (runs.append(1), call(self, points))[1])
     monkeypatch.setattr(program, "run", lambda self, points: (runs.append(1), run(self, points))[1])
+    return compiled, runs
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_fd_validate_compiles_nothing_and_runs_the_program_once(m, monkeypatch):
+    S, z, D = synthetic_case(m, 7)
+    C = build_connection(S, z, D)
+    state = C.state()  # compiles the connection's program
+    compiled, runs = _count_compiles_and_runs(monkeypatch)
+    assert fd_validate(C, state).passed
+    assert (len(compiled), len(runs)) == (0, 1)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_built_run_all_compiles_two_programs_and_runs_three(m, monkeypatch):
+    # structure validation and the connection's program; that program runs
+    # once for the shared state and once over the FD stencils
+    compiled, runs = _count_compiles_and_runs(monkeypatch)
     S, z, D = synthetic_case(m, 7)
     assert run_all(S, z, data=D).passed
-    assert len(compiled) <= 4 and len(runs) <= 5
+    assert (len(compiled), len(runs)) == (2, 3)
+
+
+def test_user_table_run_all_compiles_three_programs_and_runs_four(monkeypatch):
+    # the user's table adds one compile and one run of its own
+    compiled, runs = _count_compiles_and_runs(monkeypatch)
+    S, z = curvedh_structure(), flat_observer()
+    run_all(S, z, connection=connection_from_exprs(S, z, _zero_table(2)))
+    assert (len(compiled), len(runs)) == (3, 4)
 
 
 def test_run_all_on_overflowing_data_raises_only_its_domain_error():
@@ -488,6 +503,7 @@ def test_checks_read_the_kit_and_compile_nothing(monkeypatch, user):
     check_torsion_clock(C.state(points))
     observable_map(C.state(points))
     torsion_free_feasibility(C.state(points))
+    fd_validate(C, C.state(points))
     if not user:
         check_roundtrip(C.state(points))
     assert built == []
