@@ -116,7 +116,13 @@ def cmd_roundtrip(scn, args, parser):
         print("scenario supplies raw coefficients; no data triple to round-trip",
               file=sys.stderr)
         return SCENARIO_ERROR
-    entry = verify.check_roundtrip(_connection_for(scn).state())
+    points = np.array(scn.structure.sample_points())
+    entries, state = verify.structure_stage(_connection_for(scn), points)
+    if state is None:
+        failed = next(entry for entry in entries if not entry.passed)
+        print(f"structure check failed: {failed.name}", file=sys.stderr)
+        return CHECK_FAILED
+    entry = verify.check_roundtrip(state)
     print(f"max round-trip deviation = {float(entry.max_residual)!r} "
           f"(tolerance {entry.tolerance!r})")
     return 0 if entry.passed else CHECK_FAILED

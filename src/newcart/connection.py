@@ -39,9 +39,11 @@ downstream is numeric at each point: the coframe Q (rows 1..n of the
 inverse of the adapted basis B = (z, E_1..E_n)), the spatial tensor
 g = Q^T h Q, its derivatives from d_k(B^-1) = -B^-1 (d_k B) B^-1, and
 small dense solves.  `Connection.state` evaluates all of it once over a
-stack of points, Gamma included, and every check and observable reads
-that one state: frame coefficients come from its coframe, the observable
-triple from `observable_map`, and covariant derivatives from `nabla`.
+stack of points, and every check and observable reads that one state:
+frame coefficients come from its coframe, the observable triple from
+`observable_map`, and covariant derivatives from `nabla`.  Gamma itself,
+`gamma_of`, is a function of the state's point values, so any data values
+go in, the observable image of a state included.
 """
 
 from __future__ import annotations
@@ -92,6 +94,42 @@ def spatial_state(values, points):
     return values
 
 
+def gamma_of(state):
+    """Adds gamma (..., m, m, m) and rhs (..., m, m, n) = 2<P(nabla_i d_j), E_b>
+    in place to a state, from its omega, tau, z, frame, coframe, h, dg and any
+    data values gravity, coriolis and theta (p names where h is singular)."""
+    omega, h, dg = state["omega"], state["h"], state["dg"]
+    frame_t = state["frame"].swapaxes(-1, -2)
+    q_t = state["coframe"].swapaxes(-1, -2)
+    # [..., i, j, b] = E_b^l (d_i g_jl + d_j g_il - d_l g_ij)
+    half = dg @ frame_t[..., None, :, :]
+    dg_flat = dg.reshape(dg.shape[:-2] + (-1,)).swapaxes(-1, -2)  # [..., ij, l]
+    rhs = half + half.swapaxes(-3, -2) - (dg_flat @ frame_t).reshape(half.shape)
+
+    om_i, om_j = omega[..., :, None, None], omega[..., None, :, None]
+    rhs += 2.0 * (om_i * om_j * (h @ state["gravity"][..., None])[..., None, None, :, 0])
+    cor = q_t @ state["coriolis"]  # [..., j, b] = om(P d_j, E_b)
+    rhs += 2.0 * (om_i * cor[..., None, :, :] + om_j * cor[..., :, None, :])
+
+    m, n, lead = omega.shape[-1], h.shape[-1], omega.shape[:-1]
+    theta = state["theta"] - state["theta"].swapaxes(-1, -2)  # [..., a, i, j] = Theta^a_ij
+    rhs += (theta.reshape(lead + (n, m * m)).swapaxes(-1, -2) @ h).reshape(half.shape)
+    # [..., i, j, b] = <P d_i, E_a> Theta^a(d_j, E_b)
+    pairs = ((q_t @ h) @ (theta @ frame_t[..., None, :, :]).reshape(lead + (n, m * n))
+             ).reshape(half.shape)
+    state["rhs"] = rhs = rhs - pairs - pairs.swapaxes(-3, -2)
+
+    with np.errstate(invalid="ignore"):  # a NaN h gives a NaN Gamma, not a warning
+        det = np.linalg.det(h)
+    geometry.fail_at_first(np.abs(det) <= METRIC_DET_TOL, state["p"],
+                           MetricSingular, "spatial metric singular")
+    # [..., a, ij]: the frame coefficients of Gamma_ij
+    c = np.linalg.solve(2.0 * h, rhs.reshape(lead + (m * m, n)).swapaxes(-1, -2))
+    state["gamma"] = (state["z"][..., :, None, None] * state["tau"][..., None, :, :]
+                      + (frame_t @ c).reshape(lead + (m, m, m)))
+    return state
+
+
 @dataclass(frozen=True, eq=False)
 class ConnectionData:
     """Coordinates of a connection under the observable map.
@@ -136,10 +174,11 @@ class Connection:
     need not be symmetric.  The input (with zero data when the connection
     has none) and its symbolic first derivatives dz, d_frame, dh and
     tau = d omega are compiled into one program; these tables are the
-    ones the finite-difference check validates.  `state` runs it once
-    over points of shape (..., m), so it fails wherever any input is
-    undefined, and returns every value the checks and the observables
-    read, `spatial_state`'s and Gamma's, with the same leading axes.  The
+    ones the finite-difference check validates; omega, frame, z and h
+    come first in it.  `state` runs it once over points of shape (..., m),
+    so it fails wherever any input is undefined, and `state_of` that run
+    returns every value the checks and the observables read,
+    `spatial_state`'s and Gamma's, with the same leading axes.  The
     data enter the state as point values only: gravity (..., n), coriolis
     (..., n, n) and theta (..., n, m, m), the layout `observable_map`
     returns.
@@ -196,57 +235,36 @@ class Connection:
     def program(self):
         S, m, n = self.structure, self.structure.dim, self.structure.n
         data = ConnectionData.zero(n) if self.data is None else self.data
+        # the input first, in validate_structure's order: a fault names the same node
         return compile_exprs({
-            "z": self.observer.components, "frame": S.frame, "h": S.metric,
+            "omega": S.omega, "frame": S.frame, "z": self.observer.components, "h": S.metric,
             "dz": self.dz, "d_frame": self.d_frame, "dh": self.dh,
-            "omega": S.omega, "tau": self.tau, "gravity": data.gravity,
+            "tau": self.tau, "gravity": data.gravity,
             "coriolis": [[data.coriolis_entry(a, b) for b in range(n)] for a in range(n)],
             # theta[a][i][j] for i < j only: Theta^a_ij = theta[a][i][j] - theta[a][j][i]
             "theta": [[[data.theta.get((a, i, j), ZERO) for j in range(m)]
                        for i in range(m)] for a in range(n)]})
 
     def state(self, points=None):
-        """spatial_state of one program run at `points`, by default the
-        structure's sample points, with gamma (..., m, m, m); a built
-        connection adds rhs (..., m, m, n), the right-hand side
-        2<P(nabla_i d_j), E_b> of the reduced relation."""
+        """`state_of` one program run at `points`, by default the structure's
+        sample points; a built connection's is the raising call, with no masks."""
         points = np.asarray(self.structure.sample_points() if points is None else points,
                             dtype=float)
-        # a user table runs before the input, so that its errors come first
+        if self._user is None:
+            return self.state_of(self.program(points), points)
+        values, _, error = self.program.run(points)
+        return self.state_of(values, points, error)
+
+    def state_of(self, values, points, error=None):
+        """spatial_state of `values`, from a program run at points (..., m)
+        that raised `error` or nothing, with the user table's gamma or else
+        gamma_of's.  The user table runs first: its error comes before `error`."""
         gamma = None if self._user is None else self._user(points)
-        st = spatial_state(self.program(points), points)
-        if gamma is not None:
-            st["gamma"] = gamma
-            return st
-        omega, frame_t, h, dg = st["omega"], st["frame"].swapaxes(-1, -2), st["h"], st["dg"]
-        q_t = st["coframe"].swapaxes(-1, -2)
-        # [..., i, j, b] = E_b^l (d_i g_jl + d_j g_il - d_l g_ij)
-        half = dg @ frame_t[..., None, :, :]
-        dg_flat = dg.reshape(dg.shape[:-2] + (-1,)).swapaxes(-1, -2)  # [..., ij, l]
-        rhs = half + half.swapaxes(-3, -2) - (dg_flat @ frame_t).reshape(half.shape)
-
-        om_i, om_j = omega[..., :, None, None], omega[..., None, :, None]
-        rhs += 2.0 * (om_i * om_j * (h @ st["gravity"][..., None])[..., None, None, :, 0])
-        cor = q_t @ st["coriolis"]  # [..., j, b] = om(P d_j, E_b)
-        rhs += 2.0 * (om_i * cor[..., None, :, :] + om_j * cor[..., :, None, :])
-
-        m, n, lead = self.structure.dim, self.structure.n, omega.shape[:-1]
-        theta = st["theta"] - st["theta"].swapaxes(-1, -2)  # [..., a, i, j] = Theta^a_ij
-        rhs += (theta.reshape(lead + (n, m * m)).swapaxes(-1, -2) @ h).reshape(half.shape)
-        # [..., i, j, b] = <P d_i, E_a> Theta^a(d_j, E_b)
-        pairs = ((q_t @ h) @ (theta @ frame_t[..., None, :, :]).reshape(lead + (n, m * n))
-                 ).reshape(half.shape)
-        st["rhs"] = rhs = rhs - pairs - pairs.swapaxes(-3, -2)
-
-        with np.errstate(invalid="ignore"):  # a NaN h gives a NaN Gamma, not a warning
-            det = np.linalg.det(h)
-        geometry.fail_at_first(np.abs(det) <= METRIC_DET_TOL, st["p"],
-                               MetricSingular, "spatial metric singular")
-        # [..., a, ij]: the frame coefficients of Gamma_ij
-        c = np.linalg.solve(2.0 * h, rhs.reshape(lead + (m * m, n)).swapaxes(-1, -2))
-        st["gamma"] = (st["z"][..., :, None, None] * st["tau"][..., None, :, :]
-                       + (frame_t @ c).reshape(lead + (m, m, m)))
-        return st
+        if error is not None:
+            raise error
+        if gamma is None:
+            return gamma_of(spatial_state(values, points))
+        return dict(spatial_state(values, points), gamma=gamma)
 
     def christoffel(self, p):
         p = np.asarray(p, dtype=float)

@@ -4,10 +4,11 @@ A structure fixes one global chart with coordinates x^0..x^{m-1}, a
 clock 1-form with components omega_i, a spanning frame E_1..E_n of the
 clock form's kernel, and the Gram matrix h_ab of the spatial inner
 product on that frame.  All coefficients are symbolic expressions, so
-every first derivative used downstream is exact.  Point values (frame
-coefficients, projections, inner products) are not computed here: they
-are read from `Connection.state`, which inverts the adapted basis
-(z, E_1..E_n) with `basis_inverse`.
+every first derivative used downstream is exact.  `structure_entries`
+is a function of the values of omega, the frame, z and h at points, so
+it reads any run that evaluates them; frame coefficients, projections
+and inner products are read from `Connection.state`, which inverts the
+adapted basis (z, E_1..E_n) with `basis_inverse`.
 """
 
 from __future__ import annotations
@@ -129,17 +130,16 @@ def basis_inverse(z_values, frame_values, points):
     return np.linalg.inv(basis)
 
 
-def structure_entries(structure, observer, points):
-    """Residual entries for every structure and observer invariant at `points`."""
-    stack = np.reshape(points, (-1, structure.dim))
-    v = compile_exprs({"omega": structure.omega, "frame": structure.frame,
-                       "z": observer.components, "h": structure.metric})(stack)
-    ov, h = v["omega"][:, None, :], v["h"]  # ov: (N, 1, m), a row vector per point
-    fm = np.swapaxes(v["frame"], -1, -2)
+def structure_entries(values, points):
+    """Residual entries for every structure and observer invariant at
+    points (N, m), from the values there of omega (N, m), frame (N, n, m),
+    z (N, m) and h (N, n, n)."""
+    ov, h = values["omega"][:, None, :], values["h"]  # ov: (N, 1, m), a row vector per point
+    fm = np.swapaxes(values["frame"], -1, -2)
     # a NaN margin stays NaN, so the entry fails
     nonzero = np.maximum(0.0, CLOCK_NONZERO_MARGIN - np.max(np.abs(ov), axis=(1, 2)))
     annihilated = np.max(np.abs(ov @ fm), axis=(1, 2))
-    normalized = np.abs((ov @ v["z"][:, :, None])[:, 0, 0] - 1.0)
+    normalized = np.abs((ov @ values["z"][:, :, None])[:, 0, 0] - 1.0)
     symmetry = np.max(np.abs(h - np.swapaxes(h, -1, -2)), axis=(1, 2))
     with np.errstate(invalid="ignore"):
         nondegenerate = np.maximum(0.0, METRIC_DET_MARGIN - np.abs(np.linalg.det(h)))
@@ -147,21 +147,16 @@ def structure_entries(structure, observer, points):
     finite = np.isfinite(fm).all(axis=(1, 2))
     smallest[finite] = np.linalg.svd(fm[finite], compute_uv=False)[:, -1]
     rank_margin = np.maximum(0.0, FRAME_RANK_MARGIN - smallest)
-
-    def entry(name, tolerance, residuals):
-        return make_entry(name, tolerance, residuals, points)
-
-    return [
-        entry("clock form nonzero", 0.0, nonzero),
-        entry("frame annihilated by clock form", SPATIAL_RESULT_TOL, annihilated),
-        entry("observer normalization", SPATIAL_RESULT_TOL, normalized),
-        entry("metric symmetry", 0.0, symmetry),
-        entry("metric nondegenerate", 0.0, nondegenerate),
-        entry("frame rank", 0.0, rank_margin),
-    ]
+    return [make_entry(name, tolerance, residuals, points) for name, tolerance, residuals in (
+        ("clock form nonzero", 0.0, nonzero),
+        ("frame annihilated by clock form", SPATIAL_RESULT_TOL, annihilated),
+        ("observer normalization", SPATIAL_RESULT_TOL, normalized),
+        ("metric symmetry", 0.0, symmetry),
+        ("metric nondegenerate", 0.0, nondegenerate),
+        ("frame rank", 0.0, rank_margin))]
 
 
-def validate_structure(structure, observer, scenario_name=""):
+def validate_structure(structure, observer):
     """Evaluate every structure invariant at the sampled points.
 
     A violated invariant becomes a failing report entry.  An input that
@@ -169,6 +164,8 @@ def validate_structure(structure, observer, scenario_name=""):
     `DomainError` of the evaluation propagates, naming the point (for
     example h11 = 1 + sqrt(x) with x in [-1, 1]).
     """
-    return CheckReport(scenario=scenario_name, seed=structure.rng_seed,
-                       entries=structure_entries(structure, observer,
-                                                 structure.sample_points()))
+    points = np.array(structure.sample_points())
+    values = compile_exprs({"omega": structure.omega, "frame": structure.frame,
+                            "z": observer.components, "h": structure.metric})(points)
+    return CheckReport(scenario="", seed=structure.rng_seed,
+                       entries=structure_entries(values, points))

@@ -10,7 +10,9 @@ observable image with the data values the state holds.  The
 finite-difference check reads the derivative tables of that state, the
 ones the connection's program compiles, so a wrong table cannot pass by
 being differentiated afresh; it runs the program once more, at the
-stencils only.  `run_all` evaluates the state once for all the checks.
+stencils only.  `run_all`'s structure stage runs the connection's
+program once: the structure entries read its input values, and the one
+state of all the checks is formed from the same run.
 
 Tolerances: 1e-9 for algebraic identities, 1e-8 for metric
 compatibility, and a normalized 1e-6 for finite differences.  They are
@@ -256,6 +258,26 @@ def torsion_free_feasibility(state):
                       TORSION_TOL, worst, state["p"])
 
 
+def structure_stage(connection, points):
+    """(structure entries, state or None if an entry fails) from one run of
+    the connection's program at points (N, m).  An undefined input (omega,
+    frame, z or h) raises the DomainError the input alone raises; then a
+    failing entry comes before the user table's error and the run's own."""
+    values, undefined, error = connection.program.run(points)
+    bad = np.any([undefined[group].reshape(len(points), -1).any(axis=1)
+                  for group in ("omega", "frame", "z", "h")], axis=0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if error.point != k:  # a derivative fails first: name the input's fault at k
+            error = connection.program.run(points[k:k + 1])[2]
+            error.point = k
+        raise error
+    entries = structure_entries(values, points)
+    if not all(entry.passed for entry in entries):
+        return entries, None
+    return entries, connection.state_of(values, points, error)
+
+
 def run_all(structure, observer, data=None, connection=None, scenario_name="",
             expect_torsion_free=False):
     """Structure validation plus every connection check, one report.
@@ -265,22 +287,14 @@ def run_all(structure, observer, data=None, connection=None, scenario_name="",
     Connection checks are skipped when the structure itself fails, so a
     corrupted scenario fails exactly at its defective entry.
     """
-    points = structure.sample_points()
-    entries = structure_entries(structure, observer, points)
-    report = CheckReport(
-        scenario=scenario_name,
-        seed=structure.rng_seed,
-        entries=entries,
-        check_fields=_check_field_strings(structure.dim, _check_field_seed(structure),
-                                          structure.coord_names),
-    )
-    if not report.passed:
-        return report
-
     if connection is None:
         connection = build_connection(structure, observer, data)
-    # every connection check reads this one evaluation at the sample points
-    state = connection.state(points)
+    # the structure entries and every connection check read one program run
+    entries, state = structure_stage(connection, np.array(structure.sample_points()))
+    report = CheckReport(scenario_name, structure.rng_seed, entries, _check_field_strings(
+        structure.dim, _check_field_seed(structure), structure.coord_names))
+    if state is None:
+        return report
     entries.append(fd_validate(connection, state))
     entries.append(check_compatibility_omega(state, structure))
     entries.append(check_compatibility_metric(state))

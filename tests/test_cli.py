@@ -256,6 +256,59 @@ def test_roundtrip_command(capsys):
     assert main(["roundtrip", scn("zero_connection_curvedh")]) == 3
 
 
+@pytest.mark.parametrize("name, failing", [
+    ("bad_observer", "observer normalization"),
+    ("bad_frame", "frame annihilated by clock form")])
+def test_roundtrip_fails_on_a_corrupted_structure(capsys, name, failing):
+    assert main(["roundtrip", scn(name)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"structure check failed: {failing}\n")
+
+
+# z is undefined where t < 0.5; the derivative of h11 divides by zero at
+# every sample point, so it fails first wherever the first point has t >= 0.5
+UNDEFINED_INPUT_AND_DERIVATIVE = """[spacetime]
+dim = 2
+coords = t, x
+
+[omega]
+O = 1, 0
+
+[observer]
+z = 1, sqrt(t - 0.5)
+
+[frame]
+E1 = 0, 1
+
+[metric]
+h11 = 1 + sqrt(x*x)
+
+[domain]
+box = 0 1, 0 0
+samples = 8
+seed = {seed}
+"""
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_an_undefined_input_is_named_before_an_undefined_derivative(tmp_path, capsys, seed):
+    path = tmp_path / "input.scn"
+    path.write_text(UNDEFINED_INPUT_AND_DERIVATIVE.format(seed=seed), encoding="utf-8")
+    assert main(["check", str(path)]) == 3
+    assert capsys.readouterr().err == "error: sqrt of negative argument in 'sqrt(t - 0.5)'\n"
+
+
+def test_a_failing_structure_entry_comes_before_an_undefined_datum(tmp_path, capsys):
+    text = bundled_scenario_path("bad_frame").read_text(encoding="utf-8")
+    path = tmp_path / "bad_frame_gravity.scn"
+    path.write_text(text.replace("[domain]", "[gravity]\nG = log(x - 5), 0\n\n[domain]"),
+                    encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert re.search(r"frame annihilated by clock form .* FAIL", captured.out)
+
+
 def test_geodesic_writes_parabola_csv(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     code = main(["geodesic", scn("grav"), "--from", "0,0", "--vel", "1,0",

@@ -11,8 +11,9 @@ from conftest import (NAMES2, NAMES3, brute_force_gamma, coord_field, exprs,
                       mixed_data, mixed_observer, mixed_structure,
                       rot_observer, rot_structure, synthetic_case,
                       twist_structure)
+import newcart.expr as expr_mod
 from newcart.connection import (ConnectionData, build_connection,
-                                connection_from_exprs, observable_map, nabla,
+                                connection_from_exprs, gamma_of, observable_map, nabla,
                                 spatial_state)
 from newcart.errors import DimensionMismatch, MetricSingular
 from newcart.expr import Const, ZERO, differentiate, evaluate, parse_expr
@@ -305,6 +306,21 @@ def test_state_gamma_is_christoffel_bitwise(case):
         want = C.christoffel(p)
         got = C.state(p)["gamma"]
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_gamma_is_a_function_of_point_values(m, monkeypatch):
+    # the reverse trip: Gamma assembled from the observable image of a
+    # state is the state's own Gamma, and assembling it compiles nothing
+    S, z, D = synthetic_case(m, 7)
+    st = build_connection(S, z, D).state()
+    compiled = []
+    init = expr_mod.Program.__init__
+    monkeypatch.setattr(expr_mod.Program, "__init__",
+                        lambda self, exprs: (compiled.append(1), init(self, exprs))[1])
+    rebuilt = gamma_of({**st, **observable_map(st)})["gamma"]
+    assert np.max(np.abs(rebuilt - st["gamma"])) <= 1e-12
+    assert compiled == []
 
 
 def test_kit_compiles_only_first_derivatives():

@@ -141,3 +141,38 @@ def test_unread_parameters_are_found():
 def test_every_parameter_is_read(path):
     handlers = command_handlers((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     assert unread_parameters(path.read_text(encoding="utf-8"), exempt=handlers) == []
+
+
+LAYERS = ("errors", "expr", "report", "geometry", "connection", "dynamics", "scenario",
+          "verify", "cli")
+
+
+def imported_modules(source):
+    """Names of the package modules that `source` imports, relatively
+    (from . import x, from .x import y) or as newcart.x."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 1 and not module:
+                names |= {alias.name for alias in node.names}
+            elif node.level == 1 or module.startswith("newcart."):
+                names.add(module.removeprefix("newcart.").split(".")[0])
+        elif isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("newcart.")}
+    return names
+
+
+def test_imported_modules_are_found():
+    source = ("from . import dynamics, verify\nfrom .expr import to_string\n"
+              "import newcart.report\nfrom newcart.geometry import x\nimport numpy as np\n")
+    assert imported_modules(source) == {"dynamics", "verify", "expr", "report", "geometry"}
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_modules_import_only_lower_layers(module):
+    # __init__.py re-exports from every layer, so it sits above them all
+    assert set(LAYERS) >= {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    lower = set(LAYERS[:LAYERS.index(module)])
+    assert imported_modules((PACKAGE / f"{module}.py").read_text(encoding="utf-8")) <= lower

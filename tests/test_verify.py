@@ -297,21 +297,29 @@ def test_fd_validate_compiles_nothing_and_runs_the_program_once(m, monkeypatch):
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
-def test_built_run_all_compiles_two_programs_and_runs_three(m, monkeypatch):
-    # structure validation and the connection's program; that program runs
-    # once for the shared state and once over the FD stencils
+def test_built_run_all_compiles_one_program_and_runs_two(m, monkeypatch):
+    # the connection's program runs once for the structure entries and the
+    # shared state, and once over the FD stencils
     compiled, runs = _count_compiles_and_runs(monkeypatch)
     S, z, D = synthetic_case(m, 7)
     assert run_all(S, z, data=D).passed
-    assert (len(compiled), len(runs)) == (2, 3)
+    assert (len(compiled), len(runs)) == (1, 2)
 
 
-def test_user_table_run_all_compiles_three_programs_and_runs_four(monkeypatch):
+def test_user_table_run_all_compiles_two_programs_and_runs_three(monkeypatch):
     # the user's table adds one compile and one run of its own
     compiled, runs = _count_compiles_and_runs(monkeypatch)
     S, z = curvedh_structure(), flat_observer()
     run_all(S, z, connection=connection_from_exprs(S, z, _zero_table(2)))
-    assert (len(compiled), len(runs)) == (3, 4)
+    assert (len(compiled), len(runs)) == (2, 3)
+
+
+def test_failing_structure_run_all_compiles_one_program_and_runs_it_once(monkeypatch):
+    scn = load_scenario_text(bundled_scenario_path("bad_frame").read_text(encoding="utf-8"))
+    compiled, runs = _count_compiles_and_runs(monkeypatch)
+    report = run_all(scn.structure, scn.observer, data=scn.data)
+    assert report.first_failure().name == "frame annihilated by clock form"
+    assert (len(compiled), len(runs)) == (1, 1)
 
 
 def test_run_all_on_overflowing_data_raises_only_its_domain_error():
@@ -461,13 +469,13 @@ def test_run_all_draws_the_sample_points_once(monkeypatch):
 
 def test_run_all_evaluates_gamma_once(monkeypatch):
     calls = []
-    state = Connection.state
+    state_of = Connection.state_of
 
-    def counted(self, points=None):
+    def counted(self, values, points, error=None):
         calls.append(np.shape(points))
-        return state(self, points)
+        return state_of(self, values, points, error)
 
-    monkeypatch.setattr(Connection, "state", counted)
+    monkeypatch.setattr(Connection, "state_of", counted)
     S, z = mixed_structure(), mixed_observer()
     report = run_all(S, z, data=mixed_data())
     assert calls == [(S.sample_count, S.dim)]
@@ -475,7 +483,7 @@ def test_run_all_evaluates_gamma_once(monkeypatch):
     run_all(S, z, connection=connection_from_exprs(S, z, _zero_table(3)))
     assert calls == [(S.sample_count, S.dim)]
     # sharing changes no figure of the report
-    monkeypatch.setattr(Connection, "state", state)
+    monkeypatch.setattr(Connection, "state_of", state_of)
     C = build_connection(S, z, mixed_data())
     points = S.sample_points()
     alone = [check_compatibility_omega(C.state(points), S),
