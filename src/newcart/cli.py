@@ -3,7 +3,8 @@
 Exit codes: 0 all requested checks pass, 1 a check failed (or a curve
 failed, or a printed coefficient is not finite), 2 usage errors (bad
 arguments, an output file that cannot be written), 3 scenario errors
-(unreadable, malformed, or numerically unusable files).
+(unreadable, malformed, or numerically unusable files, or too large to
+evaluate in memory).
 """
 
 from __future__ import annotations
@@ -211,6 +212,9 @@ def main(argv=None):
     except NewcartError as err:
         names = scn.structure.coord_names if scn is not None else None
         print(f"error: {_error_text(err, names)}", file=sys.stderr)
+        return SCENARIO_ERROR
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return SCENARIO_ERROR
     except OSError as err:  # an output file (--json, --out) that cannot be written
         parser.error(str(err))

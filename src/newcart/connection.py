@@ -57,7 +57,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DimensionMismatch, MetricSingular
-from .expr import ZERO, differentiate, is_constant, neg
+from .expr import ZERO, Const, differentiate, neg
 from .expr import compile as compile_exprs
 from .geometry import field_jacobian, upper_pairs
 
@@ -224,7 +224,7 @@ class Connection:
         else:
             self._user = compile_exprs(gamma_exprs)
             inputs = (e for plane in gamma_exprs for row in plane for e in row)
-        self._constant = all(is_constant(e) for e in inputs)
+        self._constant = all(type(e) is Const for e in inputs)
         self._const_gamma = None
 
     @property

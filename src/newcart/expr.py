@@ -15,28 +15,28 @@ against runs on each point alone, are bit-for-bit identical.
 
 Grammar (whitespace insignificant)::
 
-    expr   := term { ("+" | "-") term }
-    term   := factor { ("*" | "/") factor }
-    factor := base [ "^" factor ]
-    base   := NUMBER | IDENT | FNAME "(" expr ")" | "(" expr ")" | "-" base
+    expr    := operand { BINOP operand }
+    operand := NUMBER | IDENT | FNAME "(" expr ")" | "(" expr ")" | "-" operand
 
-"^" is right associative, and a leading "-" belongs to the base it
-precedes, so "-x^2" parses as "(-x)^2".  NUMBER is a decimal literal
-with optional fraction and exponent; IDENT must be one of the chart
-coordinate names handed to the parser.
+One operator table drives both parsing and printing: "+" and "-" bind
+loosest, then "*" and "/", then "^", which alone is right associative; a
+leading "-" binds tighter than all of them, so "-x^2" parses as "(-x)^2".
+NUMBER is an ASCII decimal literal with optional fraction and exponent;
+IDENT must be one of the chart coordinate names handed to the parser.
+The builders fold constants as they go, so a coordinate-free expression
+is one Const, or one whose evaluation fails at every point.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
-
-FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,20 +207,6 @@ def apply(fn, arg):
     return Apply(fn, arg)
 
 
-def is_constant(e):
-    """True when the tree contains no coordinate node."""
-    t = type(e)
-    if t is Const:
-        return True
-    if t is Coord:
-        return False
-    if t is Neg:
-        return is_constant(e.child)
-    if t is Apply:
-        return is_constant(e.arg)
-    return is_constant(e.left) and is_constant(e.right)
-
-
 # --- evaluation -----------------------------------------------------------
 #
 # A kernel maps argument arrays to (value, checks); each check is a
@@ -291,6 +277,7 @@ def _sqrt(x):
 
 _FUNCTION_KERNELS = {"sin": _trig(np.sin), "cos": _trig(np.cos), "tan": _trig(np.tan),
                      "exp": _exp, "log": _log, "sqrt": _sqrt}
+FUNCTIONS = tuple(_FUNCTION_KERNELS)
 
 
 def _fold(kernel, value):
@@ -550,37 +537,30 @@ def differentiate(e, i):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-# --- printing -------------------------------------------------------------
+# --- printing and parsing --------------------------------------------------
+#
+# One table drives both: binary symbol -> (precedence, folding builder, node
+# type).  Only "^" is right associative, and a leading "-" binds tighter than
+# every binary operator, at precedence _UNARY.
+
+_BINARY = {"+": (1, add, Add), "-": (1, sub, Sub), "*": (2, mul, Mul), "/": (2, div, Div),
+           "^": (3, pow_, Pow)}
+_SYMBOL = {node: symbol for symbol, (_, _, node) in _BINARY.items()}
+_UNARY = 4
+
 
 def to_string(e, names=None):
     """Render a tree so that parsing the result reproduces its evaluation."""
 
-    def cname(i):
-        return names[i] if names is not None else f"x{i}"
-
-    def s_expr(node):
+    def show(node, need):
         t = type(node)
-        if t is Add:
-            return f"{s_expr(node.left)} + {s_term(node.right)}"
-        if t is Sub:
-            return f"{s_expr(node.left)} - {s_term(node.right)}"
-        return s_term(node)
-
-    def s_term(node):
-        t = type(node)
-        if t is Mul:
-            return f"{s_term(node.left)}*{s_factor(node.right)}"
-        if t is Div:
-            return f"{s_term(node.left)}/{s_factor(node.right)}"
-        return s_factor(node)
-
-    def s_factor(node):
-        if type(node) is Pow:
-            return f"{s_base(node.left)}^{s_factor(node.right)}"
-        return s_base(node)
-
-    def s_base(node):
-        t = type(node)
+        if t in _SYMBOL:
+            symbol = _SYMBOL[t]
+            precedence = _BINARY[symbol][0]
+            op = f" {symbol} " if precedence == 1 else symbol
+            text = (show(node.left, precedence + (symbol == "^")) + op
+                    + show(node.right, precedence + (symbol != "^")))
+            return text if precedence >= need else f"({text})"
         if t is Const:
             value = node.value
             if math.isfinite(value):
@@ -588,145 +568,69 @@ def to_string(e, names=None):
             # a folded overflow: 1e999 parses as inf, and inf - inf is nan
             return "(1e999 - 1e999)" if value != value else ("-1e999" if value < 0 else "1e999")
         if t is Coord:
-            return cname(node.index)
+            return names[node.index] if names is not None else f"x{node.index}"
         if t is Neg:
-            return "-" + s_base(node.child)
-        if t is Apply:
-            return f"{node.fn}({s_expr(node.arg)})"
-        return "(" + s_expr(node) + ")"
+            return "-" + show(node.child, _UNARY)
+        return f"{node.fn}({show(node.arg, 1)})"
 
-    return s_expr(e)
+    return show(e, 1)
 
 
-# --- parsing --------------------------------------------------------------
-
-_OPERATORS = "+-*/^()"
-
-
-def _tokenize(text):
-    tokens = []
-    i = 0
-    size = len(text)
-    while i < size:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPERATORS:
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < size and text[i].isdigit():
-                i += 1
-            if i < size and text[i] == ".":
-                i += 1
-                while i < size and text[i].isdigit():
-                    i += 1
-            if i < size and text[i] in "eE":
-                j = i + 1
-                if j < size and text[j] in "+-":
-                    j += 1
-                if j < size and text[j].isdigit():
-                    i = j
-                    while i < size and text[i].isdigit():
-                        i += 1
-            tokens.append(("num", text[start:i], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < size and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(("ident", text[start:i], start))
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", size))
-    return tokens
+# numbers, identifiers, operators, and any other character that is not space
+_TOKEN = re.compile(r"(?P<num>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)|(?P<name>[^\W\d]\w*)"
+                    r"|(?P<op>[-+*/^()])|(?P<bad>\S)")
 
 
-class _Parser:
-    def __init__(self, tokens, coord_names):
-        self.tokens = tokens
-        self.pos = 0
-        self.coord_names = list(coord_names)
+def _unexpected(token, expected):
+    _, word, where = token
+    return ExprSyntaxError(f"unexpected token {word!r}" if word else "unexpected end of input",
+                           where, expected)
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _expect(tokens, symbol):
+    if tokens[-1][1] != symbol:
+        raise _unexpected(tokens[-1], (f"'{symbol}'",))
+    tokens.pop()
 
-    def expect_op(self, symbol):
-        kind, text, pos = self.peek()
-        if kind == "op" and text == symbol:
-            return self.advance()
-        raise ExprSyntaxError(f"unexpected token {text!r}" if text else "unexpected end of input",
-                              pos, expected=(f"'{symbol}'",))
 
-    def parse(self):
-        e = self.expr()
-        kind, text, pos = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"unexpected token {text!r}", pos,
-                                  expected=("end of input",))
-        return e
-
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                node = add(node, rhs) if text == "+" else sub(node, rhs)
-            else:
-                return node
-
-    def term(self):
-        node = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs = self.factor()
-                node = mul(node, rhs) if text == "*" else div(node, rhs)
-            else:
-                return node
-
-    def factor(self):
-        node = self.base()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            return pow_(node, self.factor())
-        return node
-
-    def base(self):
-        kind, text, pos = self.advance()
-        if kind == "num":
-            return Const(float(text))
-        if kind == "ident":
-            if text in _FUNCTION_KERNELS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return apply(text, arg)
-            if text in self.coord_names:
-                return Coord(self.coord_names.index(text))
-            raise UnknownIdentifier(text, pos)
-        if kind == "op" and text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if kind == "op" and text == "-":
-            return neg(self.base())
-        raise ExprSyntaxError(f"unexpected token {text!r}" if text else "unexpected end of input",
-                              pos, expected=("number", "identifier", "'('", "'-'"))
+def _climb(tokens, names, need):
+    """The expression at the head of `tokens` (stored last first) up to the
+    first binary operator that binds less tightly than `need`."""
+    token = kind, word, where = tokens.pop()
+    if kind == "num":
+        node = Const(float(word))
+    elif word in _FUNCTION_KERNELS:
+        _expect(tokens, "(")
+        arg = _climb(tokens, names, 1)
+        _expect(tokens, ")")
+        node = apply(word, arg)
+    elif kind == "name":
+        if word not in names:
+            raise UnknownIdentifier(word, where)
+        node = Coord(names.index(word))
+    elif word == "(":
+        node = _climb(tokens, names, 1)
+        _expect(tokens, ")")
+    elif word == "-":
+        node = neg(_climb(tokens, names, _UNARY))
+    else:
+        raise _unexpected(token, ("number", "identifier", "'('", "'-'"))
+    while (symbol := tokens[-1][1]) in _BINARY and _BINARY[symbol][0] >= need:
+        tokens.pop()
+        precedence, build, _ = _BINARY[symbol]
+        node = build(node, _climb(tokens, names, precedence + (symbol != "^")))
+    return node
 
 
 def parse_expr(text, coord_names):
     """Parse `text` against the chart coordinate names."""
-    return _Parser(_tokenize(text), coord_names).parse()
+    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN.finditer(text)]
+    for kind, word, at in tokens:
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {word!r}", at)
+    tokens.append(("end", "", len(text)))
+    tokens.reverse()
+    node = _climb(tokens, list(coord_names), 1)
+    if tokens[-1][0] != "end":
+        raise _unexpected(tokens[-1], ("end of input",))
+    return node

@@ -27,7 +27,7 @@ from itertools import chain
 import numpy as np
 
 from .connection import build_connection, nabla, observable_map
-from .expr import is_constant
+from .expr import Const
 from .geometry import adapted_basis, structure_entries, upper_pairs
 from .report import CheckReport, make_entry
 
@@ -200,8 +200,8 @@ def fd_validate(connection, state):
     lo, hi = np.array(structure.domain_box, dtype=float).reshape(m, 2).T
     inside = (stack - FD_STEP >= lo) & (stack + FD_STEP <= hi)  # [point, direction]
     checked = [(group, index) for _label, e, group, index in derivative_catalog(connection)
-               if not is_constant(e)]
-    spatial = connection.is_built and not all(is_constant(e) for e in chain(
+               if type(e) is not Const]
+    spatial = connection.is_built and not all(type(e) is Const for e in chain(
         connection.observer.components, *structure.frame, *structure.metric))
     if not (checked or spatial):
         return make_entry("derivative finite-difference check", FD_TOL, [], stack)

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from newcart import verify
 from newcart.cli import main
 from newcart.scenario import bundled_scenario_path
 
@@ -185,6 +186,31 @@ def test_bad_numeric_field_is_exit_3(tmp_path, capsys, old, new, where):
     path.write_text(text.replace(old, new), encoding="utf-8")
     assert main(["check", str(path)]) == 3
     assert f"scenario error: section [domain], {where}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("clock,message", [
+    ("1\u00b2, 0", "unexpected token '\u00b2' at position 1 (expected end of input)"),
+    ("\u0661, 0", "unexpected character '\u0661' at position 0"),
+], ids=["superscript_two", "arabic_indic_one"])
+def test_non_ascii_digits_are_scenario_errors(tmp_path, capsys, clock, message):
+    path = tmp_path / "flat.scn"
+    text = bundled_scenario_path("flat").read_text(encoding="utf-8")
+    path.write_text(text.replace("O = 1, 0", f"O = {clock}"), encoding="utf-8")
+    assert main(["check", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"scenario error: section [omega], key 'O': {message}\n"
+
+
+def test_out_of_memory_is_exit_3(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 1.00 TiB for an array")
+
+    monkeypatch.setattr(verify, "fd_validate", exhausted)
+    assert main(["check", scn("curvedh")]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: out of memory: Unable to allocate 1.00 TiB for an array\n"
 
 
 def test_usage_errors_are_exit_2():

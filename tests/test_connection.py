@@ -351,8 +351,10 @@ def test_mixed_roundtrip():
     ((ZERO, ZERO), {(-1, 0): Const(3.0)}, {}),
     ((ZERO, ZERO), {}, {(5, 0, 1): Const(3.0)}),
     ((ZERO, ZERO), {}, {(0, 1, 3): Const(3.0)}),
+    ((ZERO, ZERO), {(1, 0): Const(3.0)}, {}),
+    ((ZERO, ZERO), {}, {(0, 2, 1): Const(3.0)}),
 ], ids=["gravity_short", "gravity_long", "coriolis_b", "coriolis_negative", "theta_a",
-        "theta_j"])
+        "theta_j", "coriolis_lower", "theta_lower"])
 def test_data_outside_the_chart_is_rejected(gravity, coriolis, theta):
     S, z = rot_structure(), rot_observer()
     with pytest.raises(DimensionMismatch):
@@ -430,7 +432,12 @@ def test_christoffel_repeats_equal_read_only_arrays():
         a[0, 0, 0] = 1.0  # returned arrays are read-only
     # constant coefficients: one array, computed once, served everywhere
     G = build_connection(flat_structure(), flat_observer(), gravity_data(-9.8))
-    assert G.christoffel(np.array([0.3, 0.1])) is G.christoffel(np.array([1.2, -0.7]))
+    one = G.christoffel(np.array([0.3, 0.1]))
+    assert one is G.christoffel(np.array([1.2, -0.7]))
+    # and a stack of points reads that array, broadcast over the stack
+    stack = G.christoffel(np.zeros((4, 3, 2)))
+    assert stack.shape == (4, 3, 2, 2, 2) and not stack.flags.writeable
+    assert all(np.array_equal(g, one) for g in stack.reshape(-1, 2, 2, 2))
 
 
 def test_connection_keeps_no_per_point_state():

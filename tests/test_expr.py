@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from newcart.errors import DomainError, ExprSyntaxError, UnknownIdentifier
-from newcart.expr import (Const, Coord, Pow, Sub, apply, compile, differentiate,
-                          evaluate, is_constant, mul, parse_expr, to_string)
+from newcart.errors import DomainError, ExprSyntaxError, NewcartError, UnknownIdentifier
+from newcart.expr import (FUNCTIONS, Const, Coord, Pow, Sub, add, apply, compile,
+                          differentiate, div, evaluate, mul, neg, parse_expr, pow_, sub,
+                          to_string)
 
 NAMES = ("t", "x")
 
@@ -263,9 +266,49 @@ def test_program_shares_subtrees_safely():
     assert both[1] == evaluate(e2, p)
 
 
-def test_is_constant():
-    assert is_constant(parse_expr("3*4 + sin(1)", NAMES))
-    assert not is_constant(parse_expr("3*x", NAMES))
+def folded(children):
+    """Trees as the parser builds them, through the folding constructors."""
+    return st.one_of(
+        st.builds(neg, children),
+        st.builds(add, children, children), st.builds(sub, children, children),
+        st.builds(mul, children, children), st.builds(div, children, children),
+        st.builds(pow_, children, children),
+        st.builds(apply, st.sampled_from(FUNCTIONS), children))
+
+
+CONSTANTS = st.builds(Const, st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5]),
+                                       st.floats()))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.recursive(CONSTANTS, folded, max_leaves=12))
+def test_coordinate_free_trees_fold_or_fail_everywhere(tree):
+    if type(tree) is Const:
+        return
+    points = np.random.default_rng(5).uniform(-2.0, 2.0, size=(4, 2))
+    _, undefined, error = compile(tree).run(points)
+    assert error is not None and undefined.all()
+
+
+@pytest.mark.parametrize("text,error,position", [
+    ("\u0661", ExprSyntaxError, 0),      # an Arabic-Indic one is not a number
+    ("x + \u0661", ExprSyntaxError, 4),
+    ("1\u00b2", ExprSyntaxError, 1),     # 1 followed by a superscript two
+    ("\u00b2", UnknownIdentifier, 0),
+])
+def test_numbers_are_ascii_decimal_literals(text, error, position):
+    with pytest.raises(error) as err:
+        parse_expr(text, NAMES)
+    assert err.value.position == position
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text())
+def test_any_text_parses_or_raises_a_package_error(text):
+    try:
+        parse_expr(text, NAMES)
+    except NewcartError:
+        pass
 
 
 def test_differentiate_general_power():

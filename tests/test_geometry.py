@@ -6,12 +6,15 @@ frame coefficients and the spatial projection from its coframe, and the
 spatial inner product from g = Q^T h Q.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import (NAMES2, NAMES3, exprs, flat_observer, flat_structure,
-                      mixed_observer, mixed_structure, synthetic_case, twist_structure)
-from newcart.errors import FrameDegenerate
+                      mixed_observer, mixed_structure, rot_structure, synthetic_case,
+                      twist_structure)
+from newcart.errors import DimensionMismatch, FrameDegenerate
 from newcart.expr import Const, parse_expr, evaluate
 from newcart.connection import build_connection
 from newcart.geometry import (ObserverField, SpacetimeStructure, basis_inverse,
@@ -40,6 +43,27 @@ def d_omega(st, x, y):
 def inner(st, v, w):
     """<P v, P w> = v^T g w with the state's g = Q^T h Q."""
     return float(np.asarray(v) @ st["g"] @ np.asarray(w))
+
+
+ONE3, ZERO3 = exprs(NAMES3, "1", "0")
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"coord_names": ("t",)}, "chart dimension must be at least 2"),
+    ({"omega": (ONE3, ZERO3)}, "clock form needs 3 components"),
+    ({"frame": ((ZERO3, ONE3, ZERO3),)}, "frame needs 2 fields on a 3-dimensional chart"),
+    ({"frame": ((ZERO3, ONE3, ZERO3), (ZERO3, ONE3))}, "each frame field needs 3 components"),
+    ({"metric": ((ONE3, ZERO3), (ZERO3,))}, "metric must be 2x2"),
+    ({"metric": ((ONE3, ZERO3), (ONE3, ONE3))}, "metric storage must be symmetric"),
+    ({"domain_box": ((0.0, 1.0), (0.0, 1.0))}, "domain box needs 3 intervals"),
+    ({"domain_box": ((0.0, 1.0), (1.0, 0.0), (0.0, 1.0))},
+     "domain intervals must satisfy lo <= hi"),
+], ids=["dimension", "omega", "frame_count", "frame_arity", "metric_shape",
+        "metric_symmetry", "box_arity", "box_order"])
+def test_structure_rejects_inconsistent_input(change, message):
+    with pytest.raises(DimensionMismatch) as err:
+        replace(rot_structure(), **change)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])

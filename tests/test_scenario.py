@@ -233,6 +233,16 @@ def test_serialize_load_roundtrip_evaluates_identically(name):
                                 == evaluate(back.christoffel[k][i][j], p))
 
 
+def test_serialize_load_roundtrip_keeps_a_christoffel_table():
+    scn = load_scenario_text(MINIMAL + "\n[christoffel]\nC1_00 = -9.8\nC0_01 = t*sin(x)\n")
+    text = serialize_scenario(scn)
+    assert "C0_01 = t*sin(x)\nC1_00 = -9.8\n" in text
+    back = load_scenario_text(text)
+    assert back.has_user_connection and back.data is None
+    assert back.christoffel == scn.christoffel
+    assert serialize_scenario(back) == text
+
+
 def test_serialize_load_roundtrip_keeps_folded_overflows():
     text = MINIMAL.replace("h11 = 1", "h11 = 1 + x^2*(1e308*10 - 1e308*10)")
     text += "[gravity]\nG = t - 1e308*10\n[coriolis]\n[theta]\nT1_01 = 1e308*10*x\n"

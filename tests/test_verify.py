@@ -15,8 +15,8 @@ import newcart.verify as verify_mod
 from newcart.connection import (Connection, ConnectionData, build_connection,
                                 connection_from_exprs, observable_map, spatial_state)
 from newcart.errors import DomainError, NewcartError
-from newcart.expr import (Const, Coord, ZERO, apply, differentiate, evaluate,
-                          is_constant, mul, parse_expr, to_string)
+from newcart.expr import (Const, Coord, ZERO, apply, differentiate, evaluate, mul,
+                          parse_expr, to_string)
 from newcart.expr import compile as compile_exprs
 from newcart.geometry import ObserverField, SpacetimeStructure, field_jacobian
 from newcart.scenario import bundled_scenario_path, load_scenario_text
@@ -203,7 +203,7 @@ def _fd_residuals_point_by_point(S, catalog, C, points):
         return hi, lo
 
     for _label, base, _group, _index in catalog:
-        if is_constant(base):
+        if type(base) is Const:
             continue
         for i in range(m):
             deriv = differentiate(base, i)
