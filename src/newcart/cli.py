@@ -117,7 +117,7 @@ def cmd_roundtrip(scn, args, parser):
         print("scenario supplies raw coefficients; no data triple to round-trip",
               file=sys.stderr)
         return SCENARIO_ERROR
-    points = np.array(scn.structure.sample_points())
+    points = scn.structure.sample_points()
     entries, state = verify.structure_stage(_connection_for(scn), points)
     if state is None:
         failed = next(entry for entry in entries if not entry.passed)
@@ -215,6 +215,9 @@ def main(argv=None):
         return SCENARIO_ERROR
     except MemoryError as err:
         print(f"error: out of memory: {err}", file=sys.stderr)
+        return SCENARIO_ERROR
+    except RecursionError as err:  # parsing, differentiating or compiling recurse over depth
+        print(f"error: expression nested too deeply: {err}", file=sys.stderr)
         return SCENARIO_ERROR
     except OSError as err:  # an output file (--json, --out) that cannot be written
         parser.error(str(err))

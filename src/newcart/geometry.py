@@ -75,11 +75,12 @@ class SpacetimeStructure:
         return self.dim - 1
 
     def sample_points(self):
-        """Uniform points in the domain box, reproducible from the seed."""
+        """Uniform points in the domain box, reproducible from the seed, as
+        one (sample_count, dim) array."""
         rng = np.random.Generator(np.random.PCG64(self.rng_seed))
         lo = np.array([b[0] for b in self.domain_box])
         hi = np.array([b[1] for b in self.domain_box])
-        return list(lo + (hi - lo) * rng.random((self.sample_count, self.dim)))
+        return lo + (hi - lo) * rng.random((self.sample_count, self.dim))
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ def validate_structure(structure, observer):
     `DomainError` of the evaluation propagates, naming the point (for
     example h11 = 1 + sqrt(x) with x in [-1, 1]).
     """
-    points = np.array(structure.sample_points())
+    points = structure.sample_points()
     values = compile_exprs({"omega": structure.omega, "frame": structure.frame,
                             "z": observer.components, "h": structure.metric})(points)
     return CheckReport(scenario="", seed=structure.rng_seed,

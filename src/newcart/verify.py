@@ -5,14 +5,14 @@ derivatives, all evaluated over the structure's sample points.  No
 connection check compiles anything: each is a function of one
 `Connection.state` at a stack of points, shape (N, m), which holds every
 value they read.  The clock check's fields are coefficient arrays with
-closed-form values and Jacobians, and the round trip compares the
-observable image with the data values the state holds.  The
-finite-difference check reads the derivative tables of that state, the
-ones the connection's program compiles, so a wrong table cannot pass by
-being differentiated afresh; it runs the program once more, at the
-stencils only.  `run_all`'s structure stage runs the connection's
-program once: the structure entries read its input values, and the one
-state of all the checks is formed from the same run.
+closed-form values, paired with one m x m defect nabla w per point, and
+the round trip compares the observable image with the data values the
+state holds.  The finite-difference check reads the derivative tables of
+that state, the ones the connection's program compiles, so a wrong table
+cannot pass by being differentiated afresh; it runs the program once
+more, at the stencils only.  `run_all`'s structure stage runs the
+connection's program once: the structure entries read its input values,
+and the one state of all the checks is formed from the same run.
 
 Tolerances: 1e-9 for algebraic identities, 1e-8 for metric
 compatibility, and a normalized 1e-6 for finite differences.  They are
@@ -65,12 +65,11 @@ def _check_field_strings(m, seed, names):
 
 
 def _poly_values(coeffs, stack):
-    """Values [point, field, k] and Jacobians [point, field, k, i] of the
-    polynomial fields (c, a, b) at a stack of points."""
+    """Values [point, field, k] of the polynomial fields (c, a, b) at a
+    stack of points."""
     c, a, b = coeffs
-    values = (c + np.einsum("fki,pi->pfk", a, stack)
-              + np.einsum("fkij,pi,pj->pfk", b, stack, stack))
-    return values, a + np.einsum("fkij,pj->pfki", b + np.swapaxes(b, -1, -2), stack)
+    return (c + np.einsum("fki,pi->pfk", a, stack)
+            + np.einsum("fkij,pi,pj->pfk", b, stack, stack))
 
 
 def _check_field_seed(structure):
@@ -79,22 +78,23 @@ def _check_field_seed(structure):
 
 
 def check_compatibility_omega(state, structure):
-    """|X(w(Y)) - w(nabla_X Y)| over coordinate and seeded random fields."""
+    """|X(w(Y)) - w(nabla_X Y)| over coordinate and seeded random fields,
+    read as |(nabla_X w)(Y)| = |X^i (tau_ij - w_k Gamma^k_ij) Y^j|.
+
+    With tau_ij = d_i w_j, the product rule gives X(w(Y)) =
+    X^i tau_ij Y^j + X^i w_j d_i Y^j, and w(nabla_X Y) holds the same
+    X^i w_j d_i Y^j, so the derivatives of the fields cancel exactly and
+    only their values are read.
+    """
     stack, m = state["p"], structure.dim
     # the coordinate fields d_i, then the random ones
     fields = [np.concatenate([coord, rand]) for coord, rand in zip(
         (np.eye(m), np.zeros((m, m, m)), np.zeros((m, m, m, m))),
         random_poly_coeffs(m, _check_field_seed(structure)))]
-    values, jacobians = _poly_values(fields, stack)  # [point, field, k(, i)]
-    # d_i(w(Y)) = tau_ij Y^j + w_j d_i Y^j, so X(w(Y)) is exact by the product rule
-    d_clock = (np.einsum("pij,pyj->pyi", state["tau"], values)
-               + np.einsum("pj,pyji->pyi", state["omega"], jacobians))
-    lhs = np.einsum("pxi,pyi->pxy", values, d_clock)
-    # [point, X, Y] = nabla_X Y
-    nab = nabla(state["gamma"][:, None, None], jacobians[:, None],
-                values[:, :, None], values[:, None, :])
-    clock = np.einsum("pk,pxyk->pxy", state["omega"], nab)
-    residuals = np.abs(lhs - clock)  # [point, X, Y]
+    values = _poly_values(fields, stack)  # [point, field, k]
+    # [point, i, j] = (nabla_i w)_j
+    defect = state["tau"] - np.einsum("pk,pkij->pij", state["omega"], state["gamma"])
+    residuals = np.abs(values @ defect @ np.swapaxes(values, -1, -2))  # [point, X, Y]
     return make_entry("clock compatibility", CLOCK_TOL,
                       np.moveaxis(residuals, 0, -1),
                       np.tile(stack, (values.shape[1] ** 2, 1)))
@@ -290,7 +290,7 @@ def run_all(structure, observer, data=None, connection=None, scenario_name="",
     if connection is None:
         connection = build_connection(structure, observer, data)
     # the structure entries and every connection check read one program run
-    entries, state = structure_stage(connection, np.array(structure.sample_points()))
+    entries, state = structure_stage(connection, structure.sample_points())
     report = CheckReport(scenario_name, structure.rng_seed, entries, _check_field_strings(
         structure.dim, _check_field_seed(structure), structure.coord_names))
     if state is None:

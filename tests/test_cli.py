@@ -213,6 +213,20 @@ def test_out_of_memory_is_exit_3(monkeypatch, capsys):
     assert out.err == "error: out of memory: Unable to allocate 1.00 TiB for an array\n"
 
 
+@pytest.mark.parametrize("old,new", [
+    ("h11 = 1", "h11 = 1" + "+x" * 3000),  # differentiated while the connection is built
+    ("O = 1, 0", "O = " + "(" * 1000 + "1" + ")" * 1000 + ", 0"),  # parsed
+], ids=["long_sum", "nested_parentheses"])
+def test_deep_expression_is_exit_3(tmp_path, capsys, old, new):
+    path = tmp_path / "deep.scn"
+    path.write_text(bundled_scenario_path("flat").read_text().replace(old, new))
+    assert main(["check", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: expression nested too deeply")
+    assert len(out.err.splitlines()) == 1
+
+
 def test_usage_errors_are_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["geodesic", scn("grav")])  # missing required flags

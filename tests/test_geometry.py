@@ -74,7 +74,7 @@ def test_sample_points_are_the_per_point_draws(m):
     lo, hi = np.array(S.domain_box).T
     want = [lo + (hi - lo) * rng.random(m) for _ in range(S.sample_count)]
     got = S.sample_points()
-    assert isinstance(got, list) and len(got) == len(want)
+    assert isinstance(got, np.ndarray) and got.shape == (S.sample_count, m)
     assert all(p.tobytes() == q.tobytes() for p, q in zip(got, want))
 
 

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import (NAMES2, NAMES3, exprs, flat_observer, flat_structure,
+from conftest import (NAMES2, NAMES3, coord_field, exprs, flat_observer, flat_structure,
                       curvedh_structure, gravity_data, m4_data, m4_observer,
                       m4_structure, mixed_data, mixed_observer,
                       mixed_structure, rot_observer, rot_structure,
@@ -13,7 +13,8 @@ from conftest import (NAMES2, NAMES3, exprs, flat_observer, flat_structure,
 import newcart.expr as expr_mod
 import newcart.verify as verify_mod
 from newcart.connection import (Connection, ConnectionData, build_connection,
-                                connection_from_exprs, observable_map, spatial_state)
+                                connection_from_exprs, nabla, observable_map,
+                                spatial_state)
 from newcart.errors import DomainError, NewcartError
 from newcart.expr import (Const, Coord, ZERO, apply, differentiate, evaluate, mul,
                           parse_expr, to_string)
@@ -442,7 +443,7 @@ def test_check_fields_print_as_the_reference_draws(m):
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
-def test_check_field_values_and_jacobians_match_compiled_trees(m):
+def test_check_field_values_match_compiled_trees(m):
     # terms are bounded by 1 for |x| <= 1: at most 21 of them per component
     tol = 1e-12
     stack = np.random.default_rng(m).uniform(-1.0, 1.0, (30, m))
@@ -450,11 +451,73 @@ def test_check_field_values_and_jacobians_match_compiled_trees(m):
     for seed in (3, 4):
         fields = [tuple(parse_expr(c, names) for c in f)
                   for f in verify_mod._check_field_strings(m, seed, names)]
-        values, jacobians = verify_mod._poly_values(random_poly_coeffs(m, seed), stack)
-        want = compile_exprs({"values": fields,
-                              "jacobians": [field_jacobian(f) for f in fields]})(stack)
-        assert np.max(np.abs(values - want["values"])) <= tol
-        assert np.max(np.abs(jacobians - want["jacobians"])) <= tol
+        values = verify_mod._poly_values(random_poly_coeffs(m, seed), stack)
+        assert np.max(np.abs(values - compile_exprs(fields)(stack))) <= tol
+
+
+def _clock_residuals(monkeypatch, state, structure):
+    """The residuals and points `check_compatibility_omega` passes to make_entry."""
+    seen = []
+    make_entry = verify_mod.make_entry
+    monkeypatch.setattr(verify_mod, "make_entry",
+                        lambda *args: seen.append(args[2:]) or make_entry(*args))
+    entry = check_compatibility_omega(state, structure)
+    residuals, points = seen[0]
+    return entry, np.ravel(residuals), points
+
+
+def _two_sided_clock(state, structure):
+    """X(w(Y)) - w(nabla_X Y) per [X, Y, point] from the check fields'
+    compiled trees and their symbolic Jacobians: X(w(Y)) by the product
+    rule, nabla_X Y by `nabla`."""
+    m, names = structure.dim, structure.coord_names
+    fields = [coord_field(m, i) for i in range(m)] + [
+        tuple(parse_expr(c, names) for c in f) for f in verify_mod._check_field_strings(
+            m, verify_mod._check_field_seed(structure), names)]
+    at = compile_exprs({"values": fields,
+                        "jacobians": [field_jacobian(f) for f in fields]})(state["p"])
+    values, jacobians = at["values"], at["jacobians"]  # [point, field, k(, i)]
+    d_clock = (np.einsum("pij,pyj->pyi", state["tau"], values)
+               + np.einsum("pj,pyji->pyi", state["omega"], jacobians))
+    lhs = np.einsum("pxi,pyi->pxy", values, d_clock)
+    nab = nabla(state["gamma"][:, None, None], jacobians[:, None],
+                values[:, :, None], values[:, None, :])  # [point, X, Y, k]
+    return np.moveaxis(lhs - np.einsum("pk,pxyk->pxy", state["omega"], nab), 0, -1).ravel()
+
+
+CLOCK_CASES = {
+    **{f"m{m}": lambda m=m: build_connection(*synthetic_case(m, seed=7)) for m in (2, 3, 4, 5)},
+    "mixed": lambda: build_connection(mixed_structure(), mixed_observer(), mixed_data()),
+    "bad_flat": lambda: connection_from_exprs(flat_structure(), flat_observer(),
+                                              _table_with(2, {(0, 0, 0): Const(1.0)})),
+    # w(nabla_t d_x) = 1 but w(nabla_x d_t) = 0: a residual order [Y, X] fails here
+    "skew_flat": lambda: connection_from_exprs(flat_structure(), flat_observer(),
+                                               _table_with(2, {(0, 0, 1): Const(1.0)})),
+}
+
+
+@pytest.mark.parametrize("case", CLOCK_CASES)
+def test_clock_defect_form_equals_the_two_sided_formula(monkeypatch, case):
+    C = CLOCK_CASES[case]()
+    S = C.structure
+    state = C.state()
+    entry, residuals, points = _clock_residuals(monkeypatch, state, S)
+    ref = _two_sided_clock(state, S)
+    assert residuals.shape == ref.shape
+    assert np.all(np.abs(residuals - np.abs(ref)) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    # [X, Y, point] order: residual r sits at sample point r mod N
+    np.testing.assert_array_equal(points, np.tile(state["p"], (len(ref) // len(state["p"]), 1)))
+    assert entry.passed == (case not in ("bad_flat", "skew_flat"))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_clock_check_fails_on_a_perturbed_gamma(m):
+    S, z, D = synthetic_case(m, seed=7)
+    state = build_connection(S, z, D).state()
+    assert check_compatibility_omega(state, S).passed
+    state["gamma"][:, 0, 0, 0] += 1e-6
+    entry = check_compatibility_omega(state, S)
+    assert not entry.passed and entry.max_residual >= 0.5e-6
 
 
 def test_run_all_draws_the_sample_points_once(monkeypatch):
