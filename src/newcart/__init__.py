@@ -14,6 +14,7 @@ from .report import CheckEntry, CheckReport
 from .scenario import (Scenario, bundled_scenario_path, load_scenario,
                        load_scenario_text, serialize_scenario)
 from .verify import (check_compatibility_metric, check_compatibility_omega,
-                     check_roundtrip, check_torsion_clock, fd_validate, run_all)
+                     check_field_coeffs, check_roundtrip, check_torsion_clock,
+                     fd_validate, run_all)
 
 __version__ = "0.1.0"

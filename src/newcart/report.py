@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -36,6 +38,28 @@ def make_entry(name, tolerance, residuals, points):
         mean_res = float(np.cumsum(residuals)[-1] / residuals.size)
     worst_point = tuple(float(c) for c in points[worst])
     return CheckEntry(name, max_res, mean_res, tolerance, max_res <= tolerance, worst_point)
+
+
+def _scalar(value):
+    """One JSON scalar as json.dumps prints it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)  # NaN, +-inf, ints, bools, None
+
+
+def _array(items, indent):
+    """A list of encoded items laid out as json.dumps(indent=2) nests it
+    `indent` spaces deep."""
+    if not items:
+        return "[]"
+    inner = "\n" + " " * (indent + 2)
+    return "[" + inner + ("," + inner).join(items) + "\n" + " " * indent + "]"
+
+
+_ENTRY = ('{\n      "max": %s,\n      "mean": %s,\n      "name": %s,\n      "pass": %s,\n'
+          '      "tol": %s,\n      "worst_point": %s\n    }')
 
 
 @dataclass
@@ -75,15 +99,29 @@ class CheckReport:
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        """The text of json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        plus a newline, written in one pass over the fixed schema, whose
+        keys are listed in sorted order."""
+        fields = _array([_array([_scalar(c) for c in f], 4) for f in self.check_fields], 2)
+        entries = _array([_ENTRY % (
+            _scalar(e.max_residual), _scalar(e.mean_residual), _scalar(e.name),
+            _scalar(e.passed), _scalar(e.tolerance),
+            "null" if e.worst_point is None else _array([_scalar(c) for c in e.worst_point], 6))
+            for e in self.entries], 2)
+        return ('{\n  "check_fields": %s,\n  "entries": %s,\n  "pass": %s,\n'
+                '  "scenario": %s,\n  "seed": %s\n}\n' % (
+                    fields, entries, _scalar(self.passed), _scalar(self.scenario),
+                    _scalar(self.seed)))
 
     def render_table(self):
+        # names pad to 44 characters, or to the longest so that columns align
+        width = max([44, *(len(e.name) for e in self.entries)])
         lines = [f"scenario: {self.scenario}    seed: {self.seed}"]
-        lines.append(f"{'check':44}  {'max':>12}  {'mean':>12}  {'tol':>8}  status")
+        lines.append(f"{'check':{width}}  {'max':>12}  {'mean':>12}  {'tol':>8}  status")
         for e in self.entries:
             status = "pass" if e.passed else "FAIL"
             lines.append(
-                f"{e.name:44}  {e.max_residual:12.3e}  {e.mean_residual:12.3e}"
+                f"{e.name:{width}}  {e.max_residual:12.3e}  {e.mean_residual:12.3e}"
                 f"  {e.tolerance:8.0e}  {status}"
             )
         lines.append(f"overall: {'pass' if self.passed else 'FAIL'}")

@@ -5,14 +5,16 @@ derivatives, all evaluated over the structure's sample points.  No
 connection check compiles anything: each is a function of one
 `Connection.state` at a stack of points, shape (N, m), which holds every
 value they read.  The clock check's fields are coefficient arrays with
-closed-form values, paired with one m x m defect nabla w per point, and
-the round trip compares the observable image with the data values the
-state holds.  The finite-difference check reads the derivative tables of
+closed-form values, drawn once per report (`check_field_coeffs`) and
+passed in, the same arrays the report prints; they are paired with one
+m x m defect nabla w per point.  The round trip compares the observable
+image with the data values the state holds.  The finite-difference check reads the derivative tables of
 that state, the ones the connection's program compiles, so a wrong table
 cannot pass by being differentiated afresh; it runs the program once
 more, at the stencils only.  `run_all`'s structure stage runs the
 connection's program once: the structure entries read its input values,
-and the one state of all the checks is formed from the same run.
+and the one state of all the checks is formed from the same run.  The
+fault masks of a program run are read only when the run raised.
 
 Tolerances: 1e-9 for algebraic identities, 1e-8 for metric
 compatibility, and a normalized 1e-6 for finite differences.  They are
@@ -53,44 +55,53 @@ def random_poly_coeffs(m, seed):
     return draws[..., 0], draws[..., 1:1 + m], b
 
 
-def _check_field_strings(m, seed, names):
-    """The fields of random_poly_coeffs as to_string prints their sums of terms."""
-    c, a, b = random_poly_coeffs(m, seed)
-    i, j = upper_pairs(m, diagonal=True)
+def check_field_coeffs(structure):
+    """The report's seeded check fields as random_poly_coeffs arrays
+    (c, a, b), drawn once per report: a stream separate from the
+    sample-point generator, still scenario-pinned."""
+    return random_poly_coeffs(structure.dim, structure.rng_seed + 1)
+
+
+def _check_field_strings(coeffs, names):
+    """Fields (c, a, b) as to_string prints their sums of terms."""
+    c, a, b = coeffs
+    i, j = upper_pairs(len(names), diagonal=True)
     monomials = ["", *(f"*{x}" for x in names), *(f"*({names[p]}*{names[q]})"
                                                    for p, q in zip(i, j))]
+    # tolist() gives Python floats: %r prints each term's shortest repr
+    template = " + ".join("%r" + x for x in monomials)
     terms = np.concatenate([c[..., None], a, b[..., i, j]], axis=-1)  # [field, k, term]
-    return tuple(tuple(" + ".join(f"{float(t)!r}{x}" for t, x in zip(component, monomials))
-                       for component in field) for field in terms)
+    return tuple(tuple(template % tuple(component) for component in field)
+                 for field in terms.tolist())
 
 
 def _poly_values(coeffs, stack):
     """Values [point, field, k] of the polynomial fields (c, a, b) at a
-    stack of points."""
+    stack of points: x x^T is formed once per point, and each degree is
+    one matmul against the coefficients."""
     c, a, b = coeffs
-    return (c + np.einsum("fki,pi->pfk", a, stack)
-            + np.einsum("fkij,pi,pj->pfk", b, stack, stack))
+    n, m = stack.shape
+    outer = (stack[:, :, None] * stack[:, None, :]).reshape(n, m * m)
+    return (c + (stack @ a.reshape(-1, m).T).reshape(n, *c.shape)
+            + (outer @ b.reshape(-1, m * m).T).reshape(n, *c.shape))
 
 
-def _check_field_seed(structure):
-    # separate stream from the sample-point generator, still scenario-pinned
-    return structure.rng_seed + 1
-
-
-def check_compatibility_omega(state, structure):
-    """|X(w(Y)) - w(nabla_X Y)| over coordinate and seeded random fields,
-    read as |(nabla_X w)(Y)| = |X^i (tau_ij - w_k Gamma^k_ij) Y^j|.
+def check_compatibility_omega(state, coeffs):
+    """|X(w(Y)) - w(nabla_X Y)| over the coordinate fields and the seeded
+    random ones whose coefficients (c, a, b) the report drew once
+    (`check_field_coeffs`), read as
+    |(nabla_X w)(Y)| = |X^i (tau_ij - w_k Gamma^k_ij) Y^j|.
 
     With tau_ij = d_i w_j, the product rule gives X(w(Y)) =
     X^i tau_ij Y^j + X^i w_j d_i Y^j, and w(nabla_X Y) holds the same
     X^i w_j d_i Y^j, so the derivatives of the fields cancel exactly and
     only their values are read.
     """
-    stack, m = state["p"], structure.dim
+    stack = state["p"]
+    m = stack.shape[-1]
     # the coordinate fields d_i, then the random ones
     fields = [np.concatenate([coord, rand]) for coord, rand in zip(
-        (np.eye(m), np.zeros((m, m, m)), np.zeros((m, m, m, m))),
-        random_poly_coeffs(m, _check_field_seed(structure)))]
+        (np.eye(m), np.zeros((m, m, m)), np.zeros((m, m, m, m))), coeffs)]
     values = _poly_values(fields, stack)  # [point, field, k]
     # [point, i, j] = (nabla_i w)_j
     defect = state["tau"] - np.einsum("pk,pkij->pij", state["omega"], state["gamma"])
@@ -208,7 +219,9 @@ def fd_validate(connection, state):
     # stencil [i] and [m + i]: the points one step up and down direction i
     step = FD_STEP * np.eye(m)[:, None, :]
     grid = np.concatenate([stack + step, stack - step])
-    value, undefined, _ = connection.program.run(grid)  # [stencil, point, ...]
+    value, undefined, error = connection.program.run(grid)  # [stencil, point, ...]
+    # a clean run leaves every mask False: they are read only after a fault
+    faulted = error is not None
     residuals, where = [np.empty(0)], [np.empty((0, m))]
 
     if checked:
@@ -219,15 +232,18 @@ def fd_validate(connection, state):
         rows = {"omega": np.moveaxis(state["tau"], 1, 0), "z": np.moveaxis(state["dz"], -1, 0),
                 "frame": np.moveaxis(state["d_frame"], -1, 0), "h": np.moveaxis(state["dh"], 1, 0)}
         # [entry, direction, point], and [entry, stencil, point]
-        sym, at, bad = entries(rows), entries(value), entries(undefined)
-        keep = inside.T & ~bad[:, :m] & ~bad[:, m:]
+        sym, at = entries(rows), entries(value)
+        keep = np.broadcast_to(inside.T, sym.shape)
+        if faulted:
+            bad = entries(undefined)
+            keep = keep & ~bad[:, :m] & ~bad[:, m:]
         residuals.append(_normalized(sym, at[:, :m], at[:, m:])[keep])
         where.append(np.broadcast_to(stack, keep.shape + (m,))[keep])
 
     if spatial:
         basis, singular = adapted_basis(value["z"], value["frame"])
         usable = ~singular  # [stencil, point]
-        for bad in undefined.values():
+        for bad in undefined.values() if faulted else ():
             usable &= ~bad.reshape(bad.shape[:2] + (-1,)).any(axis=-1)
         coframe = np.linalg.inv(basis[usable])[:, 1:]
         g = np.empty(usable.shape + (m, m))
@@ -264,14 +280,15 @@ def structure_stage(connection, points):
     frame, z or h) raises the DomainError the input alone raises; then a
     failing entry comes before the user table's error and the run's own."""
     values, undefined, error = connection.program.run(points)
-    bad = np.any([undefined[group].reshape(len(points), -1).any(axis=1)
-                  for group in ("omega", "frame", "z", "h")], axis=0)
-    if bad.any():
-        k = int(np.argmax(bad))
-        if error.point != k:  # a derivative fails first: name the input's fault at k
-            error = connection.program.run(points[k:k + 1])[2]
-            error.point = k
-        raise error
+    if error is not None:  # a clean run leaves every mask False
+        bad = np.any([undefined[group].reshape(len(points), -1).any(axis=1)
+                      for group in ("omega", "frame", "z", "h")], axis=0)
+        if bad.any():
+            k = int(np.argmax(bad))
+            if error.point != k:  # a derivative fails first: name the input's fault at k
+                error = connection.program.run(points[k:k + 1])[2]
+                error.point = k
+            raise error
     entries = structure_entries(values, points)
     if not all(entry.passed for entry in entries):
         return entries, None
@@ -291,12 +308,13 @@ def run_all(structure, observer, data=None, connection=None, scenario_name="",
         connection = build_connection(structure, observer, data)
     # the structure entries and every connection check read one program run
     entries, state = structure_stage(connection, structure.sample_points())
-    report = CheckReport(scenario_name, structure.rng_seed, entries, _check_field_strings(
-        structure.dim, _check_field_seed(structure), structure.coord_names))
+    coeffs = check_field_coeffs(structure)
+    report = CheckReport(scenario_name, structure.rng_seed, entries,
+                         _check_field_strings(coeffs, structure.coord_names))
     if state is None:
         return report
     entries.append(fd_validate(connection, state))
-    entries.append(check_compatibility_omega(state, structure))
+    entries.append(check_compatibility_omega(state, coeffs))
     entries.append(check_compatibility_metric(state))
     entries.append(check_torsion_clock(state))
     if connection.is_built:

@@ -14,8 +14,8 @@ from newcart.dynamics import integrate_geodesic
 from newcart.expr import Const, apply, mul
 from newcart.scenario import bundled_scenario_path, load_scenario
 from newcart.verify import (check_compatibility_metric,
-                            check_compatibility_omega, check_torsion_clock,
-                            check_roundtrip, fd_validate, run_all)
+                            check_compatibility_omega, check_field_coeffs,
+                            check_torsion_clock, check_roundtrip, fd_validate, run_all)
 from reference import omega_apply, torsion_at
 
 SCENARIOS = ("flat", "grav", "rot", "twist", "curvedh")
@@ -48,8 +48,8 @@ def test_criterion_2_axiom_suite():
         scn = _load(name)
         S, z = scn.structure, scn.observer
         state = build_connection(S, z, scn.data).state()
-        for entry in (check_compatibility_omega(state, S), check_compatibility_metric(state),
-                      check_torsion_clock(state)):
+        for entry in (check_compatibility_omega(state, check_field_coeffs(S)),
+                      check_compatibility_metric(state), check_torsion_clock(state)):
             if not entry.passed:
                 failures.append((name, entry.name, entry.max_residual))
     assert _report(2, "axiom suite on bundled scenarios", not failures), failures

@@ -22,7 +22,7 @@ from newcart.expr import compile as compile_exprs
 from newcart.geometry import ObserverField, SpacetimeStructure, field_jacobian
 from newcart.scenario import bundled_scenario_path, load_scenario_text
 from newcart.verify import (FD_STEP, check_compatibility_metric,
-                            check_compatibility_omega, check_roundtrip,
+                            check_compatibility_omega, check_field_coeffs, check_roundtrip,
                             check_torsion_clock, fd_validate, random_poly_coeffs,
                             run_all, torsion_free_feasibility)
 
@@ -46,18 +46,18 @@ def _table_with(m, entries):
 def test_omega_check_passes_on_built_connections():
     S, z = flat_structure(), flat_observer()
     C = build_connection(S, z, ConnectionData.zero(1))
-    entry = check_compatibility_omega(C.state(), S)
+    entry = check_compatibility_omega(C.state(), check_field_coeffs(S))
     assert entry.passed and entry.max_residual <= 1e-12
 
     S, z = rot_structure(), rot_observer()
     C = build_connection(S, z, ConnectionData((ZERO, ZERO), {(0, 1): Const(0.5)}, {}))
-    assert check_compatibility_omega(C.state(), S).passed
+    assert check_compatibility_omega(C.state(), check_field_coeffs(S)).passed
 
 
 def test_omega_check_fails_on_bad_user_connection():
     S, z = flat_structure(), flat_observer()
     C = connection_from_exprs(S, z, _table_with(2, {(0, 0, 0): Const(1.0)}))
-    entry = check_compatibility_omega(C.state(), S)
+    entry = check_compatibility_omega(C.state(), check_field_coeffs(S))
     assert not entry.passed
     # the coordinate pair (d_t, d_t) contributes residual exactly 1; the
     # random polynomial fields can only push the maximum higher
@@ -275,6 +275,25 @@ def test_fd_validate_skips_stencils_where_the_basis_is_singular(monkeypatch):
     assert captured == [want]
 
 
+@pytest.mark.parametrize("name", ["twist", "curvedh"])
+def test_fd_validate_on_a_clean_run_equals_the_point_by_point_reference(monkeypatch, name):
+    scn = load_scenario_text(bundled_scenario_path(name).read_text(encoding="utf-8"))
+    C = build_connection(scn.structure, scn.observer, scn.data)
+    points = scn.structure.sample_points()
+    m = scn.structure.dim
+    # nothing fails at any stencil, so no mask is read
+    step = FD_STEP * np.eye(m)[:, None, :]
+    assert C.program.run(np.concatenate([points + step, points - step]))[2] is None
+    captured = []
+    monkeypatch.setattr(verify_mod, "make_entry",
+                        lambda name, tol, residuals, where: captured.append(residuals))
+    fd_validate(C, C.state(points))
+    want = _fd_residuals_point_by_point(scn.structure, verify_mod.derivative_catalog(C), C,
+                                        points)
+    assert len(want) > 0
+    assert captured == [want]
+
+
 def _count_compiles_and_runs(monkeypatch):
     compiled, runs = [], []
     program = expr_mod.Program
@@ -436,7 +455,7 @@ def _poly_fields_reference(m, seed, count=5):
 def test_check_fields_print_as_the_reference_draws(m):
     names = tuple(f"q{i}" for i in range(m))
     for seed in (0, 1, 8, 15, 12345):
-        got = verify_mod._check_field_strings(m, seed, names)
+        got = verify_mod._check_field_strings(random_poly_coeffs(m, seed), names)
         want = tuple(tuple(to_string(c, names) for c in f)
                      for f in _poly_fields_reference(m, seed))
         assert got == want
@@ -449,9 +468,10 @@ def test_check_field_values_match_compiled_trees(m):
     stack = np.random.default_rng(m).uniform(-1.0, 1.0, (30, m))
     names = tuple(f"q{i}" for i in range(m))
     for seed in (3, 4):
+        coeffs = random_poly_coeffs(m, seed)
         fields = [tuple(parse_expr(c, names) for c in f)
-                  for f in verify_mod._check_field_strings(m, seed, names)]
-        values = verify_mod._poly_values(random_poly_coeffs(m, seed), stack)
+                  for f in verify_mod._check_field_strings(coeffs, names)]
+        values = verify_mod._poly_values(coeffs, stack)
         assert np.max(np.abs(values - compile_exprs(fields)(stack))) <= tol
 
 
@@ -461,7 +481,7 @@ def _clock_residuals(monkeypatch, state, structure):
     make_entry = verify_mod.make_entry
     monkeypatch.setattr(verify_mod, "make_entry",
                         lambda *args: seen.append(args[2:]) or make_entry(*args))
-    entry = check_compatibility_omega(state, structure)
+    entry = check_compatibility_omega(state, check_field_coeffs(structure))
     residuals, points = seen[0]
     return entry, np.ravel(residuals), points
 
@@ -473,7 +493,7 @@ def _two_sided_clock(state, structure):
     m, names = structure.dim, structure.coord_names
     fields = [coord_field(m, i) for i in range(m)] + [
         tuple(parse_expr(c, names) for c in f) for f in verify_mod._check_field_strings(
-            m, verify_mod._check_field_seed(structure), names)]
+            check_field_coeffs(structure), names)]
     at = compile_exprs({"values": fields,
                         "jacobians": [field_jacobian(f) for f in fields]})(state["p"])
     values, jacobians = at["values"], at["jacobians"]  # [point, field, k(, i)]
@@ -514,9 +534,9 @@ def test_clock_defect_form_equals_the_two_sided_formula(monkeypatch, case):
 def test_clock_check_fails_on_a_perturbed_gamma(m):
     S, z, D = synthetic_case(m, seed=7)
     state = build_connection(S, z, D).state()
-    assert check_compatibility_omega(state, S).passed
+    assert check_compatibility_omega(state, check_field_coeffs(S)).passed
     state["gamma"][:, 0, 0, 0] += 1e-6
-    entry = check_compatibility_omega(state, S)
+    entry = check_compatibility_omega(state, check_field_coeffs(S))
     assert not entry.passed and entry.max_residual >= 0.5e-6
 
 
@@ -528,6 +548,22 @@ def test_run_all_draws_the_sample_points_once(monkeypatch):
     S, z, D = synthetic_case(3, seed=7)
     assert run_all(S, z, data=D).passed
     assert len(calls) == 1
+
+
+def test_run_all_draws_the_check_fields_once(monkeypatch):
+    draws = []
+    draw = verify_mod.random_poly_coeffs
+    monkeypatch.setattr(verify_mod, "random_poly_coeffs",
+                        lambda m, seed: draws.append(draw(m, seed)) or draws[-1])
+    S, z, D = synthetic_case(3, seed=7)
+    report = run_all(S, z, data=D)
+    assert report.passed
+    assert len(draws) == 1
+    # the printed fields are the fields the clock check reads
+    stack = S.sample_points()
+    fields = [tuple(parse_expr(c, S.coord_names) for c in f) for f in report.check_fields]
+    values = verify_mod._poly_values(draws[0], stack)
+    assert np.max(np.abs(values - compile_exprs(fields)(stack))) <= 1e-12
 
 
 def test_run_all_evaluates_gamma_once(monkeypatch):
@@ -549,7 +585,7 @@ def test_run_all_evaluates_gamma_once(monkeypatch):
     monkeypatch.setattr(Connection, "state_of", state_of)
     C = build_connection(S, z, mixed_data())
     points = S.sample_points()
-    alone = [check_compatibility_omega(C.state(points), S),
+    alone = [check_compatibility_omega(C.state(points), check_field_coeffs(S)),
              check_compatibility_metric(C.state(points)), check_torsion_clock(C.state(points)),
              check_roundtrip(C.state(points))]
     assert report.entries[-4:] == alone
@@ -569,7 +605,7 @@ def test_checks_read_the_kit_and_compile_nothing(monkeypatch, user):
     init = expr_mod.Program.__init__
     monkeypatch.setattr(expr_mod.Program, "__init__",
                         lambda self, exprs: (built.append(exprs), init(self, exprs))[1])
-    check_compatibility_omega(C.state(points), S)
+    check_compatibility_omega(C.state(points), check_field_coeffs(S))
     check_compatibility_metric(C.state(points))
     check_torsion_clock(C.state(points))
     observable_map(C.state(points))
