@@ -72,8 +72,7 @@ def _connection_for(scn):
 
 
 def cmd_check(scn, args, parser):
-    conn = _connection_for(scn) if scn.has_user_connection else None
-    report = verify.run_all(scn.structure, scn.observer, data=scn.data, connection=conn,
+    report = verify.run_all(scn.structure, scn.observer, connection=_connection_for(scn),
                             scenario_name=scn.name,
                             expect_torsion_free=args.expect_torsion_free)
     print(report.render_table())
@@ -117,8 +116,7 @@ def cmd_roundtrip(scn, args, parser):
         print("scenario supplies raw coefficients; no data triple to round-trip",
               file=sys.stderr)
         return SCENARIO_ERROR
-    points = scn.structure.sample_points()
-    entries, state = verify.structure_stage(_connection_for(scn), points)
+    entries, state = verify.structure_stage(_connection_for(scn))
     if state is None:
         failed = next(entry for entry in entries if not entry.passed)
         print(f"structure check failed: {failed.name}", file=sys.stderr)

@@ -176,9 +176,10 @@ class Connection:
     tau = d omega are compiled into one program; these tables are the
     ones the finite-difference check validates; omega, frame, z and h
     come first in it.  `state` runs it once over points of shape (..., m),
-    so it fails wherever any input is undefined, and `state_of` that run
-    returns every value the checks and the observables read,
-    `spatial_state`'s and Gamma's, with the same leading axes.  The
+    in one way for a built and a user connection, and `state_of` that run
+    raises the run's error, or returns every value the checks and the
+    observables read, `spatial_state`'s and Gamma's, with the same leading
+    axes; so a state fails wherever any input is undefined.  The
     data enter the state as point values only: gravity (..., n), coriolis
     (..., n, n) and theta (..., n, m, m), the layout `observable_map`
     returns.
@@ -247,18 +248,17 @@ class Connection:
 
     def state(self, points=None):
         """`state_of` one program run at `points`, by default the structure's
-        sample points; a built connection's is the raising call, with no masks."""
+        sample points."""
         points = np.asarray(self.structure.sample_points() if points is None else points,
                             dtype=float)
-        if self._user is None:
-            return self.state_of(self.program(points), points)
         values, _, error = self.program.run(points)
         return self.state_of(values, points, error)
 
-    def state_of(self, values, points, error=None):
+    def state_of(self, values, points, error):
         """spatial_state of `values`, from a program run at points (..., m)
-        that raised `error` or nothing, with the user table's gamma or else
-        gamma_of's.  The user table runs first: its error comes before `error`."""
+        that raised `error` (None for a clean run), with the user table's
+        gamma or else gamma_of's.  The user table runs first: its error
+        comes before `error`."""
         gamma = None if self._user is None else self._user(points)
         if error is not None:
             raise error

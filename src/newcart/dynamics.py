@@ -115,9 +115,10 @@ def integrate_observer_flow(structure, observer, x0, tau0, tau1, dtau):
     traj = _integrate(field, structure.domain_box, x0, np.zeros(len(x0)), tau0, tau1, dtau)
     # z was defined at every state but the last, which began no step
     velocities, undefined, error = z.run([st.position for st in traj.states])
-    velocities[undefined.any(axis=1)] = np.nan
-    if error is not None and traj.termination == COMPLETED:
-        traj.termination, traj.error = EVALUATION_FAILURE, error
+    if error is not None:
+        velocities[undefined.any(axis=1)] = np.nan
+        if traj.termination == COMPLETED:
+            traj.termination, traj.error = EVALUATION_FAILURE, error
     for st, velocity in zip(traj.states, velocities):
         st.velocity = velocity
     return traj

@@ -403,37 +403,14 @@ class Program:
         return schedule
 
     def run(self, points):
-        """(values, undefined, error) of one run over points (..., m):
-        the values a call returns; where, in their layout, an operation in
-        an output's cone fails at a point; the error a call raises, or None.
+        """(values, undefined, error) of one run over points (..., m): the
+        values a call returns, and after a fault the error a call raises
+        and where, in the values' layout, an operation in an output's cone
+        fails at a point.  A clean run is (values, None, None): no mask is
+        formed.
         """
         points = np.asarray(points, dtype=float)
-        table, bad, error = self._evaluate(points.reshape(-1, points.shape[-1]))
-        bad = np.zeros(table.shape, dtype=bool) if bad is None else bad
-        return self._unpack(table, points), self._unpack(bad, points), error
-
-    def __call__(self, points):
-        """Every expression at every point of `points`, shape (..., m).
-
-        A single tree or nested sequence gives an array (..., *shape); a
-        dict gives a dict of such arrays.  Raises the DomainError that the
-        lowest-index failing point (over the flattened leading axes)
-        raises on its own, with `point` set to that index.
-        """
-        points = np.asarray(points, dtype=float)
-        table, _, error = self._evaluate(points.reshape(-1, points.shape[-1]))
-        if error is not None:
-            raise error
-        return self._unpack(table, points)
-
-    def _unpack(self, table, points):
-        out = {name: table[start:start + math.prod(shape)].T.reshape(points.shape[:-1] + shape)
-               for name, start, shape in self._layout}
-        return out[None] if self._single else out
-
-    def _evaluate(self, flat):
-        """(output, point) values at points (N, m), the (output, point) mask
-        of where each is undefined (None when nothing fails), the error."""
+        flat = points.reshape(-1, points.shape[-1])
         vals = np.empty((self.slot_count, len(flat)))
         vals[self._const_slots] = self._const_values
         vals[self._coords[0]] = flat.T[self._coords[1]]
@@ -446,9 +423,9 @@ class Program:
                 for rank, (bad, reason) in enumerate(checks):
                     if bad.any():
                         faults.append((bad, ordinals, rank, reason))
-        table = vals.take(self._outputs, axis=0)
+        values = self._unpack(vals.take(self._outputs, axis=0), points)
         if not faults:
-            return table, None, None
+            return values, None, None
         # the lowest failing point, and there the first fault in walk order
         first = min(int(np.argmax(bad.any(axis=0))) for bad, *_ in faults)
         ordinal, _, reason = min((ordinals[bad[:, first]].min(), rank, reason)
@@ -469,7 +446,26 @@ class Program:
         for _, out, args, _ in self._groups:
             if out is not None:
                 undefined[out] |= np.logical_or.reduce([undefined[a] for a in args])
-        return table, undefined.take(self._outputs, axis=0), error
+        return values, self._unpack(undefined.take(self._outputs, axis=0), points), error
+
+    def __call__(self, points):
+        """Every expression at every point of `points`, shape (..., m).
+
+        A single tree or nested sequence gives an array (..., *shape); a
+        dict gives a dict of such arrays.  Raises the DomainError that the
+        lowest-index failing point (over the flattened leading axes)
+        raises on its own, with `point` set to that index: `run`, then
+        its error.
+        """
+        values, _, error = self.run(points)
+        if error is not None:
+            raise error
+        return values
+
+    def _unpack(self, table, points):
+        out = {name: table[start:start + math.prod(shape)].T.reshape(points.shape[:-1] + shape)
+               for name, start, shape in self._layout}
+        return out[None] if self._single else out
 
 
 def compile(exprs):

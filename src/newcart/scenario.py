@@ -22,7 +22,8 @@ Sections and keys (UTF-8, '#' comments, whitespace-insensitive)::
                                                seed >= 0, bounds finite)
 
 Omitted gravity/coriolis/theta sections mean zero data.  A christoffel
-section may not be combined with data sections.
+section may not be combined with data sections.  A key that its section
+does not list is an error.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ from .geometry import ObserverField, SpacetimeStructure
 
 _REQUIRED = ("spacetime", "omega", "observer", "frame", "metric", "domain")
 _KNOWN = _REQUIRED + ("gravity", "coriolis", "theta", "christoffel")
+# the keys of the fixed-key sections; the others have indexed keys
+_KEYS = {"spacetime": ("dim", "coords", "name", "description"), "omega": ("O",),
+         "observer": ("z",), "gravity": ("G",), "domain": ("box", "samples", "seed")}
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*$")
 
 
@@ -78,6 +82,9 @@ def _read_sections(text):
         key, value = line.split("=", 1)
         key = key.strip()
         value = value.strip()
+        if current in _KEYS and key not in _KEYS[current]:
+            raise ScenarioParseError(f"unknown key '{key}'", section=current, key=key,
+                                     line=lineno)
         if key in sections[current]:
             raise ScenarioParseError(f"duplicate key '{key}'", section=current, line=lineno)
         sections[current][key] = (value, lineno)
@@ -224,9 +231,7 @@ def load_scenario_text(text, name="scenario"):
         data = None
     else:
         gravity = tuple(ZERO for _ in range(n))
-        if "gravity" in sections and sections["gravity"]:
-            if set(sections["gravity"]) != {"G"}:
-                raise ScenarioParseError("only key 'G' is allowed", section="gravity")
+        if sections.get("gravity"):
             gravity = _expr_list(sections["gravity"]["G"][0], coords, "gravity", "G", n)
         coriolis = {}
         for key, (a, b), value in _indexed(sections, "coriolis", "wab"):

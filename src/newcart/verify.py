@@ -13,8 +13,10 @@ that state, the ones the connection's program compiles, so a wrong table
 cannot pass by being differentiated afresh; it runs the program once
 more, at the stencils only.  `run_all`'s structure stage runs the
 connection's program once: the structure entries read its input values,
-and the one state of all the checks is formed from the same run.  The
-fault masks of a program run are read only when the run raised.
+and the one state of all the checks is formed from the same run.  A clean
+run has no masks; the FD check reads them only after a fault, and the
+structure stage none: it names a faulted input through
+`validate_structure`.
 
 Tolerances: 1e-9 for algebraic identities, 1e-8 for metric
 compatibility, and a normalized 1e-6 for finite differences.  They are
@@ -30,7 +32,7 @@ import numpy as np
 
 from .connection import build_connection, nabla, observable_map
 from .expr import Const
-from .geometry import adapted_basis, structure_entries, upper_pairs
+from .geometry import adapted_basis, structure_entries, upper_pairs, validate_structure
 from .report import CheckReport, make_entry
 
 CLOCK_TOL = 1e-9
@@ -219,9 +221,8 @@ def fd_validate(connection, state):
     # stencil [i] and [m + i]: the points one step up and down direction i
     step = FD_STEP * np.eye(m)[:, None, :]
     grid = np.concatenate([stack + step, stack - step])
-    value, undefined, error = connection.program.run(grid)  # [stencil, point, ...]
-    # a clean run leaves every mask False: they are read only after a fault
-    faulted = error is not None
+    # [stencil, point, ...]; a clean run has no masks
+    value, undefined, _ = connection.program.run(grid)
     residuals, where = [np.empty(0)], [np.empty((0, m))]
 
     if checked:
@@ -234,7 +235,7 @@ def fd_validate(connection, state):
         # [entry, direction, point], and [entry, stencil, point]
         sym, at = entries(rows), entries(value)
         keep = np.broadcast_to(inside.T, sym.shape)
-        if faulted:
+        if undefined is not None:
             bad = entries(undefined)
             keep = keep & ~bad[:, :m] & ~bad[:, m:]
         residuals.append(_normalized(sym, at[:, :m], at[:, m:])[keep])
@@ -243,7 +244,7 @@ def fd_validate(connection, state):
     if spatial:
         basis, singular = adapted_basis(value["z"], value["frame"])
         usable = ~singular  # [stencil, point]
-        for bad in undefined.values() if faulted else ():
+        for bad in undefined.values() if undefined is not None else ():
             usable &= ~bad.reshape(bad.shape[:2] + (-1,)).any(axis=-1)
         coframe = np.linalg.inv(basis[usable])[:, 1:]
         g = np.empty(usable.shape + (m, m))
@@ -274,21 +275,16 @@ def torsion_free_feasibility(state):
                       TORSION_TOL, worst, state["p"])
 
 
-def structure_stage(connection, points):
+def structure_stage(connection):
     """(structure entries, state or None if an entry fails) from one run of
-    the connection's program at points (N, m).  An undefined input (omega,
-    frame, z or h) raises the DomainError the input alone raises; then a
-    failing entry comes before the user table's error and the run's own."""
-    values, undefined, error = connection.program.run(points)
-    if error is not None:  # a clean run leaves every mask False
-        bad = np.any([undefined[group].reshape(len(points), -1).any(axis=1)
-                      for group in ("omega", "frame", "z", "h")], axis=0)
-        if bad.any():
-            k = int(np.argmax(bad))
-            if error.point != k:  # a derivative fails first: name the input's fault at k
-                error = connection.program.run(points[k:k + 1])[2]
-                error.point = k
-            raise error
+    the connection's program at its structure's sample points.  A faulted
+    run raises what `validate_structure` raises, the error an undefined
+    input alone raises; then a failing entry comes before the user table's
+    error and the run's own."""
+    points = connection.structure.sample_points()
+    values, _, error = connection.program.run(points)
+    if error is not None:  # raises only for an input; other faults wait for state_of
+        validate_structure(connection.structure, connection.observer)
     entries = structure_entries(values, points)
     if not all(entry.passed for entry in entries):
         return entries, None
@@ -300,14 +296,15 @@ def run_all(structure, observer, data=None, connection=None, scenario_name="",
     """Structure validation plus every connection check, one report.
 
     With `data`, the connection is built and the round trip included;
-    with `connection`, the supplied coefficients are verified instead.
-    Connection checks are skipped when the structure itself fails, so a
-    corrupted scenario fails exactly at its defective entry.
+    with `connection`, its coefficients are verified instead, at the
+    sample points of `connection.structure`.  Connection checks are
+    skipped when the structure itself fails, so a corrupted scenario
+    fails exactly at its defective entry.
     """
     if connection is None:
         connection = build_connection(structure, observer, data)
     # the structure entries and every connection check read one program run
-    entries, state = structure_stage(connection, structure.sample_points())
+    entries, state = structure_stage(connection)
     coeffs = check_field_coeffs(structure)
     report = CheckReport(scenario_name, structure.rng_seed, entries,
                          _check_field_strings(coeffs, structure.coord_names))

@@ -8,7 +8,10 @@ import pytest
 
 from newcart import verify
 from newcart.cli import main
-from newcart.scenario import bundled_scenario_path
+from newcart.connection import build_connection
+from newcart.errors import DomainError
+from newcart.geometry import validate_structure
+from newcart.scenario import bundled_scenario_path, load_scenario_text
 
 
 def scn(name):
@@ -188,6 +191,17 @@ def test_bad_numeric_field_is_exit_3(tmp_path, capsys, old, new, where):
     assert f"scenario error: section [domain], {where}" in capsys.readouterr().err
 
 
+def test_unknown_key_is_exit_3(tmp_path, capsys):
+    path = tmp_path / "grav.scn"
+    text = bundled_scenario_path("grav").read_text(encoding="utf-8")
+    path.write_text(text.replace("samples = 60", "sample = 60"), encoding="utf-8")
+    assert main(["check", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("scenario error: section [domain], key 'sample', line 27: "
+                       "unknown key 'sample'\n")
+
+
 @pytest.mark.parametrize("clock,message", [
     ("1\u00b2, 0", "unexpected token '\u00b2' at position 1 (expected end of input)"),
     ("\u0661, 0", "unexpected character '\u0661' at position 0"),
@@ -336,6 +350,33 @@ def test_an_undefined_input_is_named_before_an_undefined_derivative(tmp_path, ca
     path.write_text(UNDEFINED_INPUT_AND_DERIVATIVE.format(seed=seed), encoding="utf-8")
     assert main(["check", str(path)]) == 3
     assert capsys.readouterr().err == "error: sqrt of negative argument in 'sqrt(t - 0.5)'\n"
+
+
+def _fault(err):
+    return str(err), err.point, err.subexpression, err.reason
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_structure_stage_raises_what_validate_structure_raises(seed):
+    scenario = load_scenario_text(UNDEFINED_INPUT_AND_DERIVATIVE.format(seed=seed))
+    with pytest.raises(DomainError) as want:
+        validate_structure(scenario.structure, scenario.observer)
+    with pytest.raises(DomainError) as got:
+        verify.run_all(scenario.structure, scenario.observer, data=scenario.data)
+    assert _fault(got.value) == _fault(want.value)
+
+
+def test_a_derivative_only_fault_raises_the_runs_own_error():
+    # z is defined everywhere; d_x sqrt(x*x) divides by zero at x = 0
+    text = UNDEFINED_INPUT_AND_DERIVATIVE.format(seed=0).replace("sqrt(t - 0.5)", "0")
+    scenario = load_scenario_text(text)
+    assert validate_structure(scenario.structure, scenario.observer).passed
+    conn = build_connection(scenario.structure, scenario.observer, scenario.data)
+    error = conn.program.run(scenario.structure.sample_points())[2]
+    assert error is not None
+    with pytest.raises(DomainError) as got:
+        verify.run_all(scenario.structure, scenario.observer, connection=conn)
+    assert _fault(got.value) == _fault(error)
 
 
 def test_a_failing_structure_entry_comes_before_an_undefined_datum(tmp_path, capsys):

@@ -141,6 +141,20 @@ def test_numeric_fields_name_section_key_and_line(key, old, new, line):
     assert err.value.section == ("spacetime" if key == "dim" else "domain")
 
 
+@pytest.mark.parametrize("section,old,new,key,line", [
+    ("spacetime", "dim = 2", "dim = 2\ndimm = 3", "dimm", 4),
+    ("omega", "O = 1, 0", "O = 1, 0\nO2 = 1, 0", "O2", 7),
+    ("observer", "z = 1, 0", "z = 1, 0\nzz = 1, 0", "zz", 9),
+    ("gravity", "box = 0 1, -1 1", "box = 0 1, -1 1\n[gravity]\ng = 0", "g", 16),
+    ("domain", "box = 0 1, -1 1", "box = 0 1, -1 1\nsample = 60", "sample", 15),
+])
+def test_unknown_keys_name_section_key_and_line(section, old, new, key, line):
+    with pytest.raises(ScenarioParseError) as err:
+        load_scenario_text(MINIMAL.replace(old, new))
+    assert (err.value.section, err.value.key, err.value.line) == (section, key, line)
+    assert str(err.value).endswith(f": unknown key '{key}'")
+
+
 def test_samples_upper_bound_is_inclusive():
     # loading draws no point, so the bound itself allocates nothing here
     text = MINIMAL.replace("box = 0 1, -1 1", "box = 0 1, -1 1\nsamples = 100000")
