@@ -36,9 +36,10 @@ all hold on every scenario.
 
 Only the user input and its first derivatives are symbolic.  Everything
 downstream is numeric at each point: the coframe Q (rows 1..n of the
-inverse of the adapted basis B = (z, E_1..E_n)), the spatial tensor
-g = Q^T h Q, its derivatives from d_k(B^-1) = -B^-1 (d_k B) B^-1, and
-small dense solves.  `Connection.state` evaluates all of it once over a
+inverse of the adapted basis B = (z, E_1..E_n), which the program emits
+with its derivatives d_k B as views of one output table), the spatial
+tensor g = Q^T h Q, its derivatives from d_k(B^-1) = -B^-1 (d_k B) B^-1,
+and small dense solves.  `Connection.state` evaluates all of it once over a
 stack of points, and every check and observable reads that one state:
 frame coefficients come from its coframe, the observable triple from
 `observable_map`, and covariant derivatives from `nabla`.  Gamma itself,
@@ -76,17 +77,17 @@ def nabla(gamma, dy, x, y):
 
 def spatial_state(values, points):
     """The values of one run of a connection's program at points (..., m),
-    with p, the coframe Q (..., n, m), g = Q^T h Q and dg[..., k, i, j] =
-    d_k g_ij added in place, from d_k g = (d_k Q)^T h Q + Q^T (d_k h) Q +
+    with p, the coframe Q (..., n, m), q_t_h = Q^T h, g = Q^T h Q and
+    dg[..., k, i, j] = d_k g_ij added in place, from the program's adapted
+    basis and its derivatives, and d_k g = (d_k Q)^T h Q + Q^T (d_k h) Q +
     Q^T h (d_k Q)."""
-    inverse = geometry.basis_inverse(values["z"], values["frame"], points)
+    inverse = geometry.basis_inverse(values["basis"], points)
     coframe, h = inverse[..., 1:, :], values["h"]  # column j of Q decomposes P d_j
-    values.update(p=points, coframe=coframe, g=coframe.swapaxes(-1, -2) @ h @ coframe)
-    # [..., i, k, c] = d_i B_kc
-    d_basis = np.concatenate([values["dz"].swapaxes(-1, -2)[..., None],
-                              values["d_frame"].swapaxes(-1, -3)], axis=-1)
+    values["p"], values["coframe"] = points, coframe
+    values["q_t_h"] = q_t_h = coframe.swapaxes(-1, -2) @ h  # [..., j, b] = <P d_j, E_b>
+    values["g"] = q_t_h @ coframe
     inv_i = inverse[..., None, :, :]  # broadcast over the derivative index
-    d_coframe = -(inv_i @ d_basis @ inv_i)[..., 1:, :]  # (..., m, n, m)
+    d_coframe = -(inv_i @ values["d_basis"] @ inv_i)[..., 1:, :]  # (..., m, n, m)
     coframe_i = coframe[..., None, :, :]
     half = d_coframe.swapaxes(-1, -2) @ h[..., None, :, :] @ coframe_i
     values["dg"] = (half + half.swapaxes(-1, -2)
@@ -96,8 +97,9 @@ def spatial_state(values, points):
 
 def gamma_of(state):
     """Adds gamma (..., m, m, m) and rhs (..., m, m, n) = 2<P(nabla_i d_j), E_b>
-    in place to a state, from its omega, tau, z, frame, coframe, h, dg and any
-    data values gravity, coriolis and theta (p names where h is singular)."""
+    in place to a state, from its omega, tau, z, frame, coframe, h, q_t_h, dg
+    and any data values gravity, coriolis and theta (p names where h is
+    singular)."""
     omega, h, dg = state["omega"], state["h"], state["dg"]
     frame_t = state["frame"].swapaxes(-1, -2)
     q_t = state["coframe"].swapaxes(-1, -2)
@@ -115,7 +117,7 @@ def gamma_of(state):
     theta = state["theta"] - state["theta"].swapaxes(-1, -2)  # [..., a, i, j] = Theta^a_ij
     rhs += (theta.reshape(lead + (n, m * m)).swapaxes(-1, -2) @ h).reshape(half.shape)
     # [..., i, j, b] = <P d_i, E_a> Theta^a(d_j, E_b)
-    pairs = ((q_t @ h) @ (theta @ frame_t[..., None, :, :]).reshape(lead + (n, m * n))
+    pairs = (state["q_t_h"] @ (theta @ frame_t[..., None, :, :]).reshape(lead + (n, m * n))
              ).reshape(half.shape)
     state["rhs"] = rhs = rhs - pairs - pairs.swapaxes(-3, -2)
 
@@ -175,8 +177,9 @@ class Connection:
     has none) and its symbolic first derivatives dz, d_frame, dh and
     tau = d omega are compiled into one program; these tables are the
     ones the finite-difference check validates; omega, frame, z and h
-    come first in it.  `state` runs it once over points of shape (..., m),
-    in one way for a built and a user connection, and `state_of` that run
+    come first in it, and basis and d_basis, aliases of z, the frame and
+    their derivatives, last.  `state` runs it once over points of shape
+    (..., m), in one way for a built and a user connection, and `state_of` that run
     raises the run's error, or returns every value the checks and the
     observables read, `spatial_state`'s and Gamma's, with the same leading
     axes; so a state fails wherever any input is undefined.  The
@@ -236,6 +239,9 @@ class Connection:
     def program(self):
         S, m, n = self.structure, self.structure.dim, self.structure.n
         data = ConnectionData.zero(n) if self.data is None else self.data
+        # [c][k] = B_kc and [c][k][i] = d_i B_kc, columns c = (z, E_1..E_n)
+        columns = np.array([self.observer.components, *S.frame], dtype=object)
+        d_columns = np.array([self.dz, *self.d_frame], dtype=object)
         # the input first, in validate_structure's order: a fault names the same node
         return compile_exprs({
             "omega": S.omega, "frame": S.frame, "z": self.observer.components, "h": S.metric,
@@ -244,7 +250,9 @@ class Connection:
             "coriolis": [[data.coriolis_entry(a, b) for b in range(n)] for a in range(n)],
             # theta[a][i][j] for i < j only: Theta^a_ij = theta[a][i][j] - theta[a][j][i]
             "theta": [[[data.theta.get((a, i, j), ZERO) for j in range(m)]
-                       for i in range(m)] for a in range(n)]})
+                       for i in range(m)] for a in range(n)],
+            # aliases of the slots above: basis[k][c] and d_basis[i][k][c]
+            "basis": columns.T, "d_basis": d_columns.transpose(2, 1, 0)})
 
     def state(self, points=None):
         """`state_of` one program run at `points`, by default the structure's
@@ -262,9 +270,11 @@ class Connection:
         gamma = None if self._user is None else self._user(points)
         if error is not None:
             raise error
+        state = spatial_state(values, points)
         if gamma is None:
-            return gamma_of(spatial_state(values, points))
-        return dict(spatial_state(values, points), gamma=gamma)
+            return gamma_of(state)
+        state["gamma"] = gamma
+        return state
 
     def christoffel(self, p):
         p = np.asarray(p, dtype=float)

@@ -78,7 +78,7 @@ def _integrate(f, box, x0, v0, tau0, tau1, dtau):
         except NewcartError as err:
             termination, error = EVALUATION_FAILURE, err
             break
-        if not (np.all(np.isfinite(nx)) and np.all(np.isfinite(nv))):
+        if not (np.isfinite(nx).all() and np.isfinite(nv).all()):
             termination = NUMERIC_FAILURE
             break
         x, v = nx, nv
@@ -129,7 +129,7 @@ def trajectory_csv(trajectory, m):
     header = ["tau"] + [f"x{i}" for i in range(m)] + [f"v{i}" for i in range(m)]
     lines = [", ".join(header)]
     for st in trajectory.states:
-        row = [st.tau] + list(st.position) + list(st.velocity)
+        row = [st.tau] + st.position.tolist() + st.velocity.tolist()
         lines.append(", ".join(f"{value:.17g}" for value in row))
     return "\n".join(lines) + "\n"
 

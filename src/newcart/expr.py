@@ -375,7 +375,7 @@ class Program:
         layout, outputs = [], []
         for name, group in groups.items():
             table = np.array(group, dtype=object)
-            layout.append((name, len(outputs), table.shape))
+            layout.append((name, slice(len(outputs), len(outputs) + table.size), table.shape))
             outputs += [visit(e) for e in table.flat]
         del visit  # it holds itself through its closure: free the compile state now
         self.slot_count = len(keys)
@@ -421,9 +421,9 @@ class Program:
                 if out is not None:
                     vals[out] = value
                 for rank, (bad, reason) in enumerate(checks):
-                    if bad.any():
+                    if np.count_nonzero(bad):
                         faults.append((bad, ordinals, rank, reason))
-        values = self._unpack(vals.take(self._outputs, axis=0), points)
+        values = self._unpack(vals.T.take(self._outputs, axis=-1), points)
         if not faults:
             return values, None, None
         # the lowest failing point, and there the first fault in walk order
@@ -446,7 +446,7 @@ class Program:
         for _, out, args, _ in self._groups:
             if out is not None:
                 undefined[out] |= np.logical_or.reduce([undefined[a] for a in args])
-        return values, self._unpack(undefined.take(self._outputs, axis=0), points), error
+        return values, self._unpack(undefined.T.take(self._outputs, axis=-1), points), error
 
     def __call__(self, points):
         """Every expression at every point of `points`, shape (..., m).
@@ -463,8 +463,11 @@ class Program:
         return values
 
     def _unpack(self, table, points):
-        out = {name: table[start:start + math.prod(shape)].T.reshape(points.shape[:-1] + shape)
-               for name, start, shape in self._layout}
+        """Each output's columns of one gathered table [point, output], as a
+        view of shape (..., *shape); no two views overlap."""
+        lead = points.shape[:-1]
+        out = {name: table[:, columns].reshape(lead + shape)
+               for name, columns, shape in self._layout}
         return out[None] if self._single else out
 
 

@@ -8,7 +8,8 @@ every first derivative used downstream is exact.  `structure_entries`
 is a function of the values of omega, the frame, z and h at points, so
 it reads any run that evaluates them; frame coefficients, projections
 and inner products are read from `Connection.state`, which inverts the
-adapted basis (z, E_1..E_n) with `basis_inverse`.
+adapted basis B, columns (z, E_1..E_n), that the connection's program
+emits, with `basis_inverse`.
 """
 
 from __future__ import annotations
@@ -106,28 +107,25 @@ def field_jacobian(field):
 def fail_at_first(bad, points, error, what):
     """Raise `error` for the first point of a stack (..., m) at which `bad`
     (shape (...)) holds, naming it as the error's `point`."""
-    bad = np.ravel(bad)
-    if bad.any():
+    if np.count_nonzero(bad):  # cheaper than any() on a scalar or a short mask
         k = int(np.argmax(bad))
         err = error(f"{what} at {tuple(np.reshape(points, (bad.size, -1))[k].tolist())}")
         err.point = k
         raise err
 
 
-def adapted_basis(z_values, frame_values):
-    """The matrices with columns (z, E_1..E_n), from z (..., m) and the
-    frame (..., n, m), and where they are singular: |det| < BASIS_DET_TOL."""
-    basis = np.concatenate([z_values[..., None, :], frame_values], axis=-2).swapaxes(-1, -2)
+def basis_singular(basis):
+    """Where adapted bases (..., m, m), columns (z, E_1..E_n), are singular:
+    |det| < BASIS_DET_TOL."""
     with np.errstate(invalid="ignore"):  # a NaN basis is not singular, and warns nothing
-        return basis, np.abs(np.linalg.det(basis)) < BASIS_DET_TOL
+        return np.abs(np.linalg.det(basis)) < BASIS_DET_TOL
 
 
-def basis_inverse(z_values, frame_values, points):
-    """Inverse of the adapted basis at points (..., m), or FrameDegenerate.
+def basis_inverse(basis, points):
+    """Inverse of the adapted bases at points (..., m), or FrameDegenerate.
     Rows 1..n give the spatial coefficients of any tangent vector; row 0
     reproduces the clock form whenever the structure is valid."""
-    basis, singular = adapted_basis(z_values, frame_values)
-    fail_at_first(singular, points, FrameDegenerate, "adapted basis singular")
+    fail_at_first(basis_singular(basis), points, FrameDegenerate, "adapted basis singular")
     return np.linalg.inv(basis)
 
 

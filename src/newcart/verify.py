@@ -32,7 +32,7 @@ import numpy as np
 
 from .connection import build_connection, nabla, observable_map
 from .expr import Const
-from .geometry import adapted_basis, structure_entries, upper_pairs, validate_structure
+from .geometry import basis_singular, structure_entries, upper_pairs, validate_structure
 from .report import CheckReport, make_entry
 
 CLOCK_TOL = 1e-9
@@ -242,8 +242,8 @@ def fd_validate(connection, state):
         where.append(np.broadcast_to(stack, keep.shape + (m,))[keep])
 
     if spatial:
-        basis, singular = adapted_basis(value["z"], value["frame"])
-        usable = ~singular  # [stencil, point]
+        basis = value["basis"]
+        usable = ~basis_singular(basis)  # [stencil, point]
         for bad in undefined.values() if undefined is not None else ():
             usable &= ~bad.reshape(bad.shape[:2] + (-1,)).any(axis=-1)
         coframe = np.linalg.inv(basis[usable])[:, 1:]
@@ -256,7 +256,7 @@ def fd_validate(connection, state):
         residuals.append(_normalized(sym, g[i, q][upper], g[m + i, q][upper]).ravel())
         where.append(np.repeat(stack[q], sym.shape[1], axis=0))
     return make_entry("derivative finite-difference check", FD_TOL,
-                      np.concatenate(residuals).tolist(), np.concatenate(where))
+                      np.concatenate(residuals), np.concatenate(where))
 
 
 def torsion_free_feasibility(state):
@@ -296,13 +296,15 @@ def run_all(structure, observer, data=None, connection=None, scenario_name="",
     """Structure validation plus every connection check, one report.
 
     With `data`, the connection is built and the round trip included;
-    with `connection`, its coefficients are verified instead, at the
-    sample points of `connection.structure`.  Connection checks are
-    skipped when the structure itself fails, so a corrupted scenario
-    fails exactly at its defective entry.
+    with `connection`, its coefficients are verified instead, and the
+    sample points, the seed, the check fields and the coordinate names
+    all come from `connection.structure`.  Connection checks are skipped
+    when the structure itself fails, so a corrupted scenario fails
+    exactly at its defective entry.
     """
     if connection is None:
         connection = build_connection(structure, observer, data)
+    structure = connection.structure
     # the structure entries and every connection check read one program run
     entries, state = structure_stage(connection)
     coeffs = check_field_coeffs(structure)

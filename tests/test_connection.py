@@ -308,6 +308,34 @@ def test_state_gamma_is_christoffel_bitwise(case):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _case(case):
+    if case == "mixed":
+        return mixed_structure(), mixed_observer(), mixed_data()
+    return synthetic_case(case, 7)
+
+
+@pytest.mark.parametrize("case", ["mixed", 2, 3, 4, 5])
+def test_program_basis_is_z_and_frame_bitwise(case):
+    S, z, D = _case(case)
+    values = build_connection(S, z, D).program(S.sample_points())
+    # B_kc with columns (z, E_1..E_n), and [point, i, k, c] = d_i B_kc
+    basis = np.concatenate([values["z"][:, None, :], values["frame"]], axis=1).swapaxes(-1, -2)
+    d_basis = np.concatenate([values["dz"].swapaxes(-1, -2)[..., None],
+                              values["d_frame"].swapaxes(-1, -3)], axis=-1)
+    for got, want in ((values["basis"], basis), (values["d_basis"], d_basis)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", ["mixed", 2, 3, 4, 5])
+def test_gamma_at_many_points_is_gamma_at_each_point_bitwise(case):
+    S, z, D = _case(case)
+    C = build_connection(S, z, D)
+    points = S.sample_points()
+    many = C.christoffel(points)
+    for p, gamma in zip(points, many):
+        assert C.christoffel(p).tobytes() == gamma.tobytes()
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_gamma_is_a_function_of_point_values(m, monkeypatch):
     # the reverse trip: Gamma assembled from the observable image of a

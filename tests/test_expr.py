@@ -266,6 +266,23 @@ def test_program_shares_subtrees_safely():
     assert both[1] == evaluate(e2, p)
 
 
+def test_writing_one_output_leaves_the_others_unchanged():
+    # "same" lists slots that "table" holds too, and 1/x fails at x = 0
+    t, x = (parse_expr(name, NAMES) for name in NAMES)
+    groups = {"table": [[t, x], [t * x, parse_expr("1/x", NAMES)]], "same": [x, t],
+              "one": t + x}
+    program = compile(groups)
+    points = np.array([[0.5, 0.25], [1.0, 0.0], [-2.0, 3.0]])
+    for written in groups:
+        values, undefined, error = program.run(points)
+        assert error is not None
+        for outputs in (values, undefined):
+            kept = {name: out.copy() for name, out in outputs.items()}
+            outputs[written][...] = np.ones_like(outputs[written])
+            for name, out in outputs.items():
+                assert name == written or out.tobytes() == kept[name].tobytes()
+
+
 def folded(children):
     """Trees as the parser builds them, through the folding constructors."""
     return st.one_of(

@@ -221,7 +221,7 @@ def test_adapted_basis_guard_rejects_tiny_determinant():
         domain_box=((0, 1), (-1, 1)), sample_count=5, rng_seed=1)
     z, p = flat_observer(), np.array([0.5, 0.0])
     with pytest.raises(FrameDegenerate):
-        basis_inverse(np.array([1.0, 0.0]), np.array([[0.0, 1e-15]]), p)
+        basis_inverse(np.array([[1.0, 0.0], [0.0, 1e-15]]), p)
     with pytest.raises(FrameDegenerate):
         build_connection(S, z).christoffel(p)
 

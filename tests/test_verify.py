@@ -247,7 +247,7 @@ def test_fd_validate_skips_exactly_the_undefined_stencils(monkeypatch):
     points = [p for p in S.sample_points() if p[1] > 0.0] + [np.array([0.5, 0.5 * FD_STEP])]
     captured = []
     monkeypatch.setattr(verify_mod, "make_entry",
-                        lambda name, tol, residuals, where: captured.append(residuals))
+                        lambda name, tol, residuals, where: captured.append(residuals.tolist()))
     fd_validate(C, C.state(points))
     want = _fd_residuals_point_by_point(S, verify_mod.derivative_catalog(C), C, points)
     # with nothing skipped: 1 catalog entry (h11) and 3 entries of g, 2 directions each
@@ -268,7 +268,7 @@ def test_fd_validate_skips_stencils_where_the_basis_is_singular(monkeypatch):
     C = build_connection(S, flat_observer())
     captured = []
     monkeypatch.setattr(verify_mod, "make_entry",
-                        lambda name, tol, residuals, where: captured.append(residuals))
+                        lambda name, tol, residuals, where: captured.append(residuals.tolist()))
     fd_validate(C, C.state())
     want = _fd_residuals_point_by_point(S, verify_mod.derivative_catalog(C), C,
                                         S.sample_points())
@@ -286,7 +286,7 @@ def test_fd_validate_on_a_clean_run_equals_the_point_by_point_reference(monkeypa
     assert C.program.run(np.concatenate([points + step, points - step]))[2] is None
     captured = []
     monkeypatch.setattr(verify_mod, "make_entry",
-                        lambda name, tol, residuals, where: captured.append(residuals))
+                        lambda name, tol, residuals, where: captured.append(residuals.tolist()))
     fd_validate(C, C.state(points))
     want = _fd_residuals_point_by_point(scn.structure, verify_mod.derivative_catalog(C), C,
                                         points)
@@ -378,6 +378,19 @@ def test_run_all_user_connection_mode():
     failed = [e.name for e in report.entries if not e.passed]
     assert failed == ["metric compatibility"]
     assert not any(e.name == "observable round trip" for e in report.entries)
+
+
+def test_run_all_reads_seed_fields_and_points_from_a_given_connection():
+    scn = load_scenario_text(bundled_scenario_path("twist").read_text(encoding="utf-8"))
+    C = build_connection(scn.structure, scn.observer, scn.data)
+    # a structure that differs from the connection's only in its seed
+    report = run_all(dataclasses.replace(scn.structure, rng_seed=99), scn.observer,
+                     connection=C)
+    assert report.seed == C.structure.rng_seed == 14
+    assert report.check_fields == run_all(scn.structure, scn.observer,
+                                          connection=C).check_fields
+    assert report.entries[0].worst_point == tuple(C.structure.sample_points()[0])
+    assert report.to_json() == run_all(scn.structure, scn.observer, data=scn.data).to_json()
 
 
 def test_torsion_free_feasibility_entry():
