@@ -3,8 +3,11 @@
 The expression language is deliberately small: constants, coordinates,
 arithmetic, and the functions sin, cos, tan, exp, log, sqrt.  Trees are
 immutable and differentiation is exact and closed over the node set.  The
-only rewriting ever applied is constant folding plus elimination of
-additive and multiplicative neutral elements.
+only rewriting ever applied to a tree is constant folding plus elimination
+of additive and multiplicative neutral elements.  Compiling alone moves the
+sign of a negated product onto its constant factor, -(c*a) as (-c)*a, which
+is exact under round-to-nearest; the trees, their printing and their
+derivatives do not change.
 
 Evaluation goes through `compile`: the trees are hash-consed, so that
 structurally equal subtrees share one slot, and the operations that share
@@ -289,70 +292,87 @@ def _fold(kernel, value):
     return Const(float(out[0]))
 
 
-def _ufunc(ufunc):
-    def kernel(*args):
-        return ufunc(*args), ()
-    return kernel
+def _divide(x, y):
+    """A quotient and its denominator's zero check."""
+    return np.divide(x, y), [(y == 0.0, "division by zero")]
 
 
-def _divisor(x):
-    """A quotient's zero check: no value, one check on the denominator."""
-    return None, [(x == 0.0, "division by zero")]
+# Neg, Add, Sub and Mul are ufuncs that never fail: their groups write their
+# slot block in place
+_KERNELS = {Neg: np.negative, Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: _divide}
 
 
-_KERNELS = {Neg: _ufunc(np.negative), Add: _ufunc(np.add), Sub: _ufunc(np.subtract),
-            Mul: _ufunc(np.multiply), Div: _ufunc(np.divide)}
+def _negated(product):
+    """(-c)*a*b for a product c*a*b whose leftmost factor is a constant c,
+    else None: equal to -(c*a*b) bit for bit, up to the sign of a NaN."""
+    if type(product) is not Mul:
+        return None
+    if type(product.left) is Const:
+        return Mul(Const(-product.left.value), product.right)
+    left = _negated(product.left)
+    return None if left is None else Mul(left, product.right)
 
 
-def _step(t, node, key, out):
-    """The step record (op, kernel, out, args, node) of a new slot."""
+def _step(t, node, key, out, place):
+    """The step record (op, kernel, out, args, place) of a new slot."""
     if key[0] == "^":
-        return key[:2], partial(_pow_by, expo=key[1]), out, key[2:], node
+        return key[:2], partial(_pow_by, expo=key[1]), out, key[2:], place
     if t is Pow:  # a runtime exponent: a group of its own
-        return (_pow, out), _pow, out, key[1:], node
+        return (_pow, out), _pow, out, key[1:], place
     kernel = _FUNCTION_KERNELS[node.fn] if t is Apply else _KERNELS[t]
-    return kernel, kernel, out, key[1:], node
+    return kernel, kernel, out, key[1:], place
 
 
 class Program:
     """Expressions compiled into level-grouped numpy operations.
 
     Built by `compile`.  Structurally equal subtrees share one slot, keyed
-    by node type and value or child slots.  `_steps` holds one record per
-    operation in the order a recursive walk would first reach each node (a
-    quotient's denominator, and its zero check, before its numerator); a
-    fault is reported in that order.  A step's level is 1 + the highest
+    by node type and value or child slots; a negated product c*a*b with a
+    constant leftmost factor is compiled as (-c)*a*b.  `_steps` holds one
+    record per operation in the order a recursive walk would first reach
+    each node, and `_places` the node at each place of that walk where a
+    fault may be reported: a quotient reports a zero denominator at the
+    place of the first quotient over it, before that quotient's numerator.
+    A fault is reported in walk order.  A step's level is 1 + the highest
     level of its arguments, constants and coordinates being level 0.  The
     steps sharing a level and an operation (a ufunc, a function kernel, one
-    constant exponent) run as one gather, kernel and scatter over a (slot,
-    point) array; a power with a non-constant exponent is a group alone.
-    A run with a fault marks where each slot is undefined in one more pass
-    over the groups, each step ORing its arguments' marks into its slot.
+    constant exponent) run as one kernel call over a (slot, point) array,
+    and write one contiguous block of slots: constants come first, then
+    coordinates, then each group's outputs in schedule order.  A power with
+    a non-constant exponent is a group alone.  A run with a fault marks
+    where each slot is undefined in one more pass over the groups, each
+    step ORing its arguments' marks into its slot.
     """
 
     def __init__(self, exprs):
         groups = exprs if isinstance(exprs, dict) else {None: exprs}
-        consts, coords, self._steps = [], [], []
-        keys, seen, checked = {}, {}, set()
+        consts, coords, steps, places = [], [], [], []
+        keys, seen, checked, made = {}, {}, {}, []
 
         def visit(e):
             slot = seen.get(id(e))
             if slot is not None:
                 return slot
-            t = type(e)
+            t, place = type(e), None
             if t is Const:
                 key = ("c", float(e.value).hex())
             elif t is Coord:
                 key = ("x", e.index)
             elif t is Neg:
+                product = _negated(e.child)
+                if product is not None:
+                    made.append(product)  # alive until compile ends: `seen` is keyed on id
+                    slot = seen[id(e)] = visit(product)
+                    return slot
                 key = ("neg", visit(e.child))
             elif t is Apply:
                 key = (e.fn, visit(e.arg))
             elif t is Div:
                 den = visit(e.right)
-                if den not in checked and (type(e.right) is not Const or e.right.value == 0.0):
-                    checked.add(den)
-                    self._steps.append((_divisor, _divisor, None, (den,), e))
+                if den not in checked:
+                    checked[den] = len(places)
+                    places.append(e)
+                place = checked[den]
                 key = ("/", visit(e.left), den)
             elif t is Pow and type(e.right) is Const:
                 key = ("^", float(e.right.value), visit(e.left))
@@ -368,7 +388,10 @@ class Program:
                 elif t is Coord:
                     coords.append((slot, e.index))
                 else:
-                    self._steps.append(_step(t, e, key, slot))
+                    if place is None:
+                        place = len(places)
+                        places.append(e)
+                    steps.append(_step(t, e, key, slot, place))
             seen[id(e)] = slot
             return slot
 
@@ -380,27 +403,36 @@ class Program:
         del visit  # it holds itself through its closure: free the compile state now
         self.slot_count = len(keys)
         self._single = not isinstance(exprs, dict)
-        self._layout, self._outputs = layout, np.array(outputs, dtype=np.intp)
-        self._const_slots = np.array([c[0] for c in consts], dtype=np.intp)
+        self._steps, self._places, self._layout = steps, places, layout
         self._const_values = np.array([c[1] for c in consts], dtype=float)[:, None]
-        self._coords = np.array(coords, dtype=np.intp).reshape(-1, 2).T
-        self._groups = self._schedule()
+        self._coords = np.array([c[1] for c in coords], dtype=np.intp)
+        self._coord_block = slice(len(consts), len(consts) + len(coords))
+        renumber = self._schedule([c[0] for c in consts] + [c[0] for c in coords])
+        self._outputs = renumber[np.array(outputs, dtype=np.intp)]
 
-    def _schedule(self):
-        """(kernel, out, args, ordinals) of each group of steps, by level."""
+    def _schedule(self, inputs):
+        """Group the steps by level and operation into `_groups`, records
+        (kernel, block, args, places) in level order, and renumber the slots
+        so that each group writes one contiguous block after the `inputs`.
+        A group that cannot fail has places None.  Returns the new number
+        of each compile-time slot."""
         level, groups = [0] * self.slot_count, {}
-        for ordinal, (op, kernel, out, args, _) in enumerate(self._steps):
-            lv = 1 + max(level[a] for a in args)
-            if out is not None:
-                level[out] = lv
-            groups.setdefault((lv, op), (kernel, []))[1].append(ordinal)
-        schedule = []
-        for _, (kernel, ordinals) in sorted(groups.items(), key=lambda g: g[0][0]):
-            steps = [self._steps[k] for k in ordinals]
-            out = None if steps[0][2] is None else np.array([s[2] for s in steps])
-            args = [np.array(a) for a in zip(*(s[3] for s in steps))]
-            schedule.append((kernel, out, args, np.array(ordinals)))
-        return schedule
+        for k, (op, kernel, out, args, _) in enumerate(self._steps):
+            level[out] = 1 + max(level[a] for a in args)
+            groups.setdefault((level[out], op), (kernel, []))[1].append(k)
+        schedule = [g for _, g in sorted(groups.items(), key=lambda g: g[0][0])]
+        order = inputs + [self._steps[k][2] for _, ks in schedule for k in ks]
+        renumber = np.empty(self.slot_count, dtype=np.intp)
+        renumber[order] = np.arange(self.slot_count)
+        self._groups, start = [], len(inputs)
+        for kernel, ks in schedule:
+            steps = [self._steps[k] for k in ks]
+            block = slice(start, start + len(ks))
+            args = [renumber[list(a)] for a in zip(*(s[3] for s in steps))]
+            places = None if isinstance(kernel, np.ufunc) else np.array([s[4] for s in steps])
+            self._groups.append((kernel, block, args, places))
+            start = block.stop
+        return renumber
 
     def run(self, points):
         """(values, undefined, error) of one run over points (..., m): the
@@ -412,40 +444,35 @@ class Program:
         points = np.asarray(points, dtype=float)
         flat = points.reshape(-1, points.shape[-1])
         vals = np.empty((self.slot_count, len(flat)))
-        vals[self._const_slots] = self._const_values
-        vals[self._coords[0]] = flat.T[self._coords[1]]
+        vals[:self._coord_block.start] = self._const_values
+        vals[self._coord_block] = flat.T[self._coords]
         faults = []
         with np.errstate(all="ignore"):
-            for kernel, out, args, ordinals in self._groups:
-                value, checks = kernel(*[vals.take(a, axis=0) for a in args])
-                if out is not None:
-                    vals[out] = value
+            for kernel, block, args, places in self._groups:
+                gathered = [vals.take(a, axis=0) for a in args]
+                if places is None:
+                    kernel(*gathered, out=vals[block])
+                    continue
+                vals[block], checks = kernel(*gathered)
                 for rank, (bad, reason) in enumerate(checks):
                     if np.count_nonzero(bad):
-                        faults.append((bad, ordinals, rank, reason))
+                        faults.append((bad, block, places, rank, reason))
         values = self._unpack(vals.T.take(self._outputs, axis=-1), points)
         if not faults:
             return values, None, None
         # the lowest failing point, and there the first fault in walk order
         first = min(int(np.argmax(bad.any(axis=0))) for bad, *_ in faults)
-        ordinal, _, reason = min((ordinals[bad[:, first]].min(), rank, reason)
-                                 for bad, ordinals, rank, reason in faults
-                                 if bad[:, first].any())
-        node = self._steps[ordinal][-1]
+        place, _, reason = min((places[bad[:, first]].min(), rank, reason)
+                               for bad, _, places, rank, reason in faults
+                               if bad[:, first].any())
+        node = self._places[place]
         error = DomainError(f"{reason} in '{to_string(node)}'", node, reason)
         error.point = first
-        # a zero divisor marks the quotients over it: its slot may be an output
-        quotients = {}
-        for _, kernel, out, args, _ in self._steps:
-            if kernel is _KERNELS[Div]:
-                quotients.setdefault(args[1], []).append(out)
         undefined = np.zeros(vals.shape, dtype=bool)
-        for bad, ordinals, *_ in faults:
-            for row, (_, kernel, out, args, _) in zip(bad, (self._steps[k] for k in ordinals)):
-                undefined[quotients[args[0]] if kernel is _divisor else out] |= row
-        for _, out, args, _ in self._groups:
-            if out is not None:
-                undefined[out] |= np.logical_or.reduce([undefined[a] for a in args])
+        for bad, block, *_ in faults:
+            undefined[block] |= bad
+        for _, block, args, _ in self._groups:
+            undefined[block] |= np.logical_or.reduce([undefined[a] for a in args])
         return values, self._unpack(undefined.T.take(self._outputs, axis=-1), points), error
 
     def __call__(self, points):

@@ -275,3 +275,61 @@ def test_run_marks_where_each_tree_alone_fails(trees, pts):
             str(err), err.point, err.subexpression, err.reason)
     else:
         assert error is None
+
+
+def test_quotients_over_one_denominator_fail_where_the_first_one_is_reached():
+    # a zero denominator is reported at the first quotient over it, before
+    # that quotient's numerator, and marks every quotient over it
+    a, b = parse_expr("1/t", NAMES), parse_expr("log(x)/t", NAMES)
+    program = compile({"a": a, "b": b, "c": Coord(1)})
+    for stack, point, marked in (([0.0, -1.0], 0, True),
+                                 ([[1.0, 2.0], [0.0, -1.0], [0.0, 3.0]], 1, [False, True, True])):
+        _, undefined, error = program.run(np.array(stack))
+        assert (error.reason, error.point, error.subexpression) == ("division by zero", point, a)
+        assert str(error) == "division by zero in '1.0/x0'"
+        assert undefined["a"].tobytes() == undefined["b"].tobytes() == np.array(marked).tobytes()
+        assert not undefined["c"].any()
+    # with the log's quotient first, its denominator still comes before its numerator
+    _, _, error = compile({"b": b, "a": a}).run(np.array([0.0, -1.0]))
+    assert (error.reason, error.subexpression) == ("division by zero", b)
+
+
+SIGNED = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, 1.5, -0.7]
+
+
+def test_negated_products_match_negated_values_bitwise():
+    # -(c*x*y) is compiled as (-c)*x*y: the same bits, but for a NaN's sign
+    t, x = Coord(0), Coord(1)
+    for c in (3.0, -0.3, 0.0, -0.0, 1e-300):
+        product = Mul(Mul(Const(c), t), x)
+        pts = np.array([(u, v) for u in SIGNED for v in SIGNED])
+        with np.errstate(all="ignore"):
+            want = np.negative(c * pts[:, 0] * pts[:, 1])
+        got = compile(Neg(product))(pts)
+        # one group holds both c*x and -(c*x), and c*x*y beside its negation
+        table = compile([Mul(Const(c), x), Neg(Mul(Const(c), x)), product, Neg(product)])(pts)
+        for values, reference in ((got, want), (table[:, 1], np.negative(table[:, 0])),
+                                  (table[:, 3], np.negative(table[:, 2]))):
+            nan = np.isnan(reference)
+            assert (np.isnan(values) == nan).all()
+            assert values[~nan].tobytes() == reference[~nan].tobytes()
+
+
+def test_many_negated_products_compile_each_to_its_own_slot():
+    # every folded product is a new node, found here in the slot of the
+    # product listed before it: a recycled id must not reach a wrong slot
+    x = Coord(1)
+    terms = ([Mul(Const(-(k + 0.1)), x) for k in range(200)]
+             + [Neg(Mul(Const(k + 0.1), x)) for k in range(200)])
+    pts = np.array([[0.0, 0.3], [1.0, -7.0]])
+    values = compile(terms)(pts)
+    for k, term in enumerate(terms):
+        assert values[:, k].tobytes() == compile(term)(pts).tobytes()
+
+
+def test_programs_without_outputs_return_empty_values():
+    pts = np.zeros((4, 3, 2))
+    assert compile([])(pts).shape == (4, 3, 0)
+    assert compile({})(pts) == {}
+    values = compile({"none": [[], []], "one": Coord(0)})(pts)
+    assert values["none"].shape == (4, 3, 2, 0) and values["one"].shape == (4, 3)
