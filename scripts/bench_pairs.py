@@ -4,9 +4,10 @@ Each pair runs one seed on both checkouts, one after the other; the side
 that runs first alternates from pair to pair.  Every run is a fresh
 `python3 benchmarks/run.py --workload <w> --seed <seed> --seconds <s>
 --trace 0` in its own checkout, and its last output line (the metrics
-JSON) is kept.  Per metric the summary holds both sides' runs, their
-quartiles, how many pairs the change wins and the parent's IQR, and the
-verdict of two rules:
+JSON) is kept.  The JSON names each side's commit and whether its tree
+was dirty when the runs began.  Per metric the summary holds both sides'
+runs, their quartiles, how many pairs the change wins and the parent's
+IQR, and the verdict of two rules:
 
 - `claim_met`: the change wins at least 9 in 10 of the pairs (a tie wins
   for neither side) and its median is better than the parent's by more
@@ -44,6 +45,23 @@ def load_rules():
     """{metric: (better, bound)} of the end-to-end metrics in BENCHMARK.json."""
     spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
     return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+
+
+def checkout_commit(checkout):
+    """{"commit", "dirty"} of a checkout: `git rev-parse HEAD` and whether
+    `git status --porcelain` lists anything, or "unknown" and None outside
+    git."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True,
+                              check=False)
+
+    try:
+        head, status = git("rev-parse", "HEAD"), git("status", "--porcelain")
+    except OSError:  # no git on this machine, or no such directory
+        return {"commit": "unknown", "dirty": None}
+    if head.returncode or status.returncode:
+        return {"commit": "unknown", "dirty": None}
+    return {"commit": head.stdout.strip(), "dirty": bool(status.stdout.strip())}
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -118,7 +136,10 @@ def main(argv=None):
                              "alternates), one seed per pair; claimed gain: " + args.claim,
               "command": "python3 benchmarks/run.py --workload <w> --seed <seed> "
                          f"--seconds {args.seconds:g} --trace 0",
-              "host": args.host, "workloads": {}}
+              "host": args.host,
+              "checkouts": {side: checkout_commit(getattr(args, side))
+                            for side in ("parent", "change")},
+              "workloads": {}}
     any_failed = False
     for workload in args.workloads:
         seeds = [args.seed + k for k in range(args.pairs)]

@@ -34,6 +34,18 @@ is not the printed formula but the verification suite: clock and metric
 compatibility, the torsion-clock identity, and the data round trip must
 all hold on every scenario.
 
+Free fall reads only the spray Gamma^k_ij v^i v^j, so `spray_of`
+contracts the reduced relation with X = Y = v before the solve.  The
+Theta^a_ij h_ab term is antisymmetric in (i, j) and drops out; with
+w(v) = w_i v^i and tau(v, v) = v^i v^j d_i w_j what is left of
+v^i v^j 2<P(nabla_i d_j), E_b> is
+
+    r_b = E_b^l (2 v^i v^j d_i g_jl - v^i v^j d_l g_ij)
+      + 2 w(v)^2 (h G)_b + 4 w(v) (Q v)^a om_ab - 2 (h Q v)_a Theta^a(v, E_b)
+
+and Gamma^k_ij v^i v^j = z^k tau(v, v) + E_a^k c^a with 2 h c = r: one
+n-vector per point is solved for instead of m^2 columns.
+
 Only the user input and its first derivatives are symbolic.  Everything
 downstream is numeric at each point: the coframe Q (rows 1..n of the
 inverse of the adapted basis B = (z, E_1..E_n), which the program emits
@@ -44,7 +56,9 @@ stack of points, and every check and observable reads that one state:
 frame coefficients come from its coframe, the observable triple from
 `observable_map`, and covariant derivatives from `nabla`.  Gamma itself,
 `gamma_of`, is a function of the state's point values, so any data values
-go in, the observable image of a state included.
+go in, the observable image of a state included; so is the spray,
+`spray_of`.  Both solve through `solve_metric`, which holds the one guard
+on a singular spatial metric.
 """
 
 from __future__ import annotations
@@ -121,15 +135,41 @@ def gamma_of(state):
              ).reshape(half.shape)
     state["rhs"] = rhs = rhs - pairs - pairs.swapaxes(-3, -2)
 
+    # [..., a, ij]: the frame coefficients of Gamma_ij
+    c = solve_metric(state, rhs.reshape(lead + (m * m, n)).swapaxes(-1, -2))
+    state["gamma"] = (state["z"][..., :, None, None] * state["tau"][..., None, :, :]
+                      + (frame_t @ c).reshape(lead + (m, m, m)))
+    return state
+
+
+def spray_of(state, v):
+    """Gamma^k_ij v^i v^j (..., m) at a state's points for velocities v
+    (..., m), from the contracted relation: the values gamma_of reads, and
+    one solve per point for the frame coefficients of P(Gamma(v, v))."""
+    h, frame_t, theta = state["h"], state["frame"].swapaxes(-1, -2), state["theta"]
+    row, col = v[..., None, :], v[..., :, None]
+    dgv = (state["dg"] @ col[..., None, :, :])[..., 0]  # [..., k, i] = d_k g_ij v^j
+    w = row @ state["omega"][..., :, None]  # w(v)
+    qv = row @ state["coframe"].swapaxes(-1, -2)  # [..., 0, a] = (Q v)^a
+    # [..., a, j] = Theta^a(v, d_j)
+    theta_v = (row[..., None, :, :] @ (theta - theta.swapaxes(-1, -2)))[..., 0, :]
+    # [..., 0, b] = E_b^l (2 v^i v^j d_i g_jl - v^i v^j d_l g_ij - 2 (h Q v)_a Theta^a(v, d_l))
+    r = (2.0 * (row @ dgv - qv @ h @ theta_v) - (dgv @ col).swapaxes(-1, -2)) @ frame_t
+    r += 2.0 * w * (2.0 * (qv @ state["coriolis"]) + w * (state["gravity"][..., None, :] @ h))
+    c = solve_metric(state, r.swapaxes(-1, -2))  # [..., a, 0]
+    return state["z"] * (row @ state["tau"] @ col)[..., 0] + (frame_t @ c)[..., 0]
+
+
+def solve_metric(state, rhs):
+    """c with 2 h c = rhs (..., n, k) at every point of a state, or
+    MetricSingular at the first of its points p where |det h| <=
+    METRIC_DET_TOL."""
+    h = state["h"]
     with np.errstate(invalid="ignore"):  # a NaN h gives a NaN Gamma, not a warning
         det = np.linalg.det(h)
     geometry.fail_at_first(np.abs(det) <= METRIC_DET_TOL, state["p"],
                            MetricSingular, "spatial metric singular")
-    # [..., a, ij]: the frame coefficients of Gamma_ij
-    c = np.linalg.solve(2.0 * h, rhs.reshape(lead + (m * m, n)).swapaxes(-1, -2))
-    state["gamma"] = (state["z"][..., :, None, None] * state["tau"][..., None, :, :]
-                      + (frame_t @ c).reshape(lead + (m, m, m)))
-    return state
+    return np.linalg.solve(2.0 * h, rhs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,6 +237,13 @@ class Connection:
     the number of points asked for.  A connection whose inputs are all
     constant computes Gamma once and returns that array afterwards.
     Returned arrays are read-only.
+
+    `spray(x, v)` takes points x and velocities v (..., m) and returns
+    Gamma^k_ij v^i v^j (..., m), all free fall reads.  A built connection
+    whose inputs are not all constant runs the program and `spatial_state`
+    as `state` does, then `spray_of`, so no Gamma table is formed; a user
+    table or a constant connection contracts `christoffel(x)`.  It raises
+    what `christoffel` raises at the same points, in the same order.
     """
 
     def __init__(self, structure, observer, data=None, gamma_exprs=None):
@@ -288,6 +335,15 @@ class Connection:
         if p.ndim == 1:
             return gamma
         return np.broadcast_to(gamma, p.shape[:-1] + gamma.shape)
+
+    def spray(self, x, v):
+        x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+        if self._user is not None or self._constant:
+            return np.einsum("...kij,...i,...j->...k", self.christoffel(x), v, v)
+        values, _, error = self.program.run(x)
+        if error is not None:
+            raise error
+        return spray_of(spatial_state(values, x), v)
 
 
 def build_connection(structure, observer, data=None):

@@ -1,12 +1,14 @@
 """Auto-parallel curves and observer flow lines, integrated with fixed-step RK4.
 
 Free fall is the first-order system xdot^k = v^k, vdot^k = -Gamma^k_ij
-v^i v^j with the curve parameter as the evolution variable.  Steps are
-uniform; leaving the domain box is a normal termination.  A non-finite
-state ends the trajectory with reason "numeric_failure"; an error raised
-by the right-hand side (say sqrt of a negative value, or a singular
-metric) ends it with "evaluation_failure" and is kept on the trajectory.
-Either way the failed step is discarded and every earlier state kept.
+v^i v^j with the curve parameter as the evolution variable; each RK4 stage
+reads the connection's spray, `Connection.spray(x, v)`, so no stage forms
+a Gamma table.  Steps are uniform; leaving the domain box is a normal
+termination.  A non-finite state ends the trajectory with reason
+"numeric_failure"; an error raised by the right-hand side (say sqrt of a
+negative value, or a singular metric) ends it with "evaluation_failure"
+and is kept on the trajectory.  Either way the failed step is discarded
+and every earlier state kept.
 """
 
 from __future__ import annotations
@@ -92,8 +94,7 @@ def _integrate(f, box, x0, v0, tau0, tau1, dtau):
 def integrate_geodesic(connection, x0, v0, tau0, tau1, dtau):
     """Integrate the auto-parallel curve of a connection from (x0, v0)."""
     def accel(x, v):
-        gamma = connection.christoffel(x)
-        return v, -np.einsum("kij,i,j->k", gamma, v, v)
+        return v, -connection.spray(x, v)
 
     return _integrate(accel, connection.structure.domain_box, x0, v0, tau0, tau1, dtau)
 

@@ -4,7 +4,8 @@ Built from `expr.compile`, `expr.differentiate`, expression arithmetic
 and numpy only, one point at a time: nothing here reads a connection's
 state or calls the package's basis inverse, so an agreement with
 `Connection.state` or `observable_map` is an agreement between two
-independent computations.
+independent computations.  Where a connection's coefficients are needed,
+they come from its full table, `Connection.christoffel`.
 """
 
 import numpy as np
@@ -68,3 +69,11 @@ def torsion_at(connection, x_field, y_field, p):
     return (covariant_derivative(connection, x_field, y_field, p)
             - covariant_derivative(connection, y_field, x_field, p)
             - eval_fields(lie_bracket(x_field, y_field), p))
+
+
+def christoffel_accel(connection):
+    """Free fall's right-hand side (x, v) -> (v, -Gamma^k_ij v^i v^j), with
+    the contraction done here on the full table `connection.christoffel(x)`."""
+    def accel(x, v):
+        return v, -np.einsum("kij,i,j->k", connection.christoffel(x), v, v)
+    return accel

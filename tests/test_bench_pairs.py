@@ -50,12 +50,19 @@ def test_bound_is_relative_to_the_parent_median_and_unresolved_under_wide_spread
     assert bench_pairs.verdict(wide, [0.05] * 10, "lower", 0.25)["within_bound"] is True
 
 
-def _fake_run(returncodes):
+def _fake_run(returncodes, head="0123abc"):
     """A subprocess.run that answers benchmark runs in order: a metrics line,
-    or a non-zero exit with a traceback."""
+    or a non-zero exit with a traceback; and git as in a repository at commit
+    `head` (None: no repository) whose change side has an edited file."""
     calls = iter(returncodes)
 
     def run(cmd, cwd, **_):
+        if cmd[0] == "git":
+            if head is None:
+                return subprocess.CompletedProcess(cmd, 128, "", "fatal: not a git repository\n")
+            edited = " M src/newcart/connection.py\n" if Path(cwd).name == "change" else ""
+            return subprocess.CompletedProcess(
+                cmd, 0, head + "\n" if cmd[1] == "rev-parse" else edited, "")
         code = next(calls)
         seed = int(cmd[cmd.index("--seed") + 1])
         value = 100.0 + seed + (10.0 if Path(cwd).name == "change" else 0.0)
@@ -91,4 +98,18 @@ def test_a_clean_series_exits_zero(tmp_path, monkeypatch):
                              "--change", str(tmp_path / "change"),
                              "--workloads", "check-bundled", "--pairs", "2",
                              "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["workloads"]["check-bundled"]["failed_runs"] == []
+    report = json.loads(out.read_text())
+    assert report["workloads"]["check-bundled"]["failed_runs"] == []
+    assert report["checkouts"] == {"parent": {"commit": "0123abc", "dirty": False},
+                                   "change": {"commit": "0123abc", "dirty": True}}
+
+
+def test_a_checkout_outside_git_names_an_unknown_commit(tmp_path, monkeypatch):
+    unknown = {"commit": "unknown", "dirty": None}
+    monkeypatch.setattr(bench_pairs.subprocess, "run", _fake_run([], head=None))
+    assert bench_pairs.checkout_commit(tmp_path) == unknown
+
+    def no_git(cmd, **_):
+        raise FileNotFoundError(cmd[0])
+    monkeypatch.setattr(bench_pairs.subprocess, "run", no_git)
+    assert bench_pairs.checkout_commit(tmp_path) == unknown

@@ -15,9 +15,10 @@ import newcart.expr as expr_mod
 from newcart.connection import (ConnectionData, build_connection,
                                 connection_from_exprs, gamma_of, observable_map, nabla,
                                 spatial_state)
-from newcart.errors import DimensionMismatch, MetricSingular
+from newcart.errors import DimensionMismatch, DomainError, FrameDegenerate, MetricSingular
 from newcart.expr import Const, ZERO, differentiate, evaluate, parse_expr
 from newcart.geometry import ObserverField, SpacetimeStructure
+from newcart.scenario import bundled_scenario_path, load_scenario
 from newcart.verify import check_roundtrip, run_all
 from reference import (covariant_derivative, eval_fields, frame_decompose,
                        metric_matrix, omega_apply, project_spatial, torsion_at)
@@ -427,16 +428,92 @@ def test_observables_match_the_reference(m):
                 assert np.max(np.abs(tor - image["theta"][q][:, i, j])) <= tol
 
 
-def test_metric_singular_raises():
-    S = SpacetimeStructure(
+def _one_field_structure(frame, metric):
+    """A 2-dimensional structure with clock form dt, frame field E1 = (0,
+    frame) and Gram matrix ((metric,),)."""
+    return SpacetimeStructure(
         coord_names=NAMES2,
         omega=exprs(NAMES2, "1", "0"),
-        frame=(exprs(NAMES2, "0", "1"),),
-        metric=((parse_expr("x", NAMES2),),),
+        frame=(exprs(NAMES2, "0", frame),),
+        metric=((parse_expr(metric, NAMES2),),),
         domain_box=((0, 1), (-1, 1)), sample_count=5, rng_seed=1)
-    C = build_connection(S, flat_observer(), ConnectionData.zero(1))
+
+
+def test_metric_singular_raises():
+    C = build_connection(_one_field_structure("1", "x"), flat_observer(), ConnectionData.zero(1))
     with pytest.raises(MetricSingular):
         C.christoffel(np.array([0.5, 0.0]))
+
+
+def _bundled(name):
+    scn = load_scenario(bundled_scenario_path(name))
+    return scn.structure, scn.observer, scn.data
+
+
+SPRAY_CASES = {
+    **{f"synthetic_m{m}_s{seed}": (lambda m=m, seed=seed: synthetic_case(m, seed))
+       for m in range(2, 6) for seed in (1, 2, 3, 7)},
+    "mixed": lambda: (mixed_structure(), mixed_observer(), mixed_data()),
+    "m4": lambda: (m4_structure(samples=6), m4_observer(), m4_data()),
+    "twist": lambda: _bundled("twist"),
+    "curvedh": lambda: _bundled("curvedh"),
+}
+
+
+def _assert_spray_agrees(C, x, v):
+    """spray(x, v) against the contraction of christoffel(x), per point, to
+    4e-15 relative to max(1, |Gamma(v, v)|)."""
+    want = np.einsum("...kij,...i,...j->...k", C.christoffel(x), v, v)
+    got = C.spray(x, v)
+    assert got.shape == want.shape == x.shape
+    scale = np.maximum(1.0, np.max(np.abs(want), axis=-1, keepdims=True))
+    assert np.all(np.abs(got - want) <= 4e-15 * scale)
+
+
+@pytest.mark.parametrize("case", SPRAY_CASES)
+def test_spray_is_the_contracted_christoffel_table(case):
+    S, z, D = SPRAY_CASES[case]()
+    C = build_connection(S, z, D)
+    points = S.sample_points()
+    rng = np.random.default_rng(23)
+    velocities = rng.uniform(-1.0, 1.0, points.shape)
+    _assert_spray_agrees(C, points[0], velocities[0])  # one point
+    _assert_spray_agrees(C, points, velocities)  # the sample points
+    k = len(points) // 2
+    _assert_spray_agrees(C, points[:2 * k].reshape(2, k, -1),
+                         velocities[:2 * k].reshape(2, k, -1))
+
+
+@pytest.mark.parametrize("name", ["zero_connection_curvedh", "grav"])  # a user table, constant
+def test_spray_of_a_table_or_a_constant_connection_is_its_contraction(name):
+    scn = load_scenario(bundled_scenario_path(name))
+    C = (connection_from_exprs(scn.structure, scn.observer, scn.christoffel)
+         if scn.has_user_connection else build_connection(scn.structure, scn.observer, scn.data))
+    points = scn.structure.sample_points()
+    velocities = np.random.default_rng(5).uniform(-1.0, 1.0, points.shape)
+    stack = C.spray(points, velocities)
+    for x, v, row in zip(points, velocities, stack):
+        want = np.einsum("kij,i,j->k", C.christoffel(x), v, v)
+        assert np.array_equal(C.spray(x, v), want) and np.array_equal(row, want)
+
+
+@pytest.mark.parametrize("frame,metric,error,bad", [
+    ("1", "1 + sqrt(x)", DomainError, [0.5, -0.1]),
+    ("1", "x", MetricSingular, [0.5, 0.0]),
+    ("x", "1", FrameDegenerate, [0.5, 0.0]),
+])
+def test_spray_raises_what_christoffel_raises(frame, metric, error, bad):
+    C = build_connection(_one_field_structure(frame, metric), flat_observer(),
+                         ConnectionData.zero(1))
+    good = [0.5, 0.5]
+    for x in (np.array(bad), np.array([good, good, bad, good])):
+        v = np.ones_like(x)
+        with pytest.raises(error) as want:
+            C.christoffel(x)
+        with pytest.raises(error) as got:
+            C.spray(x, v)
+        assert type(got.value) is type(want.value)
+        assert (str(got.value), got.value.point) == (str(want.value), want.value.point)
 
 
 def test_user_supplied_connection_observables():
@@ -481,6 +558,7 @@ def test_connection_keeps_no_per_point_state():
     rng = np.random.default_rng(12)
     for p in lo + (hi - lo) * rng.random((200, S.dim)):
         C.christoffel(p)
+        C.spray(p, p)
     assert sizes() == before
 
 

@@ -7,7 +7,9 @@ import pytest
 
 from conftest import (NAMES2, exprs, flat_observer, flat_structure,
                       curvedh_structure, gravity_data, rot_observer,
-                      rot_structure)
+                      rot_structure, synthetic_case)
+import newcart.connection as connection_mod
+from newcart import dynamics
 from newcart.connection import (ConnectionData, build_connection,
                                 connection_from_exprs)
 from newcart.dynamics import (COMPLETED, EVALUATION_FAILURE, LEFT_DOMAIN,
@@ -16,7 +18,8 @@ from newcart.dynamics import (COMPLETED, EVALUATION_FAILURE, LEFT_DOMAIN,
 from newcart.errors import DomainError
 from newcart.expr import Const, ZERO, parse_expr
 from newcart.geometry import ObserverField, SpacetimeStructure
-from reference import frame_decompose, metric_matrix, omega_apply, project_spatial
+from reference import (christoffel_accel, frame_decompose, metric_matrix, omega_apply,
+                       project_spatial)
 
 
 def test_flat_geodesic_is_straight():
@@ -194,13 +197,31 @@ def test_evaluation_failure_keeps_earlier_states():
     S = dataclasses.replace(curvedh_structure(),
                             metric=((parse_expr("1 + sqrt(x)", NAMES2),),))
     C = build_connection(S, flat_observer(), ConnectionData.zero(1))
-    traj = integrate_geodesic(C, np.array([0.0, 0.05]), np.array([0.0, -1.0]),
-                              0.0, 1.0, 1e-2)
+    x0, v0 = np.array([0.0, 0.05]), np.array([0.0, -1.0])
+    traj = integrate_geodesic(C, x0, v0, 0.0, 1.0, 1e-2)
     assert traj.termination == EVALUATION_FAILURE
     assert isinstance(traj.error, DomainError)
     assert len(traj.states) == 5
     assert [st.tau for st in traj.states] == pytest.approx([0.0, 0.01, 0.02, 0.03, 0.04])
     assert all(st.position[1] > 0.0 for st in traj.states)
+    # the same states and the same error as free fall on the full Gamma table
+    want = dynamics._integrate(christoffel_accel(C), S.domain_box, x0, v0, 0.0, 1.0, 1e-2)
+    assert want.termination == traj.termination
+    assert type(traj.error) is type(want.error) and str(traj.error) == str(want.error)
+    assert [(st.tau, st.position.tolist(), st.velocity.tolist()) for st in traj.states] == [
+        (st.tau, st.position.tolist(), st.velocity.tolist()) for st in want.states]
+
+
+def test_free_fall_on_a_built_connection_forms_no_gamma_table(monkeypatch):
+    S, z, D = synthetic_case(4, 1)
+    C = build_connection(S, z, D)
+
+    def no_table(state):
+        raise AssertionError("free fall formed a Gamma table")
+    monkeypatch.setattr(connection_mod, "gamma_of", no_table)
+    traj = integrate_geodesic(C, np.array([0.3, 0.1, -0.1, 0.2]),
+                              np.array([1.0, 0.2, -0.3, 0.1]), 0.0, 0.1, 0.02)
+    assert traj.termination == COMPLETED and len(traj.states) == 6
 
 
 def test_invalid_integration_arguments():
