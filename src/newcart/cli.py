@@ -113,8 +113,8 @@ def cmd_observables(scn, args, parser):
 
 def cmd_roundtrip(scn, args, parser):
     if scn.has_user_connection:
-        print("scenario supplies raw coefficients; no data triple to round-trip",
-              file=sys.stderr)
+        print("scenario error: the scenario supplies raw coefficients, "
+              "no data triple to round-trip", file=sys.stderr)
         return SCENARIO_ERROR
     entries, state = verify.structure_stage(_connection_for(scn))
     if state is None:

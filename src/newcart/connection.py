@@ -76,8 +76,6 @@ from .expr import ZERO, Const, differentiate, neg
 from .expr import compile as compile_exprs
 from .geometry import field_jacobian, upper_pairs
 
-METRIC_DET_TOL = 1e-10
-
 
 def nabla(gamma, dy, x, y):
     """(nabla_X Y)^k = dY^k_i X^i + Gamma^k_ij X^i Y^j from point values.
@@ -91,15 +89,14 @@ def nabla(gamma, dy, x, y):
 
 def spatial_state(values, points):
     """The values of one run of a connection's program at points (..., m),
-    with p, the coframe Q (..., n, m), q_t_h = Q^T h, g = Q^T h Q and
+    with p, the coframe Q (..., n, m), g = Q^T h Q and
     dg[..., k, i, j] = d_k g_ij added in place, from the program's adapted
     basis and its derivatives, and d_k g = (d_k Q)^T h Q + Q^T (d_k h) Q +
     Q^T h (d_k Q)."""
     inverse = geometry.basis_inverse(values["basis"], points)
     coframe, h = inverse[..., 1:, :], values["h"]  # column j of Q decomposes P d_j
     values["p"], values["coframe"] = points, coframe
-    values["q_t_h"] = q_t_h = coframe.swapaxes(-1, -2) @ h  # [..., j, b] = <P d_j, E_b>
-    values["g"] = q_t_h @ coframe
+    values["g"] = coframe.swapaxes(-1, -2) @ h @ coframe
     inv_i = inverse[..., None, :, :]  # broadcast over the derivative index
     d_coframe = -(inv_i @ values["d_basis"] @ inv_i)[..., 1:, :]  # (..., m, n, m)
     coframe_i = coframe[..., None, :, :]
@@ -111,7 +108,7 @@ def spatial_state(values, points):
 
 def gamma_of(state):
     """Adds gamma (..., m, m, m) and rhs (..., m, m, n) = 2<P(nabla_i d_j), E_b>
-    in place to a state, from its omega, tau, z, frame, coframe, h, q_t_h, dg
+    in place to a state, from its omega, tau, z, frame, coframe, h, dg
     and any data values gravity, coriolis and theta (p names where h is
     singular)."""
     omega, h, dg = state["omega"], state["h"], state["dg"]
@@ -131,7 +128,8 @@ def gamma_of(state):
     theta = state["theta"] - state["theta"].swapaxes(-1, -2)  # [..., a, i, j] = Theta^a_ij
     rhs += (theta.reshape(lead + (n, m * m)).swapaxes(-1, -2) @ h).reshape(half.shape)
     # [..., i, j, b] = <P d_i, E_a> Theta^a(d_j, E_b)
-    pairs = (state["q_t_h"] @ (theta @ frame_t[..., None, :, :]).reshape(lead + (n, m * n))
+    q_t_h = q_t @ h  # [..., j, b] = <P d_j, E_b>
+    pairs = (q_t_h @ (theta @ frame_t[..., None, :, :]).reshape(lead + (n, m * n))
              ).reshape(half.shape)
     state["rhs"] = rhs = rhs - pairs - pairs.swapaxes(-3, -2)
 
@@ -163,11 +161,12 @@ def spray_of(state, v):
 def solve_metric(state, rhs):
     """c with 2 h c = rhs (..., n, k) at every point of a state, or
     MetricSingular at the first of its points p where |det h| <=
-    METRIC_DET_TOL."""
+    geometry.METRIC_DET_MARGIN, the margin of the structure's
+    nondegeneracy entry."""
     h = state["h"]
     with np.errstate(invalid="ignore"):  # a NaN h gives a NaN Gamma, not a warning
         det = np.linalg.det(h)
-    geometry.fail_at_first(np.abs(det) <= METRIC_DET_TOL, state["p"],
+    geometry.fail_at_first(np.abs(det) <= geometry.METRIC_DET_MARGIN, state["p"],
                            MetricSingular, "spatial metric singular")
     return np.linalg.solve(2.0 * h, rhs)
 
@@ -213,10 +212,13 @@ class Connection:
     """The geometric state of a connection, and its coefficients Gamma^k_ij.
 
     Convention: nabla_{d_i} d_j = Gamma^k_ij d_k; the lower index pair
-    need not be symmetric.  The input (with zero data when the connection
-    has none) and its symbolic first derivatives dz, d_frame, dh and
-    tau = d omega are compiled into one program; these tables are the
-    ones the finite-difference check validates; omega, frame, z and h
+    need not be symmetric.  A connection is of one of two kinds: built
+    from `data`, zero data when none are given (`is_built`), or a user
+    table `gamma_exprs`, which has no data; giving both raises ValueError.
+    The input (with zero data for a user table) and its symbolic first
+    derivatives dz, d_frame, dh and tau = d omega are compiled into one
+    program; these tables are the ones the finite-difference check
+    validates; omega, frame, z and h
     come first in it, and basis and d_basis, aliases of z, the frame and
     their derivatives, last.  `state` runs it once over points of shape
     (..., m), in one way for a built and a user connection, and `state_of` that run
@@ -249,38 +251,39 @@ class Connection:
     def __init__(self, structure, observer, data=None, gamma_exprs=None):
         self.structure = structure
         self.observer = observer
-        self.data = data
         m, n = structure.dim, structure.n
-        if gamma_exprs is not None and not (len(gamma_exprs) == m and all(
-                len(plane) == m and all(len(row) == m for row in plane) for plane in gamma_exprs)):
-            raise DimensionMismatch(f"Christoffel table must be {m}x{m}x{m}")
-        if data is not None:
+        omega, z = structure.omega, observer.components
+        if gamma_exprs is None:  # built, from zero data when none are given
+            data = ConnectionData.zero(n) if data is None else data
             if len(data.gravity) != n:
                 raise DimensionMismatch(f"gravity needs {n} components")
             if any(not 0 <= a < b < n for a, b in data.coriolis):
                 raise DimensionMismatch(f"coriolis indices must lie in 0..{n - 1}")
             if any(not (0 <= a < n and 0 <= i < j < m) for a, i, j in data.theta):
                 raise DimensionMismatch(f"theta indices must lie in 0..{n - 1} and 0..{m - 1}")
-        omega, z = structure.omega, observer.components
+            self._user = None
+            inputs = chain(omega, z, *structure.frame, *structure.metric, data.gravity,
+                           data.coriolis.values(), data.theta.values())
+        elif data is not None:
+            raise ValueError("a connection takes data or a Christoffel table, not both")
+        elif not (len(gamma_exprs) == m and all(
+                len(plane) == m and all(len(row) == m for row in plane) for plane in gamma_exprs)):
+            raise DimensionMismatch(f"Christoffel table must be {m}x{m}x{m}")
+        else:
+            self._user = compile_exprs(gamma_exprs)
+            inputs = (e for plane in gamma_exprs for row in plane for e in row)
+        self.data = data
         self.dz = field_jacobian(z)
         self.d_frame = [field_jacobian(f) for f in structure.frame]
         self.dh = [[[differentiate(structure.metric[a][b], i) for b in range(n)]
                     for a in range(n)] for i in range(m)]
         self.tau = [[differentiate(omega[j], i) for j in range(m)] for i in range(m)]
-        if gamma_exprs is None:
-            self._user = None
-            inputs = chain(omega, z, *structure.frame, *structure.metric)
-            if data is not None:
-                inputs = chain(inputs, data.gravity, data.coriolis.values(), data.theta.values())
-        else:
-            self._user = compile_exprs(gamma_exprs)
-            inputs = (e for plane in gamma_exprs for row in plane for e in row)
         self._constant = all(type(e) is Const for e in inputs)
         self._const_gamma = None
 
     @property
     def is_built(self):
-        return self.data is not None
+        return self._user is None
 
     @cached_property
     def program(self):
@@ -347,9 +350,8 @@ class Connection:
 
 
 def build_connection(structure, observer, data=None):
-    """Construct the compatible connection determined by the data triple."""
-    if data is None:
-        data = ConnectionData.zero(structure.n)
+    """Construct the compatible connection determined by the data triple,
+    zero data when none are given."""
     return Connection(structure, observer, data=data)
 
 

@@ -37,7 +37,6 @@ class CurveState:
 @dataclass
 class Trajectory:
     states: list[CurveState]
-    step: float
     termination: str
     error: NewcartError | None = None
 
@@ -88,7 +87,7 @@ def _integrate(f, box, x0, v0, tau0, tau1, dtau):
         if any(c < lo or c > hi for (lo, hi), c in zip(box, x)):
             termination = LEFT_DOMAIN
             break
-    return Trajectory(states=states, step=dtau, termination=termination, error=error)
+    return Trajectory(states=states, termination=termination, error=error)
 
 
 def integrate_geodesic(connection, x0, v0, tau0, tau1, dtau):

@@ -23,20 +23,29 @@ class CheckEntry:
 def make_entry(name, tolerance, residuals, points):
     """Aggregate per-point residuals into a named entry.
 
-    `residuals` is a flat sequence of non-negative values; `points` (same
-    length) locates each residual so the worst one is reproducible as a
-    single-point case.  The worst residual is the first maximum, where a
-    NaN ranks above every number: the first NaN is the worst residual and
-    fails the entry.  The mean sums the residuals in order.
+    `residuals` is an array of non-negative values, read in C order;
+    `points`, which broadcasts against `residuals.shape + (m,)`, locates
+    each residual so the worst one is reproducible as a single-point case:
+    a flat list pairs (R,) residuals with (R, m) points, and a stack (N, m)
+    pairs with residuals [..., point].  The worst residual is the first
+    maximum, where a NaN ranks above every number: the first NaN is the
+    worst residual and fails the entry.  The mean sums the residuals in
+    order.
     """
-    residuals = np.ravel(np.asarray(residuals, dtype=float))
+    residuals = np.asarray(residuals, dtype=float)
     if not residuals.size:
         return CheckEntry(name, 0.0, 0.0, tolerance, True, None)
-    worst = int(np.argmax(residuals))  # argmax stops at the first NaN
+    # argmax stops at the first NaN
+    worst = np.unravel_index(np.argmax(residuals), residuals.shape)
     max_res = float(residuals[worst])
     with np.errstate(over="ignore"):  # a sum past the float range is inf, as in Python
         mean_res = float(np.cumsum(residuals)[-1] / residuals.size)
-    worst_point = tuple(float(c) for c in points[worst])
+    # the point broadcasting pairs with the worst residual: the trailing
+    # indices, and 0 along an axis of length 1
+    points = np.asarray(points, dtype=float)
+    lead = points.shape[:-1]
+    at = tuple(i if d > 1 else 0 for i, d in zip(worst[len(worst) - len(lead):], lead))
+    worst_point = tuple(points[at].tolist())
     return CheckEntry(name, max_res, mean_res, tolerance, max_res <= tolerance, worst_point)
 
 

@@ -108,9 +108,7 @@ def check_compatibility_omega(state, coeffs):
     # [point, i, j] = (nabla_i w)_j
     defect = state["tau"] - np.einsum("pk,pkij->pij", state["omega"], state["gamma"])
     residuals = np.abs(values @ defect @ np.swapaxes(values, -1, -2))  # [point, X, Y]
-    return make_entry("clock compatibility", CLOCK_TOL,
-                      np.moveaxis(residuals, 0, -1),
-                      np.tile(stack, (values.shape[1] ** 2, 1)))
+    return make_entry("clock compatibility", CLOCK_TOL, np.moveaxis(residuals, 0, -1), stack)
 
 
 def check_compatibility_metric(state):
@@ -130,9 +128,8 @@ def check_compatibility_metric(state):
     paired = nab @ np.swapaxes(state["coframe"], -1, -2)[:, None] @ state["h"][:, None]
     a, b = upper_pairs(n, diagonal=True)
     residuals = np.abs(state["dh"][:, :, a, b] - paired[:, :, a, b] - paired[:, :, b, a])
-    return make_entry("metric compatibility", METRIC_TOL,
-                      np.moveaxis(residuals, 0, -1),
-                      np.tile(state["p"], (m * len(a), 1)))
+    return make_entry("metric compatibility", METRIC_TOL, np.moveaxis(residuals, 0, -1),
+                      state["p"])
 
 
 def check_torsion_clock(state):
@@ -143,8 +140,7 @@ def check_torsion_clock(state):
     clock = (tor @ state["omega"][:, :, None])[..., 0]
     want = tau[:, i, j] - tau[:, j, i]
     residuals = np.abs(clock - want)  # [point, pair]
-    return make_entry("torsion clock identity", TORSION_TOL, residuals,
-                      np.repeat(stack, len(i), axis=0))
+    return make_entry("torsion clock identity", TORSION_TOL, residuals, stack[:, None])
 
 
 def check_roundtrip(state):
@@ -164,25 +160,6 @@ def check_roundtrip(state):
                       state["p"])
 
 
-def derivative_catalog(connection):
-    """(label, coefficient, group, index) of every input coefficient whose
-    derivatives `fd_validate` checks: the clock form, the observer, the
-    frame and the Gram matrix at a <= b.  `group` and `index` locate the
-    entry among the outputs of the connection's program; its row, d_i at
-    [point, i], is read from the state's own tables (tau, dz, d_frame,
-    dh), the ones that program compiles.  The data have no entry: the
-    connection reads their values only."""
-    structure, n = connection.structure, connection.structure.n
-    names = structure.coord_names
-    return ([(f"omega[{names[j]}]", e, "omega", (j,)) for j, e in enumerate(structure.omega)]
-            + [(f"z[{names[k]}]", e, "z", (k,))
-               for k, e in enumerate(connection.observer.components)]
-            + [(f"frame{a + 1}[{names[k]}]", e, "frame", (a, k))
-               for a, f in enumerate(structure.frame) for k, e in enumerate(f)]
-            + [(f"h{a + 1}{b + 1}", structure.metric[a][b], "h", (a, b))
-               for a in range(n) for b in range(a, n)])
-
-
 def _normalized(sym, up, down):
     """|sym - fd| / max(1, |fd|) for the central difference fd of the values
     up and down one step.  Masked stencils hold any value, so the
@@ -194,10 +171,14 @@ def _normalized(sym, up, down):
 
 def fd_validate(connection, state):
     """Central-difference check of the derivative tables in a connection's
-    state at a stack of points, shape (N, m): the rows of
-    `derivative_catalog(connection)` for every non-constant coefficient,
-    and, for a built connection whose z, frame or h is not constant, the
-    numeric d_k g against the differenced spatial tensor g.
+    state at a stack of points, shape (N, m), against the values at the
+    2m stencils of each point, for every non-constant entry of five
+    pairs: omega and tau, z and dz, the frame and d_frame, h and dh at
+    a <= b, and, for a built connection whose z, frame or h is not
+    constant, the numeric d_k g against the differenced spatial tensor g
+    at i <= j.  The tables are the state's own, the ones the connection's
+    program compiles.  Residuals come pair by pair, each in (entry,
+    direction, point) order.
 
     Residuals are normalized, |sym - fd| / max(1, |fd|), which matches
     the tolerance max(1e-6, 1e-6 |value|).  Points whose stencil leaves
@@ -206,57 +187,56 @@ def fd_validate(connection, state):
     any input of the connection's program is undefined or the adapted
     basis is singular.  The connection's program runs once, over the 2m
     stencils of every point, and there only the coframe and g = Q^T h Q
-    are formed.
+    are formed, at the stencils where g is defined.
     """
     structure, stack = connection.structure, state["p"]
-    m = structure.dim
+    (n_points, m), n = stack.shape, structure.n
     lo, hi = np.array(structure.domain_box, dtype=float).reshape(m, 2).T
-    inside = (stack - FD_STEP >= lo) & (stack + FD_STEP <= hi)  # [point, direction]
-    checked = [(group, index) for _label, e, group, index in derivative_catalog(connection)
-               if type(e) is not Const]
-    spatial = connection.is_built and not all(type(e) is Const for e in chain(
-        connection.observer.components, *structure.frame, *structure.metric))
-    if not (checked or spatial):
+    inside = ((stack - FD_STEP >= lo) & (stack + FD_STEP <= hi)).T  # [direction, point]
+    h = structure.metric
+    # (group, its derivative table as [point, direction, flat entry], the flat
+    # indices of its non-constant entries); the data are read as values only
+    pairs = [(group, table, np.flatnonzero(varies)) for group, table, varies in (
+        ("omega", state["tau"], [type(e) is not Const for e in structure.omega]),
+        ("z", state["dz"].swapaxes(1, 2),
+         [type(e) is not Const for e in connection.observer.components]),
+        ("frame", state["d_frame"].reshape(n_points, n * m, m).swapaxes(1, 2),
+         [type(e) is not Const for e in chain(*structure.frame)]),
+        ("h", state["dh"].reshape(n_points, m, n * n),
+         [a <= b and type(h[a][b]) is not Const for a in range(n) for b in range(n)]))]
+    pairs = [pair for pair in pairs if pair[2].size]
+    if not pairs:
         return make_entry("derivative finite-difference check", FD_TOL, [], stack)
     # stencil [i] and [m + i]: the points one step up and down direction i
     step = FD_STEP * np.eye(m)[:, None, :]
-    grid = np.concatenate([stack + step, stack - step])
     # [stencil, point, ...]; a clean run has no masks
-    value, undefined, _ = connection.program.run(grid)
-    residuals, where = [np.empty(0)], [np.empty((0, m))]
-
-    if checked:
-        def entries(tables):  # the checked entries of grouped tables, stacked first
-            return np.array([tables[group][(..., *index)] for group, index in checked])
-
-        # each group's derivative table as [direction, point, entry...]
-        rows = {"omega": np.moveaxis(state["tau"], 1, 0), "z": np.moveaxis(state["dz"], -1, 0),
-                "frame": np.moveaxis(state["d_frame"], -1, 0), "h": np.moveaxis(state["dh"], 1, 0)}
-        # [entry, direction, point], and [entry, stencil, point]
-        sym, at = entries(rows), entries(value)
-        keep = np.broadcast_to(inside.T, sym.shape)
-        if undefined is not None:
-            bad = entries(undefined)
-            keep = keep & ~bad[:, :m] & ~bad[:, m:]
-        residuals.append(_normalized(sym, at[:, :m], at[:, m:])[keep])
-        where.append(np.broadcast_to(stack, keep.shape + (m,))[keep])
-
-    if spatial:
+    value, undefined, _ = connection.program.run(np.concatenate([stack + step, stack - step]))
+    masks = {} if undefined is None else dict(undefined)
+    # the fifth pair, for a built connection whose z, frame or h is not constant
+    if connection.is_built and any(group != "omega" for group, _, _ in pairs):
         basis = value["basis"]
         usable = ~basis_singular(basis)  # [stencil, point]
-        for bad in undefined.values() if undefined is not None else ():
+        for bad in masks.values():
             usable &= ~bad.reshape(bad.shape[:2] + (-1,)).any(axis=-1)
         coframe = np.linalg.inv(basis[usable])[:, 1:]
         g = np.empty(usable.shape + (m, m))
         g[usable] = coframe.swapaxes(-1, -2) @ value["h"][usable] @ coframe
-        # stencils, point by point, then direction
-        q, i = np.nonzero(inside & (usable[:m] & usable[m:]).T)
-        upper = (slice(None),) + upper_pairs(m, diagonal=True)
-        sym = state["dg"][q, i][upper]
-        residuals.append(_normalized(sym, g[i, q][upper], g[m + i, q][upper]).ravel())
-        where.append(np.repeat(stack[q], sym.shape[1], axis=0))
+        value = {**value, "g": g}
+        masks["g"] = np.broadcast_to(~usable[..., None], usable.shape + (m * m,))
+        pairs.append(("g", state["dg"].reshape(n_points, m, m * m),
+                      np.flatnonzero([i <= j for i in range(m) for j in range(m)])))
+    # per pair, values and undefined marks [entry, stencil, point], table [entry, direction, point]
+    checked = []
+    for group, table, entries in pairs:
+        marks = masks.get(group, np.zeros(value[group].shape, dtype=bool))
+        at, bad = (v.reshape(2 * m, n_points, -1).take(entries, -1).transpose(2, 0, 1)
+                   for v in (value[group], marks))
+        checked.append((at, bad, table.take(entries, -1).transpose(2, 1, 0)))
+    at, bad, table = (np.concatenate(part) for part in zip(*checked))
+    keep = inside & ~bad[:, :m] & ~bad[:, m:]
     return make_entry("derivative finite-difference check", FD_TOL,
-                      np.concatenate(residuals), np.concatenate(where))
+                      _normalized(table, at[:, :m], at[:, m:])[keep],
+                      np.broadcast_to(stack, keep.shape + (m,))[keep])
 
 
 def torsion_free_feasibility(state):

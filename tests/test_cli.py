@@ -1,10 +1,14 @@
 """Command-line surface: exit codes, outputs, file artifacts."""
 
+import contextlib
+import io
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from newcart import verify
 from newcart.cli import main
@@ -508,3 +512,61 @@ def test_expect_torsion_free_flag(tmp_path):
     failing = [e["name"] for e in payload["entries"] if not e["pass"]]
     assert failing == ["torsion-free feasibility (clock form must be closed)"]
     assert main(["check", scn("flat"), "--expect-torsion-free"]) == 0
+
+
+_BUNDLED = ["flat", "grav", "rot", "twist", "curvedh", "bad_observer", "bad_frame",
+            "zero_connection_curvedh"]
+_TOKENS = ["1e308", "nan", "sqrt(x)", "log(x)", "0^0"]
+
+
+def _mutate(data, text):
+    """A bundled scenario text with a few random edits: a character put in
+    or cut, a line deleted, or one comma-separated value of a `key = value`
+    line replaced by an overflowing, undefined or NaN-making token."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        lines = text.split("\n")
+        kind = data.draw(st.sampled_from(["edit", "delete", "token"]))
+        if kind == "edit":
+            at = data.draw(st.integers(0, len(text)))
+            put = data.draw(st.text(alphabet="0123456789.-+*/^(),= xtye_[]#\n", max_size=1))
+            text = text[:at] + put + text[at + data.draw(st.integers(0, 1)):]
+        elif kind == "delete":
+            del lines[data.draw(st.integers(0, len(lines) - 1))]
+            text = "\n".join(lines)
+        else:
+            at = data.draw(st.sampled_from([k for k, line in enumerate(lines) if " = " in line]))
+            key, values = lines[at].split(" = ", 1)
+            values = values.split(", ")
+            values[data.draw(st.integers(0, len(values) - 1))] = data.draw(st.sampled_from(_TOKENS))
+            lines[at] = key + " = " + ", ".join(values)
+            text = "\n".join(lines)
+    return text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_mutated_scenarios_end_in_an_exit_code_on_every_command(tmp_path, data):
+    name = data.draw(st.sampled_from(_BUNDLED))
+    original = bundled_scenario_path(name).read_text(encoding="utf-8")
+    path = tmp_path / "mutated.scn"
+    path.write_text(_mutate(data, original), encoding="utf-8")
+    at = "0.5,0.25,0.25" if "dim = 3" in original else "0.5,0.25"
+    span = ["--t1", "0.5", "--dt", "0.05", "--out", str(tmp_path / "curve.csv")]
+    for argv in (["check", "--json", str(tmp_path / "report.json"), "--expect-torsion-free"],
+                 ["connection", "--at", at], ["observables", "--at", at], ["roundtrip"],
+                 ["geodesic", "--from", at, "--vel", at, *span], ["flow", "--from", at, *span]):
+        out, err = io.StringIO(), io.StringIO()
+        with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
+              contextlib.redirect_stderr(err)):
+            warnings.simplefilter("error")
+            try:
+                code = main([argv[0], str(path), *argv[1:]])
+            except SystemExit as exit_:  # argparse's usage errors
+                code = exit_.code
+        usage = err.getvalue().startswith("usage: newcart")
+        assert code in (0, 1, 3) or (code == 2 and usage), (argv, code, err.getvalue())
+        if code == 3:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith(("scenario error:", "error:")), (
+                argv, err.getvalue())

@@ -12,7 +12,7 @@ from conftest import (NAMES2, NAMES3, brute_force_gamma, coord_field, exprs,
                       rot_observer, rot_structure, synthetic_case,
                       twist_structure)
 import newcart.expr as expr_mod
-from newcart.connection import (ConnectionData, build_connection,
+from newcart.connection import (Connection, ConnectionData, build_connection,
                                 connection_from_exprs, gamma_of, observable_map, nabla,
                                 spatial_state)
 from newcart.errors import DimensionMismatch, DomainError, FrameDegenerate, MetricSingular
@@ -524,6 +524,22 @@ def test_user_supplied_connection_observables():
     C = connection_from_exprs(S, z, tuple(tuple(tuple(r) for r in pl) for pl in table))
     assert not C.is_built
     assert np.allclose(gravity_at(C, np.array([0.2, 0.2])), [0.0, -9.8], atol=1e-12)
+
+
+def test_a_connection_given_no_data_is_built_from_zero_data():
+    # curvedh's h is not constant, so the report holds the round trip and
+    # the d_k g half of the FD check only for a built connection
+    S, z = curvedh_structure(), flat_observer()
+    C = Connection(S, z)
+    assert C.is_built
+    assert run_all(S, z, connection=C).to_json() == run_all(S, z).to_json()
+
+
+def test_a_connection_given_data_and_a_table_is_refused():
+    table = tuple(tuple((ZERO, ZERO) for _ in range(2)) for _ in range(2))
+    with pytest.raises(ValueError, match="not both"):
+        Connection(flat_structure(), flat_observer(), data=ConnectionData.zero(1),
+                   gamma_exprs=table)
 
 
 def test_christoffel_repeats_equal_read_only_arrays():

@@ -69,6 +69,16 @@ def test_mean_sums_in_order():
     assert make_entry("e", 1.0, residuals, _points(41)).mean_residual == 1.0 / 41
 
 
+def test_residuals_pair_with_points_by_broadcasting():
+    stack = np.array(_points(3))
+    residuals = np.zeros((2, 3))  # [field, point]
+    residuals[1, 2] = 5.0
+    flat = make_entry("e", 1.0, residuals.ravel(), np.tile(stack, (2, 1)))
+    for given_as, points in ((residuals, stack), (residuals.T, stack[:, None])):
+        entry = make_entry("e", 1.0, given_as, points)
+        assert entry == flat and entry.worst_point == (2.0, -2.0)
+
+
 def test_empty_residuals_pass():
     entry = make_entry("e", 1.0, [], [])
     assert (entry.max_residual, entry.mean_residual, entry.worst_point) == (0.0, 0.0, None)

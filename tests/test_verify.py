@@ -189,10 +189,12 @@ def test_fd_check_reads_the_connections_tau(m):
     assert failed == ["derivative finite-difference check"]
 
 
-def _fd_residuals_point_by_point(S, catalog, C, points):
-    """fd_validate's residuals, one stencil at a time, skipping every
-    stencil at which a value cannot be evaluated."""
-    m, box = S.dim, S.domain_box
+def _fd_residuals_point_by_point(S, C, points):
+    """fd_validate's residuals, one stencil at a time, in (entry, direction,
+    point) order: the non-constant coefficients of omega, z, the frame and
+    h at a <= b, then g at i <= j, skipping every stencil at which a value
+    cannot be evaluated."""
+    m, n, box = S.dim, S.n, S.domain_box
     residuals = []
 
     def stencil(p, i):
@@ -203,7 +205,9 @@ def _fd_residuals_point_by_point(S, catalog, C, points):
         lo[i] -= FD_STEP
         return hi, lo
 
-    for _label, base, _group, _index in catalog:
+    coefficients = [*S.omega, *C.observer.components, *(e for f in S.frame for e in f),
+                    *(S.metric[a][b] for a in range(n) for b in range(a, n))]
+    for base in coefficients:
         if type(base) is Const:
             continue
         for i in range(m):
@@ -217,22 +221,24 @@ def _fd_residuals_point_by_point(S, catalog, C, points):
                 except NewcartError:
                     continue
                 residuals.append(abs(sym - fd) / max(1.0, abs(fd)))
-    upper = np.triu_indices(m)
-    for p in points:
+
+    def spatial(p):
         try:
-            dg = spatial_state(C.program(p), p)["dg"]
+            return spatial_state(C.program(p), p)
         except NewcartError:
-            continue
+            return None
+
+    centres = [spatial(p) for p in points]
+    for a, b in zip(*np.triu_indices(m)):
         for i in range(m):
-            if (st := stencil(p, i)) is None:
-                continue
-            try:
-                fd = (spatial_state(C.program(st[0]), st[0])["g"]
-                      - spatial_state(C.program(st[1]), st[1])["g"]) / (2.0 * FD_STEP)
-            except NewcartError:
-                continue
-            residuals += (np.abs(dg[i][upper] - fd[upper])
-                          / np.maximum(1.0, np.abs(fd[upper]))).tolist()
+            for p, centre in zip(points, centres):
+                if centre is None or (st := stencil(p, i)) is None:
+                    continue
+                up, down = spatial(st[0]), spatial(st[1])
+                if up is None or down is None:
+                    continue
+                fd = (up["g"][a, b] - down["g"][a, b]) / (2.0 * FD_STEP)
+                residuals.append(abs(centre["dg"][i, a, b] - fd) / max(1.0, abs(fd)))
     return residuals
 
 
@@ -249,8 +255,8 @@ def test_fd_validate_skips_exactly_the_undefined_stencils(monkeypatch):
     monkeypatch.setattr(verify_mod, "make_entry",
                         lambda name, tol, residuals, where: captured.append(residuals.tolist()))
     fd_validate(C, C.state(points))
-    want = _fd_residuals_point_by_point(S, verify_mod.derivative_catalog(C), C, points)
-    # with nothing skipped: 1 catalog entry (h11) and 3 entries of g, 2 directions each
+    want = _fd_residuals_point_by_point(S, C, points)
+    # with nothing skipped: 1 entry of h (h11) and 3 entries of g, 2 directions each
     assert 0 < len(want) < 8 * len(points)
     assert captured == [want]
 
@@ -270,8 +276,7 @@ def test_fd_validate_skips_stencils_where_the_basis_is_singular(monkeypatch):
     monkeypatch.setattr(verify_mod, "make_entry",
                         lambda name, tol, residuals, where: captured.append(residuals.tolist()))
     fd_validate(C, C.state())
-    want = _fd_residuals_point_by_point(S, verify_mod.derivative_catalog(C), C,
-                                        S.sample_points())
+    want = _fd_residuals_point_by_point(S, C, S.sample_points())
     assert captured == [want]
 
 
@@ -288,8 +293,7 @@ def test_fd_validate_on_a_clean_run_equals_the_point_by_point_reference(monkeypa
     monkeypatch.setattr(verify_mod, "make_entry",
                         lambda name, tol, residuals, where: captured.append(residuals.tolist()))
     fd_validate(C, C.state(points))
-    want = _fd_residuals_point_by_point(scn.structure, verify_mod.derivative_catalog(C), C,
-                                        points)
+    want = _fd_residuals_point_by_point(scn.structure, C, points)
     assert len(want) > 0
     assert captured == [want]
 
@@ -495,7 +499,7 @@ def _clock_residuals(monkeypatch, state, structure):
                         lambda *args: seen.append(args[2:]) or make_entry(*args))
     entry = check_compatibility_omega(state, check_field_coeffs(structure))
     residuals, points = seen[0]
-    return entry, np.ravel(residuals), points
+    return entry, np.asarray(residuals), points
 
 
 def _two_sided_clock(state, structure):
@@ -533,12 +537,14 @@ def test_clock_defect_form_equals_the_two_sided_formula(monkeypatch, case):
     C = CLOCK_CASES[case]()
     S = C.structure
     state = C.state()
-    entry, residuals, points = _clock_residuals(monkeypatch, state, S)
-    ref = _two_sided_clock(state, S)
+    entry, grid, points = _clock_residuals(monkeypatch, state, S)
+    residuals, ref = grid.ravel(), _two_sided_clock(state, S)
     assert residuals.shape == ref.shape
     assert np.all(np.abs(residuals - np.abs(ref)) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
-    # [X, Y, point] order: residual r sits at sample point r mod N
-    np.testing.assert_array_equal(points, np.tile(state["p"], (len(ref) // len(state["p"]), 1)))
+    # [X, Y, point] order: residual [x, y, r] sits at sample point r
+    layout = grid.shape + state["p"].shape[-1:]
+    np.testing.assert_array_equal(np.broadcast_to(points, layout),
+                                  np.broadcast_to(state["p"], layout))
     assert entry.passed == (case not in ("bad_flat", "skew_flat"))
 
 
