@@ -1,9 +1,12 @@
 """Auto-parallel curves and observer flow lines, integrated with fixed-step RK4.
 
-Free fall is the first-order system xdot^k = v^k, vdot^k = -Gamma^k_ij
-v^i v^j with the curve parameter as the evolution variable; each RK4 stage
+Both are one first-order system y' = f(y) whose state's first m entries
+are the position and the rest the velocity.  Free fall is y = (x, v) with
+f(y) = (v, -Gamma^k_ij v^i v^j) over the curve parameter; each RK4 stage
 reads the connection's spray, `Connection.spray(x, v)`, so no stage forms
-a Gamma table.  Steps are uniform; leaving the domain box is a normal
+a Gamma table.  A flow line is y = x with the compiled observer field z as
+f, and its velocities are z at the states, nan only at a last state where z
+is undefined.  Steps are uniform; leaving the domain box is a normal
 termination.  A non-finite state ends the trajectory with reason
 "numeric_failure"; an error raised by the right-hand side (say sqrt of a
 negative value, or a singular metric) ends it with "evaluation_failure"
@@ -45,14 +48,12 @@ class Trajectory:
         return self.states[-1]
 
 
-def _rk4_step(f, x, v, dtau):
-    k1x, k1v = f(x, v)
-    k2x, k2v = f(x + 0.5 * dtau * k1x, v + 0.5 * dtau * k1v)
-    k3x, k3v = f(x + 0.5 * dtau * k2x, v + 0.5 * dtau * k2v)
-    k4x, k4v = f(x + dtau * k3x, v + dtau * k3v)
-    nx = x + (dtau / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    nv = v + (dtau / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return nx, nv
+def _rk4_step(f, y, dtau):
+    k1 = f(y)
+    k2 = f(y + 0.5 * dtau * k1)
+    k3 = f(y + 0.5 * dtau * k2)
+    k4 = f(y + dtau * k3)
+    return y + (dtau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def step_count(tau0, tau1, dtau):
@@ -63,39 +64,37 @@ def step_count(tau0, tau1, dtau):
     return int(count)
 
 
-def _integrate(f, box, x0, v0, tau0, tau1, dtau):
+def _integrate(f, box, y0, tau0, tau1, dtau):
+    """Trajectory of y' = f(y); positions are views of y[:len(box)]."""
     if dtau <= 0.0:
         raise ValueError("step size must be positive")
     if tau1 <= tau0:
         raise ValueError("final parameter must exceed the initial one")
-    x = np.asarray(x0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
-    states = [CurveState(tau0, x.copy(), v.copy())]
-    steps = step_count(tau0, tau1, dtau)
-    termination, error = COMPLETED, None
-    for k in range(1, steps + 1):
+    m = len(box)
+    y = np.array(y0, dtype=float)
+    states = [CurveState(tau0, y[:m], y[m:])]
+    for k in range(1, step_count(tau0, tau1, dtau) + 1):
         try:
-            nx, nv = _rk4_step(f, x, v, dtau)
+            y = _rk4_step(f, y, dtau)
         except NewcartError as err:
-            termination, error = EVALUATION_FAILURE, err
-            break
-        if not (np.isfinite(nx).all() and np.isfinite(nv).all()):
-            termination = NUMERIC_FAILURE
-            break
-        x, v = nx, nv
-        states.append(CurveState(tau0 + k * dtau, x.copy(), v.copy()))
-        if any(c < lo or c > hi for (lo, hi), c in zip(box, x)):
-            termination = LEFT_DOMAIN
-            break
-    return Trajectory(states=states, termination=termination, error=error)
+            return Trajectory(states, EVALUATION_FAILURE, err)
+        if not np.isfinite(y).all():
+            return Trajectory(states, NUMERIC_FAILURE)
+        states.append(CurveState(tau0 + k * dtau, y[:m], y[m:]))
+        if any(c < lo or c > hi for (lo, hi), c in zip(box, y)):
+            return Trajectory(states, LEFT_DOMAIN)
+    return Trajectory(states, COMPLETED)
 
 
 def integrate_geodesic(connection, x0, v0, tau0, tau1, dtau):
     """Integrate the auto-parallel curve of a connection from (x0, v0)."""
-    def accel(x, v):
-        return v, -connection.spray(x, v)
+    box = connection.structure.domain_box
+    m = len(box)
 
-    return _integrate(accel, connection.structure.domain_box, x0, v0, tau0, tau1, dtau)
+    def accel(y):
+        return np.concatenate([y[m:], -connection.spray(y[:m], y[m:])])
+
+    return _integrate(accel, box, np.concatenate([x0, v0]), tau0, tau1, dtau)
 
 
 def integrate_observer_flow(structure, observer, x0, tau0, tau1, dtau):
@@ -106,17 +105,11 @@ def integrate_observer_flow(structure, observer, x0, tau0, tau1, dtau):
     "evaluation_failure" and that error instead.
     """
     z = compile_exprs(observer.components)
-
-    def field(x, _v):
-        zv = z(x)
-        return zv, np.zeros_like(zv)
-
-    # the field ignores v, and every stored velocity is set from z below
-    traj = _integrate(field, structure.domain_box, x0, np.zeros(len(x0)), tau0, tau1, dtau)
-    # z was defined at every state but the last, which began no step
-    velocities, undefined, error = z.run([st.position for st in traj.states])
+    traj = _integrate(z, structure.domain_box, x0, tau0, tau1, dtau)
+    # every state but the last began a step whose first stage evaluated z there
+    velocities, _, error = z.run([st.position for st in traj.states])
     if error is not None:
-        velocities[undefined.any(axis=1)] = np.nan
+        velocities[-1] = np.nan
         if traj.termination == COMPLETED:
             traj.termination, traj.error = EVALUATION_FAILURE, error
     for st, velocity in zip(traj.states, velocities):
@@ -124,16 +117,20 @@ def integrate_observer_flow(structure, observer, x0, tau0, tau1, dtau):
     return traj
 
 
-def trajectory_csv(trajectory, m):
-    """Serialize per the fixed interface: tau, x0..x{m-1}, v0..v{m-1}."""
+def _csv_lines(trajectory, m):
+    """The CSV's lines, newline-terminated: tau, x0..x{m-1}, v0..v{m-1}."""
     header = ["tau"] + [f"x{i}" for i in range(m)] + [f"v{i}" for i in range(m)]
-    lines = [", ".join(header)]
+    yield ", ".join(header) + "\n"
     for st in trajectory.states:
         row = [st.tau] + st.position.tolist() + st.velocity.tolist()
-        lines.append(", ".join(f"{value:.17g}" for value in row))
-    return "\n".join(lines) + "\n"
+        yield ", ".join(f"{value:.17g}" for value in row) + "\n"
+
+
+def trajectory_csv(trajectory, m):
+    """Serialize per the fixed interface: tau, x0..x{m-1}, v0..v{m-1}."""
+    return "".join(_csv_lines(trajectory, m))
 
 
 def write_trajectory(trajectory, m, path):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(trajectory_csv(trajectory, m))
+        fh.writelines(_csv_lines(trajectory, m))

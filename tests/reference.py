@@ -5,11 +5,14 @@ and numpy only, one point at a time: nothing here reads a connection's
 state or calls the package's basis inverse, so an agreement with
 `Connection.state` or `observable_map` is an agreement between two
 independent computations.  Where a connection's coefficients are needed,
-they come from its full table, `Connection.christoffel`.
+they come from its full table, `Connection.christoffel`.  `pairwise_rk4`
+steps position and velocity as two arrays, stage by stage, so a curve's
+bits are pinned apart from the package's one-array integrator.
 """
 
 import numpy as np
 
+from newcart.errors import NewcartError
 from newcart.expr import ZERO, differentiate
 from newcart.expr import compile as compile_exprs
 
@@ -72,8 +75,36 @@ def torsion_at(connection, x_field, y_field, p):
 
 
 def christoffel_accel(connection):
-    """Free fall's right-hand side (x, v) -> (v, -Gamma^k_ij v^i v^j), with
-    the contraction done here on the full table `connection.christoffel(x)`."""
-    def accel(x, v):
-        return v, -np.einsum("kij,i,j->k", connection.christoffel(x), v, v)
+    """Free fall's right-hand side y = (x, v) -> (v, -Gamma^k_ij v^i v^j),
+    with the contraction done here on the full table `connection.christoffel(x)`."""
+    m = connection.structure.dim
+
+    def accel(y):
+        x, v = y[:m], y[m:]
+        return np.concatenate([v, -np.einsum("kij,i,j->k", connection.christoffel(x), v, v)])
     return accel
+
+
+def pairwise_rk4(f, box, x0, v0, tau0, tau1, dtau):
+    """Fixed-step RK4 on the pair (x, v) with (x', v') = f(x, v), each stage
+    formed half by half: ([(tau, x, v)] of the kept states, termination,
+    error).  A step that raises, or ends non-finite, is dropped; a kept
+    state outside the box ends the curve."""
+    x, v = np.array(x0, dtype=float), np.array(v0, dtype=float)
+    states = [(tau0, x, v)]
+    for k in range(1, int(np.floor((tau1 - tau0) / dtau * (1.0 + 1e-12))) + 1):
+        try:
+            k1x, k1v = f(x, v)
+            k2x, k2v = f(x + 0.5 * dtau * k1x, v + 0.5 * dtau * k1v)
+            k3x, k3v = f(x + 0.5 * dtau * k2x, v + 0.5 * dtau * k2v)
+            k4x, k4v = f(x + dtau * k3x, v + dtau * k3v)
+        except NewcartError as err:
+            return states, "evaluation_failure", err
+        x = x + (dtau / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        v = v + (dtau / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        if not (np.isfinite(x).all() and np.isfinite(v).all()):
+            return states, "numeric_failure", None
+        states.append((tau0 + k * dtau, x, v))
+        if any(c < lo or c > hi for (lo, hi), c in zip(box, x)):
+            return states, "left_domain", None
+    return states, "completed", None

@@ -206,6 +206,30 @@ def test_unknown_key_is_exit_3(tmp_path, capsys):
                        "unknown key 'sample'\n")
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("dim = 3\ncoords = t, x, y", "dim = 1\ncoords = t", "dim must be at least 2"),
+    ("[coriolis]\nw12 = 0.5", "[christoffel]\nC3_00 = 1",
+     "[christoffel] key C3_00 out of range for m = 3"),
+    ("w12 = 0.5", "w21 = 0.5", "[coriolis] key w21 needs 1 <= a < b <= 2"),
+    ("w12 = 0.5", "w13 = 0.5", "[coriolis] key w13 needs 1 <= a < b <= 2"),
+    ("[domain]", "[theta]\nT3_01 = 1\n[domain]",
+     "[theta] frame index in T3_01 out of range for n = 2"),
+    ("[domain]", "[theta]\nT1_10 = 1\n[domain]",
+     "[theta] key T1_10 needs coordinate indices i < j < 3"),
+    ("[domain]", "[theta]\nT1_03 = 1\n[domain]",
+     "[theta] key T1_03 needs coordinate indices i < j < 3"),
+], ids=["dim_1", "C3_00", "w21", "w13", "T3_01", "T1_10", "T1_03"])
+def test_out_of_range_indices_are_scenario_errors(tmp_path, capsys, old, new, message):
+    path = tmp_path / "rot.scn"
+    text = bundled_scenario_path("rot").read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["check", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"scenario error: {message}\n"
+
+
 @pytest.mark.parametrize("clock,message", [
     ("1\u00b2, 0", "unexpected token '\u00b2' at position 1 (expected end of input)"),
     ("\u0661, 0", "unexpected character '\u0661' at position 0"),

@@ -1,6 +1,7 @@
 """Integrators: free-fall oracles, flows, order behavior, terminations."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from newcart.dynamics import (COMPLETED, EVALUATION_FAILURE, LEFT_DOMAIN,
                               integrate_observer_flow, trajectory_csv)
 from newcart.errors import DomainError
 from newcart.expr import Const, ZERO, parse_expr
+from newcart.expr import compile as compile_exprs
 from newcart.geometry import ObserverField, SpacetimeStructure
+from newcart.scenario import bundled_scenario_path, load_scenario
 from reference import (christoffel_accel, frame_decompose, metric_matrix, omega_apply,
-                       project_spatial)
+                       pairwise_rk4, project_spatial)
 
 
 def test_flat_geodesic_is_straight():
@@ -205,11 +208,56 @@ def test_evaluation_failure_keeps_earlier_states():
     assert [st.tau for st in traj.states] == pytest.approx([0.0, 0.01, 0.02, 0.03, 0.04])
     assert all(st.position[1] > 0.0 for st in traj.states)
     # the same states and the same error as free fall on the full Gamma table
-    want = dynamics._integrate(christoffel_accel(C), S.domain_box, x0, v0, 0.0, 1.0, 1e-2)
+    want = dynamics._integrate(christoffel_accel(C), S.domain_box, np.concatenate([x0, v0]),
+                               0.0, 1.0, 1e-2)
     assert want.termination == traj.termination
     assert type(traj.error) is type(want.error) and str(traj.error) == str(want.error)
     assert [(st.tau, st.position.tolist(), st.velocity.tolist()) for st in traj.states] == [
         (st.tau, st.position.tolist(), st.velocity.tolist()) for st in want.states]
+
+
+def _assert_same_bits(traj, states, termination, error):
+    assert (traj.termination, type(traj.error), str(traj.error)) == (
+        termination, type(error), str(error))
+    assert [(st.tau, st.position.tolist(), st.velocity.tolist()) for st in traj.states] == [
+        (tau, x.tolist(), v.tolist()) for tau, x, v in states]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_free_fall_steps_as_the_pairwise_reference(m):
+    S, z, D = synthetic_case(m, 1)
+    C = build_connection(S, z, D)
+    x0 = np.array([0.1] + [0.2 * (-1) ** i for i in range(1, m)])
+    v0 = np.array([1.0] + [0.5 - 0.3 * i for i in range(1, m)])
+    # m = 2, 3 complete, m = 4, 5 leave the box at t = 1
+    traj = integrate_geodesic(C, x0, v0, 0.0, 0.3 * m, 0.05)
+    _assert_same_bits(traj, *pairwise_rk4(lambda x, v: (v, -C.spray(x, v)), S.domain_box,
+                                          x0, v0, 0.0, 0.3 * m, 0.05))
+
+
+def _bundled_flow(name):
+    scn = load_scenario(bundled_scenario_path(name))
+    return scn.structure, scn.observer
+
+
+# the bundled observers are constant; the last two are not, and sqrt fails at t > 1
+FLOWS = {name: lambda name=name: _bundled_flow(name) for name in ("flat", "rot", "twist")}
+FLOWS["exponential"] = lambda: (flat_structure(box=((-0.1, 1.3), (-1.0, 1.0))),
+                                ObserverField(exprs(NAMES2, "1", "x")))
+FLOWS["sqrt"] = lambda: (flat_structure(), ObserverField(exprs(NAMES2, "1", "sqrt(1 - t) + x")))
+
+
+@pytest.mark.parametrize("name", FLOWS)
+def test_observer_flow_steps_as_the_pairwise_reference(name):
+    S, observer = FLOWS[name]()
+    x0 = np.array([0.05] + [0.3 - 0.5 * i for i in range(1, S.dim)])
+    z = compile_exprs(observer.components)
+    states, termination, error = pairwise_rk4(lambda x, v: (z(x), np.zeros_like(v)),
+                                              S.domain_box, x0, np.zeros(S.dim),
+                                              0.0, 1.2, 0.03)
+    states = [(tau, x, z(x)) for tau, x, _ in states]
+    _assert_same_bits(integrate_observer_flow(S, observer, x0, 0.0, 1.2, 0.03),
+                      states, termination, error)
 
 
 def test_free_fall_on_a_built_connection_forms_no_gamma_table(monkeypatch):
@@ -250,3 +298,28 @@ def test_trajectory_csv_format():
     assert last[1] == traj.final.position[0]
     assert last[2] == traj.final.position[1]   # %.17g round-trips doubles
     assert last[4] == traj.final.velocity[1]
+
+
+def _parabola(count):
+    """A free-fall-like trajectory of `count` states, built without stepping."""
+    states = [dynamics.CurveState(tau, np.array([tau, -4.9 * tau * tau]),
+                                  np.array([1.0, -9.8 * tau]))
+              for tau in np.arange(count) * 1e-3]
+    return dynamics.Trajectory(states, COMPLETED)
+
+
+def test_write_trajectory_streams_its_rows(tmp_path):
+    def peak(traj):
+        tracemalloc.start()
+        try:
+            dynamics.write_trajectory(traj, 2, tmp_path / "curve.csv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = _parabola(10**4), _parabola(10**5)
+    small_peak, large_peak = peak(small), peak(large)
+    # the whole text of 10^5 states is 7.9 MB; writing keeps a row at a time
+    assert large_peak < 256 * 1024
+    assert large_peak <= small_peak + 8 * 1024
+    assert (tmp_path / "curve.csv").read_text(encoding="utf-8") == trajectory_csv(large, 2)

@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name it does not use,
 reaches into another object's private attributes, defines a top-level
-function or class that nothing reads, or takes a parameter that it never
-reads."""
+function or class that nothing reads, takes a parameter that it never
+reads, or keeps state at module level between calls."""
 
 import ast
 from pathlib import Path
@@ -141,6 +141,67 @@ def test_unread_parameters_are_found():
 def test_every_parameter_is_read(path):
     handlers = command_handlers((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     assert unread_parameters(path.read_text(encoding="utf-8"), exempt=handlers) == []
+
+
+CACHE_DECORATORS = {"cache", "lru_cache"}
+MUTATING_METHODS = {"append", "extend", "insert", "update", "setdefault", "pop", "popitem",
+                    "clear", "remove", "add", "discard"}
+
+
+def _root_name(node):
+    """The name at the bottom of a chain of subscripts and attributes, or None."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def module_state(source):
+    """(line, text) of every global or nonlocal statement, functools cache
+    decorator, and write from a function body into a module-level name by
+    subscript assignment or deletion or by a mutating method call.  A name
+    that the function binds itself is its own."""
+    tree = ast.parse(source)
+    module_names = {n.id for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                    for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            found.add(node)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in node.decorator_list:
+            called = decorator.func if isinstance(decorator, ast.Call) else decorator
+            if getattr(called, "id", getattr(called, "attr", None)) in CACHE_DECORATORS:
+                found.add(decorator)
+        body = list(ast.walk(node))
+        own = ({n.id for n in body if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+               | {n.arg for n in body if isinstance(n, ast.arg)})
+        shared = module_names - own
+        found |= {n for n in body if isinstance(n, ast.Subscript)
+                  and isinstance(n.ctx, (ast.Store, ast.Del)) and _root_name(n) in shared}
+        found |= {n for n in body if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                  and n.func.attr in MUTATING_METHODS and _root_name(n.func.value) in shared}
+    return sorted((node.lineno, ast.unparse(node)) for node in found)
+
+
+def test_module_state_is_found():
+    source = ("import functools\nfrom functools import lru_cache\nTABLE = {}\nSEEN: list = []\n"
+              "def a():\n    global TABLE\n"
+              "@functools.cache\ndef b(x):\n    return x\n"
+              "@lru_cache(maxsize=8)\ndef c(x):\n    TABLE['k'][x] = 1\n    SEEN.append(x)\n"
+              "def d(TABLE):\n    TABLE[0] = 1\n    own = []\n    own.append(SEEN[0])\n"
+              "    del TABLE[0]\n    return functools.cached_property\n"
+              "def e():\n    g = 0\n    def f():\n        nonlocal g\n        TABLE.update(g=g)\n")
+    assert module_state(source) == [
+        (6, "global TABLE"), (7, "functools.cache"), (10, "lru_cache(maxsize=8)"),
+        (12, "TABLE['k'][x]"), (13, "SEEN.append(x)"), (23, "nonlocal g"),
+        (24, "TABLE.update(g=g)")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_state(path):
+    assert module_state(path.read_text(encoding="utf-8")) == []
 
 
 LAYERS = ("errors", "expr", "report", "geometry", "connection", "dynamics", "scenario",
