@@ -49,7 +49,8 @@ n-vector per point is solved for instead of m^2 columns.
 Only the user input and its first derivatives are symbolic.  Everything
 downstream is numeric at each point: the coframe Q (rows 1..n of the
 inverse of the adapted basis B = (z, E_1..E_n), which the program emits
-with its derivatives d_k B as views of one output table), the spatial
+once, as its rows [c][k] = B_kc and their derivatives [c][k][i] = d_i B_kc;
+z and the frame are views of them), the spatial
 tensor g = Q^T h Q, its derivatives from d_k(B^-1) = -B^-1 (d_k B) B^-1,
 and small dense solves.  `Connection.state` evaluates all of it once over a
 stack of points, and every check and observable reads that one state:
@@ -74,7 +75,7 @@ from . import geometry
 from .errors import DimensionMismatch, MetricSingular
 from .expr import ZERO, Const, differentiate, neg
 from .expr import compile as compile_exprs
-from .geometry import field_jacobian, upper_pairs
+from .geometry import structure_inputs, upper_pairs
 
 
 def nabla(gamma, dy, x, y):
@@ -90,15 +91,16 @@ def nabla(gamma, dy, x, y):
 def spatial_state(values, points):
     """The values of one run of a connection's program at points (..., m),
     with p, the coframe Q (..., n, m), g = Q^T h Q and
-    dg[..., k, i, j] = d_k g_ij added in place, from the program's adapted
-    basis and its derivatives, and d_k g = (d_k Q)^T h Q + Q^T (d_k h) Q +
-    Q^T h (d_k Q)."""
-    inverse = geometry.basis_inverse(values["basis"], points)
+    dg[..., k, i, j] = d_k g_ij added in place, from the program's rows of
+    the adapted basis B and their derivatives, and d_k g = (d_k Q)^T h Q +
+    Q^T (d_k h) Q + Q^T h (d_k Q)."""
+    inverse = geometry.basis_inverse(values["rows"].swapaxes(-1, -2), points)
     coframe, h = inverse[..., 1:, :], values["h"]  # column j of Q decomposes P d_j
     values["p"], values["coframe"] = points, coframe
     values["g"] = coframe.swapaxes(-1, -2) @ h @ coframe
     inv_i = inverse[..., None, :, :]  # broadcast over the derivative index
-    d_coframe = -(inv_i @ values["d_basis"] @ inv_i)[..., 1:, :]  # (..., m, n, m)
+    d_basis = np.ascontiguousarray(values["d_rows"].swapaxes(-1, -3))  # [..., i, k, c]
+    d_coframe = -(inv_i @ d_basis @ inv_i)[..., 1:, :]  # (..., m, n, m)
     coframe_i = coframe[..., None, :, :]
     half = d_coframe.swapaxes(-1, -2) @ h[..., None, :, :] @ coframe_i
     values["dg"] = (half + half.swapaxes(-1, -2)
@@ -107,12 +109,12 @@ def spatial_state(values, points):
 
 
 def gamma_of(state):
-    """Adds gamma (..., m, m, m) and rhs (..., m, m, n) = 2<P(nabla_i d_j), E_b>
-    in place to a state, from its omega, tau, z, frame, coframe, h, dg
-    and any data values gravity, coriolis and theta (p names where h is
-    singular)."""
-    omega, h, dg = state["omega"], state["h"], state["dg"]
-    frame_t = state["frame"].swapaxes(-1, -2)
+    """Adds gamma (..., m, m, m) in place to a state, from its omega, tau,
+    rows, coframe, h, dg and any data values gravity, coriolis and theta
+    (p names where h is singular), through rhs [..., i, j, b] =
+    2<P(nabla_i d_j), E_b>."""
+    omega, h, dg, rows = state["omega"], state["h"], state["dg"], state["rows"]
+    frame_t = rows[..., 1:, :].swapaxes(-1, -2)
     q_t = state["coframe"].swapaxes(-1, -2)
     # [..., i, j, b] = E_b^l (d_i g_jl + d_j g_il - d_l g_ij)
     half = dg @ frame_t[..., None, :, :]
@@ -131,11 +133,11 @@ def gamma_of(state):
     q_t_h = q_t @ h  # [..., j, b] = <P d_j, E_b>
     pairs = (q_t_h @ (theta @ frame_t[..., None, :, :]).reshape(lead + (n, m * n))
              ).reshape(half.shape)
-    state["rhs"] = rhs = rhs - pairs - pairs.swapaxes(-3, -2)
+    rhs = rhs - pairs - pairs.swapaxes(-3, -2)
 
     # [..., a, ij]: the frame coefficients of Gamma_ij
     c = solve_metric(state, rhs.reshape(lead + (m * m, n)).swapaxes(-1, -2))
-    state["gamma"] = (state["z"][..., :, None, None] * state["tau"][..., None, :, :]
+    state["gamma"] = (rows[..., 0, :, None, None] * state["tau"][..., None, :, :]
                       + (frame_t @ c).reshape(lead + (m, m, m)))
     return state
 
@@ -144,7 +146,8 @@ def spray_of(state, v):
     """Gamma^k_ij v^i v^j (..., m) at a state's points for velocities v
     (..., m), from the contracted relation: the values gamma_of reads, and
     one solve per point for the frame coefficients of P(Gamma(v, v))."""
-    h, frame_t, theta = state["h"], state["frame"].swapaxes(-1, -2), state["theta"]
+    h, rows, theta = state["h"], state["rows"], state["theta"]
+    frame_t = rows[..., 1:, :].swapaxes(-1, -2)
     row, col = v[..., None, :], v[..., :, None]
     dgv = (state["dg"] @ col[..., None, :, :])[..., 0]  # [..., k, i] = d_k g_ij v^j
     w = row @ state["omega"][..., :, None]  # w(v)
@@ -155,7 +158,7 @@ def spray_of(state, v):
     r = (2.0 * (row @ dgv - qv @ h @ theta_v) - (dgv @ col).swapaxes(-1, -2)) @ frame_t
     r += 2.0 * w * (2.0 * (qv @ state["coriolis"]) + w * (state["gravity"][..., None, :] @ h))
     c = solve_metric(state, r.swapaxes(-1, -2))  # [..., a, 0]
-    return state["z"] * (row @ state["tau"] @ col)[..., 0] + (frame_t @ c)[..., 0]
+    return rows[..., 0, :] * (row @ state["tau"] @ col)[..., 0] + (frame_t @ c)[..., 0]
 
 
 def solve_metric(state, rhs):
@@ -216,11 +219,13 @@ class Connection:
     from `data`, zero data when none are given (`is_built`), or a user
     table `gamma_exprs`, which has no data; giving both raises ValueError.
     The input (with zero data for a user table) and its symbolic first
-    derivatives dz, d_frame, dh and tau = d omega are compiled into one
+    derivatives d_rows, dh and tau = d omega are compiled into one
     program; these tables are the ones the finite-difference check
-    validates; omega, frame, z and h
-    come first in it, and basis and d_basis, aliases of z, the frame and
-    their derivatives, last.  `state` runs it once over points of shape
+    validates.  The input groups omega, rows and h come first, as
+    `structure_inputs` gives them: rows [c][k] = B_kc is the adapted
+    basis, c = (z, E_1..E_n), and d_rows [c][k][i] = d_i B_kc.  Each input
+    entry is one output; z is rows[..., 0, :] and the frame rows[..., 1:, :].
+    `state` runs it once over points of shape
     (..., m), in one way for a built and a user connection, and `state_of` that run
     raises the run's error, or returns every value the checks and the
     observables read, `spatial_state`'s and Gamma's, with the same leading
@@ -273,8 +278,8 @@ class Connection:
             self._user = compile_exprs(gamma_exprs)
             inputs = (e for plane in gamma_exprs for row in plane for e in row)
         self.data = data
-        self.dz = field_jacobian(z)
-        self.d_frame = [field_jacobian(f) for f in structure.frame]
+        self.d_rows = [[[differentiate(e, i) for i in range(m)] for e in row]
+                       for row in structure_inputs(structure, observer)["rows"]]
         self.dh = [[[differentiate(structure.metric[a][b], i) for b in range(n)]
                     for a in range(n)] for i in range(m)]
         self.tau = [[differentiate(omega[j], i) for j in range(m)] for i in range(m)]
@@ -287,22 +292,16 @@ class Connection:
 
     @cached_property
     def program(self):
-        S, m, n = self.structure, self.structure.dim, self.structure.n
+        m, n = self.structure.dim, self.structure.n
         data = ConnectionData.zero(n) if self.data is None else self.data
-        # [c][k] = B_kc and [c][k][i] = d_i B_kc, columns c = (z, E_1..E_n)
-        columns = np.array([self.observer.components, *S.frame], dtype=object)
-        d_columns = np.array([self.dz, *self.d_frame], dtype=object)
         # the input first, in validate_structure's order: a fault names the same node
         return compile_exprs({
-            "omega": S.omega, "frame": S.frame, "z": self.observer.components, "h": S.metric,
-            "dz": self.dz, "d_frame": self.d_frame, "dh": self.dh,
-            "tau": self.tau, "gravity": data.gravity,
+            **structure_inputs(self.structure, self.observer),
+            "d_rows": self.d_rows, "dh": self.dh, "tau": self.tau, "gravity": data.gravity,
             "coriolis": [[data.coriolis_entry(a, b) for b in range(n)] for a in range(n)],
             # theta[a][i][j] for i < j only: Theta^a_ij = theta[a][i][j] - theta[a][j][i]
             "theta": [[[data.theta.get((a, i, j), ZERO) for j in range(m)]
-                       for i in range(m)] for a in range(n)],
-            # aliases of the slots above: basis[k][c] and d_basis[i][k][c]
-            "basis": columns.T, "d_basis": d_columns.transpose(2, 1, 0)})
+                       for i in range(m)] for a in range(n)]})
 
     def state(self, points=None):
         """`state_of` one program run at `points`, by default the structure's
@@ -367,13 +366,11 @@ def observable_map(state):
     the antisymmetric <nabla_{E_a} z, E_b>, and theta (N, n, m, m) the frame
     coefficients of P(Tor(d_i, d_j)) at i < j and 0 elsewhere.  So
     `{**state, **observable_map(state)}` is a state whose data are the image."""
-    coframe, gamma = state["coframe"], state["gamma"]
+    coframe, gamma, rows = state["coframe"], state["gamma"], state["rows"]
     n, m = coframe.shape[-2:]
-    zv = state["z"][:, None, :]
 
-    # nabla_z z, then nabla_{E_a} z for every frame direction
-    directions = np.concatenate([zv, state["frame"]], axis=1)
-    nz = nabla(gamma[:, None], state["dz"][:, None], directions, zv)  # (N, 1 + n, m)
+    # nabla_z z, then nabla_{E_a} z for every frame direction: the rows are the directions
+    nz = nabla(gamma[:, None], state["d_rows"][:, :1], rows, rows[:, :1])  # (N, 1 + n, m)
     coeff_nz = coframe @ np.swapaxes(nz[:, 1:], -1, -2)  # column a decomposes nabla_{E_a} z
     pairing = np.swapaxes(coeff_nz, -1, -2) @ state["h"]  # [a, b] = <nabla_{E_a} z, E_b>
 

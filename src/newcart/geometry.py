@@ -4,12 +4,15 @@ A structure fixes one global chart with coordinates x^0..x^{m-1}, a
 clock 1-form with components omega_i, a spanning frame E_1..E_n of the
 clock form's kernel, and the Gram matrix h_ab of the spatial inner
 product on that frame.  All coefficients are symbolic expressions, so
-every first derivative used downstream is exact.  `structure_entries`
-is a function of the values of omega, the frame, z and h at points, so
-it reads any run that evaluates them; frame coefficients, projections
-and inner products are read from `Connection.state`, which inverts the
-adapted basis B, columns (z, E_1..E_n), that the connection's program
-emits, with `basis_inverse`.
+every first derivative used downstream is exact.  The observer z and
+the frame are one table: `structure_inputs` gives the rows [c][k] = B_kc
+of the adapted basis B = (z, E_1..E_n), z first, between omega and h,
+and both `validate_structure` and the connection's program compile that
+dict, so they walk the inputs in one order.  `structure_entries` is a
+function of the values of omega, the rows and h at points, so it reads
+any run that evaluates them; frame coefficients, projections and inner
+products are read from `Connection.state`, which inverts B, the
+transpose of the rows, with `basis_inverse`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from .errors import DimensionMismatch, FrameDegenerate
-from .expr import Expr, differentiate
+from .expr import Expr
 from .expr import compile as compile_exprs
 from .report import CheckReport, make_entry
 
@@ -98,10 +101,11 @@ def upper_pairs(n, diagonal=False):
     return tuple(np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T)
 
 
-def field_jacobian(field):
-    """Symbolic derivative table [k][i] = d_i field_k."""
-    m = len(field)
-    return [[differentiate(field[k], i) for i in range(m)] for k in range(m)]
+def structure_inputs(structure, observer):
+    """The input groups in walk order: omega, the rows [c][k] = B_kc of
+    the adapted basis, c = (z, E_1..E_n), and h."""
+    return {"omega": structure.omega, "rows": (observer.components, *structure.frame),
+            "h": structure.metric}
 
 
 def fail_at_first(bad, points, error, what):
@@ -131,14 +135,14 @@ def basis_inverse(basis, points):
 
 def structure_entries(values, points):
     """Residual entries for every structure and observer invariant at
-    points (N, m), from the values there of omega (N, m), frame (N, n, m),
-    z (N, m) and h (N, n, n)."""
+    points (N, m), from the values there of omega (N, m), the rows
+    (N, m, m) of the adapted basis, z then the frame, and h (N, n, n)."""
     ov, h = values["omega"][:, None, :], values["h"]  # ov: (N, 1, m), a row vector per point
-    fm = np.swapaxes(values["frame"], -1, -2)
+    fm = np.swapaxes(values["rows"][:, 1:], -1, -2)
     # a NaN margin stays NaN, so the entry fails
     nonzero = np.maximum(0.0, CLOCK_NONZERO_MARGIN - np.max(np.abs(ov), axis=(1, 2)))
     annihilated = np.max(np.abs(ov @ fm), axis=(1, 2))
-    normalized = np.abs((ov @ values["z"][:, :, None])[:, 0, 0] - 1.0)
+    normalized = np.abs((ov @ values["rows"][:, 0, :, None])[:, 0, 0] - 1.0)
     symmetry = np.max(np.abs(h - np.swapaxes(h, -1, -2)), axis=(1, 2))
     with np.errstate(invalid="ignore"):
         nondegenerate = np.maximum(0.0, METRIC_DET_MARGIN - np.abs(np.linalg.det(h)))
@@ -164,7 +168,6 @@ def validate_structure(structure, observer):
     example h11 = 1 + sqrt(x) with x in [-1, 1]).
     """
     points = structure.sample_points()
-    values = compile_exprs({"omega": structure.omega, "frame": structure.frame,
-                            "z": observer.components, "h": structure.metric})(points)
+    values = compile_exprs(structure_inputs(structure, observer))(points)
     return CheckReport(scenario="", seed=structure.rng_seed,
                        entries=structure_entries(values, points))

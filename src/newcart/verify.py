@@ -122,8 +122,8 @@ def check_compatibility_metric(state):
     n, m = state["coframe"].shape[-2:]
     coord = np.eye(m)[:, None, :]  # X = d_i, broadcast over the frame fields
     # [point, i, a] = nabla_i E_a
-    nab = nabla(state["gamma"][:, None, None], state["d_frame"][:, None], coord,
-                state["frame"][:, None])
+    nab = nabla(state["gamma"][:, None, None], state["d_rows"][:, None, 1:], coord,
+                state["rows"][:, None, 1:])
     # [point, i, a, b] = <nabla_i E_a, E_b>
     paired = nab @ np.swapaxes(state["coframe"], -1, -2)[:, None] @ state["h"][:, None]
     a, b = upper_pairs(n, diagonal=True)
@@ -172,13 +172,13 @@ def _normalized(sym, up, down):
 def fd_validate(connection, state):
     """Central-difference check of the derivative tables in a connection's
     state at a stack of points, shape (N, m), against the values at the
-    2m stencils of each point, for every non-constant entry of five
-    pairs: omega and tau, z and dz, the frame and d_frame, h and dh at
-    a <= b, and, for a built connection whose z, frame or h is not
-    constant, the numeric d_k g against the differenced spatial tensor g
-    at i <= j.  The tables are the state's own, the ones the connection's
-    program compiles.  Residuals come pair by pair, each in (entry,
-    direction, point) order.
+    2m stencils of each point, for every non-constant entry of four
+    pairs: omega and tau, the rows of the adapted basis (z's entries,
+    then the frame's) and d_rows, h and dh at a <= b, and, for a built
+    connection whose z, frame or h is not constant, the numeric d_k g
+    against the differenced spatial tensor g at i <= j.  The tables are
+    the state's own, the ones the connection's program compiles.
+    Residuals come pair by pair, each in (entry, direction, point) order.
 
     Residuals are normalized, |sym - fd| / max(1, |fd|), which matches
     the tolerance max(1e-6, 1e-6 |value|).  Points whose stencil leaves
@@ -198,10 +198,9 @@ def fd_validate(connection, state):
     # indices of its non-constant entries); the data are read as values only
     pairs = [(group, table, np.flatnonzero(varies)) for group, table, varies in (
         ("omega", state["tau"], [type(e) is not Const for e in structure.omega]),
-        ("z", state["dz"].swapaxes(1, 2),
-         [type(e) is not Const for e in connection.observer.components]),
-        ("frame", state["d_frame"].reshape(n_points, n * m, m).swapaxes(1, 2),
-         [type(e) is not Const for e in chain(*structure.frame)]),
+        ("rows", state["d_rows"].reshape(n_points, m * m, m).swapaxes(1, 2),
+         [type(e) is not Const for e in chain(connection.observer.components,
+                                              *structure.frame)]),
         ("h", state["dh"].reshape(n_points, m, n * n),
          [a <= b and type(h[a][b]) is not Const for a in range(n) for b in range(n)]))]
     pairs = [pair for pair in pairs if pair[2].size]
@@ -212,9 +211,9 @@ def fd_validate(connection, state):
     # [stencil, point, ...]; a clean run has no masks
     value, undefined, _ = connection.program.run(np.concatenate([stack + step, stack - step]))
     masks = {} if undefined is None else dict(undefined)
-    # the fifth pair, for a built connection whose z, frame or h is not constant
+    # the fourth pair, for a built connection whose z, frame or h is not constant
     if connection.is_built and any(group != "omega" for group, _, _ in pairs):
-        basis = value["basis"]
+        basis = value["rows"].swapaxes(-1, -2)
         usable = ~basis_singular(basis)  # [stencil, point]
         for bad in masks.values():
             usable &= ~bad.reshape(bad.shape[:2] + (-1,)).any(axis=-1)

@@ -55,6 +55,41 @@ def test_corrupted_fixtures_fail_designated_entry(tmp_path, fixture, entry):
     assert failed == [entry]
 
 
+REPEATED_FRAME_FIELD = """[spacetime]
+dim = 3
+coords = t, x, y
+
+[omega]
+O = 1, 0, 0
+
+[observer]
+z = 1, 0, 0
+
+[frame]
+E1 = 0, 1, 0
+E2 = 0, 1, 0
+
+[metric]
+h11 = 1
+h22 = 1
+
+[domain]
+box = 0 1, -1 1, -1 1
+samples = 10
+seed = 1
+"""
+
+
+def test_a_repeated_frame_field_fails_frame_rank_alone(tmp_path):
+    # every other structure entry holds, so without the rank entry's own
+    # residual the state would raise FrameDegenerate: exit 3, not 1
+    path, out = tmp_path / "repeated.scn", tmp_path / "report.json"
+    path.write_text(REPEATED_FRAME_FIELD, encoding="utf-8")
+    assert main(["check", str(path), "--json", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert [e["name"] for e in payload["entries"] if not e["pass"]] == ["frame rank"]
+
+
 NAN_GAMMA_SCENARIO = """[spacetime]
 dim = 2
 coords = t, x

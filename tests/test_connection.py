@@ -1,5 +1,7 @@
 """Connection builder: hand oracles, brute-force oracle, observables."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,8 @@ from newcart.connection import (Connection, ConnectionData, build_connection,
                                 spatial_state)
 from newcart.errors import DimensionMismatch, DomainError, FrameDegenerate, MetricSingular
 from newcart.expr import Const, ZERO, differentiate, evaluate, parse_expr
-from newcart.geometry import ObserverField, SpacetimeStructure
+from newcart.expr import compile as compile_exprs
+from newcart.geometry import ObserverField, SpacetimeStructure, validate_structure
 from newcart.scenario import bundled_scenario_path, load_scenario
 from newcart.verify import check_roundtrip, run_all
 from reference import (covariant_derivative, eval_fields, frame_decompose,
@@ -39,7 +42,22 @@ def alternation_at(S, z, D, x_field, y_field, p):
 def gravity_at(C, p):
     """nabla_z z at p, from the connection's state."""
     st = C.state(p)
-    return nabla(st["gamma"], st["dz"], st["z"], st["z"])
+    return nabla(st["gamma"], st["d_rows"][0], st["rows"][0], st["rows"][0])
+
+
+def koszul_rhs(st):
+    """[i, j, b] = 2<P(nabla_i d_j), E_b> at one point, from the reduced
+    relation of the connection module's docstring, term by term."""
+    frame, q, h, dg, w = st["rows"][1:], st["coframe"], st["h"], st["dg"], st["omega"]
+    theta = st["theta"] - st["theta"].swapaxes(-1, -2)  # [a, i, j] = Theta^a_ij
+    cor, hq = q.T @ st["coriolis"], h @ q  # [j, b] = (Q^T om)_jb, [a, i] = (h Q)_ai
+    return (np.einsum("bl,ijl->ijb", frame,
+                      dg.transpose(1, 0, 2) + dg - dg.transpose(1, 2, 0))
+            + 2.0 * np.einsum("i,j,b->ijb", w, w, h @ st["gravity"])
+            + 2.0 * (w[:, None, None] * cor + w[None, :, None] * cor[:, None, :])
+            + np.einsum("aij,ab->ijb", theta, h)
+            - np.einsum("ai,ajl,bl->ijb", hq, theta, frame)
+            - np.einsum("aj,ail,bl->ijb", hq, theta, frame))
 
 
 # --- flat space ------------------------------------------------------------
@@ -73,7 +91,7 @@ def test_koszul_rhs_uniform_gravity():
     S, z = flat_structure(), flat_observer()
     D = gravity_data(-9.8)
     p = np.array([0.4, -0.2])
-    rhs = build_connection(S, z, D).state(p)["rhs"]
+    rhs = koszul_rhs(build_connection(S, z, D).state(p))
     assert rhs[0, 0, 0] == pytest.approx(-19.6, abs=1e-12)
     assert rhs[1, 1, 0] == pytest.approx(0.0, abs=1e-12)
 
@@ -285,7 +303,7 @@ def test_random_polynomial_structures_pass_and_match_koszul_rhs(m, seed, data):
     C = build_connection(S, z, D)
     v = spatial_state(C.program(p), p)
     c = v["coframe"] @ C.christoffel(p)[:, i, j]  # frame coefficients c^b_ij
-    assert C.state(p)["rhs"][i, j, a] == pytest.approx(2.0 * v["h"][a] @ c, abs=1e-12)
+    assert koszul_rhs(C.state(p))[i, j, a] == pytest.approx(2.0 * v["h"][a] @ c, abs=1e-12)
 
 
 @pytest.mark.parametrize("case", ["mixed", 2, 3, 4, 5, "user"])
@@ -316,15 +334,22 @@ def _case(case):
 
 
 @pytest.mark.parametrize("case", ["mixed", 2, 3, 4, 5])
-def test_program_basis_is_z_and_frame_bitwise(case):
+def test_program_emits_each_input_entry_once(case):
     S, z, D = _case(case)
-    values = build_connection(S, z, D).program(S.sample_points())
-    # B_kc with columns (z, E_1..E_n), and [point, i, k, c] = d_i B_kc
-    basis = np.concatenate([values["z"][:, None, :], values["frame"]], axis=1).swapaxes(-1, -2)
-    d_basis = np.concatenate([values["dz"].swapaxes(-1, -2)[..., None],
-                              values["d_frame"].swapaxes(-1, -3)], axis=-1)
-    for got, want in ((values["basis"], basis), (values["d_basis"], d_basis)):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    m, n, points = S.dim, S.n, S.sample_points()
+    program = build_connection(S, z, D).program
+    values = program(points)
+    sizes = {"omega": m, "rows": m * m, "h": n * n, "d_rows": m ** 3, "dh": m * n * n,
+             "tau": m * m, "gravity": n, "coriolis": n * n, "theta": n * m * m}
+    assert {name: v[0].size for name, v in values.items()} == sizes
+    # no alias outputs: 27 at m = 2 and 205 at m = 4
+    assert program._outputs.size == sum(sizes.values())
+    # the rows are z then the frame, [c][k] = B_kc, and d_rows [c][k][i] = d_i B_kc
+    rows = (z.components, *S.frame)
+    want = compile_exprs({"rows": rows, "d_rows": [
+        [[differentiate(e, i) for i in range(m)] for e in row] for row in rows]})(points)
+    for name in ("rows", "d_rows"):
+        assert values[name].tobytes() == want[name].tobytes()
 
 
 @pytest.mark.parametrize("case", ["mixed", 2, 3, 4, 5])
@@ -514,6 +539,21 @@ def test_spray_raises_what_christoffel_raises(frame, metric, error, bad):
             C.spray(x, v)
         assert type(got.value) is type(want.value)
         assert (str(got.value), got.value.point) == (str(want.value), want.value.point)
+
+
+def test_z_and_a_frame_entry_faulting_at_one_point_name_zs_node_in_every_walk():
+    # the rows walk z before the frame, in the structure check and in the
+    # connection's program alike
+    S = replace(_one_field_structure("sqrt(x)", "1"), domain_box=((0, 1), (-1, -0.5)))
+    z = ObserverField(exprs(NAMES2, "1", "log(x)"))
+    C, points = build_connection(S, z), S.sample_points()
+    faults = []
+    for call in (lambda: validate_structure(S, z), lambda: C.state(points),
+                 lambda: C.spray(points, np.ones_like(points))):
+        with pytest.raises(DomainError) as err:
+            call()
+        faults.append((str(err.value), err.value.point, err.value.subexpression))
+    assert faults == [("log of non-positive argument in 'log(x1)'", 0, z.components[1])] * 3
 
 
 def test_user_supplied_connection_observables():

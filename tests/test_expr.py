@@ -129,6 +129,15 @@ def test_batch_error_is_the_lowest_failing_points_error():
     assert batch.value.subexpression == one.value.subexpression
 
 
+def test_batch_error_names_the_lower_of_two_points_failing_in_one_node():
+    with pytest.raises(DomainError) as one:
+        ev("log(x)", (0.0, -1.0))
+    with pytest.raises(DomainError) as batch:
+        compile(parse_expr("log(x)", NAMES))(np.array([[0.0, 1.0], [0.0, -1.0], [0.0, -2.0]]))
+    assert batch.value.point == 1
+    assert str(batch.value) == str(one.value)
+
+
 def test_fault_order_is_walk_order_not_level_order():
     # sqrt(x - 3) fails at a lower level than log(x*x - 1), but the walk
     # reaches the log first, at every point where both fail

@@ -17,8 +17,9 @@ from conftest import (NAMES2, NAMES3, exprs, flat_observer, flat_structure,
 from newcart.errors import DimensionMismatch, FrameDegenerate
 from newcart.expr import Const, parse_expr, evaluate
 from newcart.connection import build_connection
-from newcart.geometry import (ObserverField, SpacetimeStructure, basis_inverse,
-                              upper_pairs, validate_structure)
+from newcart.geometry import (CLOCK_NONZERO_MARGIN, ObserverField, SpacetimeStructure,
+                              basis_inverse, fail_at_first, upper_pairs,
+                              validate_structure)
 from reference import eval_fields, lie_bracket
 
 
@@ -32,7 +33,7 @@ def state_at(S, z, p):
 
 def project(st, v):
     """P(v) = v - w(v) z, as E_a Q^a(v) from the state's frame and coframe."""
-    return st["frame"].T @ (st["coframe"] @ np.asarray(v, dtype=float))
+    return st["rows"][1:].T @ (st["coframe"] @ np.asarray(v, dtype=float))
 
 
 def d_omega(st, x, y):
@@ -91,7 +92,7 @@ def test_omega_apply_twist_hand_value():
 
 def test_project_spatial_kills_observer():
     st = state_at(flat_structure(), flat_observer(), [0.1, 0.4])
-    assert np.max(np.abs(project(st, st["z"]))) <= 1e-12
+    assert np.max(np.abs(project(st, st["rows"][0]))) <= 1e-12
 
 
 def test_project_spatial_fixes_spatial_vectors():
@@ -305,6 +306,25 @@ def test_validate_structure_non_finite_frame_fails():
     entries = {e.name: e for e in validate_structure(S, flat_observer()).entries}
     for name in ("frame annihilated by clock form", "frame rank"):
         assert np.isnan(entries[name].max_residual) and not entries[name].passed
+
+
+def test_a_zero_clock_form_fails_clock_form_nonzero():
+    S = replace(flat_structure(), omega=exprs(NAMES2, "0", "0"))
+    entries = {e.name: e for e in validate_structure(S, flat_observer()).entries}
+    # w(z) = 1 implies w != 0, so the normalization fails too; this entry
+    # must fail by its own residual
+    assert not entries["observer normalization"].passed
+    entry = entries["clock form nonzero"]
+    assert not entry.passed and entry.max_residual == CLOCK_NONZERO_MARGIN
+
+
+def test_fail_at_first_names_the_lowest_of_two_bad_points():
+    points = np.array([[[0.0, 1.0], [0.5, 2.0]], [[0.25, 3.0], [0.75, 4.0]]])
+    with pytest.raises(FrameDegenerate) as err:
+        fail_at_first(np.array([[False, True], [False, True]]), points, FrameDegenerate,
+                      "adapted basis singular")
+    assert err.value.point == 1
+    assert str(err.value) == "adapted basis singular at (0.5, 2.0)"
 
 
 def test_validate_structure_mixed_passes():

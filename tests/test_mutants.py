@@ -1,0 +1,29 @@
+"""scripts/mutants.py refuses a stale mutant list before it runs anything."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "mutants.py"
+_spec = importlib.util.spec_from_file_location("mutants", SCRIPT)
+mutants = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(mutants)
+
+
+def test_a_missing_or_repeated_old_text_exits_1_before_any_run(tmp_path, monkeypatch, capsys):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text("x = 1\ny = 2\ny = 2\n", encoding="utf-8")
+    monkeypatch.setattr(mutants, "ROOT", tmp_path)
+    monkeypatch.setattr(mutants, "MUTANTS", [("src/a.py", "x = 1", "x = 0"),
+                                             ("src/a.py", "z = 3", "z = 0"),
+                                             ("src/a.py", "y = 2", "y = 0")])
+    monkeypatch.setattr(mutants, "run_mutant", lambda *_: pytest.fail("a mutant ran"))
+    assert mutants.main([]) == 1
+    assert capsys.readouterr().out == (
+        "stale mutant 1: its old text occurs 0 times in src/a.py\n"
+        "stale mutant 2: its old text occurs 2 times in src/a.py\n")
+
+
+def test_every_committed_mutant_matches_the_tree_once():
+    assert mutants.stale(mutants.ROOT, mutants.MUTANTS) == []

@@ -19,7 +19,8 @@ from newcart.errors import DomainError, NewcartError
 from newcart.expr import (Const, Coord, ZERO, apply, differentiate, evaluate, mul,
                           parse_expr, to_string)
 from newcart.expr import compile as compile_exprs
-from newcart.geometry import ObserverField, SpacetimeStructure, field_jacobian
+from newcart.geometry import ObserverField, SpacetimeStructure
+from newcart.report import make_entry
 from newcart.scenario import bundled_scenario_path, load_scenario_text
 from newcart.verify import (FD_STEP, check_compatibility_metric,
                             check_compatibility_omega, check_field_coeffs, check_roundtrip,
@@ -172,8 +173,12 @@ def test_fd_validate_reads_the_states_derivative_tables(m):
     C = build_connection(S, z, D)
     state = C.state()
     assert fd_validate(C, state).passed
-    for table in ("tau", "dz", "d_frame", "dh", "dg"):
-        scaled = {**state, table: state[table] * (1 + 1e-4)}
+    # d_rows scaled in z's row alone, then in the frame's rows alone
+    z_only, frame_only = np.ones((2, m, 1, 1))
+    z_only[0] = frame_only[1:] = 1 + 1e-4
+    for table, scale in (("tau", 1 + 1e-4), ("d_rows", z_only), ("d_rows", frame_only),
+                         ("dh", 1 + 1e-4), ("dg", 1 + 1e-4)):
+        scaled = {**state, table: state[table] * scale}
         assert not fd_validate(C, scaled).passed, table
 
 
@@ -189,11 +194,12 @@ def test_fd_check_reads_the_connections_tau(m):
     assert failed == ["derivative finite-difference check"]
 
 
-def _fd_residuals_point_by_point(S, C, points):
+def _fd_residuals_point_by_point(S, C, points, where=None):
     """fd_validate's residuals, one stencil at a time, in (entry, direction,
     point) order: the non-constant coefficients of omega, z, the frame and
-    h at a <= b, then g at i <= j, skipping every stencil at which a value
-    cannot be evaluated."""
+    h at a <= b, then g at i <= j, skipping every stencil that leaves the
+    box or at which a value cannot be evaluated.  The centre of each
+    residual is appended to `where` when it is given."""
     m, n, box = S.dim, S.n, S.domain_box
     residuals = []
 
@@ -221,6 +227,8 @@ def _fd_residuals_point_by_point(S, C, points):
                 except NewcartError:
                     continue
                 residuals.append(abs(sym - fd) / max(1.0, abs(fd)))
+                if where is not None:
+                    where.append(p)
 
     def spatial(p):
         try:
@@ -239,6 +247,8 @@ def _fd_residuals_point_by_point(S, C, points):
                     continue
                 fd = (up["g"][a, b] - down["g"][a, b]) / (2.0 * FD_STEP)
                 residuals.append(abs(centre["dg"][i, a, b] - fd) / max(1.0, abs(fd)))
+                if where is not None:
+                    where.append(p)
     return residuals
 
 
@@ -278,6 +288,23 @@ def test_fd_validate_skips_stencils_where_the_basis_is_singular(monkeypatch):
     fd_validate(C, C.state())
     want = _fd_residuals_point_by_point(S, C, S.sample_points())
     assert captured == [want]
+
+
+def test_fd_validate_counts_only_the_stencils_inside_a_thin_box():
+    # the inputs are defined everywhere, and the box is thinner than
+    # 2 FD_STEP in t: every t stencil leaves it, so only x's count
+    S = dataclasses.replace(flat_structure(samples=10),
+                            metric=((parse_expr("1 + t*t + x*x/4", NAMES2),),),
+                            domain_box=((0.3, 0.3 + FD_STEP), (-1.0, 1.0)))
+    C = build_connection(S, ObserverField(exprs(NAMES2, "1", "t*x/5")))
+    points = S.sample_points()
+    where = []
+    want = _fd_residuals_point_by_point(S, C, points, where)
+    # z's x component, h11 and g at i <= j, in the x direction only
+    assert len(want) == 5 * len(points)
+    got = fd_validate(C, C.state(points))
+    assert got == make_entry(got.name, got.tolerance, want, where)
+    assert got.max_residual > 0.0
 
 
 @pytest.mark.parametrize("name", ["twist", "curvedh"])
@@ -510,8 +537,8 @@ def _two_sided_clock(state, structure):
     fields = [coord_field(m, i) for i in range(m)] + [
         tuple(parse_expr(c, names) for c in f) for f in verify_mod._check_field_strings(
             check_field_coeffs(structure), names)]
-    at = compile_exprs({"values": fields,
-                        "jacobians": [field_jacobian(f) for f in fields]})(state["p"])
+    jacobians = [[[differentiate(c, i) for i in range(m)] for c in f] for f in fields]
+    at = compile_exprs({"values": fields, "jacobians": jacobians})(state["p"])
     values, jacobians = at["values"], at["jacobians"]  # [point, field, k(, i)]
     d_clock = (np.einsum("pij,pyj->pyi", state["tau"], values)
                + np.einsum("pj,pyji->pyi", state["omega"], jacobians))
