@@ -1,9 +1,11 @@
-"""Single-site mutants of the package, each run against tier-1 on a copy of the tree.
+"""Mutants of the package, each run against tier-1 on a copy of the tree.
 
-A mutant is a (file, old text, new text) triple, where the old text occurs
-exactly once in the file.  Before anything runs, every mutant's old text is
-looked up; if one is missing or occurs more than once, the list has gone
-stale against the code: the script names it and exits 1.  Otherwise each
+An edit is a (file, old text, new text) triple, where the old text occurs
+exactly once in the file.  A mutant is one edit, or a list of edits applied
+together, in order (a change made consistently at several sites).  Before
+anything runs, every edit's old text is looked up; if one is missing or
+occurs more than once, the list has gone stale against the code: the
+script names the mutant and exits 1.  Otherwise each
 mutant is applied, alone, to a fresh temporary copy of the tree, and
 tier-1 runs there with `-x`, the known failure deselected and this
 script's own test file ignored (it reads the list against the tree, so
@@ -31,6 +33,7 @@ KNOWN_FAILURE = "tests/test_acceptance.py::test_criterion_5_rk4_halving_ratio"
 OWN_TEST = "tests/test_mutants.py"
 CONNECTION, GEOMETRY = "src/newcart/connection.py", "src/newcart/geometry.py"
 VERIFY, EXPR = "src/newcart/verify.py", "src/newcart/expr.py"
+SCENARIO = "src/newcart/scenario.py"
 
 MUTANTS = [
     # the finite-difference check ignores the domain box
@@ -71,31 +74,51 @@ MUTANTS = [
     (VERIFY, 'state["d_rows"][:, None, 1:]', 'state["d_rows"][:, None, :-1]'),
     (VERIFY, 'state["rows"][:, None, 1:]', 'state["rows"][:, None, :-1]'),
     (VERIFY, 'basis = value["rows"].swapaxes(-1, -2)', 'basis = value["rows"]'),
+    # gravity's sign flipped consistently in Gamma, the spray and the observable map
+    [(CONNECTION, "rhs += 2.0 * (om_i * om_j", "rhs -= 2.0 * (om_i * om_j"),
+     (CONNECTION, "+ w * (state[\"gravity\"]", "- w * (state[\"gravity\"]"),
+     (CONNECTION, '"gravity": (coframe @ nz', '"gravity": -(coframe @ nz')],
+    # scenario files: any Unicode digit in an indexed key, an undecodable file
+    # as a traceback, a leading byte order mark as content
+    (SCENARIO, '"([0-9])", shape[1:]', r'r"(\\d)", shape[1:]'),
+    (SCENARIO, "except (OSError, UnicodeDecodeError) as err:", "except OSError as err:"),
+    (SCENARIO, 'encoding="utf-8-sig"', 'encoding="utf-8"'),
 ]
 
 
+def edits(mutant):
+    """The (file, old, new) edits of a mutant: a triple is one edit."""
+    return mutant if isinstance(mutant, list) else [mutant]
+
+
 def stale(root, mutants):
-    """The (index, file, count) of every mutant whose old text does not
-    occur exactly once in its file under `root`."""
+    """The (index, file, count) of every edit of a mutant whose old text
+    does not occur exactly once in its file under `root`."""
     out = []
-    for k, (file, old, _) in enumerate(mutants):
-        path = root / file
-        count = path.read_text(encoding="utf-8").count(old) if path.is_file() else 0
-        if count != 1:
-            out.append((k, file, count))
+    for k, mutant in enumerate(mutants):
+        for file, old, _ in edits(mutant):
+            path = root / file
+            count = path.read_text(encoding="utf-8").count(old) if path.is_file() else 0
+            if count != 1:
+                out.append((k, file, count))
     return out
+
+
+def apply(tree, mutant):
+    """Writes every edit of `mutant` into the files under `tree`, in order."""
+    for file, old, new in edits(mutant):
+        path = tree / file
+        path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
 
 
 def run_mutant(root, mutant):
     """The first failing test id of tier-1 on a copy of `root` with
     `mutant` applied, or None when every test passes."""
-    file, old, new = mutant
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp) / "tree"
         shutil.copytree(root, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
-        path = copy / file
-        path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+        apply(copy, mutant)
         env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
@@ -120,12 +143,13 @@ def main(argv=None):
     chosen = range(len(MUTANTS)) if args.only is None else args.only
     killed = 0
     for k in chosen:
-        file, old, new = MUTANTS[k]
         first = run_mutant(ROOT, MUTANTS[k])
         killed += first is not None
         verdict = "survived" if first is None else f"killed by {first}"
-        print(f"{k:2d} {file}: {old.splitlines()[-1].strip()!r} -> "
-              f"{new.splitlines()[-1].strip()!r}: {verdict}", flush=True)
+        sites = "; ".join(f"{file}: {old.splitlines()[-1].strip()!r} -> "
+                          f"{new.splitlines()[-1].strip()!r}"
+                          for file, old, new in edits(MUTANTS[k]))
+        print(f"{k:2d} {sites}: {verdict}", flush=True)
     print(f"killed {killed} of {len(chosen)}")
     return 0
 

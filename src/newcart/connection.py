@@ -59,21 +59,22 @@ frame coefficients come from its coframe, the observable triple from
 `gamma_of`, is a function of the state's point values, so any data values
 go in, the observable image of a state included; so is the spray,
 `spray_of`.  Both solve through `solve_metric`, which holds the one guard
-on a singular spatial metric.
+on a singular spatial metric.  A connection keeps no values: each call
+reads a fresh state at its own points, by one path for a built connection
+and one for a user table, whatever its inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
 
 from . import geometry
 from .errors import DimensionMismatch, MetricSingular
-from .expr import ZERO, Const, differentiate, neg
+from .expr import ZERO, differentiate, neg
 from .expr import compile as compile_exprs
 from .geometry import structure_inputs, upper_pairs
 
@@ -240,24 +241,22 @@ class Connection:
 
     `christoffel` takes one point (m,) and returns (m, m, m), or a stack
     of points (..., m) and returns (..., m, m, m) in one batched
-    evaluation.  Nothing is kept per point, so memory does not grow with
-    the number of points asked for.  A connection whose inputs are all
-    constant computes Gamma once and returns that array afterwards.
-    Returned arrays are read-only.
+    evaluation: `state(p)["gamma"]` for a built connection, the table's
+    own run for a user table.  Each call computes a fresh array at its own
+    points, constant inputs included: nothing is cached beyond the compiled
+    program, so memory does not grow with the number of points asked for.
 
     `spray(x, v)` takes points x and velocities v (..., m) and returns
     Gamma^k_ij v^i v^j (..., m), all free fall reads.  A built connection
-    whose inputs are not all constant runs the program and `spatial_state`
-    as `state` does, then `spray_of`, so no Gamma table is formed; a user
-    table or a constant connection contracts `christoffel(x)`.  It raises
-    what `christoffel` raises at the same points, in the same order.
+    runs the program and `spatial_state` as `state` does, then `spray_of`,
+    so no Gamma table is formed; a user table contracts its own run.  It
+    raises what `christoffel` raises at the same points, in the same order.
     """
 
     def __init__(self, structure, observer, data=None, gamma_exprs=None):
         self.structure = structure
         self.observer = observer
         m, n = structure.dim, structure.n
-        omega, z = structure.omega, observer.components
         if gamma_exprs is None:  # built, from zero data when none are given
             data = ConnectionData.zero(n) if data is None else data
             if len(data.gravity) != n:
@@ -267,8 +266,6 @@ class Connection:
             if any(not (0 <= a < n and 0 <= i < j < m) for a, i, j in data.theta):
                 raise DimensionMismatch(f"theta indices must lie in 0..{n - 1} and 0..{m - 1}")
             self._user = None
-            inputs = chain(omega, z, *structure.frame, *structure.metric, data.gravity,
-                           data.coriolis.values(), data.theta.values())
         elif data is not None:
             raise ValueError("a connection takes data or a Christoffel table, not both")
         elif not (len(gamma_exprs) == m and all(
@@ -276,15 +273,12 @@ class Connection:
             raise DimensionMismatch(f"Christoffel table must be {m}x{m}x{m}")
         else:
             self._user = compile_exprs(gamma_exprs)
-            inputs = (e for plane in gamma_exprs for row in plane for e in row)
         self.data = data
         self.d_rows = [[[differentiate(e, i) for i in range(m)] for e in row]
                        for row in structure_inputs(structure, observer)["rows"]]
         self.dh = [[[differentiate(structure.metric[a][b], i) for b in range(n)]
                     for a in range(n)] for i in range(m)]
-        self.tau = [[differentiate(omega[j], i) for j in range(m)] for i in range(m)]
-        self._constant = all(type(e) is Const for e in inputs)
-        self._const_gamma = None
+        self.tau = [[differentiate(structure.omega[j], i) for j in range(m)] for i in range(m)]
 
     @property
     def is_built(self):
@@ -327,21 +321,12 @@ class Connection:
 
     def christoffel(self, p):
         p = np.asarray(p, dtype=float)
-        gamma = self._const_gamma
-        if gamma is None:
-            gamma = self.state(p)["gamma"] if self._user is None else self._user(p)
-            gamma.setflags(write=False)
-            if not (self._constant and p.ndim == 1):
-                return gamma
-            self._const_gamma = gamma
-        if p.ndim == 1:
-            return gamma
-        return np.broadcast_to(gamma, p.shape[:-1] + gamma.shape)
+        return self.state(p)["gamma"] if self._user is None else self._user(p)
 
     def spray(self, x, v):
         x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-        if self._user is not None or self._constant:
-            return np.einsum("...kij,...i,...j->...k", self.christoffel(x), v, v)
+        if self._user is not None:
+            return np.einsum("...kij,...i,...j->...k", self._user(x), v, v)
         values, _, error = self.program.run(x)
         if error is not None:
             raise error

@@ -113,8 +113,8 @@ def _number(kind, section, key, text, line, least=0, most=math.inf):
 
 def _indexed(sections, section, shape):
     """(key, indices, value) of each entry of an indexed section, in file
-    order.  A key has the `shape`, each lower-case letter of it one digit."""
-    pattern = shape[0] + re.sub("[a-z]", r"(\\d)", shape[1:])
+    order.  A key has the `shape`, each lower-case letter of it one ASCII digit."""
+    pattern = shape[0] + re.sub("[a-z]", "([0-9])", shape[1:])
     for key, (value, lineno) in sections.get(section, {}).items():
         match = re.fullmatch(pattern, key)
         if not match:
@@ -252,11 +252,11 @@ def load_scenario_text(text, name="scenario"):
 
 
 def load_scenario(path):
-    """Load and validate a scenario file."""
+    """Load and validate a scenario file: UTF-8, a leading byte order mark allowed."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as err:
+        text = path.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as err:
         raise ScenarioParseError(f"cannot read scenario file: {err}") from err
     return load_scenario_text(text, name=path.stem)
 

@@ -279,6 +279,39 @@ def test_non_ascii_digits_are_scenario_errors(tmp_path, capsys, clock, message):
     assert out.err == f"scenario error: section [omega], key 'O': {message}\n"
 
 
+def test_an_indexed_key_with_a_non_ascii_digit_is_exit_3(tmp_path, capsys):
+    path = tmp_path / "flat.scn"
+    text = bundled_scenario_path("flat").read_text(encoding="utf-8")
+    path.write_text(text.replace("h11 = 1", "h11 = 1\nh\u0661\u0661 = 2"), encoding="utf-8")
+    assert main(["check", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("scenario error: section [metric], key 'h\u0661\u0661', line 19: "
+                       "metric keys look like 'hab'\n")
+
+
+def test_a_scenario_file_that_is_not_utf8_is_exit_3(tmp_path, capsys):
+    path = tmp_path / "flat.scn"
+    text = bundled_scenario_path("flat").read_bytes()
+    path.write_bytes(text.replace(b"h11 = 1", b"h11 = 1  # \xff"))
+    assert main(["check", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("scenario error: cannot read scenario file: ")
+    assert "0xff" in out.err and out.err.count("\n") == 1
+
+
+def test_a_leading_byte_order_mark_checks_like_the_plain_file(tmp_path, capsys):
+    path, plain, bom = tmp_path / "flat.scn", tmp_path / "plain.json", tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + bundled_scenario_path("flat").read_bytes())
+    assert main(["check", scn("flat"), "--json", str(plain)]) == 0
+    want = capsys.readouterr()
+    assert main(["check", str(path), "--json", str(bom)]) == 0
+    got = capsys.readouterr()
+    assert (got.out.replace(str(bom), str(plain)), got.err) == (want.out, want.err)
+    assert bom.read_bytes() == plain.read_bytes()
+
+
 def test_out_of_memory_is_exit_3(monkeypatch, capsys):
     def exhausted(*args):
         raise MemoryError("Unable to allocate 1.00 TiB for an array")

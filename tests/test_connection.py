@@ -103,7 +103,6 @@ def test_uniform_gravity_connection():
         gamma = C.christoffel(p)
         assert gamma[1, 0, 0] == pytest.approx(-9.8, abs=1e-12)
         rest = gamma.copy()
-        rest.setflags(write=True)
         rest[1, 0, 0] = 0.0
         assert np.max(np.abs(rest)) <= 1e-12
 
@@ -308,19 +307,11 @@ def test_random_polynomial_structures_pass_and_match_koszul_rhs(m, seed, data):
 
 @pytest.mark.parametrize("case", ["mixed", 2, 3, 4, 5, "user"])
 def test_state_gamma_is_christoffel_bitwise(case):
-    if case == "mixed":
-        S = mixed_structure()
-        C = build_connection(S, mixed_observer(), mixed_data())
-    elif case == "user":
-        S = curvedh_structure()
-        table = [[[ZERO] * 2 for _ in range(2)] for _ in range(2)]
-        table[1][1][1] = parse_expr("x/5 + t", NAMES2)
-        table[0][1][0] = parse_expr("sin(x)", NAMES2)
-        C = connection_from_exprs(S, flat_observer(), table)
+    if case in ("mixed", "user"):
+        C = _connection(case)
     else:
-        S, z, D = synthetic_case(case, seed=case)
-        C = build_connection(S, z, D)
-    points = S.sample_points()
+        C = build_connection(*synthetic_case(case, seed=case))
+    points = C.structure.sample_points()
     for p in (points, points[0]):
         want = C.christoffel(p)
         got = C.state(p)["gamma"]
@@ -331,6 +322,22 @@ def _case(case):
     if case == "mixed":
         return mixed_structure(), mixed_observer(), mixed_data()
     return synthetic_case(case, 7)
+
+
+def _connection(case):
+    """The connection of a bundled scenario by name, of a position-dependent
+    user table on curvedh ("user"), or of `_case(case)`."""
+    if case == "user":
+        table = [[[ZERO] * 2 for _ in range(2)] for _ in range(2)]
+        table[1][1][1] = parse_expr("x/5 + t", NAMES2)
+        table[0][1][0] = parse_expr("sin(x)", NAMES2)
+        return connection_from_exprs(curvedh_structure(), flat_observer(), table)
+    if case == "mixed" or not isinstance(case, str):
+        return build_connection(*_case(case))
+    scn = load_scenario(bundled_scenario_path(case))
+    if scn.has_user_connection:
+        return connection_from_exprs(scn.structure, scn.observer, scn.christoffel)
+    return build_connection(scn.structure, scn.observer, scn.data)
 
 
 @pytest.mark.parametrize("case", ["mixed", 2, 3, 4, 5])
@@ -352,12 +359,12 @@ def test_program_emits_each_input_entry_once(case):
         assert values[name].tobytes() == want[name].tobytes()
 
 
-@pytest.mark.parametrize("case", ["mixed", 2, 3, 4, 5])
+@pytest.mark.parametrize("case", ["mixed", 2, 3, 4, 5, "flat", "grav", "rot", "user"])
 def test_gamma_at_many_points_is_gamma_at_each_point_bitwise(case):
-    S, z, D = _case(case)
-    C = build_connection(S, z, D)
-    points = S.sample_points()
+    C = _connection(case)
+    points = C.structure.sample_points()
     many = C.christoffel(points)
+    assert many.tobytes() == C.state(points)["gamma"].tobytes()
     for p, gamma in zip(points, many):
         assert C.christoffel(p).tobytes() == gamma.tobytes()
 
@@ -511,10 +518,8 @@ def test_spray_is_the_contracted_christoffel_table(case):
 
 @pytest.mark.parametrize("name", ["zero_connection_curvedh", "grav"])  # a user table, constant
 def test_spray_of_a_table_or_a_constant_connection_is_its_contraction(name):
-    scn = load_scenario(bundled_scenario_path(name))
-    C = (connection_from_exprs(scn.structure, scn.observer, scn.christoffel)
-         if scn.has_user_connection else build_connection(scn.structure, scn.observer, scn.data))
-    points = scn.structure.sample_points()
+    C = _connection(name)
+    points = C.structure.sample_points()
     velocities = np.random.default_rng(5).uniform(-1.0, 1.0, points.shape)
     stack = C.spray(points, velocities)
     for x, v, row in zip(points, velocities, stack):
@@ -582,23 +587,29 @@ def test_a_connection_given_data_and_a_table_is_refused():
                    gamma_exprs=table)
 
 
-def test_christoffel_repeats_equal_read_only_arrays():
+def test_christoffel_repeats_are_equal():
     S, z = mixed_structure(), mixed_observer()
     C = build_connection(S, z, mixed_data())
     p = np.array([0.3, 0.1, -0.4])
-    a = C.christoffel(p)
-    b = C.christoffel(p)
-    assert np.array_equal(a, b)
-    with pytest.raises(ValueError):
-        a[0, 0, 0] = 1.0  # returned arrays are read-only
-    # constant coefficients: one array, computed once, served everywhere
-    G = build_connection(flat_structure(), flat_observer(), gravity_data(-9.8))
-    one = G.christoffel(np.array([0.3, 0.1]))
-    assert one is G.christoffel(np.array([1.2, -0.7]))
-    # and a stack of points reads that array, broadcast over the stack
-    stack = G.christoffel(np.zeros((4, 3, 2)))
-    assert stack.shape == (4, 3, 2, 2, 2) and not stack.flags.writeable
-    assert all(np.array_equal(g, one) for g in stack.reshape(-1, 2, 2, 2))
+    assert np.array_equal(C.christoffel(p), C.christoffel(p))
+
+
+@pytest.mark.parametrize("case", ["flat", "grav", "rot", "zero_connection_curvedh", "mixed", 4])
+def test_a_connection_keeps_nothing_but_its_program(case):
+    # constant inputs included: every call reads a fresh state at its own points
+    C = _connection(case)
+    C.program
+    before = dict(vars(C))
+    points = C.structure.sample_points()[:12].reshape(4, 3, -1)
+    velocities = np.random.default_rng(8).uniform(-1.0, 1.0, points.shape)
+    C.christoffel(points[0, 0])
+    C.christoffel(points)
+    C.spray(points[0, 0], velocities[0, 0])
+    C.spray(points, velocities)
+    C.state()
+    after = vars(C)
+    assert after.keys() == before.keys()
+    assert all(after[name] is value for name, value in before.items())
 
 
 def test_connection_keeps_no_per_point_state():

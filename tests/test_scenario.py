@@ -117,6 +117,22 @@ def test_duplicate_key_rejected():
         load_scenario_text(MINIMAL.replace("h11 = 1", "h11 = 1\nh11 = 2"))
 
 
+@pytest.mark.parametrize("name,section,old,key,shape", [
+    ("twist", "metric", "h11 = 1", "h\u0661\u0661", "hab"),
+    ("twist", "coriolis", "w12 = 0.25", "w\u0661\u0662", "wab"),
+    ("twist", "theta", "T1_12 = 0.3", "T\u0661_\u0661\u0662", "Ta_ij"),
+    ("zero_connection_curvedh", "christoffel", "[christoffel]", "C\u0661_\u0660\u0660", "Ck_ij"),
+], ids=["hab", "wab", "Ta_ij", "Ck_ij"])
+def test_indexed_keys_take_ascii_digits_only(name, section, old, key, shape):
+    # an Arabic-Indic key that spells an existing one must not replace it
+    text = bundled_scenario_path(name).read_text(encoding="utf-8")
+    assert old in text
+    with pytest.raises(ScenarioParseError) as err:
+        load_scenario_text(text.replace(old, f"{old}\n{key} = 2"))
+    assert (err.value.section, err.value.key) == (section, key)
+    assert str(err.value).endswith(f": {section} keys look like '{shape}'")
+
+
 def test_coordinate_name_function_collision():
     bad = MINIMAL.replace("coords = t, x", "coords = t, sin")
     with pytest.raises(ScenarioParseError):
