@@ -78,6 +78,10 @@ MUTANTS = [
     [(CONNECTION, "rhs += 2.0 * (om_i * om_j", "rhs -= 2.0 * (om_i * om_j"),
      (CONNECTION, "+ w * (state[\"gravity\"]", "- w * (state[\"gravity\"]"),
      (CONNECTION, '"gravity": (coframe @ nz', '"gravity": -(coframe @ nz')],
+    # a user table's Gamma replaced by gamma_of's; its group walked after the derivatives
+    (CONNECTION, "return gamma_of(state) if self.is_built else state", "return gamma_of(state)"),
+    (CONNECTION, '{**inputs, "gamma": self.gamma_exprs, **derivatives}',
+     '{**inputs, **derivatives, "gamma": self.gamma_exprs}'),
     # scenario files: any Unicode digit in an indexed key, an undecodable file
     # as a traceback, a leading byte order mark as content
     (SCENARIO, '"([0-9])", shape[1:]', r'r"(\\d)", shape[1:]'),

@@ -23,6 +23,8 @@ from .scenario import load_scenario
 
 SCENARIO_ERROR = 3
 CHECK_FAILED = 1
+# options whose value may start with "-", as a point (-0.1,0.3) or a number (-1e-3) does
+VALUE_OPTIONS = frozenset({"--at", "--from", "--vel", "--t0", "--t1", "--dt"})
 
 
 def _finite(text):
@@ -157,6 +159,17 @@ COMMANDS = {"check": cmd_check, "connection": cmd_connection,
             "geodesic": cmd_geodesic, "flow": cmd_flow}
 
 
+def _joined(argv):
+    """argv with each of VALUE_OPTIONS and the token after it joined as
+    `--option=value`: argparse then reads that token as the value, also
+    where it starts with "-"."""
+    out, rest = [], list(argv)
+    while rest:
+        token = rest.pop(0)
+        out.append(f"{token}={rest.pop(0)}" if token in VALUE_OPTIONS and rest else token)
+    return out
+
+
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="newcart",
@@ -196,7 +209,7 @@ def make_parser():
 
 def main(argv=None):
     parser = make_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined(sys.argv[1:] if argv is None else argv))
     scn = None
     try:
         # an overflowing or undefined value ends as a failing entry, a

@@ -59,9 +59,10 @@ frame coefficients come from its coframe, the observable triple from
 `gamma_of`, is a function of the state's point values, so any data values
 go in, the observable image of a state included; so is the spray,
 `spray_of`.  Both solve through `solve_metric`, which holds the one guard
-on a singular spatial metric.  A connection keeps no values: each call
-reads a fresh state at its own points, by one path for a built connection
-and one for a user table, whatever its inputs.
+on a singular spatial metric.  A connection is one program and keeps no
+values: a user table is that program's gamma group, so Gamma of either
+kind is read from a fresh state at its own points, and a faulted run
+names its lowest failing point, there the first fault in walk order.
 """
 
 from __future__ import annotations
@@ -219,38 +220,37 @@ class Connection:
     need not be symmetric.  A connection is of one of two kinds: built
     from `data`, zero data when none are given (`is_built`), or a user
     table `gamma_exprs`, which has no data; giving both raises ValueError.
-    The input (with zero data for a user table) and its symbolic first
-    derivatives d_rows, dh and tau = d omega are compiled into one
-    program; these tables are the ones the finite-difference check
-    validates.  The input groups omega, rows and h come first, as
-    `structure_inputs` gives them: rows [c][k] = B_kc is the adapted
-    basis, c = (z, E_1..E_n), and d_rows [c][k][i] = d_i B_kc.  Each input
-    entry is one output; z is rows[..., 0, :] and the frame rows[..., 1:, :].
-    `state` runs it once over points of shape
-    (..., m), in one way for a built and a user connection, and `state_of` that run
-    raises the run's error, or returns every value the checks and the
-    observables read, `spatial_state`'s and Gamma's, with the same leading
-    axes; so a state fails wherever any input is undefined.  The
-    data enter the state as point values only: gravity (..., n), coriolis
+    Either kind is one program, walked in this order: the input groups
+    omega, rows and h, as `structure_inputs` gives them (rows [c][k] =
+    B_kc is the adapted basis, c = (z, E_1..E_n)); a user table's gamma;
+    the symbolic first derivatives d_rows [c][k][i] = d_i B_kc, dh and
+    tau = d omega, the tables the finite-difference check validates; and
+    a built connection's data.  Each entry is one output; z is
+    rows[..., 0, :] and the frame rows[..., 1:, :].  `state` runs it once
+    over points of shape (..., m), and `state_of` that run raises the
+    run's error, the lowest failing point's first fault in walk order, or
+    returns every value the checks and the observables read,
+    `spatial_state`'s and Gamma's, with the same leading axes; so a state
+    fails wherever any input, the table included, is undefined.  The data
+    enter the state as point values only: gravity (..., n), coriolis
     (..., n, n) and theta (..., n, m, m), the layout `observable_map`
-    returns.
-    Gamma comes from `gamma_exprs` when given, and otherwise from the
-    reduced relation of the module docstring: with coordinate fields and a
-    spatial test vector its A terms reduce to the Theta data, so no
-    alternation term is formed.
+    returns.  A built connection's Gamma comes from the reduced relation
+    of the module docstring: with coordinate fields and a spatial test
+    vector its A terms reduce to the Theta data, so no alternation term
+    is formed.
 
     `christoffel` takes one point (m,) and returns (m, m, m), or a stack
     of points (..., m) and returns (..., m, m, m) in one batched
-    evaluation: `state(p)["gamma"]` for a built connection, the table's
-    own run for a user table.  Each call computes a fresh array at its own
-    points, constant inputs included: nothing is cached beyond the compiled
-    program, so memory does not grow with the number of points asked for.
+    evaluation: `state(p)["gamma"]` for either kind.  Each call computes a
+    fresh array at its own points, constant inputs included: nothing is
+    cached beyond the compiled program, so memory does not grow with the
+    number of points asked for.
 
     `spray(x, v)` takes points x and velocities v (..., m) and returns
     Gamma^k_ij v^i v^j (..., m), all free fall reads.  A built connection
     runs the program and `spatial_state` as `state` does, then `spray_of`,
-    so no Gamma table is formed; a user table contracts its own run.  It
-    raises what `christoffel` raises at the same points, in the same order.
+    so no Gamma table is formed; a user table contracts `christoffel(x)`.
+    It raises what `christoffel` raises at the same points.
     """
 
     def __init__(self, structure, observer, data=None, gamma_exprs=None):
@@ -265,15 +265,12 @@ class Connection:
                 raise DimensionMismatch(f"coriolis indices must lie in 0..{n - 1}")
             if any(not (0 <= a < n and 0 <= i < j < m) for a, i, j in data.theta):
                 raise DimensionMismatch(f"theta indices must lie in 0..{n - 1} and 0..{m - 1}")
-            self._user = None
         elif data is not None:
             raise ValueError("a connection takes data or a Christoffel table, not both")
         elif not (len(gamma_exprs) == m and all(
                 len(plane) == m and all(len(row) == m for row in plane) for plane in gamma_exprs)):
             raise DimensionMismatch(f"Christoffel table must be {m}x{m}x{m}")
-        else:
-            self._user = compile_exprs(gamma_exprs)
-        self.data = data
+        self.data, self.gamma_exprs = data, gamma_exprs
         self.d_rows = [[[differentiate(e, i) for i in range(m)] for e in row]
                        for row in structure_inputs(structure, observer)["rows"]]
         self.dh = [[[differentiate(structure.metric[a][b], i) for b in range(n)]
@@ -282,16 +279,19 @@ class Connection:
 
     @property
     def is_built(self):
-        return self._user is None
+        return self.gamma_exprs is None
 
     @cached_property
     def program(self):
-        m, n = self.structure.dim, self.structure.n
-        data = ConnectionData.zero(n) if self.data is None else self.data
-        # the input first, in validate_structure's order: a fault names the same node
+        m, n, data = self.structure.dim, self.structure.n, self.data
+        # the input first, in validate_structure's order: a fault names the same
+        # node; then a user table, so its fault comes before a derivative's
+        inputs = structure_inputs(self.structure, self.observer)
+        derivatives = {"d_rows": self.d_rows, "dh": self.dh, "tau": self.tau}
+        if not self.is_built:
+            return compile_exprs({**inputs, "gamma": self.gamma_exprs, **derivatives})
         return compile_exprs({
-            **structure_inputs(self.structure, self.observer),
-            "d_rows": self.d_rows, "dh": self.dh, "tau": self.tau, "gravity": data.gravity,
+            **inputs, **derivatives, "gravity": data.gravity,
             "coriolis": [[data.coriolis_entry(a, b) for b in range(n)] for a in range(n)],
             # theta[a][i][j] for i < j only: Theta^a_ij = theta[a][i][j] - theta[a][j][i]
             "theta": [[[data.theta.get((a, i, j), ZERO) for j in range(m)]
@@ -307,26 +307,20 @@ class Connection:
 
     def state_of(self, values, points, error):
         """spatial_state of `values`, from a program run at points (..., m)
-        that raised `error` (None for a clean run), with the user table's
-        gamma or else gamma_of's.  The user table runs first: its error
-        comes before `error`."""
-        gamma = None if self._user is None else self._user(points)
+        that raised `error` (None for a clean run), with gamma_of's Gamma
+        for a built connection; a user table's is its run's gamma group."""
         if error is not None:
             raise error
         state = spatial_state(values, points)
-        if gamma is None:
-            return gamma_of(state)
-        state["gamma"] = gamma
-        return state
+        return gamma_of(state) if self.is_built else state
 
     def christoffel(self, p):
-        p = np.asarray(p, dtype=float)
-        return self.state(p)["gamma"] if self._user is None else self._user(p)
+        return self.state(p)["gamma"]
 
     def spray(self, x, v):
         x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-        if self._user is not None:
-            return np.einsum("...kij,...i,...j->...k", self._user(x), v, v)
+        if not self.is_built:
+            return np.einsum("...kij,...i,...j->...k", self.christoffel(x), v, v)
         values, _, error = self.program.run(x)
         if error is not None:
             raise error

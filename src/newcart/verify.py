@@ -258,8 +258,8 @@ def structure_stage(connection):
     """(structure entries, state or None if an entry fails) from one run of
     the connection's program at its structure's sample points.  A faulted
     run raises what `validate_structure` raises, the error an undefined
-    input alone raises; then a failing entry comes before the user table's
-    error and the run's own."""
+    input alone raises; then a failing entry comes before the run's own
+    error."""
     points = connection.structure.sample_points()
     values, _, error = connection.program.run(points)
     if error is not None:  # raises only for an input; other faults wait for state_of

@@ -2,9 +2,11 @@
 
 import contextlib
 import io
+import itertools
 import json
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -662,3 +664,55 @@ def test_mutated_scenarios_end_in_an_exit_code_on_every_command(tmp_path, data):
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith(("scenario error:", "error:")), (
                 argv, err.getvalue())
+
+
+def _outcome(argv, capsys, out):
+    """(exit code, stdout, stderr, the bytes of `out` or None) of main(argv)."""
+    try:
+        code = main(argv)
+    except SystemExit as err:
+        code = err.code
+    printed = capsys.readouterr()
+    return code, printed.out, printed.err, out.read_bytes() if out.exists() else None
+
+
+@pytest.mark.parametrize("argv,code", [
+    ("connection grav --at -0.1,0.3", 0),
+    ("observables rot --at -0.2,0.1,-0.3", 0),
+    ("flow flat --from -0.1,0.25 --t1 0.1 --dt 0.01 --out {out}", 0),
+    ("geodesic grav --from 0,0 --vel -1,0.5 --t1 0.1 --dt 0.01 --out {out}", 0),
+    ("geodesic grav --from 0,0 --vel 1,0 --t0 -1e-3 --t1 0.1 --dt 0.01 --out {out}", 0),
+    ("geodesic grav --from 0,0 --vel 1,0 --t0 -0.1 --t1 -1e-3 --dt 0.01 --out {out}", 0),
+    ("geodesic grav --from 0,0 --vel 1,0 --t1 0.1 --dt -1e-3 --out {out}", 2),
+], ids=["at", "at-3d", "from", "vel", "t0", "t1", "dt"])
+def test_a_value_with_a_leading_minus_reads_as_in_the_equals_form(tmp_path, capsys, argv, code):
+    out = tmp_path / "curve.csv"
+    command, name, *rest = argv.format(out=out).split()
+    spaced = _outcome([command, scn(name), *rest], capsys, out)
+    out.unlink(missing_ok=True)
+    joined = re.sub(r"(--(?:at|from|vel|t0|t1|dt)) ", r"\1=", " ".join(rest)).split()
+    assert _outcome([command, scn(name), *joined], capsys, out) == spaced
+    assert spaced[0] == code
+    if code == 2:
+        assert "--dt must be positive" in spaced[2]
+
+
+def _documented_commands():
+    """Every line of README's "Command line" block as argv, once for each
+    choice of its [...] parts, with each scenario the bundled one."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        parts = re.split(r"\[([^]]*)\]", line)  # fixed text and optional parts, alternating
+        for keep in itertools.product((False, True), repeat=len(parts) // 2):
+            words = "".join(part for k, part in enumerate(parts)
+                            if k % 2 == 0 or keep[k // 2]).split()
+            assert words[0] == "newcart"
+            yield [scn(w[:-4]) if w.endswith(".scn") else w for w in words[1:]]
+
+
+@pytest.mark.parametrize("argv", list(_documented_commands()),
+                         ids=lambda argv: " ".join(Path(w).name for w in argv))
+def test_every_documented_command_exits_0(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0

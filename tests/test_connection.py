@@ -561,6 +561,69 @@ def test_z_and_a_frame_entry_faulting_at_one_point_name_zs_node_in_every_walk():
     assert faults == [("log of non-positive argument in 'log(x1)'", 0, z.components[1])] * 3
 
 
+@pytest.mark.parametrize("case", ["zero_connection_curvedh", "user"])
+def test_a_user_tables_gamma_and_spray_are_read_from_its_state(case):
+    # a user table is the gamma group of the connection's one program
+    C = _connection(case)
+    points = C.structure.sample_points()[:12].reshape(4, 3, -1)
+    velocities = np.random.default_rng(9).uniform(-1.0, 1.0, points.shape)
+    for x, v in ((points[0, 0], velocities[0, 0]), (points, velocities)):
+        gamma = C.state(x)["gamma"]
+        got = C.christoffel(x)
+        assert got.shape == gamma.shape and got.tobytes() == gamma.tobytes()
+        want = np.einsum("...kij,...i,...j->...k", gamma, v, v)
+        got = C.spray(x, v)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _table_faults(entry, points):
+    """(message, point, subexpression) of what state, christoffel and spray
+    raise at `points` for a user table whose one entry is `entry`, on a
+    structure whose dh is undefined at x = 0 (h11 = 1 + x*sqrt(x))."""
+    S = replace(_one_field_structure("1", "1 + x*sqrt(x)"), domain_box=((0, 1), (0, 1)))
+    table = [[[ZERO] * 2 for _ in range(2)] for _ in range(2)]
+    table[1][1][1] = parse_expr(entry, NAMES2)
+    C, points = connection_from_exprs(S, flat_observer(), table), np.array(points)
+    faults = []
+    for call in (C.state, C.christoffel, lambda x: C.spray(x, np.ones_like(x))):
+        with pytest.raises(DomainError) as err:
+            call(points)
+        faults.append((str(err.value), err.value.point, err.value.subexpression))
+    return faults
+
+
+def test_a_derivative_fault_at_a_lower_point_comes_before_a_user_tables():
+    # the lowest failing point first, whichever group faults there
+    points = [[0.5, 0.0], [0.7, 0.5]]
+    h11 = parse_expr("1 + x*sqrt(x)", NAMES2)
+    with pytest.raises(DomainError) as want:  # what dh alone raises
+        compile_exprs([differentiate(h11, i) for i in range(2)])(points)
+    assert want.value.point == 0
+    assert _table_faults("sqrt(0.65 - t)", points) == [
+        (str(want.value), 0, want.value.subexpression)] * 3
+
+
+def test_a_user_table_and_a_derivative_faulting_at_one_point_name_the_tables_node():
+    # there, walk order: the inputs, the table, then the derivatives
+    entry = parse_expr("sqrt(0.4 - t)", NAMES2)
+    faults = _table_faults("sqrt(0.4 - t)", [[0.5, 0.0], [0.7, 0.5]])
+    assert faults == [("sqrt of negative argument in 'sqrt(0.4 - x0)'", 0, entry)] * 3
+
+
+def test_a_user_tables_gamma_is_undefined_where_its_frame_is_degenerate():
+    S, z = _one_field_structure("x", "1"), flat_observer()
+    table = tuple(tuple((ZERO, ZERO) for _ in range(2)) for _ in range(2))
+    built, user = build_connection(S, z), connection_from_exprs(S, z, table)
+    for x in (np.array([0.5, 0.0]), np.array([[0.5, 0.5], [0.5, 0.0]])):
+        faults = []
+        for call in (built.christoffel, user.christoffel,
+                     lambda p: user.spray(p, np.ones_like(p))):
+            with pytest.raises(FrameDegenerate) as err:
+                call(x)
+            faults.append((str(err.value), err.value.point))
+        assert faults == [("adapted basis singular at (0.5, 0.0)", x.ndim - 1)] * 3
+
+
 def test_user_supplied_connection_observables():
     S, z = flat_structure(), flat_observer()
     m = 2

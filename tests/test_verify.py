@@ -346,22 +346,19 @@ def test_fd_validate_compiles_nothing_and_runs_the_program_once(m, monkeypatch):
     assert (len(compiled), len(runs)) == (0, 1)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, "user"])
 def test_built_run_all_compiles_one_program_and_runs_two(m, monkeypatch):
     # the connection's program runs once for the structure entries and the
-    # shared state, and once over the FD stencils
+    # shared state, and once over the FD stencils; a user table is a group
+    # of that one program, with no compile or run of its own
     compiled, runs = _count_compiles_and_runs(monkeypatch)
-    S, z, D = synthetic_case(m, 7)
-    assert run_all(S, z, data=D).passed
+    if m == "user":
+        S, z = curvedh_structure(), flat_observer()
+        run_all(S, z, connection=connection_from_exprs(S, z, _zero_table(2)))
+    else:
+        S, z, D = synthetic_case(m, 7)
+        assert run_all(S, z, data=D).passed
     assert (len(compiled), len(runs)) == (1, 2)
-
-
-def test_user_table_run_all_compiles_two_programs_and_runs_three(monkeypatch):
-    # the user's table adds one compile and one run of its own
-    compiled, runs = _count_compiles_and_runs(monkeypatch)
-    S, z = curvedh_structure(), flat_observer()
-    run_all(S, z, connection=connection_from_exprs(S, z, _zero_table(2)))
-    assert (len(compiled), len(runs)) == (2, 3)
 
 
 def test_failing_structure_run_all_compiles_one_program_and_runs_it_once(monkeypatch):
