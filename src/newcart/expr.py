@@ -244,17 +244,19 @@ def _pow_by(base, expo):
 
 
 def _pow(base, expo):
-    """base ** expo elementwise; the points sharing an exponent go through _pow_by."""
+    """base ** expo elementwise; the points sharing an exponent go through
+    _pow_by.  Each domain rule keeps one mask, in the order _pow_by checks
+    them: one exponent applies at a point, so its own order holds there."""
     value = np.empty_like(base)
-    checks = []
+    masks = {reason: np.zeros(base.shape, dtype=bool) for reason in (
+        "zero base with negative exponent", "non-integer power of non-positive base",
+        "pow overflow")}
     for e in np.unique(expo):
         at = expo == e if e == e else np.isnan(expo)
         value[at], part = _pow_by(base[at], float(e))
         for bad, reason in part:
-            full = np.zeros_like(at)
-            full[at] = bad
-            checks.append((full, reason))
-    return value, checks
+            masks[reason][at] = bad
+    return value, [(bad, reason) for reason, bad in masks.items()]
 
 
 def _trig(ufunc):

@@ -1,6 +1,7 @@
 """Expression language: grammar, derivatives, evaluation, printing."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,29 @@ def test_integer_powers_of_negative_base():
     assert ev("x^2", (0.0, -2.0)) == 4.0
     assert ev("x^0", (0.0, 0.0)) == 1.0
     assert ev("x^-2", (0.0, -2.0)) == 0.25
+
+
+def test_a_runtime_power_keeps_one_mask_per_domain_rule():
+    # a mask per exponent would hold 4000 x 4000 booleans here (16 MB)
+    program = compile(parse_expr("x^t", NAMES))
+    points = np.column_stack([np.linspace(-3.0, 3.0, 4000), np.full(4000, 1.5)])
+    program.run(points)
+    tracemalloc.start()
+    try:
+        program.run(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
+
+
+def test_a_zero_base_with_a_negative_runtime_exponent_is_named_before_overflow():
+    # at x = 0 the product x*x is 0 too, so the overflow rule also holds there
+    program = compile(parse_expr("x^t", NAMES))
+    for stack, point in (([[-2.0, 0.0]], 0), ([[0.5, 1.0], [-2.0, 0.0], [-0.5, -1.0]], 1)):
+        with pytest.raises(DomainError) as err:
+            program(np.array(stack))
+        assert (err.value.reason, err.value.point) == ("zero base with negative exponent", point)
 
 
 def test_differentiate_constant_is_zero_node():
