@@ -301,7 +301,8 @@ def _divide(x, y):
 
 # Neg, Add, Sub and Mul are ufuncs that never fail: their groups write their
 # slot block in place
-_KERNELS = {Neg: np.negative, Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: _divide}
+_KERNELS = {Neg: np.negative, Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: _divide,
+            Pow: _pow}
 
 
 def _negated(product):
@@ -315,40 +316,32 @@ def _negated(product):
     return None if left is None else Mul(left, product.right)
 
 
-def _step(t, node, key, out, place):
-    """The step record (op, kernel, out, args, place) of a new slot."""
-    if key[0] == "^":
-        return key[:2], partial(_pow_by, expo=key[1]), out, key[2:], place
-    if t is Pow:  # a runtime exponent: a group of its own
-        return (_pow, out), _pow, out, key[1:], place
-    kernel = _FUNCTION_KERNELS[node.fn] if t is Apply else _KERNELS[t]
-    return kernel, kernel, out, key[1:], place
-
-
 class Program:
     """Expressions compiled into level-grouped numpy operations.
 
     Built by `compile`.  Structurally equal subtrees share one slot, keyed
-    by node type and value or child slots; a negated product c*a*b with a
-    constant leftmost factor is compiled as (-c)*a*b.  `_steps` holds one
-    record per operation in the order a recursive walk would first reach
-    each node, and `_places` the node at each place of that walk where a
-    fault may be reported: a quotient reports a zero denominator at the
-    place of the first quotient over it, before that quotient's numerator.
-    A fault is reported in walk order.  A step's level is 1 + the highest
-    level of its arguments, constants and coordinates being level 0.  The
-    steps sharing a level and an operation (a ufunc, a function kernel, one
-    constant exponent) run as one kernel call over a (slot, point) array,
-    and write one contiguous block of slots: constants come first, then
-    coordinates, then each group's outputs in schedule order.  A power with
-    a non-constant exponent is a group alone.  A run with a fault marks
-    where each slot is undefined in one more pass over the groups, each
-    step ORing its arguments' marks into its slot.
+    by the operation and its argument slots, or a constant's value or a
+    coordinate's index; a negated product c*a*b with a constant leftmost
+    factor is compiled as (-c)*a*b.  One recursive walk compiles: it gives
+    each new operation its level, 1 + the highest level of its arguments,
+    constants and coordinates being level 0, and appends it to the group
+    of its level and operation (a ufunc, a function kernel, one constant
+    exponent, or `_pow` for a runtime exponent).  `_places` holds the node
+    at each place of that walk where a fault may be reported: a quotient
+    reports a zero denominator at the place of the first quotient over it,
+    before that quotient's numerator.  A fault is reported in walk order.
+    `_groups` holds, in level order, each group's (kernel, block, args,
+    places), places None for a group that cannot fail; a group runs as
+    one kernel call over a (slot, point) array and writes one contiguous
+    block of slots: constants come first, then coordinates, then the
+    groups' outputs, in level order and each group's in walk order.  A run with a fault marks where each
+    slot is undefined in one more pass over the groups, each step ORing
+    its arguments' marks into its slot.
     """
 
     def __init__(self, exprs):
-        groups = exprs if isinstance(exprs, dict) else {None: exprs}
-        consts, coords, steps, places = [], [], [], []
+        tables = exprs if isinstance(exprs, dict) else {None: exprs}
+        consts, coords, places, level, groups = [], [], [], {}, {}
         keys, seen, checked, made = {}, {}, {}, []
 
         def visit(e):
@@ -366,20 +359,20 @@ class Program:
                     made.append(product)  # alive until compile ends: `seen` is keyed on id
                     slot = seen[id(e)] = visit(product)
                     return slot
-                key = ("neg", visit(e.child))
+                key = (np.negative, visit(e.child))
             elif t is Apply:
-                key = (e.fn, visit(e.arg))
+                key = (_FUNCTION_KERNELS[e.fn], visit(e.arg))
             elif t is Div:
                 den = visit(e.right)
                 if den not in checked:
                     checked[den] = len(places)
                     places.append(e)
                 place = checked[den]
-                key = ("/", visit(e.left), den)
-            elif t is Pow and type(e.right) is Const:
-                key = ("^", float(e.right.value), visit(e.left))
-            elif t in _KERNELS or t is Pow:
-                key = (t, visit(e.left), visit(e.right))
+                key = (_divide, visit(e.left), den)
+            elif t is Pow and type(e.right) is Const:  # its kernel: _pow_by at one exponent
+                key = (("^", float(e.right.value)), visit(e.left))
+            elif t in _KERNELS:
+                key = (_KERNELS[t], visit(e.left), visit(e.right))
             else:
                 raise TypeError(f"not an expression node: {e!r}")
             slot = keys.get(key)
@@ -393,48 +386,37 @@ class Program:
                     if place is None:
                         place = len(places)
                         places.append(e)
-                    steps.append(_step(t, e, key, slot, place))
+                    level[slot] = 1 + max(level.get(a, 0) for a in key[1:])
+                    groups.setdefault((level[slot], key[0]), []).append((slot, key[1:], place))
             seen[id(e)] = slot
             return slot
 
         layout, outputs = [], []
-        for name, group in groups.items():
-            table = np.array(group, dtype=object)
+        for name, table in tables.items():
+            table = np.array(table, dtype=object)
             layout.append((name, slice(len(outputs), len(outputs) + table.size), table.shape))
             outputs += [visit(e) for e in table.flat]
         del visit  # it holds itself through its closure: free the compile state now
         self.slot_count = len(keys)
         self._single = not isinstance(exprs, dict)
-        self._steps, self._places, self._layout = steps, places, layout
+        self._places, self._layout = places, layout
         self._const_values = np.array([c[1] for c in consts], dtype=float)[:, None]
         self._coords = np.array([c[1] for c in coords], dtype=np.intp)
         self._coord_block = slice(len(consts), len(consts) + len(coords))
-        renumber = self._schedule([c[0] for c in consts] + [c[0] for c in coords])
-        self._outputs = renumber[np.array(outputs, dtype=np.intp)]
-
-    def _schedule(self, inputs):
-        """Group the steps by level and operation into `_groups`, records
-        (kernel, block, args, places) in level order, and renumber the slots
-        so that each group writes one contiguous block after the `inputs`.
-        A group that cannot fail has places None.  Returns the new number
-        of each compile-time slot."""
-        level, groups = [0] * self.slot_count, {}
-        for k, (op, kernel, out, args, _) in enumerate(self._steps):
-            level[out] = 1 + max(level[a] for a in args)
-            groups.setdefault((level[out], op), (kernel, []))[1].append(k)
-        schedule = [g for _, g in sorted(groups.items(), key=lambda g: g[0][0])]
-        order = inputs + [self._steps[k][2] for _, ks in schedule for k in ks]
+        # renumber the slots so that each group writes one block after the inputs
+        schedule = sorted(groups.items(), key=lambda g: g[0][0])
+        order = [c[0] for c in consts + coords] + [s[0] for _, steps in schedule for s in steps]
         renumber = np.empty(self.slot_count, dtype=np.intp)
         renumber[order] = np.arange(self.slot_count)
-        self._groups, start = [], len(inputs)
-        for kernel, ks in schedule:
-            steps = [self._steps[k] for k in ks]
-            block = slice(start, start + len(ks))
-            args = [renumber[list(a)] for a in zip(*(s[3] for s in steps))]
-            places = None if isinstance(kernel, np.ufunc) else np.array([s[4] for s in steps])
+        self._groups, start = [], self._coord_block.stop
+        for (_, op), steps in schedule:
+            kernel = partial(_pow_by, expo=op[1]) if type(op) is tuple else op
+            block = slice(start, start + len(steps))
+            args = [renumber[list(a)] for a in zip(*(s[1] for s in steps))]
+            places = None if isinstance(kernel, np.ufunc) else np.array([s[2] for s in steps])
             self._groups.append((kernel, block, args, places))
             start = block.stop
-        return renumber
+        self._outputs = renumber[np.array(outputs, dtype=np.intp)]
 
     def run(self, points):
         """(values, undefined, error) of one run over points (..., m): the

@@ -333,3 +333,28 @@ def test_programs_without_outputs_return_empty_values():
     assert compile({})(pts) == {}
     values = compile({"none": [[], []], "one": Coord(0)})(pts)
     assert values["none"].shape == (4, 3, 2, 0) and values["one"].shape == (4, 3)
+
+
+def test_runtime_powers_at_one_level_share_a_group():
+    # x^t and t^x are both level 1: one _pow call over both rows, which keeps
+    # each one's values and masks, and names the lowest point's first fault
+    a, b = parse_expr("x^t", NAMES), parse_expr("t^x", NAMES)
+    program = compile([a, b])
+    assert len(program._groups) == 1
+    for stack in ([[0.5, 2.0], [-2.0, 0.0], [0.0, -1.5]], [[0.0, -1.5], [-2.0, 0.0]],
+                  [[-2.0, 0.5], [3.0, -2.0]], [[1.0, 1.0], [-0.5, -0.5]], [[1.5, 2.0]]):
+        pts = np.array(stack)
+        values, undefined, error = program.run(pts)
+        faults = []
+        for k, tree in enumerate((a, b)):
+            want, marks, err = compile(tree).run(pts)
+            assert values[:, k].tobytes() == want.tobytes()
+            if marks is None:
+                assert undefined is None or not undefined[:, k].any()
+            else:
+                assert undefined[:, k].tobytes() == marks.tobytes()
+                faults.append((err.point, k, str(err), err.subexpression))
+        assert (error is None) == (faults == [])
+        if faults:
+            point, _, text, node = min(faults)
+            assert (error.point, str(error), error.subexpression) == (point, text, node)

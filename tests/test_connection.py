@@ -388,7 +388,8 @@ def test_kit_compiles_only_first_derivatives():
     # the program holds the input and its first derivatives only (112 steps
     # here; the symbolic alternation tables once took 774)
     S, z, D = synthetic_case(4, seed=3)
-    assert len(build_connection(S, z, D).program._steps) <= 150
+    groups = build_connection(S, z, D).program._groups
+    assert sum(block.stop - block.start for _, block, _, _ in groups) <= 150
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
