@@ -514,8 +514,14 @@ FUNCTION_DERIVATIVES = {
 }
 
 
+def _zero(*derivatives):
+    return all(_is_const(d, 0.0) for d in derivatives)
+
+
 def differentiate(e, i):
-    """Exact partial derivative with respect to coordinate `i`."""
+    """Exact partial derivative with respect to coordinate `i`.  A quotient,
+    a runtime power or a function whose operands' derivatives are all zero
+    has the derivative ZERO, not a tree that evaluates to zero."""
     t = type(e)
     if t is Const:
         return ZERO
@@ -531,19 +537,23 @@ def differentiate(e, i):
         return add(mul(differentiate(e.left, i), e.right),
                    mul(e.left, differentiate(e.right, i)))
     if t is Div:
-        num = sub(mul(differentiate(e.left, i), e.right),
-                  mul(e.left, differentiate(e.right, i)))
-        return div(num, pow_(e.right, Const(2.0)))
+        du, dv = differentiate(e.left, i), differentiate(e.right, i)
+        if _zero(du, dv):
+            return ZERO
+        return div(sub(mul(du, e.right), mul(e.left, dv)), pow_(e.right, Const(2.0)))
     if t is Pow:
         du = differentiate(e.left, i)
         if isinstance(e.right, Const):
             n = e.right.value
             return mul(mul(Const(n), pow_(e.left, Const(n - 1.0))), du)
         dv = differentiate(e.right, i)
+        if _zero(du, dv):
+            return ZERO
         inner = add(mul(dv, apply("log", e.left)), div(mul(e.right, du), e.left))
         return mul(pow_(e.left, e.right), inner)
     if t is Apply:
-        return FUNCTION_DERIVATIVES[e.fn](e.arg, differentiate(e.arg, i))
+        du = differentiate(e.arg, i)
+        return ZERO if _zero(du) else FUNCTION_DERIVATIVES[e.fn](e.arg, du)
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -604,6 +604,15 @@ def test_a_derivative_fault_at_a_lower_point_comes_before_a_user_tables():
         (str(want.value), 0, want.value.subexpression)] * 3
 
 
+def test_a_derivative_fault_names_a_node_of_a_derivative_that_is_not_zero():
+    # d_t h11 is ZERO, so the first fault at x = 0 is in d_x h11's quotient
+    S = _one_field_structure("1", "1 + x*sqrt(x)")
+    with pytest.raises(DomainError) as err:
+        build_connection(S, flat_observer()).state(np.array([[0.5, 0.0]]))
+    assert str(err.value) == "division by zero in '1.0/(2.0*sqrt(x1))'"
+    assert err.value.subexpression == differentiate(parse_expr("sqrt(x)", NAMES2), 1)
+
+
 def test_a_user_table_and_a_derivative_faulting_at_one_point_name_the_tables_node():
     # there, walk order: the inputs, the table, then the derivatives
     entry = parse_expr("sqrt(0.4 - t)", NAMES2)

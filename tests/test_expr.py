@@ -191,6 +191,13 @@ def test_differentiate_constant_is_zero_node():
     assert differentiate(parse_expr("3*4", NAMES), 1) == Const(0.0)
 
 
+@pytest.mark.parametrize("text", ["sqrt(x)", "log(x)", "1/x", "x^x", "sin(x)/x", "cos(x)"])
+def test_a_derivative_whose_operands_do_not_vary_is_zero(text):
+    # not a quotient over a zero numerator, which is undefined where x = 0
+    d = differentiate(parse_expr(text, NAMES), 0)
+    assert d == Const(0.0) and to_string(d) == "0.0"
+
+
 def test_differentiate_power_rule():
     d = differentiate(parse_expr("t^2 - x", NAMES), 0)
     for tv in (0.0, 0.5, -1.2):
