@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -176,8 +177,10 @@ def make_parser():
         description="Build, verify, and exercise compatible connections on "
                     "clock-form space-time structures.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # options are spelled in full: _joined knows them by their whole names
+    add_parser = partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("check", help="run the full verification report")
+    p = add_parser("check", help="run the full verification report")
     p.add_argument("scenario")
     p.add_argument("--json", help="write the JSON report to this path")
     p.add_argument("--expect-torsion-free", action="store_true",
@@ -185,16 +188,16 @@ def make_parser():
 
     for name, text in (("connection", "print coefficients at a point"),
                        ("observables", "print the observable triple at a point")):
-        p = sub.add_parser(name, help=text)
+        p = add_parser(name, help=text)
         p.add_argument("scenario")
         p.add_argument("--at", required=True)
 
-    p = sub.add_parser("roundtrip", help="rebuild the data from the connection")
+    p = add_parser("roundtrip", help="rebuild the data from the connection")
     p.add_argument("scenario")
 
     for name, text in (("geodesic", "integrate an auto-parallel curve"),
                        ("flow", "integrate an observer flow line")):
-        p = sub.add_parser(name, help=text)
+        p = add_parser(name, help=text)
         p.add_argument("scenario")
         p.add_argument("--from", dest="start", required=True)
         if name == "geodesic":

@@ -697,6 +697,16 @@ def test_a_value_with_a_leading_minus_reads_as_in_the_equals_form(tmp_path, caps
         assert "--dt must be positive" in spaced[2]
 
 
+@pytest.mark.parametrize("vel", ["--ve -1,0", "--ve=-1,0", "--ve 1,0"])
+def test_an_abbreviated_option_is_a_usage_error(tmp_path, capsys, vel):
+    out = tmp_path / "curve.csv"
+    argv = ["geodesic", scn("grav"), "--from", "0.5,0", *vel.split(),
+            "--t1", "0.1", "--dt", "0.01", "--out", str(out)]
+    code, stdout, stderr, written = _outcome(argv, capsys, out)
+    assert (code, stdout, written) == (2, "", None)
+    assert stderr.endswith("error: the following arguments are required: --vel\n")
+
+
 def _documented_commands():
     """Every line of README's "Command line" block as argv, once for each
     choice of its [...] parts, with each scenario the bundled one."""
