@@ -33,7 +33,7 @@ KNOWN_FAILURE = "tests/test_acceptance.py::test_criterion_5_rk4_halving_ratio"
 OWN_TEST = "tests/test_mutants.py"
 CONNECTION, GEOMETRY = "src/newcart/connection.py", "src/newcart/geometry.py"
 VERIFY, EXPR = "src/newcart/verify.py", "src/newcart/expr.py"
-SCENARIO = "src/newcart/scenario.py"
+SCENARIO, CLI = "src/newcart/scenario.py", "src/newcart/cli.py"
 
 MUTANTS = [
     # the finite-difference check ignores the domain box
@@ -87,6 +87,17 @@ MUTANTS = [
     (SCENARIO, '"([0-9])", shape[1:]', r'r"(\\d)", shape[1:]'),
     (SCENARIO, "except (OSError, UnicodeDecodeError) as err:", "except OSError as err:"),
     (SCENARIO, 'encoding="utf-8-sig"', 'encoding="utf-8"'),
+    # the compiled groups left in walk order, not level order; a runtime
+    # power's domain rules checked in reverse
+    (EXPR, "schedule = sorted(groups.items(), key=lambda g: g[0][0])",
+     "schedule = list(groups.items())"),
+    (EXPR, "[(bad, reason) for reason, bad in masks.items()]",
+     "[(bad, reason) for reason, bad in reversed(masks.items())]"),
+    # a function of a constant-in-x_i argument differentiated by the chain rule
+    (EXPR, "return ZERO if _zero(du) else FUNCTION_DERIVATIVES[e.fn](e.arg, du)",
+     "return FUNCTION_DERIVATIVES[e.fn](e.arg, du)"),
+    # abbreviated options accepted again
+    (CLI, "partial(sub.add_parser, allow_abbrev=False)", "sub.add_parser"),
 ]
 
 
