@@ -334,9 +334,9 @@ class Program:
     places), places None for a group that cannot fail; a group runs as
     one kernel call over a (slot, point) array and writes one contiguous
     block of slots: constants come first, then coordinates, then the
-    groups' outputs, in level order and each group's in walk order.  A run with a fault marks where each
-    slot is undefined in one more pass over the groups, each step ORing
-    its arguments' marks into its slot.
+    groups' outputs, in level order and each group's in walk order.  A
+    run with a fault marks where each slot is undefined in one more pass
+    over the groups, each step ORing its arguments' marks into its slot.
     """
 
     def __init__(self, exprs):
