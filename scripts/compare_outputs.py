@@ -125,12 +125,13 @@ def differing(parent, change):
     return out, len(names)
 
 
-def _diff(parent, change, name):
-    def lines(path):
-        return path.read_text(encoding="utf-8", errors="replace").splitlines() \
-            if path.is_file() else []
+def _lines(path):
+    return path.read_text(encoding="utf-8", errors="replace").splitlines() if path.is_file() else []
 
-    diff = difflib.unified_diff(lines(Path(parent) / name), lines(Path(change) / name),
+
+def _diff(parent, change, name):
+    """The first lines of a unified diff of one output, parent to change."""
+    diff = difflib.unified_diff(_lines(Path(parent) / name), _lines(Path(change) / name),
                                 f"parent/{name}", f"change/{name}", lineterm="")
     return list(diff)[:DIFF_LINES]
 
