@@ -2,8 +2,8 @@
 
 from .connection import (Connection, ConnectionData, build_connection,
                          connection_from_exprs, observable_map)
-from .dynamics import (Trajectory, integrate_geodesic, integrate_observer_flow,
-                       trajectory_csv, write_trajectory)
+from .dynamics import (CsvRows, Trajectory, integrate_geodesic, integrate_observer_flow,
+                       trajectory_csv)
 from .errors import (DimensionMismatch, DomainError, ExprSyntaxError,
                      FrameDegenerate, MetricSingular, MissingSection,
                      NewcartError, ScenarioError, ScenarioParseError,

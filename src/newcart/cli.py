@@ -134,24 +134,25 @@ def cmd_geodesic(scn, args, parser):
     S = scn.structure
     x0 = _point(args.start, S.dim, parser, "--from")
     v0 = _point(args.vel, S.dim, parser, "--vel")
-    conn = _connection_for(scn)
-    traj = dynamics.integrate_geodesic(conn, x0, v0, *_span(args, parser))
-    return _write_curve(S, traj, args.out)
+    return _write_curve(S, args.out, dynamics.integrate_geodesic, _connection_for(scn), x0, v0,
+                        *_span(args, parser))
 
 
 def cmd_flow(scn, args, parser):
     S = scn.structure
     x0 = _point(args.start, S.dim, parser, "--from")
-    traj = dynamics.integrate_observer_flow(S, scn.observer, x0, *_span(args, parser))
-    return _write_curve(S, traj, args.out)
+    return _write_curve(S, args.out, dynamics.integrate_observer_flow, S, scn.observer, x0,
+                        *_span(args, parser))
 
 
-def _write_curve(S, traj, path):
-    dynamics.write_trajectory(traj, S.dim, path)
-    print(f"{len(traj.states)} states, termination: {traj.termination}")
+def _write_curve(S, path, integrate, *args):
+    with open(path, "w", encoding="utf-8") as fh:
+        rows = dynamics.CsvRows(fh, S.dim)
+        traj = integrate(*args, states=rows)
+    print(f"{rows.count} states, termination: {traj.termination}")
     if traj.error is not None:
         print(f"error: {_error_text(traj.error, S.coord_names)}", file=sys.stderr)
-    print("final position: " + ", ".join(repr(float(c)) for c in traj.final.position))
+    print("final position: " + ", ".join(repr(float(c)) for c in rows.last.position))
     return CHECK_FAILED if traj.termination in dynamics.FAILURES else 0
 
 

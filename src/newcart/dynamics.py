@@ -11,7 +11,8 @@ termination.  A non-finite state ends the trajectory with reason
 "numeric_failure"; an error raised by the right-hand side (say sqrt of a
 negative value, or a singular metric) ends it with "evaluation_failure"
 and is kept on the trajectory.  Either way the failed step is discarded
-and every earlier state kept.
+and every earlier state kept.  Each state goes to `states.append` once its
+velocity is known: a new list by default, or `CsvRows`, which keeps none.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class CurveState:
 
 @dataclass
 class Trajectory:
-    states: list[CurveState]
+    states: list[CurveState] | CsvRows
     termination: str
     error: NewcartError | None = None
 
@@ -48,8 +49,7 @@ class Trajectory:
         return self.states[-1]
 
 
-def _rk4_step(f, y, dtau):
-    k1 = f(y)
+def _rk4_step(f, y, dtau, k1):
     k2 = f(y + 0.5 * dtau * k1)
     k3 = f(y + 0.5 * dtau * k2)
     k4 = f(y + dtau * k3)
@@ -64,29 +64,45 @@ def step_count(tau0, tau1, dtau):
     return int(count)
 
 
-def _integrate(f, box, y0, tau0, tau1, dtau):
-    """Trajectory of y' = f(y); positions are views of y[:len(box)]."""
+def _integrate(f, box, y0, tau0, tau1, dtau, states=None):
+    """Trajectory of y' = f(y) into `states`; positions are views of y[:len(box)]."""
     if dtau <= 0.0:
         raise ValueError("step size must be positive")
     if tau1 <= tau0:
         raise ValueError("final parameter must exceed the initial one")
-    m = len(box)
-    y = np.array(y0, dtype=float)
-    states = [CurveState(tau0, y[:m], y[m:])]
+    m, states = len(box), [] if states is None else states
+    y, tau, termination, error = np.array(y0, dtype=float), tau0, COMPLETED, None
     for k in range(1, step_count(tau0, tau1, dtau) + 1):
         try:
-            y = _rk4_step(f, y, dtau)
+            k1 = f(y)
+        except NewcartError as err:
+            termination, error = EVALUATION_FAILURE, err
+            break
+        states.append(CurveState(tau, y[:m], y[m:] if len(y) > m else k1))
+        try:
+            y = _rk4_step(f, y, dtau, k1)
         except NewcartError as err:
             return Trajectory(states, EVALUATION_FAILURE, err)
         if not np.isfinite(y).all():
             return Trajectory(states, NUMERIC_FAILURE)
-        states.append(CurveState(tau0 + k * dtau, y[:m], y[m:]))
+        tau = tau0 + k * dtau
         if any(c < lo or c > hi for (lo, hi), c in zip(box, y)):
-            return Trajectory(states, LEFT_DOMAIN)
-    return Trajectory(states, COMPLETED)
+            termination = LEFT_DOMAIN
+            break
+    # a flow's last velocity is one more run of z; a completed curve fails where it does
+    velocity = y[m:]
+    if len(y) == m:
+        try:
+            velocity = f(y)
+        except NewcartError as err:
+            velocity = np.full(m, np.nan)
+            if termination == COMPLETED:
+                termination, error = EVALUATION_FAILURE, err
+    states.append(CurveState(tau, y[:m], velocity))
+    return Trajectory(states, termination, error)
 
 
-def integrate_geodesic(connection, x0, v0, tau0, tau1, dtau):
+def integrate_geodesic(connection, x0, v0, tau0, tau1, dtau, states=None):
     """Integrate the auto-parallel curve of a connection from (x0, v0)."""
     box = connection.structure.domain_box
     m = len(box)
@@ -94,10 +110,10 @@ def integrate_geodesic(connection, x0, v0, tau0, tau1, dtau):
     def accel(y):
         return np.concatenate([y[m:], -connection.spray(y[:m], y[m:])])
 
-    return _integrate(accel, box, np.concatenate([x0, v0]), tau0, tau1, dtau)
+    return _integrate(accel, box, np.concatenate([x0, v0]), tau0, tau1, dtau, states)
 
 
-def integrate_observer_flow(structure, observer, x0, tau0, tau1, dtau):
+def integrate_observer_flow(structure, observer, x0, tau0, tau1, dtau, states=None):
     """Integrate a flow line of the observer field; stored velocities are z(x).
 
     Every state is kept.  Where z cannot be evaluated at the last state,
@@ -105,32 +121,30 @@ def integrate_observer_flow(structure, observer, x0, tau0, tau1, dtau):
     "evaluation_failure" and that error instead.
     """
     z = compile_exprs(observer.components)
-    traj = _integrate(z, structure.domain_box, x0, tau0, tau1, dtau)
-    # every state but the last began a step whose first stage evaluated z there
-    velocities, _, error = z.run([st.position for st in traj.states])
-    if error is not None:
-        velocities[-1] = np.nan
-        if traj.termination == COMPLETED:
-            traj.termination, traj.error = EVALUATION_FAILURE, error
-    for st, velocity in zip(traj.states, velocities):
-        st.velocity = velocity
-    return traj
+    return _integrate(z, structure.domain_box, x0, tau0, tau1, dtau, states)
 
 
-def _csv_lines(trajectory, m):
-    """The CSV's lines, newline-terminated: tau, x0..x{m-1}, v0..v{m-1}."""
-    header = ["tau"] + [f"x{i}" for i in range(m)] + [f"v{i}" for i in range(m)]
-    yield ", ".join(header) + "\n"
-    for st in trajectory.states:
-        row = [st.tau] + st.position.tolist() + st.velocity.tolist()
-        yield ", ".join(f"{value:.17g}" for value in row) + "\n"
+def _header(m):
+    return ", ".join(["tau"] + [f"x{i}" for i in range(m)] + [f"v{i}" for i in range(m)]) + "\n"
+
+
+def _row(state):
+    row = [state.tau] + state.position.tolist() + state.velocity.tolist()
+    return ", ".join(f"{value:.17g}" for value in row) + "\n"
 
 
 def trajectory_csv(trajectory, m):
     """Serialize per the fixed interface: tau, x0..x{m-1}, v0..v{m-1}."""
-    return "".join(_csv_lines(trajectory, m))
+    return _header(m) + "".join(map(_row, trajectory.states))
 
 
-def write_trajectory(trajectory, m, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_csv_lines(trajectory, m))
+class CsvRows:
+    """Writes a CSV header to `fh`, then a row per appended state; keeps `count`, `last`."""
+
+    def __init__(self, fh, m):
+        self.fh, self.count, self.last = fh, 0, None
+        fh.write(_header(m))
+
+    def append(self, state):
+        self.fh.write(_row(state))
+        self.count, self.last = self.count + 1, state

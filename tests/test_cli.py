@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,9 +16,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from newcart import verify
 from newcart.cli import main
 from newcart.connection import build_connection
+from newcart.dynamics import integrate_observer_flow, trajectory_csv
 from newcart.errors import DomainError
 from newcart.geometry import validate_structure
-from newcart.scenario import bundled_scenario_path, load_scenario_text
+from newcart.scenario import bundled_scenario_path, load_scenario, load_scenario_text
 
 
 def scn(name):
@@ -540,6 +542,30 @@ def test_flow_command(tmp_path):
     assert code == 0
     final = [float(v) for v in out.read_text().strip().split("\n")[-1].split(",")]
     assert abs(final[2] - 0.25) <= 1e-12
+
+
+
+def test_flow_writes_each_row_as_it_integrates(tmp_path, capsys):
+    out = tmp_path / "flow.csv"
+
+    def peak(dt):
+        tracemalloc.start()
+        try:
+            assert main(["flow", scn("flat"), "--from", "0,0.25", "--t1", "0.1", "--dt", dt,
+                         "--out", str(out)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    bound = 64 * 1024  # 10^4 states held in memory peak at about 5 MB
+    peak("1e-4")  # warm-up
+    small, large = peak("1e-4"), peak("1e-5")
+    assert large - small < bound
+    assert "10001 states, termination: completed" in capsys.readouterr().out
+    flat = load_scenario(bundled_scenario_path("flat"))
+    traj = integrate_observer_flow(flat.structure, flat.observer, np.array([0.0, 0.25]),
+                                   0.0, 0.1, 1e-5)
+    assert out.read_text(encoding="utf-8") == trajectory_csv(traj, 2)
 
 
 # z is defined at every stored state but the last: the flow goes past c

@@ -1,7 +1,7 @@
 """Integrators: free-fall oracles, flows, order behavior, terminations."""
 
 import dataclasses
-import tracemalloc
+import io
 
 import numpy as np
 import pytest
@@ -300,26 +300,44 @@ def test_trajectory_csv_format():
     assert last[4] == traj.final.velocity[1]
 
 
-def _parabola(count):
-    """A free-fall-like trajectory of `count` states, built without stepping."""
-    states = [dynamics.CurveState(tau, np.array([tau, -4.9 * tau * tau]),
-                                  np.array([1.0, -9.8 * tau]))
-              for tau in np.arange(count) * 1e-3]
-    return dynamics.Trajectory(states, COMPLETED)
+def _blow_up():
+    """vdot^x = (v^x)^2 from a table: overflow before the (huge) box is left."""
+    S, m = flat_structure(box=((-0.5, 3.0), (-1e300, 1e300))), 2
+    table = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
+    table[1][1][1] = Const(-1.0)
+    table = tuple(tuple(tuple(r) for r in pl) for pl in table)
+    return connection_from_exprs(S, flat_observer(), table), [0.0, 0.0], [0.0, 1.0], 2.0
 
 
-def test_write_trajectory_streams_its_rows(tmp_path):
-    def peak(traj):
-        tracemalloc.start()
-        try:
-            dynamics.write_trajectory(traj, 2, tmp_path / "curve.csv")
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+def _sqrt_metric():
+    S = dataclasses.replace(curvedh_structure(), metric=((parse_expr("1 + sqrt(x)", NAMES2),),))
+    return build_connection(S, flat_observer(), ConnectionData.zero(1)), [0.0, 0.05], [0.0, -1.0], 1.0
 
-    small, large = _parabola(10**4), _parabola(10**5)
-    small_peak, large_peak = peak(small), peak(large)
-    # the whole text of 10^5 states is 7.9 MB; writing keeps a row at a time
-    assert large_peak < 256 * 1024
-    assert large_peak <= small_peak + 8 * 1024
-    assert (tmp_path / "curve.csv").read_text(encoding="utf-8") == trajectory_csv(large, 2)
+
+GEODESICS = {
+    COMPLETED: lambda: (build_connection(flat_structure(), flat_observer(), gravity_data(9.8)),
+                        [0.0, 0.0], [1.0, 0.5], 0.2),
+    LEFT_DOMAIN: lambda: (build_connection(flat_structure(box=((0.0, 1.5), (-0.2, 0.2))),
+                                           flat_observer(), ConnectionData.zero(1)),
+                          [0.0, 0.0], [1.0, 1.0], 1.0),
+    NUMERIC_FAILURE: _blow_up,
+    EVALUATION_FAILURE: _sqrt_metric,
+}
+
+
+@pytest.mark.parametrize("termination", GEODESICS)
+def test_a_geodesic_into_csv_rows_has_the_list_runs_states(termination):
+    C, x0, v0, tau1 = GEODESICS[termination]()
+    args = (C, np.array(x0), np.array(v0), 0.0, tau1, 1e-2)
+    want, fh = integrate_geodesic(*args), io.StringIO()
+    rows = dynamics.CsvRows(fh, 2)
+    traj = integrate_geodesic(*args, states=rows)
+    assert want.termination == termination and traj.states is rows
+    assert (traj.termination, type(traj.error), str(traj.error)) == (
+        want.termination, type(want.error), str(want.error))
+    # %.17g round-trips each double, so equal text is equal bits
+    assert fh.getvalue() == trajectory_csv(want, 2)
+    last, final = rows.last, want.final
+    assert rows.count == len(want.states)
+    assert (last.tau, last.position.tobytes(), last.velocity.tobytes()) == (
+        final.tau, final.position.tobytes(), final.velocity.tobytes())
