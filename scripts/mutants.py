@@ -91,8 +91,7 @@ MUTANTS = [
     # power's domain rules checked in reverse
     (EXPR, "schedule = sorted(groups.items(), key=lambda g: g[0][0])",
      "schedule = list(groups.items())"),
-    (EXPR, "[(bad, reason) for reason, bad in masks.items()]",
-     "[(bad, reason) for reason, bad in reversed(masks.items())]"),
+    (EXPR, "for reason, bad in masks.items()]", "for reason, bad in reversed(masks.items())]"),
     # a function of a constant-in-x_i argument differentiated by the chain rule
     (EXPR, "return ZERO if _zero(du) else FUNCTION_DERIVATIVES[e.fn](e.arg, du)",
      "return FUNCTION_DERIVATIVES[e.fn](e.arg, du)"),

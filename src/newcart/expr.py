@@ -244,19 +244,23 @@ def _pow_by(base, expo):
 
 
 def _pow(base, expo):
-    """base ** expo elementwise; the points sharing an exponent go through
-    _pow_by.  Each domain rule keeps one mask, in the order _pow_by checks
-    them: one exponent applies at a point, so its own order holds there."""
-    value = np.empty_like(base)
-    masks = {reason: np.zeros(base.shape, dtype=bool) for reason in (
+    """base ** expo elementwise; the points sharing an exponent, found by one
+    stable sort of the exponents, go through _pow_by.  Each domain rule keeps
+    one mask, in the order _pow_by checks them: one exponent applies at a
+    point, so its own order holds there."""
+    bases, flat = base.ravel(), expo.ravel()
+    value = np.empty_like(bases)
+    masks = {reason: np.zeros(flat.shape, dtype=bool) for reason in (
         "zero base with negative exponent", "non-integer power of non-positive base",
         "pow overflow")}
-    for e in np.unique(expo):
-        at = expo == e if e == e else np.isnan(expo)
-        value[at], part = _pow_by(base[at], float(e))
+    order = np.argsort(flat, kind="stable")
+    exponents, starts = np.unique(flat[order], return_index=True)
+    for e, at in zip(exponents, np.split(order, starts[1:])):
+        value[at], part = _pow_by(bases[at], float(e))
         for bad, reason in part:
             masks[reason][at] = bad
-    return value, [(bad, reason) for reason, bad in masks.items()]
+    return value.reshape(base.shape), [(bad.reshape(base.shape), reason)
+                                       for reason, bad in masks.items()]
 
 
 def _trig(ufunc):
@@ -549,7 +553,9 @@ def differentiate(e, i):
         dv = differentiate(e.right, i)
         if _zero(du, dv):
             return ZERO
-        inner = add(mul(dv, apply("log", e.left)), div(mul(e.right, du), e.left))
+        inner = mul(dv, apply("log", e.left))
+        if not _zero(du):
+            inner = add(inner, div(mul(e.right, du), e.left))
         return mul(pow_(e.left, e.right), inner)
     if t is Apply:
         du = differentiate(e.arg, i)

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newcart.errors import DomainError, ExprSyntaxError, NewcartError, UnknownIdentifier
-from newcart.expr import (FUNCTIONS, Const, Coord, Pow, Sub, add, apply, compile,
-                          differentiate, div, evaluate, mul, neg, parse_expr, pow_, sub,
-                          to_string)
+from newcart.expr import (FUNCTIONS, Const, Coord, Pow, Sub, _pow, _pow_by, add, apply,
+                          compile, differentiate, div, evaluate, mul, neg, parse_expr, pow_,
+                          sub, to_string)
 
 NAMES = ("t", "x")
 
@@ -175,6 +175,30 @@ def test_a_runtime_power_keeps_one_mask_per_domain_rule():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 1024 * 1024
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_runtime_power_is_the_per_point_power_bit_for_bit(seed):
+    # exponents grouped by one sort: NaN, signed zeros, integers, repeats and
+    # zero bases included; each point must read as _pow_by at its own exponent
+    rng = np.random.default_rng(seed)
+    expo = rng.choice([np.nan, 0.0, -0.0, 1.0, 2.0, -1.0, -3.0, 0.5, 70.0, np.inf], (3, 40))
+    expo[1] = rng.uniform(-4.0, 4.0, 40)
+    base = rng.choice([0.0, -0.0, -2.0, 0.5, 3.0, 1e200, np.nan, -np.inf], (3, 40))
+    with np.errstate(all="ignore"):
+        value, checks = _pow(base, expo)
+        for k, (b, e) in enumerate(zip(base.ravel(), expo.ravel())):
+            want, part = _pow_by(np.array([b]), float(e))
+            assert value.ravel()[k].tobytes() == want.tobytes()
+            held = {reason: bool(bad[0]) for bad, reason in part}
+            assert [bool(bad.ravel()[k]) for bad, _ in checks] == [
+                held.get(reason, False) for _, reason in checks]
+    program = compile(parse_expr("x^t", NAMES))
+    _, _, err = program.run(np.column_stack([expo.ravel(), base.ravel()]))
+    with np.errstate(all="ignore"):
+        first = next((k, reason) for k, (b, e) in enumerate(zip(base.ravel(), expo.ravel()))
+                     for bad, reason in _pow_by(np.array([b]), float(e))[1] if bad[0])
+    assert (err.point, err.reason) == first
 
 
 def test_a_zero_base_with_a_negative_runtime_exponent_is_named_before_overflow():
@@ -374,3 +398,12 @@ def test_differentiate_general_power():
     assert abs(evaluate(d, (3.0, 2.0)) - 3.0 * 4.0) < 1e-12
     dt = differentiate(e, 0)  # x^t log x
     assert abs(evaluate(dt, (3.0, 2.0)) - 8.0 * math.log(2.0)) < 1e-12
+
+
+def test_a_runtime_power_whose_base_does_not_vary_has_no_quotient_term():
+    # d/dt x^t is x^t*log(x): no 0.0/x slot, and log(x) still names the fault
+    d = differentiate(parse_expr("x^t", NAMES), 0)
+    assert to_string(d, NAMES) == "x^t*log(x)"
+    for point in ((2.0, 0.0), (2.0, -1.0)):
+        _, _, err = compile(d).run(np.array([point]))
+        assert str(err) == "log of non-positive argument in 'log(x1)'"
