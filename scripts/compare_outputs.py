@@ -11,6 +11,13 @@ are the commands, per scenario:
 - `geodesic` (a seeded velocity) and `flow` from the same 3 starts, with
   `--t1 0.5 --dt 0.01`.
 
+Those curves end `completed` or `left_domain`.  The fixtures (FIXTURES,
+written as text) add one curve each that ends otherwise: flows whose z
+fails at the last state, mid-run or at the start, one whose z is
+undefined only outside the box it leaves, a geodesic whose metric fails
+(`evaluation_failure`) and one whose [christoffel] table blows up
+(`numeric_failure`).
+
 Each checkout then runs every command in one fresh process
 (`PYTHONPATH=<checkout>/src`) through `newcart.cli.main`, and keeps, per
 command, its exit code, stdout and stderr in `<command>.txt` beside the
@@ -39,7 +46,51 @@ from pathlib import Path
 BUNDLED = ("bad_frame", "bad_observer", "curvedh", "flat", "grav", "rot", "twist",
            "zero_connection_curvedh")
 SYNTHETIC = {f"synthetic_m{m}_s{seed}": (m, seed) for m in range(2, 6) for seed in (1, 7)}
-SCENARIOS = BUNDLED + tuple(SYNTHETIC)
+# a 2-d chart (t, x) with a unit clock form and frame; z, h11, the box and
+# an optional extra section vary
+FIXTURE = """[spacetime]
+dim = 2
+coords = t, x
+[omega]
+O = 1, 0
+[observer]
+z = 1, {z}
+[frame]
+E1 = 0, 1
+[metric]
+h11 = {h11}
+{extra}[domain]
+box = {box}
+samples = 10
+seed = 1
+"""
+# the flows' z: +-exp(t) plus a zero term that is undefined below LEAVES or above ENTERS
+LEAVES, ENTERS = 0.027372805019272528, 3.4726271949807272
+DEFINED_ABOVE = f"sqrt(x - {LEAVES}) - sqrt(x - {LEAVES})"
+DEFINED_BELOW = f"sqrt({ENTERS} - x) - sqrt({ENTERS} - x)"
+FLOW = ("flow", "--dt=0.5")
+# name: (the FIXTURE fields, the command and its options)
+FIXTURES = {
+    "edge_flow_left_domain": (
+        dict(z=f"-exp(t) + {DEFINED_ABOVE}", h11="1", extra="", box=f"-5 5, {LEAVES} 20"),
+        (*FLOW, "--from=0,3.5", "--t1=3")),
+    "edge_flow_fails_midway": (
+        dict(z=f"exp(t) + {DEFINED_BELOW}", h11="1", extra="", box="-5 5, -20 20"),
+        (*FLOW, "--from=0,0", "--t1=3")),
+    "edge_flow_fails_at_the_last_state": (
+        dict(z=f"exp(t) + {DEFINED_BELOW}", h11="1", extra="", box="-5 5, -20 20"),
+        (*FLOW, "--from=0,0", "--t1=1.5")),
+    "edge_flow_undefined_at_the_start": (
+        dict(z="0.1*sqrt(x)", h11="1 + x^2/10", extra="", box="0 1, -1 1"),
+        ("flow", "--from=0.3,-0.5", "--t1=0.3", "--dt=0.05")),
+    "edge_geodesic_sqrt_metric": (
+        dict(z="0", h11="1 + sqrt(x)", extra="", box="0 1, -1 1"),
+        ("geodesic", "--from=0,0.05", "--vel=0,-1", "--t1=1", "--dt=0.01")),
+    "edge_geodesic_blow_up": (
+        dict(z="0", h11="1", extra="[christoffel]\nC1_11 = -1\n", box="-0.5 3, -1e300 1e300"),
+        ("geodesic", "--from=0,0", "--vel=0,1", "--t1=2", "--dt=0.01")),
+}
+SCENARIOS = BUNDLED + tuple(SYNTHETIC) + tuple(FIXTURES)
 CURVE = ["--t1=0.5", "--dt=0.01"]
 DIFF_LINES = 20
 
@@ -59,6 +110,12 @@ def write_scenarios(directory, names):
     commands, directory = [], Path(directory).resolve()
     for name in names:
         path = directory / f"{name}.scn"
+        if name in FIXTURES:
+            fields, (command, *options) = FIXTURES[name]
+            path.write_text(FIXTURE.format(**fields), encoding="utf-8")
+            commands.append([f"{command}-{name}", [command, str(path), *options,
+                                                   f"--out={command}-{name}.csv"]])
+            continue
         if name in SYNTHETIC:
             from synth import synthetic_text
             path.write_text(synthetic_text(*SYNTHETIC[name]), encoding="utf-8")

@@ -34,6 +34,7 @@ OWN_TEST = "tests/test_mutants.py"
 CONNECTION, GEOMETRY = "src/newcart/connection.py", "src/newcart/geometry.py"
 VERIFY, EXPR = "src/newcart/verify.py", "src/newcart/expr.py"
 SCENARIO, CLI = "src/newcart/scenario.py", "src/newcart/cli.py"
+DYNAMICS = "src/newcart/dynamics.py"
 
 MUTANTS = [
     # the finite-difference check ignores the domain box
@@ -97,6 +98,12 @@ MUTANTS = [
      "return FUNCTION_DERIVATIVES[e.fn](e.arg, du)"),
     # abbreviated options accepted again
     (CLI, "partial(sub.add_parser, allow_abbrev=False)", "sub.add_parser"),
+    # a flow's velocity read from y[m:], not the first stage; a completed flow
+    # kept as completed where z fails at its last state; each CSV row written
+    # from the state before it
+    (DYNAMICS, "y[m:] if len(y) > m else k1", "y[m:]"),
+    (DYNAMICS, "if termination == COMPLETED:", "if termination is None:"),
+    (DYNAMICS, "self.fh.write(_row(state))", "self.fh.write(_row(self.last or state))"),
 ]
 
 

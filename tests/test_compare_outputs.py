@@ -2,6 +2,7 @@
 and names each output that one changed line moves."""
 
 import importlib.util
+import re
 import shutil
 from pathlib import Path
 
@@ -34,3 +35,23 @@ def test_a_changed_line_in_the_report_table_exits_1_and_names_what_it_moved(tmp_
         "differs: check-flat-torsion-free.txt", "differs: check-flat.txt",
         "2 of 22 outputs differ"]
     assert "    -overall: pass" in out and "    +overall:: pass" in out
+
+
+def test_the_command_set_ends_curves_in_every_termination(tmp_path):
+    scenarios, out = tmp_path / "scenarios", tmp_path / "out"
+    scenarios.mkdir()
+    out.mkdir()
+    compare_outputs._python([ROOT / "src", ROOT / "benchmarks"], "--write-scenarios", scenarios,
+                            "--scenario", "flat", *compare_outputs.FIXTURES)
+    compare_outputs._python([ROOT / "src"], "--run", scenarios, out)
+    ends = {path.stem: re.search(r"termination: (\w+)", path.read_text(encoding="utf-8"))[1]
+            for path in out.glob("*.txt") if path.name.startswith(("geodesic-", "flow-"))}
+    assert set(ends.values()) == {"completed", "left_domain", "evaluation_failure",
+                                  "numeric_failure"}
+    assert {name: end for name, end in ends.items() if "edge_" in name} == {
+        "flow-edge_flow_left_domain": "left_domain",
+        "flow-edge_flow_fails_midway": "evaluation_failure",
+        "flow-edge_flow_fails_at_the_last_state": "evaluation_failure",
+        "flow-edge_flow_undefined_at_the_start": "evaluation_failure",
+        "geodesic-edge_geodesic_sqrt_metric": "evaluation_failure",
+        "geodesic-edge_geodesic_blow_up": "numeric_failure"}
