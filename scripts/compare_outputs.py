@@ -13,8 +13,9 @@ are the commands, per scenario:
 
 Those curves end `completed` or `left_domain`.  The fixtures (FIXTURES,
 written as text) add one curve each that ends otherwise: flows whose z
-fails at the last state, mid-run or at the start, one whose z is
-undefined only outside the box it leaves, a geodesic whose metric fails
+fails at the last state, at a state mid-run, inside a step (at a later
+RK4 stage) or at the start, one whose z is undefined only outside the
+box it leaves, a geodesic whose metric fails
 (`evaluation_failure`) and one whose [christoffel] table blows up
 (`numeric_failure`).
 
@@ -68,18 +69,16 @@ seed = 1
 LEAVES, ENTERS = 0.027372805019272528, 3.4726271949807272
 DEFINED_ABOVE = f"sqrt(x - {LEAVES}) - sqrt(x - {LEAVES})"
 DEFINED_BELOW = f"sqrt({ENTERS} - x) - sqrt({ENTERS} - x)"
-FLOW = ("flow", "--dt=0.5")
+# x(t) = exp(t) - 1 from x = 0 passes ENTERS between t = 1.45 and 1.5
+RISES = dict(z=f"exp(t) + {DEFINED_BELOW}", h11="1", extra="", box="-5 5, -20 20")
 # name: (the FIXTURE fields, the command and its options)
 FIXTURES = {
     "edge_flow_left_domain": (
         dict(z=f"-exp(t) + {DEFINED_ABOVE}", h11="1", extra="", box=f"-5 5, {LEAVES} 20"),
-        (*FLOW, "--from=0,3.5", "--t1=3")),
-    "edge_flow_fails_midway": (
-        dict(z=f"exp(t) + {DEFINED_BELOW}", h11="1", extra="", box="-5 5, -20 20"),
-        (*FLOW, "--from=0,0", "--t1=3")),
-    "edge_flow_fails_at_the_last_state": (
-        dict(z=f"exp(t) + {DEFINED_BELOW}", h11="1", extra="", box="-5 5, -20 20"),
-        (*FLOW, "--from=0,0", "--t1=1.5")),
+        ("flow", "--from=0,3.5", "--t1=3", "--dt=0.5")),
+    "edge_flow_fails_at_a_state": (RISES, ("flow", "--from=0,0", "--t1=3", "--dt=0.5")),
+    "edge_flow_fails_inside_a_step": (RISES, ("flow", "--from=0,0", "--t1=3", "--dt=0.05")),
+    "edge_flow_fails_at_the_last_state": (RISES, ("flow", "--from=0,0", "--t1=1.5", "--dt=0.5")),
     "edge_flow_undefined_at_the_start": (
         dict(z="0.1*sqrt(x)", h11="1 + x^2/10", extra="", box="0 1, -1 1"),
         ("flow", "--from=0.3,-0.5", "--t1=0.3", "--dt=0.05")),

@@ -50,8 +50,13 @@ def test_the_command_set_ends_curves_in_every_termination(tmp_path):
                                   "numeric_failure"}
     assert {name: end for name, end in ends.items() if "edge_" in name} == {
         "flow-edge_flow_left_domain": "left_domain",
-        "flow-edge_flow_fails_midway": "evaluation_failure",
+        "flow-edge_flow_fails_at_a_state": "evaluation_failure",
+        "flow-edge_flow_fails_inside_a_step": "evaluation_failure",
         "flow-edge_flow_fails_at_the_last_state": "evaluation_failure",
         "flow-edge_flow_undefined_at_the_start": "evaluation_failure",
         "geodesic-edge_geodesic_sqrt_metric": "evaluation_failure",
         "geodesic-edge_geodesic_blow_up": "numeric_failure"}
+    # z fails at the last state's own point, or only at a later stage of its step
+    last = {name: (out / f"flow-edge_flow_fails_{name}.csv").read_text().splitlines()[-1]
+            for name in ("at_a_state", "inside_a_step")}
+    assert last["at_a_state"].endswith("nan, nan") and "nan" not in last["inside_a_step"]

@@ -169,11 +169,42 @@ def test_spatial_speed_constant_under_pure_rotation():
     assert abs(vals[-1] - dense[-1]) <= 1e-6
 
 
+def _blow_up():
+    """vdot^x = (v^x)^2 from a table; the box is large enough that overflow
+    happens before the domain exit."""
+    S, m = flat_structure(box=((-0.5, 3.0), (-1e300, 1e300))), 2
+    table = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
+    table[1][1][1] = Const(-1.0)
+    table = tuple(tuple(tuple(r) for r in pl) for pl in table)
+    return connection_from_exprs(S, flat_observer(), table), [0.0, 0.0], [0.0, 1.0], 2.0
+
+
+def _sqrt_metric():
+    """The metric leaves its domain at x < 0; the curve heads there at unit speed."""
+    S = dataclasses.replace(curvedh_structure(), metric=((parse_expr("1 + sqrt(x)", NAMES2),),))
+    C = build_connection(S, flat_observer(), ConnectionData.zero(1))
+    return C, [0.0, 0.05], [0.0, -1.0], 1.0
+
+
+# termination: (connection, x0, v0, tau1) of a free fall from 0 in steps of 1e-2
+GEODESICS = {
+    COMPLETED: lambda: (build_connection(flat_structure(), flat_observer(), gravity_data(9.8)),
+                        [0.0, 0.0], [1.0, 0.5], 0.2),
+    LEFT_DOMAIN: lambda: (build_connection(flat_structure(box=((0.0, 1.5), (-0.2, 0.2))),
+                                           flat_observer(), ConnectionData.zero(1)),
+                          [0.0, 0.0], [1.0, 1.0], 1.0),
+    NUMERIC_FAILURE: _blow_up,
+    EVALUATION_FAILURE: _sqrt_metric,
+}
+
+
+def _geodesic(termination, states=None):
+    C, x0, v0, tau1 = GEODESICS[termination]()
+    return integrate_geodesic(C, np.array(x0), np.array(v0), 0.0, tau1, 1e-2, states)
+
+
 def test_left_domain_termination():
-    S, z = flat_structure(box=((0.0, 1.5), (-0.2, 0.2))), flat_observer()
-    C = build_connection(S, z, ConnectionData.zero(1))
-    traj = integrate_geodesic(C, np.array([0.0, 0.0]), np.array([1.0, 1.0]),
-                              0.0, 1.0, 1e-2)
+    traj = _geodesic(LEFT_DOMAIN)
     assert traj.termination == LEFT_DOMAIN
     inside = traj.states[:-1]
     for st in inside:
@@ -182,34 +213,23 @@ def test_left_domain_termination():
 
 
 def test_numeric_failure_keeps_states_finite():
-    # box large enough that overflow happens before the domain exit
-    S, z = flat_structure(box=((-0.5, 3.0), (-1e300, 1e300))), flat_observer()
-    m = 2
-    table = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
-    table[1][1][1] = Const(-1.0)   # vdot^x = (v^x)^2, finite-time blowup
-    C = connection_from_exprs(S, z, tuple(tuple(tuple(r) for r in pl) for pl in table))
-    traj = integrate_geodesic(C, np.array([0.0, 0.0]), np.array([0.0, 1.0]),
-                              0.0, 2.0, 1e-2)
+    traj = _geodesic(NUMERIC_FAILURE)
     assert traj.termination == NUMERIC_FAILURE
     for st in traj.states:
         assert np.all(np.isfinite(st.position)) and np.all(np.isfinite(st.velocity))
 
 
 def test_evaluation_failure_keeps_earlier_states():
-    # the metric leaves its domain at x < 0; the curve heads there at unit speed
-    S = dataclasses.replace(curvedh_structure(),
-                            metric=((parse_expr("1 + sqrt(x)", NAMES2),),))
-    C = build_connection(S, flat_observer(), ConnectionData.zero(1))
-    x0, v0 = np.array([0.0, 0.05]), np.array([0.0, -1.0])
-    traj = integrate_geodesic(C, x0, v0, 0.0, 1.0, 1e-2)
+    C, x0, v0, _ = GEODESICS[EVALUATION_FAILURE]()
+    traj = _geodesic(EVALUATION_FAILURE)
     assert traj.termination == EVALUATION_FAILURE
     assert isinstance(traj.error, DomainError)
     assert len(traj.states) == 5
     assert [st.tau for st in traj.states] == pytest.approx([0.0, 0.01, 0.02, 0.03, 0.04])
     assert all(st.position[1] > 0.0 for st in traj.states)
     # the same states and the same error as free fall on the full Gamma table
-    want = dynamics._integrate(christoffel_accel(C), S.domain_box, np.concatenate([x0, v0]),
-                               0.0, 1.0, 1e-2)
+    want = dynamics._integrate(christoffel_accel(C), C.structure.domain_box,
+                               np.concatenate([x0, v0]), 0.0, 1.0, 1e-2)
     assert want.termination == traj.termination
     assert type(traj.error) is type(want.error) and str(traj.error) == str(want.error)
     assert [(st.tau, st.position.tolist(), st.velocity.tolist()) for st in traj.states] == [
@@ -300,38 +320,11 @@ def test_trajectory_csv_format():
     assert last[4] == traj.final.velocity[1]
 
 
-def _blow_up():
-    """vdot^x = (v^x)^2 from a table: overflow before the (huge) box is left."""
-    S, m = flat_structure(box=((-0.5, 3.0), (-1e300, 1e300))), 2
-    table = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
-    table[1][1][1] = Const(-1.0)
-    table = tuple(tuple(tuple(r) for r in pl) for pl in table)
-    return connection_from_exprs(S, flat_observer(), table), [0.0, 0.0], [0.0, 1.0], 2.0
-
-
-def _sqrt_metric():
-    S = dataclasses.replace(curvedh_structure(), metric=((parse_expr("1 + sqrt(x)", NAMES2),),))
-    return build_connection(S, flat_observer(), ConnectionData.zero(1)), [0.0, 0.05], [0.0, -1.0], 1.0
-
-
-GEODESICS = {
-    COMPLETED: lambda: (build_connection(flat_structure(), flat_observer(), gravity_data(9.8)),
-                        [0.0, 0.0], [1.0, 0.5], 0.2),
-    LEFT_DOMAIN: lambda: (build_connection(flat_structure(box=((0.0, 1.5), (-0.2, 0.2))),
-                                           flat_observer(), ConnectionData.zero(1)),
-                          [0.0, 0.0], [1.0, 1.0], 1.0),
-    NUMERIC_FAILURE: _blow_up,
-    EVALUATION_FAILURE: _sqrt_metric,
-}
-
-
 @pytest.mark.parametrize("termination", GEODESICS)
 def test_a_geodesic_into_csv_rows_has_the_list_runs_states(termination):
-    C, x0, v0, tau1 = GEODESICS[termination]()
-    args = (C, np.array(x0), np.array(v0), 0.0, tau1, 1e-2)
-    want, fh = integrate_geodesic(*args), io.StringIO()
+    want, fh = _geodesic(termination), io.StringIO()
     rows = dynamics.CsvRows(fh, 2)
-    traj = integrate_geodesic(*args, states=rows)
+    traj = _geodesic(termination, rows)
     assert want.termination == termination and traj.states is rows
     assert (traj.termination, type(traj.error), str(traj.error)) == (
         want.termination, type(want.error), str(want.error))
