@@ -103,7 +103,14 @@ MUTANTS = [
     # from the state before it
     (DYNAMICS, "y[m:] if len(y) > m else k1", "y[m:]"),
     (DYNAMICS, "if termination == COMPLETED:", "if termination is None:"),
-    (DYNAMICS, "self.fh.write(_row(state))", "self.fh.write(_row(self.last or state))"),
+    (DYNAMICS, "self.fh.write(_row(state))",
+     "self.fh.write(_row(getattr(self, 'before', state)))\n        self.before = state"),
+    # free fall's stage pairs: X4 formed from V2, not V3; a pair's second
+    # stage reading the first position's state; a faulted pair raising its
+    # batched error instead of running its stages one point at a time
+    (DYNAMICS, "y[:m] + dtau * y3[m:]", "y[:m] + dtau * k2[:m]"),
+    (DYNAMICS, "for i in (0, 1)]", "for i in (0, 0)]"),
+    (DYNAMICS, "except NewcartError:  # one point", "except ArithmeticError:  # one point"),
 ]
 
 

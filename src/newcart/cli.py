@@ -152,7 +152,7 @@ def _write_curve(S, path, integrate, *args):
     print(f"{rows.count} states, termination: {traj.termination}")
     if traj.error is not None:
         print(f"error: {_error_text(traj.error, S.coord_names)}", file=sys.stderr)
-    print("final position: " + ", ".join(repr(float(c)) for c in rows.last.position))
+    print("final position: " + ", ".join(repr(float(c)) for c in traj.final.position))
     return CHECK_FAILED if traj.termination in dynamics.FAILURES else 0
 
 

@@ -35,7 +35,9 @@ compatibility, the torsion-clock identity, and the data round trip must
 all hold on every scenario.
 
 Free fall reads only the spray Gamma^k_ij v^i v^j, so `spray_of`
-contracts the reduced relation with X = Y = v before the solve.  The
+contracts the reduced relation with X = Y = v before the solve, on a
+state without Gamma that depends on the point alone
+(`Connection.spray_state`, read by `Connection.spray_at`).  The
 Theta^a_ij h_ab term is antisymmetric in (i, j) and drops out; with
 w(v) = w_i v^i and tau(v, v) = v^i v^j d_i w_j what is left of
 v^i v^j 2<P(nabla_i d_j), E_b> is
@@ -247,10 +249,11 @@ class Connection:
     number of points asked for.
 
     `spray(x, v)` takes points x and velocities v (..., m) and returns
-    Gamma^k_ij v^i v^j (..., m), all free fall reads.  A built connection
-    runs the program and `spatial_state` as `state` does, then `spray_of`,
-    so no Gamma table is formed; a user table contracts `christoffel(x)`.
-    It raises what `christoffel` raises at the same points.
+    Gamma^k_ij v^i v^j (..., m), all free fall reads, as
+    `spray_at(spray_state(x), v)`: `spray_state` is the program run and
+    `spatial_state`, as in `state`, and `spray_at` is `spray_of`, so no
+    Gamma table is formed, or a user table's contraction.  It raises what
+    `christoffel` raises at the same points.
     """
 
     def __init__(self, structure, observer, data=None, gamma_exprs=None):
@@ -317,14 +320,24 @@ class Connection:
     def christoffel(self, p):
         return self.state(p)["gamma"]
 
-    def spray(self, x, v):
-        x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-        if not self.is_built:
-            return np.einsum("...kij,...i,...j->...k", self.christoffel(x), v, v)
+    def spray_state(self, x):
+        """One program run at points x (..., m), raising its error, and
+        `spatial_state`: what `spray_at` reads, a user table's gamma included."""
+        x = np.asarray(x, dtype=float)
         values, _, error = self.program.run(x)
         if error is not None:
             raise error
-        return spray_of(spatial_state(values, x), v)
+        return spatial_state(values, x)
+
+    def spray_at(self, state, v):
+        """Gamma^k_ij v^i v^j at the points of a `spray_state`, for v (..., m)."""
+        v = np.asarray(v, dtype=float)
+        if self.is_built:
+            return spray_of(state, v)
+        return np.einsum("...kij,...i,...j->...k", state["gamma"], v, v)
+
+    def spray(self, x, v):
+        return self.spray_at(self.spray_state(x), v)
 
 
 def build_connection(structure, observer, data=None):

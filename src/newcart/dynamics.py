@@ -2,22 +2,29 @@
 
 Both are one first-order system y' = f(y) whose state's first m entries
 are the position and the rest the velocity.  Free fall is y = (x, v) with
-f(y) = (v, -Gamma^k_ij v^i v^j) over the curve parameter; each RK4 stage
-reads the connection's spray, `Connection.spray(x, v)`, so no stage forms
-a Gamma table.  A flow line is y = x with the compiled observer field z as
-f, and its velocities are z at the states, nan only at a last state where z
-is undefined.  Steps are uniform; leaving the domain box is a normal
-termination.  A non-finite state ends the trajectory with reason
+f(y) = (v, -Gamma^k_ij v^i v^j) over the curve parameter, read from the
+connection's spray, so no stage forms a Gamma table.  The positions of a
+step's RK4 stages come in pairs, x and x + dtau/2 v, then x + dtau/2 V2
+and x + dtau V3 once stage 2 is done, so the connection's position part
+(`Connection.spray_state`) runs once per pair, twice per step, with the
+bits of plain RK4; where a pair's run raises, its stages run one point at
+a time through `Connection.spray`, so the error is a one-point stage's.  A
+flow line is y = x with the compiled observer field z as f, stepped by
+plain RK4, and its velocities are z at the states, nan only at a last
+state where z is undefined.  Steps are uniform; leaving the domain box is
+a normal termination.  A non-finite state ends the trajectory with reason
 "numeric_failure"; an error raised by the right-hand side (say sqrt of a
 negative value, or a singular metric) ends it with "evaluation_failure"
 and is kept on the trajectory.  Either way the failed step is discarded
 and every earlier state kept.  Each state goes to `states.append` once its
-velocity is known: a new list by default, or `CsvRows`, which keeps none.
+velocity is known: a new list by default, or `CsvRows`, which keeps none;
+the trajectory holds the last one as `final`, whatever the sink.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -41,19 +48,42 @@ class CurveState:
 @dataclass
 class Trajectory:
     states: list[CurveState] | CsvRows
+    final: CurveState
     termination: str
     error: NewcartError | None = None
 
-    @property
-    def final(self):
-        return self.states[-1]
 
-
-def _rk4_step(f, y, dtau, k1):
+def _rk4_step(f, y, dtau):
+    """One classical RK4 step of y' = f(y): (f(y), the next y)."""
+    k1 = f(y)
     k2 = f(y + 0.5 * dtau * k1)
     k3 = f(y + 0.5 * dtau * k2)
     k4 = f(y + dtau * k3)
-    return y + (dtau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return k1, y + (dtau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _free_fall_step(connection, y, dtau):
+    """`_rk4_step` of free fall from y = (x, v), its stage positions in pairs."""
+    m = len(y) // 2
+    k1, k2 = _stage_pair(connection, y, y, y[:m] + 0.5 * dtau * y[m:], 0.5 * dtau)
+    y3 = y + 0.5 * dtau * k2
+    k3, k4 = _stage_pair(connection, y, y3, y[:m] + dtau * y3[m:], dtau)
+    return k1, y + (dtau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _stage_pair(connection, y, ya, xb, c):
+    """Free fall's k = (V, -spray(X, V)) at two RK4 stages from y: at ya, then
+    at y + c k_a, whose position xb is known before either runs."""
+    m = len(y) // 2
+    try:
+        state = connection.spray_state(np.stack([ya[:m], xb]))
+        sprays = [partial(connection.spray_at, {key: a[i] for key, a in state.items()})
+                  for i in (0, 1)]
+    except NewcartError:  # one point at a time, so a fault is named as one point's
+        sprays = [partial(connection.spray, ya[:m]), partial(connection.spray, xb)]
+    ka = np.concatenate([ya[m:], -sprays[0](ya[m:])])
+    yb = y + c * ka
+    return ka, np.concatenate([yb[m:], -sprays[1](yb[m:])])
 
 
 def step_count(tau0, tau1, dtau):
@@ -64,8 +94,9 @@ def step_count(tau0, tau1, dtau):
     return int(count)
 
 
-def _integrate(f, box, y0, tau0, tau1, dtau, states=None):
-    """Trajectory of y' = f(y) into `states`; positions are views of y[:len(box)]."""
+def _integrate(f, box, y0, tau0, tau1, dtau, states=None, step=_rk4_step):
+    """Trajectory of y' = f(y) into `states`, where `step(f, y, dtau)` gives
+    f(y) and the next y; positions are views of y[:len(box)]."""
     if dtau <= 0.0:
         raise ValueError("step size must be positive")
     if tau1 <= tau0:
@@ -74,18 +105,15 @@ def _integrate(f, box, y0, tau0, tau1, dtau, states=None):
     y, tau, termination, error = np.array(y0, dtype=float), tau0, COMPLETED, None
     for k in range(1, step_count(tau0, tau1, dtau) + 1):
         try:
-            k1 = f(y)
+            k1, y_next = step(f, y, dtau)
         except NewcartError as err:
             termination, error = EVALUATION_FAILURE, err
             break
-        states.append(CurveState(tau, y[:m], y[m:] if len(y) > m else k1))
-        try:
-            y = _rk4_step(f, y, dtau, k1)
-        except NewcartError as err:
-            return Trajectory(states, EVALUATION_FAILURE, err)
-        if not np.isfinite(y).all():
-            return Trajectory(states, NUMERIC_FAILURE)
-        tau = tau0 + k * dtau
+        state = CurveState(tau, y[:m], y[m:] if len(y) > m else k1)
+        states.append(state)
+        if not np.isfinite(y_next).all():
+            return Trajectory(states, state, NUMERIC_FAILURE)
+        y, tau = y_next, tau0 + k * dtau
         if any(c < lo or c > hi for (lo, hi), c in zip(box, y)):
             termination = LEFT_DOMAIN
             break
@@ -98,19 +126,15 @@ def _integrate(f, box, y0, tau0, tau1, dtau, states=None):
             velocity = np.full(m, np.nan)
             if termination == COMPLETED:
                 termination, error = EVALUATION_FAILURE, err
-    states.append(CurveState(tau, y[:m], velocity))
-    return Trajectory(states, termination, error)
+    state = CurveState(tau, y[:m], velocity)
+    states.append(state)
+    return Trajectory(states, state, termination, error)
 
 
 def integrate_geodesic(connection, x0, v0, tau0, tau1, dtau, states=None):
     """Integrate the auto-parallel curve of a connection from (x0, v0)."""
-    box = connection.structure.domain_box
-    m = len(box)
-
-    def accel(y):
-        return np.concatenate([y[m:], -connection.spray(y[:m], y[m:])])
-
-    return _integrate(accel, box, np.concatenate([x0, v0]), tau0, tau1, dtau, states)
+    return _integrate(connection, connection.structure.domain_box, np.concatenate([x0, v0]),
+                      tau0, tau1, dtau, states, _free_fall_step)
 
 
 def integrate_observer_flow(structure, observer, x0, tau0, tau1, dtau, states=None):
@@ -139,12 +163,12 @@ def trajectory_csv(trajectory, m):
 
 
 class CsvRows:
-    """Writes a CSV header to `fh`, then a row per appended state; keeps `count`, `last`."""
+    """Writes a CSV header to `fh`, then a row per appended state; keeps their `count`."""
 
     def __init__(self, fh, m):
-        self.fh, self.count, self.last = fh, 0, None
+        self.fh, self.count = fh, 0
         fh.write(_header(m))
 
     def append(self, state):
         self.fh.write(_row(state))
-        self.count, self.last = self.count + 1, state
+        self.count += 1

@@ -16,8 +16,9 @@ from newcart.connection import (ConnectionData, build_connection,
 from newcart.dynamics import (COMPLETED, EVALUATION_FAILURE, LEFT_DOMAIN,
                               NUMERIC_FAILURE, integrate_geodesic,
                               integrate_observer_flow, trajectory_csv)
-from newcart.errors import DomainError
+from newcart.errors import DomainError, NewcartError
 from newcart.expr import Const, ZERO, parse_expr
+from newcart.expr import Program
 from newcart.expr import compile as compile_exprs
 from newcart.geometry import ObserverField, SpacetimeStructure
 from newcart.scenario import bundled_scenario_path, load_scenario
@@ -280,6 +281,62 @@ def test_observer_flow_steps_as_the_pairwise_reference(name):
                       states, termination, error)
 
 
+def _first_faulting_stage(C, y, dtau):
+    """(stage, position) of the first RK4 stage of free fall from y at which
+    the full-table right-hand side raises, or None."""
+    f, m = christoffel_accel(C), C.structure.dim
+    k = f(y)
+    for stage, c in ((2, 0.5), (3, 0.5), (4, 1.0)):
+        y_stage = y + c * dtau * k
+        try:
+            k = f(y_stage)
+        except NewcartError:
+            return stage, y_stage[:m]
+    return None
+
+
+@pytest.mark.parametrize("start,stage", [(0.033, 2), (0.038, 4)])
+def test_a_faulted_stage_pair_keeps_the_one_point_error(start, stage):
+    # h11 = 1 + sqrt(x) fails at x < 0: first at the second position of the
+    # step's first stage pair, or of its second, where a run over the pair
+    # would name point 1
+    C, _, v0, _ = _sqrt_metric()
+    x0 = np.array([0.0, start])
+    traj = integrate_geodesic(C, x0, np.array(v0), 0.0, 1.0, 1e-2)
+    last = traj.final
+    faulted, position = _first_faulting_stage(
+        C, np.concatenate([last.position, last.velocity]), 1e-2)
+    assert faulted == stage
+    with pytest.raises(DomainError) as one_point:
+        C.spray(position, np.ones(2))
+    assert one_point.value.point == 0
+    assert (type(traj.error), str(traj.error), traj.error.point, traj.error.subexpression) == (
+        DomainError, str(one_point.value), 0, one_point.value.subexpression)
+    want = dynamics._integrate(christoffel_accel(C), C.structure.domain_box,
+                               np.concatenate([x0, v0]), 0.0, 1.0, 1e-2)
+    _assert_same_bits(traj, [(st.tau, st.position, st.velocity) for st in want.states],
+                      want.termination, want.error)
+
+
+def test_free_fall_runs_the_program_twice_per_step_at_two_points(monkeypatch):
+    S, z, D = synthetic_case(4, 1)
+    C, runs = build_connection(S, z, D), []
+    run = Program.run
+
+    def counted(self, points):
+        runs.append(np.shape(points))
+        return run(self, points)
+    monkeypatch.setattr(Program, "run", counted)
+    x0, steps = np.array([0.3, 0.1, -0.1, 0.2]), 5
+    traj = integrate_geodesic(C, x0, np.array([1.0, 0.2, -0.3, 0.1]), 0.0, 0.1, 0.1 / steps)
+    assert traj.termination == COMPLETED and len(traj.states) == steps + 1
+    assert runs == [(2, 4)] * (2 * steps)
+    # a flow steps plain RK4: four one-point runs of z per step, and one at its last state
+    runs.clear()
+    traj = integrate_observer_flow(S, z, x0, 0.0, 0.1, 0.1 / steps)
+    assert traj.termination == COMPLETED and runs == [(4,)] * (4 * steps + 1)
+
+
 def test_free_fall_on_a_built_connection_forms_no_gamma_table(monkeypatch):
     S, z, D = synthetic_case(4, 1)
     C = build_connection(S, z, D)
@@ -330,7 +387,22 @@ def test_a_geodesic_into_csv_rows_has_the_list_runs_states(termination):
         want.termination, type(want.error), str(want.error))
     # %.17g round-trips each double, so equal text is equal bits
     assert fh.getvalue() == trajectory_csv(want, 2)
-    last, final = rows.last, want.final
     assert rows.count == len(want.states)
-    assert (last.tau, last.position.tobytes(), last.velocity.tobytes()) == (
+    _assert_same_final(traj, want)
+
+
+def _assert_same_final(traj, want):
+    got, final = traj.final, want.final
+    assert (got.tau, got.position.tobytes(), got.velocity.tobytes()) == (
         final.tau, final.position.tobytes(), final.velocity.tobytes())
+
+
+@pytest.mark.parametrize("name", FLOWS)
+def test_a_flow_into_csv_rows_has_the_list_runs_final(name):
+    S, observer = FLOWS[name]()
+    x0 = np.array([0.05] + [0.3 - 0.5 * i for i in range(1, S.dim)])
+    want = integrate_observer_flow(S, observer, x0, 0.0, 1.2, 0.03)
+    fh = io.StringIO()
+    traj = integrate_observer_flow(S, observer, x0, 0.0, 1.2, 0.03, dynamics.CsvRows(fh, S.dim))
+    assert fh.getvalue() == trajectory_csv(want, S.dim)
+    _assert_same_final(traj, want)
