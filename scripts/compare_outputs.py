@@ -15,8 +15,9 @@ Those curves end `completed` or `left_domain`.  The fixtures (FIXTURES,
 written as text) add one curve each that ends otherwise: flows whose z
 fails at the last state, at a state mid-run, inside a step (at a later
 RK4 stage) or at the start, one whose z is undefined only outside the
-box it leaves, a geodesic whose metric fails
-(`evaluation_failure`) and one whose [christoffel] table blows up
+box it leaves, geodesics whose metric fails (`evaluation_failure`), two
+of them first at the second stage position of a step's first or second
+stage pair, and one whose [christoffel] table blows up
 (`numeric_failure`).
 
 Each checkout then runs every command in one fresh process
@@ -71,6 +72,16 @@ DEFINED_ABOVE = f"sqrt(x - {LEAVES}) - sqrt(x - {LEAVES})"
 DEFINED_BELOW = f"sqrt({ENTERS} - x) - sqrt({ENTERS} - x)"
 # x(t) = exp(t) - 1 from x = 0 passes ENTERS between t = 1.45 and 1.5
 RISES = dict(z=f"exp(t) + {DEFINED_BELOW}", h11="1", extra="", box="-5 5, -20 20")
+# h11 is undefined at x < 0, where a geodesic falling from x = start heads; from
+# 0.033 it fails first at the second position of a step's first pair of RK4
+# stages (stage 2), from 0.038 at that of its second pair (stage 4)
+SQRT_METRIC = dict(z="0", h11="1 + sqrt(x)", extra="", box="0 1, -1 1")
+
+
+def _falls_from(start):
+    return ("geodesic", f"--from=0,{start}", "--vel=0,-1", "--t1=1", "--dt=0.01")
+
+
 # name: (the FIXTURE fields, the command and its options)
 FIXTURES = {
     "edge_flow_left_domain": (
@@ -82,9 +93,9 @@ FIXTURES = {
     "edge_flow_undefined_at_the_start": (
         dict(z="0.1*sqrt(x)", h11="1 + x^2/10", extra="", box="0 1, -1 1"),
         ("flow", "--from=0.3,-0.5", "--t1=0.3", "--dt=0.05")),
-    "edge_geodesic_sqrt_metric": (
-        dict(z="0", h11="1 + sqrt(x)", extra="", box="0 1, -1 1"),
-        ("geodesic", "--from=0,0.05", "--vel=0,-1", "--t1=1", "--dt=0.01")),
+    "edge_geodesic_sqrt_metric": (SQRT_METRIC, _falls_from(0.05)),
+    "edge_geodesic_fails_in_the_first_pair": (SQRT_METRIC, _falls_from(0.033)),
+    "edge_geodesic_fails_in_the_second_pair": (SQRT_METRIC, _falls_from(0.038)),
     "edge_geodesic_blow_up": (
         dict(z="0", h11="1", extra="[christoffel]\nC1_11 = -1\n", box="-0.5 3, -1e300 1e300"),
         ("geodesic", "--from=0,0", "--vel=0,1", "--t1=2", "--dt=0.01")),

@@ -55,6 +55,8 @@ def test_the_command_set_ends_curves_in_every_termination(tmp_path):
         "flow-edge_flow_fails_at_the_last_state": "evaluation_failure",
         "flow-edge_flow_undefined_at_the_start": "evaluation_failure",
         "geodesic-edge_geodesic_sqrt_metric": "evaluation_failure",
+        "geodesic-edge_geodesic_fails_in_the_first_pair": "evaluation_failure",
+        "geodesic-edge_geodesic_fails_in_the_second_pair": "evaluation_failure",
         "geodesic-edge_geodesic_blow_up": "numeric_failure"}
     # z fails at the last state's own point, or only at a later stage of its step
     last = {name: (out / f"flow-edge_flow_fails_{name}.csv").read_text().splitlines()[-1]

@@ -17,8 +17,7 @@ from newcart.dynamics import (COMPLETED, EVALUATION_FAILURE, LEFT_DOMAIN,
                               NUMERIC_FAILURE, integrate_geodesic,
                               integrate_observer_flow, trajectory_csv)
 from newcart.errors import DomainError, NewcartError
-from newcart.expr import Const, ZERO, parse_expr
-from newcart.expr import Program
+from newcart.expr import Const, Program, ZERO, parse_expr
 from newcart.expr import compile as compile_exprs
 from newcart.geometry import ObserverField, SpacetimeStructure
 from newcart.scenario import bundled_scenario_path, load_scenario
