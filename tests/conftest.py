@@ -1,13 +1,26 @@
-"""Shared in-memory structures, data builders, and the brute-force oracle."""
+"""Shared structures, data builders, and the brute-force oracle.
 
-import itertools
+The bundled structures are read from their scenario files, and the
+synthetic ones are drawn by `benchmarks/synth.py`, the generator the
+benchmark times."""
+
+import importlib.util
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from newcart.connection import ConnectionData
 from newcart.expr import evaluate, differentiate, parse_expr
 from newcart.geometry import ObserverField, SpacetimeStructure
+from newcart.scenario import bundled_scenario_path, load_scenario
 from reference import eval_fields, frame_matrix, metric_matrix
+
+# loaded by path: with benchmarks/ on sys.path, its conftest would shadow this one
+_spec = importlib.util.spec_from_file_location(
+    "synth", Path(__file__).resolve().parents[1] / "benchmarks" / "synth.py")
+synth = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(synth)
 
 NAMES2 = ("t", "x")
 NAMES3 = ("t", "x", "y")
@@ -17,64 +30,49 @@ def exprs(names, *texts):
     return tuple(parse_expr(text, names) for text in texts)
 
 
+def bundled(name):
+    """The bundled scenario `name`, loaded from its file."""
+    return load_scenario(bundled_scenario_path(name))
+
+
+def _bundled_structure(name, samples, seed, **change):
+    return replace(bundled(name).structure, sample_count=samples, rng_seed=seed, **change)
+
+
 def flat_structure(samples=30, seed=3, box=((-0.2, 1.5), (-1.0, 1.0))):
-    return SpacetimeStructure(
-        coord_names=NAMES2,
-        omega=exprs(NAMES2, "1", "0"),
-        frame=(exprs(NAMES2, "0", "1"),),
-        metric=((parse_expr("1", NAMES2),),),
-        domain_box=box, sample_count=samples, rng_seed=seed)
+    return _bundled_structure("flat", samples, seed, domain_box=box)
 
 
 def flat_observer():
-    return ObserverField(exprs(NAMES2, "1", "0"))
+    return bundled("flat").observer
 
 
 def curvedh_structure(samples=30, seed=6):
-    return SpacetimeStructure(
-        coord_names=NAMES2,
-        omega=exprs(NAMES2, "1", "0"),
-        frame=(exprs(NAMES2, "0", "1"),),
-        metric=((parse_expr("1 + x^2/10", NAMES2),),),
-        domain_box=((0.0, 1.0), (-1.0, 1.0)), sample_count=samples, rng_seed=seed)
+    return _bundled_structure("curvedh", samples, seed)
 
 
 def rot_structure(samples=25, seed=5):
-    return SpacetimeStructure(
-        coord_names=NAMES3,
-        omega=exprs(NAMES3, "1", "0", "0"),
-        frame=(exprs(NAMES3, "0", "1", "0"), exprs(NAMES3, "0", "0", "1")),
-        metric=((parse_expr("1", NAMES3), parse_expr("0", NAMES3)),
-                (parse_expr("0", NAMES3), parse_expr("1", NAMES3))),
-        domain_box=((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
-        sample_count=samples, rng_seed=seed)
+    return _bundled_structure("rot", samples, seed)
 
 
 def rot_observer():
-    return ObserverField(exprs(NAMES3, "1", "0", "0"))
+    return bundled("rot").observer
 
 
 def twist_structure(samples=25, seed=7):
-    return SpacetimeStructure(
-        coord_names=NAMES3,
-        omega=exprs(NAMES3, "1", "0", "x"),
-        frame=(exprs(NAMES3, "0", "1", "0"), exprs(NAMES3, "-x", "0", "1")),
-        metric=((parse_expr("1", NAMES3), parse_expr("0", NAMES3)),
-                (parse_expr("0", NAMES3), parse_expr("1", NAMES3))),
-        domain_box=((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
-        sample_count=samples, rng_seed=7)
+    return _bundled_structure("twist", samples, seed)
+
+
+def twist_observer():
+    return bundled("twist").observer
 
 
 def mixed_structure(samples=20, seed=9):
-    """Tilted observer, skewed varying metric, non-closed clock form."""
-    return SpacetimeStructure(
-        coord_names=NAMES3,
-        omega=exprs(NAMES3, "1", "0", "x"),
-        frame=(exprs(NAMES3, "0", "1", "0"), exprs(NAMES3, "-x", "0", "1")),
-        metric=((parse_expr("1 + x^2/10", NAMES3), parse_expr("x/4", NAMES3)),
-                (parse_expr("x/4", NAMES3), parse_expr("1", NAMES3))),
-        domain_box=((0.0, 1.0), (-0.8, 0.8), (-1.0, 1.0)),
-        sample_count=samples, rng_seed=seed)
+    """Tilted observer, skewed varying metric, twist's non-closed clock form."""
+    return replace(twist_structure(samples, seed),
+                   metric=((parse_expr("1 + x^2/10", NAMES3), parse_expr("x/4", NAMES3)),
+                           (parse_expr("x/4", NAMES3), parse_expr("1", NAMES3))),
+                   domain_box=((0.0, 1.0), (-0.8, 0.8), (-1.0, 1.0)))
 
 
 def mixed_observer():
@@ -124,49 +122,11 @@ def m4_data():
 
 
 def synthetic_case(m, seed, samples=12):
-    """Seeded (structure, observer, data) at chart dimension m, position-
-    dependent throughout, with every Coriolis and spatial torsion entry set.
-
-    Only the time component of the clock form is nonzero, so frame fields
-    with no time component lie in its kernel, and the observer's time
-    component 1/O_0 normalizes it.  Every other entry is 1 or 0 plus a small
-    term c*u*v; the (u, v) cycle starts at (t, x1), so the clock form is not
-    closed.  The frame stays near the coordinate frame and h diagonally
-    dominant in the box.
-    """
-    rng = np.random.default_rng([m, seed])
-    n = m - 1
-    names = ("t",) + tuple(f"x{i}" for i in range(1, m))
-    pairs = itertools.cycle(list(itertools.combinations_with_replacement(names, 2))[1:])
-
-    def term(scale):
-        u, v = next(pairs)
-        return f"{rng.choice([-1.0, 1.0]) * rng.uniform(0.5 * scale, scale):.3f}*{u}*{v}"
-
-    def one(text):
-        return parse_expr(text, names)
-
-    clock = f"1 + {term(0.1)}"
-    frame = [["0"] * m for _ in range(n)]
-    for a in range(n):
-        frame[a][1 + a] = f"1 + {term(0.1)}"
-    if n > 1:
-        frame[0][2] = term(0.1)
-    h = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            h[a][b] = h[b][a] = one(f"1 + {term(0.05)}" if a == b else term(0.05))
-    S = SpacetimeStructure(
-        coord_names=names, omega=exprs(names, clock, *["0"] * n),
-        frame=tuple(exprs(names, *f) for f in frame), metric=tuple(map(tuple, h)),
-        domain_box=((0.0, 1.0),) + ((-1.0, 1.0),) * n, sample_count=samples, rng_seed=seed)
-    z = ObserverField(exprs(names, f"1/({clock})", *[term(0.1) for _ in range(n)]))
-    D = ConnectionData(
-        gravity=exprs(names, *[f"0.3 + {term(0.3)}" for _ in range(n)]),
-        coriolis={(a, b): one(term(0.3)) for a in range(n) for b in range(a + 1, n)},
-        theta={(a, i, j): one(term(0.2))
-               for a in range(n) for i in range(m) for j in range(i + 1, m)})
-    return S, z, D
+    """Seeded (structure, observer, data) at chart dimension m: the synthetic
+    scenario (m, seed) that `benchmarks/synth.py` writes, with `samples`
+    sample points."""
+    scn = synth.synthetic_scenario(m, seed)
+    return replace(scn.structure, sample_count=samples), scn.observer, scn.data
 
 
 def gravity_data(g):

@@ -7,22 +7,20 @@ import json
 
 import numpy as np
 
+from conftest import NAMES2, bundled as _load, exprs, flat_structure
 import newcart.expr as expr_mod
 from newcart.cli import main
 from newcart.connection import ConnectionData, build_connection
 from newcart.dynamics import integrate_geodesic
 from newcart.expr import Const, apply, mul
-from newcart.scenario import bundled_scenario_path, load_scenario
+from newcart.geometry import ObserverField
+from newcart.scenario import bundled_scenario_path
 from newcart.verify import (check_compatibility_metric,
                             check_compatibility_omega, check_field_coeffs,
                             check_torsion_clock, check_roundtrip, fd_validate, run_all)
 from reference import omega_apply, torsion_at
 
 SCENARIOS = ("flat", "grav", "rot", "twist", "curvedh")
-
-
-def _load(name):
-    return load_scenario(bundled_scenario_path(name))
 
 
 def _report(num, label, ok):
@@ -159,16 +157,8 @@ def test_criterion_6_derivative_validation():
             ok = False
 
     # mutated-rule fixture: a corrupted sine rule must be caught
-    from newcart.geometry import ObserverField, SpacetimeStructure
-    from newcart.expr import parse_expr
-    names = ("t", "x")
-    S = SpacetimeStructure(
-        coord_names=names,
-        omega=(parse_expr("1", names), parse_expr("0", names)),
-        frame=((parse_expr("0", names), parse_expr("1", names)),),
-        metric=((parse_expr("1", names),),),
-        domain_box=((0.0, 1.0), (-1.0, 1.0)), sample_count=30, rng_seed=23)
-    z = ObserverField((parse_expr("1", names), parse_expr("0.2*sin(x)", names)))
+    S = flat_structure(30, 23, box=((0.0, 1.0), (-1.0, 1.0)))
+    z = ObserverField(exprs(NAMES2, "1", "0.2*sin(x)"))
     good_rule = expr_mod.FUNCTION_DERIVATIVES["sin"]
     try:
         expr_mod.FUNCTION_DERIVATIVES["sin"] = lambda u, du: mul(apply("sin", u), du)

@@ -1,18 +1,19 @@
 """Connection builder: hand oracles, brute-force oracle, observables."""
 
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (NAMES2, NAMES3, brute_force_gamma, coord_field, exprs,
+from conftest import (NAMES2, NAMES3, brute_force_gamma, bundled, coord_field, exprs,
                       flat_observer, flat_structure, curvedh_structure,
                       gravity_data, m4_data, m4_observer, m4_structure,
                       mixed_data, mixed_observer, mixed_structure,
                       rot_observer, rot_structure, synthetic_case,
-                      twist_structure)
+                      twist_observer, twist_structure)
 import newcart.expr as expr_mod
 from newcart.connection import (Connection, ConnectionData, build_connection,
                                 connection_from_exprs, gamma_of, observable_map, nabla,
@@ -20,15 +21,10 @@ from newcart.connection import (Connection, ConnectionData, build_connection,
 from newcart.errors import DimensionMismatch, DomainError, FrameDegenerate, MetricSingular
 from newcart.expr import Const, ZERO, differentiate, evaluate, parse_expr
 from newcart.expr import compile as compile_exprs
-from newcart.geometry import ObserverField, SpacetimeStructure, validate_structure
-from newcart.scenario import bundled_scenario_path, load_scenario
+from newcart.geometry import ObserverField, validate_structure
 from newcart.verify import check_roundtrip, run_all
 from reference import (covariant_derivative, eval_fields, frame_decompose,
                        metric_matrix, omega_apply, project_spatial, torsion_at)
-
-
-def twist_observer():
-    return ObserverField(exprs(NAMES3, "1", "0", "0"))
 
 
 def alternation_at(S, z, D, x_field, y_field, p):
@@ -318,6 +314,9 @@ def test_state_gamma_is_christoffel_bitwise(case):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+INPUTS = attrgetter("structure", "observer", "data")  # a scenario's (S, z, D)
+
+
 def _case(case):
     if case == "mixed":
         return mixed_structure(), mixed_observer(), mixed_data()
@@ -334,10 +333,10 @@ def _connection(case):
         return connection_from_exprs(curvedh_structure(), flat_observer(), table)
     if case == "mixed" or not isinstance(case, str):
         return build_connection(*_case(case))
-    scn = load_scenario(bundled_scenario_path(case))
+    scn = bundled(case)
     if scn.has_user_connection:
         return connection_from_exprs(scn.structure, scn.observer, scn.christoffel)
-    return build_connection(scn.structure, scn.observer, scn.data)
+    return build_connection(*INPUTS(scn))
 
 
 @pytest.mark.parametrize("case", ["mixed", 2, 3, 4, 5])
@@ -385,7 +384,7 @@ def test_gamma_is_a_function_of_point_values(m, monkeypatch):
 
 
 def test_kit_compiles_only_first_derivatives():
-    # the program holds the input and its first derivatives only (112 steps
+    # the program holds the input and its first derivatives only (103 steps
     # here; the symbolic alternation tables once took 774)
     S, z, D = synthetic_case(4, seed=3)
     groups = build_connection(S, z, D).program._groups
@@ -464,12 +463,8 @@ def test_observables_match_the_reference(m):
 def _one_field_structure(frame, metric):
     """A 2-dimensional structure with clock form dt, frame field E1 = (0,
     frame) and Gram matrix ((metric,),)."""
-    return SpacetimeStructure(
-        coord_names=NAMES2,
-        omega=exprs(NAMES2, "1", "0"),
-        frame=(exprs(NAMES2, "0", frame),),
-        metric=((parse_expr(metric, NAMES2),),),
-        domain_box=((0, 1), (-1, 1)), sample_count=5, rng_seed=1)
+    return replace(flat_structure(5, 1, box=((0, 1), (-1, 1))), frame=(exprs(NAMES2, "0", frame),),
+                   metric=((parse_expr(metric, NAMES2),),))
 
 
 def test_metric_singular_raises():
@@ -478,18 +473,13 @@ def test_metric_singular_raises():
         C.christoffel(np.array([0.5, 0.0]))
 
 
-def _bundled(name):
-    scn = load_scenario(bundled_scenario_path(name))
-    return scn.structure, scn.observer, scn.data
-
-
 SPRAY_CASES = {
     **{f"synthetic_m{m}_s{seed}": (lambda m=m, seed=seed: synthetic_case(m, seed))
        for m in range(2, 6) for seed in (1, 2, 3, 7)},
     "mixed": lambda: (mixed_structure(), mixed_observer(), mixed_data()),
     "m4": lambda: (m4_structure(samples=6), m4_observer(), m4_data()),
-    "twist": lambda: _bundled("twist"),
-    "curvedh": lambda: _bundled("curvedh"),
+    "twist": lambda: INPUTS(bundled("twist")),
+    "curvedh": lambda: INPUTS(bundled("curvedh")),
 }
 
 

@@ -6,9 +6,9 @@ import io
 import numpy as np
 import pytest
 
-from conftest import (NAMES2, exprs, flat_observer, flat_structure,
-                      curvedh_structure, gravity_data, rot_observer,
-                      rot_structure, synthetic_case)
+from conftest import (NAMES2, exprs, flat_observer, flat_structure, curvedh_structure,
+                      gravity_data, mixed_observer, rot_observer, rot_structure,
+                      synthetic_case, twist_observer, twist_structure)
 import newcart.connection as connection_mod
 from newcart import dynamics
 from newcart.connection import (ConnectionData, build_connection,
@@ -19,8 +19,7 @@ from newcart.dynamics import (COMPLETED, EVALUATION_FAILURE, LEFT_DOMAIN,
 from newcart.errors import DomainError, NewcartError
 from newcart.expr import Const, Program, ZERO, parse_expr
 from newcart.expr import compile as compile_exprs
-from newcart.geometry import ObserverField, SpacetimeStructure
-from newcart.scenario import bundled_scenario_path, load_scenario
+from newcart.geometry import ObserverField
 from reference import (christoffel_accel, frame_decompose, metric_matrix, omega_apply,
                        pairwise_rk4, project_spatial)
 
@@ -70,16 +69,9 @@ def test_flat_observer_flow():
 
 
 def test_flow_clock_pairing_is_one():
-    names = ("t", "x", "y")
-    S = SpacetimeStructure(
-        coord_names=names,
-        omega=exprs(names, "1", "0", "x"),
-        frame=(exprs(names, "0", "1", "0"), exprs(names, "-x", "0", "1")),
-        metric=((parse_expr("1", names), parse_expr("0", names)),
-                (parse_expr("0", names), parse_expr("1", names))),
-        domain_box=((0.0, 1.2), (-1.0, 1.0), (-1.0, 1.0)),
-        sample_count=5, rng_seed=1)
-    z = ObserverField(exprs(names, "1 - 0.25*x^2", "0.3*y", "0.25*x"))
+    S = dataclasses.replace(twist_structure(5, 1),
+                            domain_box=((0.0, 1.2), (-1.0, 1.0), (-1.0, 1.0)))
+    z = mixed_observer()
     traj = integrate_observer_flow(S, z, np.array([0.0, 0.2, 0.1]), 0.0, 1.0, 1e-2)
     pairings = [omega_apply(S, st.velocity, st.position) for st in traj.states]
     assert max(abs(v - 1.0) for v in pairings) <= 1e-9
@@ -134,9 +126,7 @@ def test_geodesic_clock_pairing_constant():
 def test_geodesic_clock_pairing_constant_nonconstant_clock_form():
     # clock form with a position-dependent component: conservation couples
     # the velocity components through the coefficients
-    from conftest import twist_structure
-    S = twist_structure()
-    z = ObserverField(exprs(("t", "x", "y"), "1", "0", "0"))
+    S, z = twist_structure(), twist_observer()
     C = build_connection(S, z, ConnectionData.zero(2))
     traj = integrate_geodesic(C, np.array([0.1, 0.0, 0.0]),
                               np.array([1.0, 0.3, 0.2]), 0.0, 0.5, 1e-2)
@@ -255,16 +245,13 @@ def test_free_fall_steps_as_the_pairwise_reference(m):
                                           x0, v0, 0.0, 0.3 * m, 0.05))
 
 
-def _bundled_flow(name):
-    scn = load_scenario(bundled_scenario_path(name))
-    return scn.structure, scn.observer
-
-
 # the bundled observers are constant; the last two are not, and sqrt fails at t > 1
-FLOWS = {name: lambda name=name: _bundled_flow(name) for name in ("flat", "rot", "twist")}
-FLOWS["exponential"] = lambda: (flat_structure(box=((-0.1, 1.3), (-1.0, 1.0))),
-                                ObserverField(exprs(NAMES2, "1", "x")))
-FLOWS["sqrt"] = lambda: (flat_structure(), ObserverField(exprs(NAMES2, "1", "sqrt(1 - t) + x")))
+FLOWS = {"flat": lambda: (flat_structure(), flat_observer()),
+         "rot": lambda: (rot_structure(), rot_observer()),
+         "twist": lambda: (twist_structure(), twist_observer()),
+         "exponential": lambda: (flat_structure(box=((-0.1, 1.3), (-1.0, 1.0))),
+                                 ObserverField(exprs(NAMES2, "1", "x"))),
+         "sqrt": lambda: (flat_structure(), ObserverField(exprs(NAMES2, "1", "sqrt(1 - t) + x")))}
 
 
 @pytest.mark.parametrize("name", FLOWS)

@@ -12,19 +12,14 @@ import numpy as np
 import pytest
 
 from conftest import (NAMES2, NAMES3, exprs, flat_observer, flat_structure,
-                      mixed_observer, mixed_structure, rot_structure, synthetic_case,
-                      twist_structure)
+                      mixed_observer, mixed_structure, rot_observer, rot_structure,
+                      synthetic_case, twist_observer, twist_structure)
 from newcart.errors import DimensionMismatch, FrameDegenerate
 from newcart.expr import Const, parse_expr, evaluate
 from newcart.connection import build_connection
-from newcart.geometry import (CLOCK_NONZERO_MARGIN, ObserverField, SpacetimeStructure,
-                              basis_inverse, fail_at_first, upper_pairs,
-                              validate_structure)
+from newcart.geometry import (CLOCK_NONZERO_MARGIN, ObserverField, basis_inverse,
+                              fail_at_first, upper_pairs, validate_structure)
 from reference import eval_fields, lie_bracket
-
-
-def twist_observer():
-    return ObserverField(exprs(NAMES3, "1", "0", "0"))
 
 
 def state_at(S, z, p):
@@ -201,25 +196,15 @@ def test_frame_decompose_twist_hand_value():
 
 
 def test_frame_decompose_degenerate_frame():
-    S = SpacetimeStructure(
-        coord_names=NAMES3,
-        omega=exprs(NAMES3, "1", "0", "0"),
-        frame=(exprs(NAMES3, "0", "1", "0"), exprs(NAMES3, "0", "2", "0")),
-        metric=((parse_expr("1", NAMES3), parse_expr("0", NAMES3)),
-                (parse_expr("0", NAMES3), parse_expr("1", NAMES3))),
-        domain_box=((0, 1), (-1, 1), (-1, 1)), sample_count=5, rng_seed=1)
+    S = replace(rot_structure(5, 1), frame=(exprs(NAMES3, "0", "1", "0"),
+                                            exprs(NAMES3, "0", "2", "0")))
     with pytest.raises(FrameDegenerate):
-        state_at(S, twist_observer(), np.array([0.0, 0.0, 0.0]))
+        state_at(S, rot_observer(), np.array([0.0, 0.0, 0.0]))
 
 
 def test_adapted_basis_guard_rejects_tiny_determinant():
     # B = (z, E_1) = diag(1, 1e-15) is invertible, but |det B| < 1e-14
-    S = SpacetimeStructure(
-        coord_names=NAMES2,
-        omega=exprs(NAMES2, "1", "0"),
-        frame=(exprs(NAMES2, "0", "1e-15"),),
-        metric=((parse_expr("1", NAMES2),),),
-        domain_box=((0, 1), (-1, 1)), sample_count=5, rng_seed=1)
+    S = replace(flat_structure(5, 1, box=((0, 1), (-1, 1))), frame=(exprs(NAMES2, "0", "1e-15"),))
     z, p = flat_observer(), np.array([0.5, 0.0])
     with pytest.raises(FrameDegenerate):
         basis_inverse(np.array([[1.0, 0.0], [0.0, 1e-15]]), p)
@@ -251,14 +236,8 @@ def test_inner_euclidean_and_symmetry():
 
 
 def test_inner_indefinite_metric():
-    S = SpacetimeStructure(
-        coord_names=NAMES3,
-        omega=exprs(NAMES3, "1", "0", "0"),
-        frame=(exprs(NAMES3, "0", "1", "0"), exprs(NAMES3, "0", "0", "1")),
-        metric=((parse_expr("1", NAMES3), parse_expr("0", NAMES3)),
-                (parse_expr("0", NAMES3), parse_expr("-1", NAMES3))),
-        domain_box=((0, 1), (-1, 1), (-1, 1)), sample_count=5, rng_seed=1)
-    z = ObserverField(exprs(NAMES3, "1", "0", "0"))
+    S = replace(rot_structure(5, 1), metric=((ONE3, ZERO3), (ZERO3, parse_expr("-1", NAMES3))))
+    z = rot_observer()
     assert validate_structure(S, z).passed
     e2 = np.array([0.0, 0.0, 1.0])
     assert inner(state_at(S, z, [0.5, 0.0, 0.0]), e2, e2) == -1.0
@@ -281,15 +260,8 @@ def test_validate_structure_bad_observer():
 
 
 def test_validate_structure_frame_not_annihilated():
-    S = SpacetimeStructure(
-        coord_names=NAMES3,
-        omega=exprs(NAMES3, "1", "0", "x"),
-        frame=(exprs(NAMES3, "0", "1", "0"), exprs(NAMES3, "0", "0", "1")),
-        metric=((parse_expr("1", NAMES3), parse_expr("0", NAMES3)),
-                (parse_expr("0", NAMES3), parse_expr("1", NAMES3))),
-        domain_box=((0, 1), (-1, 1), (-1, 1)), sample_count=30, rng_seed=17)
-    z = ObserverField(exprs(NAMES3, "1", "0", "0"))
-    report = validate_structure(S, z)
+    S = replace(twist_structure(30, 17), frame=rot_structure().frame)
+    report = validate_structure(S, twist_observer())
     entry = {e.name: e for e in report.entries}["frame annihilated by clock form"]
     assert not entry.passed
     assert entry.worst_point is not None
@@ -297,12 +269,8 @@ def test_validate_structure_frame_not_annihilated():
 
 def test_validate_structure_non_finite_frame_fails():
     # x^64 is inf for x above about 6.4e4, so E_1 is nan at most sample points
-    S = SpacetimeStructure(
-        coord_names=NAMES2,
-        omega=exprs(NAMES2, "1", "0"),
-        frame=(exprs(NAMES2, "0", "1 + x^64 - x^64"),),
-        metric=((parse_expr("1", NAMES2),),),
-        domain_box=((0, 1), (0, 1e5)), sample_count=20, rng_seed=0)
+    S = replace(flat_structure(20, 0, box=((0, 1), (0, 1e5))),
+                frame=(exprs(NAMES2, "0", "1 + x^64 - x^64"),))
     entries = {e.name: e for e in validate_structure(S, flat_observer()).entries}
     for name in ("frame annihilated by clock form", "frame rank"):
         assert np.isnan(entries[name].max_residual) and not entries[name].passed

@@ -1,14 +1,18 @@
 """Source hygiene: no module of the package imports a name it does not use,
 reaches into another object's private attributes, defines a top-level
 function or class that nothing reads, takes a parameter that it never
-reads, or keeps state at module level between calls."""
+reads, or keeps state at module level between calls.  The tests' shared
+helpers and the scripts are held to the first and fourth rules too."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "newcart"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "newcart"
+TESTS = ROOT / "tests"
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source):
@@ -34,6 +38,12 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}),
                          ids=lambda path: path.name)
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")) + SCRIPTS,
+                         ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_tests_and_scripts_import_no_unused_name(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
@@ -141,6 +151,14 @@ def test_unread_parameters_are_found():
 def test_every_parameter_is_read(path):
     handlers = command_handlers((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     assert unread_parameters(path.read_text(encoding="utf-8"), exempt=handlers) == []
+
+
+# the test modules are exempt: pytest fixtures and monkeypatched fakes take
+# parameters that they do not read on purpose
+@pytest.mark.parametrize("path", [TESTS / "conftest.py", TESTS / "reference.py"] + SCRIPTS,
+                         ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_shared_helpers_and_scripts_read_every_parameter(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
 
 
 CACHE_DECORATORS = {"cache", "lru_cache"}

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import bundled
 from newcart.cli import main
 from newcart.connection import connection_from_exprs
 from newcart.report import CheckEntry, CheckReport, make_entry
-from newcart.scenario import bundled_scenario_path, load_scenario
+from newcart.scenario import bundled_scenario_path
 from newcart.verify import run_all
 
 BUNDLED = ("flat", "grav", "rot", "twist", "curvedh", "bad_observer", "bad_frame",
@@ -102,7 +103,7 @@ def _oracle(report):
 
 
 def _bundled_report(name, expect_torsion_free):
-    scn = load_scenario(bundled_scenario_path(name))
+    scn = bundled(name)
     conn = (connection_from_exprs(scn.structure, scn.observer, scn.christoffel)
             if scn.has_user_connection else None)
     return run_all(scn.structure, scn.observer, data=scn.data, connection=conn,

@@ -5,11 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import (NAMES2, NAMES3, coord_field, exprs, flat_observer, flat_structure,
-                      curvedh_structure, gravity_data, m4_data, m4_observer,
-                      m4_structure, mixed_data, mixed_observer,
-                      mixed_structure, rot_observer, rot_structure,
-                      synthetic_case, twist_structure)
+from conftest import (NAMES2, bundled, coord_field, exprs, flat_observer, flat_structure,
+                      curvedh_structure, gravity_data, m4_data, m4_observer, m4_structure,
+                      mixed_data, mixed_observer, mixed_structure, rot_observer,
+                      rot_structure, synthetic_case, twist_observer, twist_structure)
 import newcart.expr as expr_mod
 import newcart.verify as verify_mod
 from newcart.connection import (Connection, ConnectionData, build_connection,
@@ -26,10 +25,6 @@ from newcart.verify import (FD_STEP, check_compatibility_metric,
                             check_compatibility_omega, check_field_coeffs, check_roundtrip,
                             check_torsion_clock, fd_validate, random_poly_coeffs,
                             run_all, torsion_free_feasibility)
-
-
-def twist_observer():
-    return ObserverField(exprs(NAMES3, "1", "0", "0"))
 
 
 def _zero_table(m):
@@ -182,6 +177,16 @@ def test_fd_validate_reads_the_states_derivative_tables(m):
         assert not fd_validate(C, scaled).passed, table
 
 
+def test_fd_validate_reads_dh_off_the_diagonal():
+    # the synthetic structures' off-diagonal h entries are constants;
+    # m4_structure's vary with position
+    C = build_connection(m4_structure(), m4_observer(), m4_data())
+    state = C.state()
+    assert fd_validate(C, state).passed
+    off_diagonal = 1 + 1e-4 * (1 - np.eye(C.structure.n))
+    assert not fd_validate(C, {**state, "dh": state["dh"] * off_diagonal}).passed
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_fd_check_reads_the_connections_tau(m):
     # the clock form is not closed, so a transposed tau is a wrong d omega;
@@ -253,8 +258,8 @@ def _fd_residuals_point_by_point(S, C, points, where=None):
 
 
 def test_fd_validate_skips_exactly_the_undefined_stencils(monkeypatch):
-    S = dataclasses.replace(flat_structure(), metric=((parse_expr("1 + sqrt(x)", NAMES2),),),
-                            domain_box=((0.0, 1.0), (-1.0, 1.0)), sample_count=40)
+    S = dataclasses.replace(flat_structure(40, box=((0.0, 1.0), (-1.0, 1.0))),
+                            metric=((parse_expr("1 + sqrt(x)", NAMES2),),))
     z = flat_observer()
     D = ConnectionData((parse_expr("log(x + 0.5)", NAMES2),), {}, {})
     C = build_connection(S, z, D)
@@ -272,7 +277,7 @@ def test_fd_validate_skips_exactly_the_undefined_stencils(monkeypatch):
 
 
 def test_fd_validate_skips_stencils_where_the_basis_is_singular(monkeypatch):
-    S = dataclasses.replace(flat_structure(samples=20), domain_box=((0.0, 1.0), (0.0, 1.0)))
+    S = flat_structure(20, box=((0.0, 1.0), (0.0, 1.0)))
     # E1 vanishes at c, the upper x stencil point of the first sample
     c = float(S.sample_points()[0][1] + FD_STEP)
     assert c == 0.2368205065960997
@@ -293,9 +298,8 @@ def test_fd_validate_skips_stencils_where_the_basis_is_singular(monkeypatch):
 def test_fd_validate_counts_only_the_stencils_inside_a_thin_box():
     # the inputs are defined everywhere, and the box is thinner than
     # 2 FD_STEP in t: every t stencil leaves it, so only x's count
-    S = dataclasses.replace(flat_structure(samples=10),
-                            metric=((parse_expr("1 + t*t + x*x/4", NAMES2),),),
-                            domain_box=((0.3, 0.3 + FD_STEP), (-1.0, 1.0)))
+    S = dataclasses.replace(flat_structure(10, box=((0.3, 0.3 + FD_STEP), (-1.0, 1.0))),
+                            metric=((parse_expr("1 + t*t + x*x/4", NAMES2),),))
     C = build_connection(S, ObserverField(exprs(NAMES2, "1", "t*x/5")))
     points = S.sample_points()
     where = []
@@ -309,7 +313,7 @@ def test_fd_validate_counts_only_the_stencils_inside_a_thin_box():
 
 @pytest.mark.parametrize("name", ["twist", "curvedh"])
 def test_fd_validate_on_a_clean_run_equals_the_point_by_point_reference(monkeypatch, name):
-    scn = load_scenario_text(bundled_scenario_path(name).read_text(encoding="utf-8"))
+    scn = bundled(name)
     C = build_connection(scn.structure, scn.observer, scn.data)
     points = scn.structure.sample_points()
     m = scn.structure.dim
@@ -362,7 +366,7 @@ def test_built_run_all_compiles_one_program_and_runs_two(m, monkeypatch):
 
 
 def test_failing_structure_run_all_compiles_one_program_and_runs_it_once(monkeypatch):
-    scn = load_scenario_text(bundled_scenario_path("bad_frame").read_text(encoding="utf-8"))
+    scn = bundled("bad_frame")
     compiled, runs = _count_compiles_and_runs(monkeypatch)
     report = run_all(scn.structure, scn.observer, data=scn.data)
     assert report.first_failure().name == "frame annihilated by clock form"
@@ -409,7 +413,7 @@ def test_run_all_user_connection_mode():
 
 
 def test_run_all_reads_seed_fields_and_points_from_a_given_connection():
-    scn = load_scenario_text(bundled_scenario_path("twist").read_text(encoding="utf-8"))
+    scn = bundled("twist")
     C = build_connection(scn.structure, scn.observer, scn.data)
     # a structure that differs from the connection's only in its seed
     report = run_all(dataclasses.replace(scn.structure, rng_seed=99), scn.observer,
@@ -450,9 +454,7 @@ def test_report_records_check_fields():
 
 
 def test_failing_entries_stay_failing_with_more_samples():
-    S = dataclasses.replace(twist_structure(), sample_count=20, rng_seed=17)
-    bad_frame = dataclasses.replace(
-        S, frame=(exprs(NAMES3, "0", "1", "0"), exprs(NAMES3, "0", "0", "1")))
+    bad_frame = dataclasses.replace(twist_structure(20, 17), frame=rot_structure().frame)
     z = twist_observer()
     small = run_all(bad_frame, z, data=ConnectionData.zero(2))
     grown = run_all(dataclasses.replace(bad_frame, sample_count=40), z,
