@@ -81,20 +81,36 @@ MUTANTS = [
     [(CONNECTION, "rhs += 2.0 * (om_i * om_j", "rhs -= 2.0 * (om_i * om_j"),
      (CONNECTION, "+ w * (state[\"gravity\"]", "- w * (state[\"gravity\"]"),
      (CONNECTION, '"gravity": (coframe @ nz', '"gravity": -(coframe @ nz')],
-    # a user table's Gamma replaced by gamma_of's; its group walked after the derivatives
-    (CONNECTION, "return gamma_of(state) if self.is_built else state", "return gamma_of(state)"),
-    (CONNECTION, '{**inputs, "gamma": self.gamma_exprs, **derivatives}',
-     '{**inputs, **derivatives, "gamma": self.gamma_exprs}'),
+    # a user table's Gamma replaced by gamma_of's in a shared run's state; its
+    # group walked after the derivatives; a state formed without Gamma
+    (CONNECTION, "values, points)\n        return gamma_of(state) if self.is_built else state",
+     "values, points)\n        return gamma_of(state)"),
+    (CONNECTION, '{**inputs, "gamma": gamma_exprs, **derivatives}',
+     '{**inputs, **derivatives, "gamma": gamma_exprs}'),
+    (CONNECTION, "else points)\n        return gamma_of(state) if self.is_built else state",
+     "else points)\n        return state"),
+    # tau compiled transposed; the finite-difference check drops z's entries
+    # from the rows group; the CLI builds every scenario from its data
+    (CONNECTION, '"tau": [[differentiate(e, i) for e in inputs["omega"]] for i in range(m)]',
+     '"tau": [[differentiate(e, j) for j in range(m)] for e in inputs["omega"]]'),
+    (VERIFY, '[type(e) is not Const for row in inputs["rows"] for e in row]',
+     '[False] * m + [type(e) is not Const for row in inputs["rows"][1:] for e in row]'),
+    (CLI, "scn.data, scn.christoffel)", "scn.data)"),
     # scenario files: any Unicode digit in an indexed key, an undecodable file
     # as a traceback, a leading byte order mark as content
     (SCENARIO, '"([0-9])", shape[1:]', r'r"(\\d)", shape[1:]'),
     (SCENARIO, "except (OSError, UnicodeDecodeError) as err:", "except OSError as err:"),
     (SCENARIO, 'encoding="utf-8-sig"', 'encoding="utf-8"'),
     # the compiled groups left in walk order, not level order; a runtime
-    # power's domain rules checked in reverse
+    # power's domain rules checked in reverse; a quotient's zero check placed
+    # after its numerator
     (EXPR, "schedule = sorted(groups.items(), key=lambda g: g[0][0])",
      "schedule = list(groups.items())"),
     (EXPR, "for reason, bad in masks.items()]", "for reason, bad in reversed(masks.items())]"),
+    (EXPR, "place = len(places)  # its zero check, before the numerator\n"
+           "                places.append(e)\n                key = (_divide, visit(e.left), den)",
+     "key = (_divide, visit(e.left), den)\n                place = len(places)\n"
+     "                places.append(e)"),
     # a function of a constant-in-x_i argument differentiated by the chain rule
     (EXPR, "return ZERO if _zero(du) else FUNCTION_DERIVATIVES[e.fn](e.arg, du)",
      "return FUNCTION_DERIVATIVES[e.fn](e.arg, du)"),

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import dynamics, verify
-from .connection import build_connection, connection_from_exprs, observable_map
+from .connection import Connection, observable_map
 from .errors import DomainError, NewcartError, ScenarioError
 from .expr import to_string
 from .scenario import load_scenario
@@ -69,9 +69,7 @@ def _error_text(err, names):
 
 
 def _connection_for(scn):
-    if scn.has_user_connection:
-        return connection_from_exprs(scn.structure, scn.observer, scn.christoffel)
-    return build_connection(scn.structure, scn.observer, scn.data)
+    return Connection(scn.structure, scn.observer, scn.data, scn.christoffel)
 
 
 def cmd_check(scn, args, parser):

@@ -70,7 +70,6 @@ names its lowest failing point, there the first fault in walk order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -222,18 +221,19 @@ class Connection:
     need not be symmetric.  A connection is of one of two kinds: built
     from `data`, zero data when none are given (`is_built`), or a user
     table `gamma_exprs`, which has no data; giving both raises ValueError.
-    Either kind is one program, walked in this order: the input groups
-    omega, rows and h, as `structure_inputs` gives them (rows [c][k] =
-    B_kc is the adapted basis, c = (z, E_1..E_n)); a user table's gamma;
-    the symbolic first derivatives d_rows [c][k][i] = d_i B_kc, dh and
-    tau = d omega, the tables the finite-difference check validates; and
-    a built connection's data.  Each entry is one output; z is
-    rows[..., 0, :] and the frame rows[..., 1:, :].  `state` runs it once
-    over points of shape (..., m), and `state_of` that run raises the
-    run's error, the lowest failing point's first fault in walk order, or
-    returns every value the checks and the observables read,
-    `spatial_state`'s and Gamma's, with the same leading axes; so a state
-    fails wherever any input, the table included, is undefined.  The data
+    Either kind is one program, compiled when the connection is built and
+    walked in this order: the input groups omega, rows and h, as
+    `structure_inputs` gives them (rows [c][k] = B_kc is the adapted
+    basis, c = (z, E_1..E_n)); a user table's gamma; the inputs' symbolic
+    first derivatives d_rows [c][k][i] = d_i B_kc, dh and tau = d omega,
+    which the finite-difference check validates; and a built connection's
+    data.  Each entry is one output; z is rows[..., 0, :] and the frame
+    rows[..., 1:, :].  `state` is `spray_state` at points (..., m) plus a
+    built connection's Gamma, and `state_of` the same from a run made
+    elsewhere; either raises the run's error, the lowest failing point's
+    first fault in walk order, or returns every value the checks and the
+    observables read, with the same leading axes; so a state fails
+    wherever any input, the table included, is undefined.  The data
     enter the state as point values only: gravity (..., n), coriolis
     (..., n, n) and theta (..., n, m, m), the layout `observable_map`
     returns.  A built connection's Gamma comes from the reduced relation
@@ -251,16 +251,17 @@ class Connection:
     `spray(x, v)` takes points x and velocities v (..., m) and returns
     Gamma^k_ij v^i v^j (..., m), all free fall reads, as
     `spray_at(spray_state(x), v)`: `spray_state` is the program run and
-    `spatial_state`, as in `state`, and `spray_at` is `spray_of`, so no
-    Gamma table is formed, or a user table's contraction.  It raises what
-    `christoffel` raises at the same points.
+    `spatial_state`, and `spray_at` is `spray_of`, so no Gamma table is
+    formed, or a user table's contraction.  It raises what `christoffel`
+    raises at the same points.
     """
 
     def __init__(self, structure, observer, data=None, gamma_exprs=None):
         self.structure = structure
         self.observer = observer
         m, n = structure.dim, structure.n
-        if gamma_exprs is None:  # built, from zero data when none are given
+        self.is_built = gamma_exprs is None
+        if self.is_built:  # from zero data when none are given
             data = ConnectionData.zero(n) if data is None else data
             if len(data.gravity) != n:
                 raise DimensionMismatch(f"gravity needs {n} components")
@@ -273,45 +274,33 @@ class Connection:
         elif not (len(gamma_exprs) == m and all(
                 len(plane) == m and all(len(row) == m for row in plane) for plane in gamma_exprs)):
             raise DimensionMismatch(f"Christoffel table must be {m}x{m}x{m}")
-        self.data, self.gamma_exprs = data, gamma_exprs
-        self.d_rows = [[[differentiate(e, i) for i in range(m)] for e in row]
-                       for row in structure_inputs(structure, observer)["rows"]]
-        self.dh = [[[differentiate(structure.metric[a][b], i) for b in range(n)]
-                    for a in range(n)] for i in range(m)]
-        self.tau = [[differentiate(structure.omega[j], i) for j in range(m)] for i in range(m)]
-
-    @property
-    def is_built(self):
-        return self.gamma_exprs is None
-
-    @cached_property
-    def program(self):
-        m, n, data = self.structure.dim, self.structure.n, self.data
         # the input first, in validate_structure's order: a fault names the same
         # node; then a user table, so its fault comes before a derivative's
-        inputs = structure_inputs(self.structure, self.observer)
-        derivatives = {"d_rows": self.d_rows, "dh": self.dh, "tau": self.tau}
-        if not self.is_built:
-            return compile_exprs({**inputs, "gamma": self.gamma_exprs, **derivatives})
-        return compile_exprs({
-            **inputs, **derivatives, "gravity": data.gravity,
-            "coriolis": [[data.coriolis_entry(a, b) for b in range(n)] for a in range(n)],
-            # theta[a][i][j] for i < j only: Theta^a_ij = theta[a][i][j] - theta[a][j][i]
-            "theta": [[[data.theta.get((a, i, j), ZERO) for j in range(m)]
-                       for i in range(m)] for a in range(n)]})
+        inputs = structure_inputs(structure, observer)
+        derivatives = {
+            "d_rows": [[[differentiate(e, i) for i in range(m)] for e in row]
+                       for row in inputs["rows"]],
+            "dh": [[[differentiate(e, i) for e in row] for row in inputs["h"]] for i in range(m)],
+            "tau": [[differentiate(e, i) for e in inputs["omega"]] for i in range(m)]}
+        if self.is_built:
+            self.program = compile_exprs({
+                **inputs, **derivatives, "gravity": data.gravity,
+                "coriolis": [[data.coriolis_entry(a, b) for b in range(n)] for a in range(n)],
+                # theta[a][i][j] for i < j only: Theta^a_ij = theta[a][i][j] - theta[a][j][i]
+                "theta": [[[data.theta.get((a, i, j), ZERO) for j in range(m)]
+                           for i in range(m)] for a in range(n)]})
+        else:
+            self.program = compile_exprs({**inputs, "gamma": gamma_exprs, **derivatives})
 
     def state(self, points=None):
-        """`state_of` one program run at `points`, by default the structure's
-        sample points."""
-        points = np.asarray(self.structure.sample_points() if points is None else points,
-                            dtype=float)
-        values, _, error = self.program.run(points)
-        return self.state_of(values, points, error)
+        """`spray_state` at `points`, by default the structure's sample
+        points, with gamma_of's Gamma for a built connection."""
+        state = self.spray_state(self.structure.sample_points() if points is None else points)
+        return gamma_of(state) if self.is_built else state
 
     def state_of(self, values, points, error):
-        """spatial_state of `values`, from a program run at points (..., m)
-        that raised `error` (None for a clean run), with gamma_of's Gamma
-        for a built connection; a user table's is its run's gamma group."""
+        """`state` from a program run made elsewhere, at points (..., m),
+        that raised `error` (None for a clean run)."""
         if error is not None:
             raise error
         state = spatial_state(values, points)

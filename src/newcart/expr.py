@@ -332,8 +332,9 @@ class Program:
     of its level and operation (a ufunc, a function kernel, one constant
     exponent, or `_pow` for a runtime exponent).  `_places` holds the node
     at each place of that walk where a fault may be reported: a quotient
-    reports a zero denominator at the place of the first quotient over it,
-    before that quotient's numerator.  A fault is reported in walk order.
+    checks its denominator for zero at its own place, right after the
+    denominator and before its numerator.  A fault is reported in walk
+    order, so a zero denominator names the first quotient over it.
     `_groups` holds, in level order, each group's (kernel, block, args,
     places), places None for a group that cannot fail; a group runs as
     one kernel call over a (slot, point) array and writes one contiguous
@@ -346,7 +347,7 @@ class Program:
     def __init__(self, exprs):
         tables = exprs if isinstance(exprs, dict) else {None: exprs}
         consts, coords, places, level, groups = [], [], [], {}, {}
-        keys, seen, checked, made = {}, {}, {}, []
+        keys, seen, made = {}, {}, []
 
         def visit(e):
             slot = seen.get(id(e))
@@ -368,10 +369,8 @@ class Program:
                 key = (_FUNCTION_KERNELS[e.fn], visit(e.arg))
             elif t is Div:
                 den = visit(e.right)
-                if den not in checked:
-                    checked[den] = len(places)
-                    places.append(e)
-                place = checked[den]
+                place = len(places)  # its zero check, before the numerator
+                places.append(e)
                 key = (_divide, visit(e.left), den)
             elif t is Pow and type(e.right) is Const:  # its kernel: _pow_by at one exponent
                 key = (("^", float(e.right.value)), visit(e.left))

@@ -26,13 +26,12 @@ small per-point solves used by the builder.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from .connection import build_connection, nabla, observable_map
 from .expr import Const
-from .geometry import basis_singular, structure_entries, upper_pairs, validate_structure
+from .geometry import (basis_singular, structure_entries, structure_inputs, upper_pairs,
+                       validate_structure)
 from .report import CheckReport, make_entry
 
 CLOCK_TOL = 1e-9
@@ -193,14 +192,14 @@ def fd_validate(connection, state):
     (n_points, m), n = stack.shape, structure.n
     lo, hi = np.array(structure.domain_box, dtype=float).reshape(m, 2).T
     inside = ((stack - FD_STEP >= lo) & (stack + FD_STEP <= hi)).T  # [direction, point]
-    h = structure.metric
+    inputs = structure_inputs(structure, connection.observer)
+    h = inputs["h"]
     # (group, its derivative table as [point, direction, flat entry], the flat
     # indices of its non-constant entries); the data are read as values only
     pairs = [(group, table, np.flatnonzero(varies)) for group, table, varies in (
-        ("omega", state["tau"], [type(e) is not Const for e in structure.omega]),
+        ("omega", state["tau"], [type(e) is not Const for e in inputs["omega"]]),
         ("rows", state["d_rows"].reshape(n_points, m * m, m).swapaxes(1, 2),
-         [type(e) is not Const for e in chain(connection.observer.components,
-                                              *structure.frame)]),
+         [type(e) is not Const for row in inputs["rows"] for e in row]),
         ("h", state["dh"].reshape(n_points, m, n * n),
          [a <= b and type(h[a][b]) is not Const for a in range(n) for b in range(n)]))]
     pairs = [pair for pair in pairs if pair[2].size]

@@ -16,11 +16,20 @@ from newcart.geometry import ObserverField, SpacetimeStructure
 from newcart.scenario import bundled_scenario_path, load_scenario
 from reference import eval_fields, frame_matrix, metric_matrix
 
-# loaded by path: with benchmarks/ on sys.path, its conftest would shadow this one
-_spec = importlib.util.spec_from_file_location(
-    "synth", Path(__file__).resolve().parents[1] / "benchmarks" / "synth.py")
-synth = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(synth)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_file(relative):
+    """The module of the file at `relative` under the repository root, loaded
+    by path: with benchmarks/ on sys.path, its conftest would shadow this one."""
+    spec = importlib.util.spec_from_file_location(Path(relative).stem, ROOT / relative)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+synth = load_file("benchmarks/synth.py")
+compare_outputs = load_file("scripts/compare_outputs.py")
 
 NAMES2 = ("t", "x")
 NAMES3 = ("t", "x", "y")

@@ -1,14 +1,12 @@
 """The verdict of scripts/bench_pairs.py on synthetic paired runs."""
 
-import importlib.util
 import json
 import subprocess
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
-_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+from conftest import load_file
+
+bench_pairs = load_file("scripts/bench_pairs.py")
 
 PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 100.5, 99.5, 103.0, 97.0, 100.0]
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import ROOT, compare_outputs
 from newcart import verify
 from newcart.cli import main
 from newcart.connection import build_connection
@@ -568,41 +569,20 @@ def test_flow_writes_each_row_as_it_integrates(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == trajectory_csv(traj, 2)
 
 
-# z is defined at every stored state but the last: the flow goes past c
-FLOW_EDGE = """[spacetime]
-dim = 2
-coords = t, x
-[omega]
-O = 1, 0
-[observer]
-z = 1, {z}
-[frame]
-E1 = 0, 1
-[metric]
-h11 = 1
-[domain]
-box = -5 5, {box}
-samples = 10
-seed = 1
-"""
-LEAVES, ENTERS = 0.027372805019272528, 3.4726271949807272
-
-
-@pytest.mark.parametrize("z,box,start,t1,termination,code", [
-    (f"-exp(t) + sqrt(x - {LEAVES}) - sqrt(x - {LEAVES})", f"{LEAVES} 20", "0,3.5", "3",
-     "left_domain", 0),
-    (f"exp(t) + sqrt({ENTERS} - x) - sqrt({ENTERS} - x)", "-20 20", "0,0", "3",
-     "evaluation_failure", 1),
+# z is defined at every stored state but the last: the flow goes past the
+# edge of z's domain; the fixtures are compare_outputs.py's
+@pytest.mark.parametrize("fixture,termination,code", [
+    ("edge_flow_left_domain", "left_domain", 0),
+    ("edge_flow_fails_at_a_state", "evaluation_failure", 1),
     # the last state completes the run: z fails only when the velocities are written
-    (f"exp(t) + sqrt({ENTERS} - x) - sqrt({ENTERS} - x)", "-20 20", "0,0", "1.5",
-     "evaluation_failure", 1),
+    ("edge_flow_fails_at_the_last_state", "evaluation_failure", 1),
 ], ids=["left_domain", "evaluation_failure", "completed"])
-def test_flow_keeps_every_state_when_z_fails_at_the_last(tmp_path, capsys, z, box, start,
-                                                         t1, termination, code):
+def test_flow_keeps_every_state_when_z_fails_at_the_last(tmp_path, capsys, fixture,
+                                                         termination, code):
+    fields, (command, *options) = compare_outputs.FIXTURES[fixture]
     path, out = tmp_path / "edge.scn", tmp_path / "flow.csv"
-    path.write_text(FLOW_EDGE.format(z=z, box=box), encoding="utf-8")
-    assert main(["flow", str(path), "--from", start, "--t1", t1, "--dt", "0.5",
-                 "--out", str(out)]) == code
+    path.write_text(compare_outputs.FIXTURE.format(**fields), encoding="utf-8")
+    assert main([command, str(path), *options, "--out", str(out)]) == code
     assert f"termination: {termination}" in capsys.readouterr().out
     rows = [[float(v) for v in line.split(",")] for line in out.read_text().split("\n")[1:-1]]
     assert [row[0] for row in rows] == [0.0, 0.5, 1.0, 1.5]
@@ -733,12 +713,16 @@ def test_an_abbreviated_option_is_a_usage_error(tmp_path, capsys, vel):
     assert stderr.endswith("error: the following arguments are required: --vel\n")
 
 
+def _readme_block(heading, language):
+    """The first fenced `language` block under README's `## heading`."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"## {heading}\n", 1)[1].split(f"```{language}\n", 1)[1].split("```")[0]
+
+
 def _documented_commands():
     """Every line of README's "Command line" block as argv, once for each
     choice of its [...] parts, with each scenario the bundled one."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    for line in block.splitlines():
+    for line in _readme_block("Command line", "sh").splitlines():
         parts = re.split(r"\[([^]]*)\]", line)  # fixed text and optional parts, alternating
         for keep in itertools.product((False, True), repeat=len(parts) // 2):
             words = "".join(part for k, part in enumerate(parts)
@@ -752,3 +736,13 @@ def _documented_commands():
 def test_every_documented_command_exits_0(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
+
+
+def test_the_library_example_prints_what_its_comments_say():
+    block, printed = _readme_block("Library example", "python"), []
+    exec(block, {"print": printed.append})
+    comments = [json.loads(line.split("#", 1)[1]) for line in block.splitlines()
+                if line.startswith("print(")]
+    assert len(comments) == 2
+    for value, comment in zip(printed, comments, strict=True):
+        assert np.max(np.abs(value - np.array(comment))) <= 1e-12

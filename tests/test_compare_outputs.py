@@ -1,16 +1,10 @@
 """scripts/compare_outputs.py finds no difference between a tree and itself,
 and names each output that one changed line moves."""
 
-import importlib.util
 import re
 import shutil
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-SCRIPT = ROOT / "scripts" / "compare_outputs.py"
-_spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
-compare_outputs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(compare_outputs)
+from conftest import ROOT, compare_outputs
 
 
 def test_the_tree_against_itself_exits_0(capsys):

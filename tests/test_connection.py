@@ -661,7 +661,6 @@ def test_christoffel_repeats_are_equal():
 def test_a_connection_keeps_nothing_but_its_program(case):
     # constant inputs included: every call reads a fresh state at its own points
     C = _connection(case)
-    C.program
     before = dict(vars(C))
     points = C.structure.sample_points()[:12].reshape(4, 3, -1)
     velocities = np.random.default_rng(8).uniform(-1.0, 1.0, points.shape)

@@ -1,15 +1,11 @@
 """scripts/mutants.py refuses a stale mutant list before it runs anything, and
 applies every edit of a mutant."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "mutants.py"
-_spec = importlib.util.spec_from_file_location("mutants", SCRIPT)
-mutants = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(mutants)
+from conftest import load_file
+
+mutants = load_file("scripts/mutants.py")
 
 
 def test_a_missing_or_repeated_old_text_exits_1_before_any_run(tmp_path, monkeypatch, capsys):

@@ -12,10 +12,10 @@ from conftest import (NAMES2, bundled, coord_field, exprs, flat_observer, flat_s
 import newcart.expr as expr_mod
 import newcart.verify as verify_mod
 from newcart.connection import (Connection, ConnectionData, build_connection,
-                                connection_from_exprs, nabla, observable_map,
+                                connection_from_exprs, gamma_of, nabla, observable_map,
                                 spatial_state)
 from newcart.errors import DomainError, NewcartError
-from newcart.expr import (Const, Coord, ZERO, apply, differentiate, evaluate, mul,
+from newcart.expr import (Const, Coord, ZERO, add, apply, differentiate, evaluate, mul,
                           parse_expr, to_string)
 from newcart.expr import compile as compile_exprs
 from newcart.geometry import ObserverField, SpacetimeStructure
@@ -177,26 +177,44 @@ def test_fd_validate_reads_the_states_derivative_tables(m):
         assert not fd_validate(C, scaled).passed, table
 
 
+def _varying_off_diagonal_m5():
+    """synthetic_case(5, 7), whose off-diagonal h entries are constants, with
+    0.05*x_a*x_b added to each h_ab at a != b."""
+    S, z, D = synthetic_case(5, 7)
+
+    def entry(a, b):
+        term = f"0.05*x{min(a, b) + 1}*x{max(a, b) + 1}"
+        return S.metric[a][b] if a == b else add(S.metric[a][b], parse_expr(term, S.coord_names))
+
+    metric = tuple(tuple(entry(a, b) for b in range(S.n)) for a in range(S.n))
+    return dataclasses.replace(S, metric=metric), z, D
+
+
 def test_fd_validate_reads_dh_off_the_diagonal():
     # the synthetic structures' off-diagonal h entries are constants;
-    # m4_structure's vary with position
-    C = build_connection(m4_structure(), m4_observer(), m4_data())
-    state = C.state()
-    assert fd_validate(C, state).passed
-    off_diagonal = 1 + 1e-4 * (1 - np.eye(C.structure.n))
-    assert not fd_validate(C, {**state, "dh": state["dh"] * off_diagonal}).passed
+    # m4_structure's vary with position, and so do the m = 5 case's
+    for S, z, D in [(m4_structure(), m4_observer(), m4_data()), _varying_off_diagonal_m5()]:
+        C = build_connection(S, z, D)
+        state = C.state()
+        assert run_all(S, z, D).passed and fd_validate(C, state).passed
+        off_diagonal = 1 + 1e-4 * (1 - np.eye(C.structure.n))
+        assert not fd_validate(C, {**state, "dh": state["dh"] * off_diagonal}).passed
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_fd_check_reads_the_connections_tau(m):
     # the clock form is not closed, so a transposed tau is a wrong d omega;
-    # the clock and torsion-clock checks read the same tau, so only the FD
-    # check can see it
+    # Gamma rebuilt from it, and the clock and torsion-clock checks, read
+    # the same tau, so only the FD check can see it
     S, z, D = synthetic_case(m, 7)
     C = build_connection(S, z, D)
-    C.tau = [list(row) for row in zip(*C.tau)]  # before first use
-    failed = [e.name for e in run_all(S, z, connection=C).entries if not e.passed]
-    assert failed == ["derivative finite-difference check"]
+    state = C.state()
+    state["tau"] = state["tau"].swapaxes(-1, -2)
+    gamma_of(state)
+    entries = [fd_validate(C, state), check_compatibility_omega(state, check_field_coeffs(S)),
+               check_compatibility_metric(state), check_torsion_clock(state),
+               check_roundtrip(state)]
+    assert [e.name for e in entries if not e.passed] == ["derivative finite-difference check"]
 
 
 def _fd_residuals_point_by_point(S, C, points, where=None):
@@ -644,7 +662,6 @@ def test_checks_read_the_kit_and_compile_nothing(monkeypatch, user):
         S, z, D = synthetic_case(4, seed=5)
         C = build_connection(S, z, D)
     points = S.sample_points()
-    C.program  # compiles the connection's program
     built = []
     init = expr_mod.Program.__init__
     monkeypatch.setattr(expr_mod.Program, "__init__",
