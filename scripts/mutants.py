@@ -47,12 +47,10 @@ MUTANTS = [
     # structure margins zeroed
     (GEOMETRY, '("clock form nonzero", 0.0, nonzero)', '("clock form nonzero", 0.0, 0 * nonzero)'),
     (GEOMETRY, '("frame rank", 0.0, rank_margin)', '("frame rank", 0.0, 0 * rank_margin)'),
-    # signs of the data in Gamma, the spray and the observable map
+    # signs of the data in Gamma and the observable map
     (CONNECTION, "rhs += 2.0 * (om_i * om_j", "rhs -= 2.0 * (om_i * om_j"),
-    (CONNECTION, "+ w * (state[\"gravity\"]", "- w * (state[\"gravity\"]"),
     (CONNECTION, '"gravity": (coframe @ nz', '"gravity": -(coframe @ nz'),
     (CONNECTION, "rhs += 2.0 * (om_i * cor", "rhs -= 2.0 * (om_i * cor"),
-    (CONNECTION, "2.0 * (qv @ state[\"coriolis\"])", "-2.0 * (qv @ state[\"coriolis\"])"),
     (CONNECTION, "0.5 * (pairing - np.swapaxes(pairing, -1, -2))",
      "0.5 * (np.swapaxes(pairing, -1, -2) - pairing)"),
     (CONNECTION, "rhs - pairs - pairs.swapaxes(-3, -2)", "rhs - pairs + pairs.swapaxes(-3, -2)"),
@@ -62,12 +60,8 @@ MUTANTS = [
     # the finite-difference check skips every off-diagonal entry of h
     (VERIFY, "[a <= b and type(h[a][b]) is not Const", "[a == b and type(h[a][b]) is not Const"),
     # the rows table read through a wrong view
-    (CONNECTION, 'state["rows"]\n    frame_t = rows[..., 1:, :]',
-     'state["rows"]\n    frame_t = rows[..., :-1, :]'),
-    (CONNECTION, 'state["theta"]\n    frame_t = rows[..., 1:, :]',
-     'state["theta"]\n    frame_t = rows[..., :-1, :]'),
+    (CONNECTION, "frame_t = rows[..., 1:, :]", "frame_t = rows[..., :-1, :]"),
     (CONNECTION, "(rows[..., 0, :, None, None]", "(rows[..., 1, :, None, None]"),
-    (CONNECTION, "return rows[..., 0, :] *", "return rows[..., 1, :] *"),
     (CONNECTION, 'basis_inverse(values["rows"].swapaxes(-1, -2), points)',
      'basis_inverse(values["rows"], points)'),
     (CONNECTION, 'values["d_rows"].swapaxes(-1, -3)', 'values["d_rows"].swapaxes(-1, -2)'),
@@ -77,18 +71,18 @@ MUTANTS = [
     (VERIFY, 'state["d_rows"][:, None, 1:]', 'state["d_rows"][:, None, :-1]'),
     (VERIFY, 'state["rows"][:, None, 1:]', 'state["rows"][:, None, :-1]'),
     (VERIFY, 'basis = value["rows"].swapaxes(-1, -2)', 'basis = value["rows"]'),
-    # gravity's sign flipped consistently in Gamma, the spray and the observable map
+    # gravity's sign flipped consistently in Gamma and the observable map
     [(CONNECTION, "rhs += 2.0 * (om_i * om_j", "rhs -= 2.0 * (om_i * om_j"),
-     (CONNECTION, "+ w * (state[\"gravity\"]", "- w * (state[\"gravity\"]"),
      (CONNECTION, '"gravity": (coframe @ nz', '"gravity": -(coframe @ nz')],
-    # a user table's Gamma replaced by gamma_of's in a shared run's state; its
-    # group walked after the derivatives; a state formed without Gamma
-    (CONNECTION, "values, points)\n        return gamma_of(state) if self.is_built else state",
-     "values, points)\n        return gamma_of(state)"),
+    # a user table's Gamma replaced by gamma_of's in a run's state; its group
+    # walked after the derivatives; a state formed without Gamma
+    (CONNECTION, "return gamma_of(state) if self.is_built else state",
+     "return gamma_of(state)"),
     (CONNECTION, '{**inputs, "gamma": gamma_exprs, **derivatives}',
      '{**inputs, **derivatives, "gamma": gamma_exprs}'),
-    (CONNECTION, "else points)\n        return gamma_of(state) if self.is_built else state",
-     "else points)\n        return state"),
+    (CONNECTION, "return self.state_of(values, points, error)",
+     "return spatial_state(values, points) if error is None else self.state_of("
+     "values, points, error)"),
     # tau compiled transposed; the finite-difference check drops z's entries
     # from the rows group; the CLI builds every scenario from its data
     (CONNECTION, '"tau": [[differentiate(e, i) for e in inputs["omega"]] for i in range(m)]',
@@ -124,10 +118,10 @@ MUTANTS = [
     (DYNAMICS, "self.fh.write(_row(state))",
      "self.fh.write(_row(getattr(self, 'before', state)))\n        self.before = state"),
     # free fall's stage pairs: X4 formed from V2, not V3; a pair's second
-    # stage reading the first position's state; a faulted pair raising its
-    # batched error instead of running its stages one point at a time
+    # stage reading the first position's table; a faulted pair raising its
+    # batched error instead of forming its tables one point at a time
     (DYNAMICS, "y[:m] + dtau * y3[m:]", "y[:m] + dtau * k2[:m]"),
-    (DYNAMICS, "for i in (0, 1)]", "for i in (0, 0)]"),
+    (DYNAMICS, "_free_fall_rate(tables[1]", "_free_fall_rate(tables[0]"),
     (DYNAMICS, "except NewcartError:  # one point", "except ArithmeticError:  # one point"),
 ]
 

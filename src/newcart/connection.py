@@ -34,20 +34,6 @@ is not the printed formula but the verification suite: clock and metric
 compatibility, the torsion-clock identity, and the data round trip must
 all hold on every scenario.
 
-Free fall reads only the spray Gamma^k_ij v^i v^j, so `spray_of`
-contracts the reduced relation with X = Y = v before the solve, on a
-state without Gamma that depends on the point alone
-(`Connection.spray_state`, read by `Connection.spray_at`).  The
-Theta^a_ij h_ab term is antisymmetric in (i, j) and drops out; with
-w(v) = w_i v^i and tau(v, v) = v^i v^j d_i w_j what is left of
-v^i v^j 2<P(nabla_i d_j), E_b> is
-
-    r_b = E_b^l (2 v^i v^j d_i g_jl - v^i v^j d_l g_ij)
-      + 2 w(v)^2 (h G)_b + 4 w(v) (Q v)^a om_ab - 2 (h Q v)_a Theta^a(v, E_b)
-
-and Gamma^k_ij v^i v^j = z^k tau(v, v) + E_a^k c^a with 2 h c = r: one
-n-vector per point is solved for instead of m^2 columns.
-
 Only the user input and its first derivatives are symbolic.  Everything
 downstream is numeric at each point: the coframe Q (rows 1..n of the
 inverse of the adapted basis B = (z, E_1..E_n), which the program emits
@@ -59,12 +45,14 @@ stack of points, and every check and observable reads that one state:
 frame coefficients come from its coframe, the observable triple from
 `observable_map`, and covariant derivatives from `nabla`.  Gamma itself,
 `gamma_of`, is a function of the state's point values, so any data values
-go in, the observable image of a state included; so is the spray,
-`spray_of`.  Both solve through `solve_metric`, which holds the one guard
-on a singular spatial metric.  A connection is one program and keeps no
-values: a user table is that program's gamma group, so Gamma of either
-kind is read from a fresh state at its own points, and a faulted run
-names its lowest failing point, there the first fault in walk order.
+go in, the observable image of a state included.  It solves through
+`solve_metric`, which holds the one guard on a singular spatial metric,
+and it is the one covariant-derivative kernel: free fall, too, reads
+Gamma^k_ij v^i v^j by contracting `christoffel`'s tables.  A connection
+is one program and keeps no values: a user table is that program's
+gamma group, so Gamma of either kind is read from a fresh state at its
+own points, and a faulted run names its lowest failing point, there the
+first fault in walk order.
 """
 
 from __future__ import annotations
@@ -145,25 +133,6 @@ def gamma_of(state):
     return state
 
 
-def spray_of(state, v):
-    """Gamma^k_ij v^i v^j (..., m) at a state's points for velocities v
-    (..., m), from the contracted relation: the values gamma_of reads, and
-    one solve per point for the frame coefficients of P(Gamma(v, v))."""
-    h, rows, theta = state["h"], state["rows"], state["theta"]
-    frame_t = rows[..., 1:, :].swapaxes(-1, -2)
-    row, col = v[..., None, :], v[..., :, None]
-    dgv = (state["dg"] @ col[..., None, :, :])[..., 0]  # [..., k, i] = d_k g_ij v^j
-    w = row @ state["omega"][..., :, None]  # w(v)
-    qv = row @ state["coframe"].swapaxes(-1, -2)  # [..., 0, a] = (Q v)^a
-    # [..., a, j] = Theta^a(v, d_j)
-    theta_v = (row[..., None, :, :] @ (theta - theta.swapaxes(-1, -2)))[..., 0, :]
-    # [..., 0, b] = E_b^l (2 v^i v^j d_i g_jl - v^i v^j d_l g_ij - 2 (h Q v)_a Theta^a(v, d_l))
-    r = (2.0 * (row @ dgv - qv @ h @ theta_v) - (dgv @ col).swapaxes(-1, -2)) @ frame_t
-    r += 2.0 * w * (2.0 * (qv @ state["coriolis"]) + w * (state["gravity"][..., None, :] @ h))
-    c = solve_metric(state, r.swapaxes(-1, -2))  # [..., a, 0]
-    return rows[..., 0, :] * (row @ state["tau"] @ col)[..., 0] + (frame_t @ c)[..., 0]
-
-
 def solve_metric(state, rhs):
     """c with 2 h c = rhs (..., n, k) at every point of a state, or
     MetricSingular at the first of its points p where |det h| <=
@@ -228,15 +197,14 @@ class Connection:
     first derivatives d_rows [c][k][i] = d_i B_kc, dh and tau = d omega,
     which the finite-difference check validates; and a built connection's
     data.  Each entry is one output; z is rows[..., 0, :] and the frame
-    rows[..., 1:, :].  `state` is `spray_state` at points (..., m) plus a
-    built connection's Gamma, and `state_of` the same from a run made
-    elsewhere; either raises the run's error, the lowest failing point's
-    first fault in walk order, or returns every value the checks and the
-    observables read, with the same leading axes; so a state fails
-    wherever any input, the table included, is undefined.  The data
-    enter the state as point values only: gravity (..., n), coriolis
-    (..., n, n) and theta (..., n, m, m), the layout `observable_map`
-    returns.  A built connection's Gamma comes from the reduced relation
+    rows[..., 1:, :].  `state` is `state_of` one program run at points
+    (..., m), and `state_of` forms the state of a run made elsewhere;
+    either raises the run's error, the lowest failing point's first fault
+    in walk order, or returns every value the checks and the observables
+    read, with the same leading axes; so a state fails wherever any
+    input, the table included, is undefined.  The data enter the state
+    as point values only: gravity (..., n), coriolis (..., n, n) and
+    theta (..., n, m, m), the layout `observable_map` returns.  A built connection's Gamma comes from the reduced relation
     of the module docstring: with coordinate fields and a spatial test
     vector its A terms reduce to the Theta data, so no alternation term
     is formed.
@@ -247,13 +215,6 @@ class Connection:
     fresh array at its own points, constant inputs included: nothing is
     cached beyond the compiled program, so memory does not grow with the
     number of points asked for.
-
-    `spray(x, v)` takes points x and velocities v (..., m) and returns
-    Gamma^k_ij v^i v^j (..., m), all free fall reads, as
-    `spray_at(spray_state(x), v)`: `spray_state` is the program run and
-    `spatial_state`, and `spray_at` is `spray_of`, so no Gamma table is
-    formed, or a user table's contraction.  It raises what `christoffel`
-    raises at the same points.
     """
 
     def __init__(self, structure, observer, data=None, gamma_exprs=None):
@@ -293,14 +254,17 @@ class Connection:
             self.program = compile_exprs({**inputs, "gamma": gamma_exprs, **derivatives})
 
     def state(self, points=None):
-        """`spray_state` at `points`, by default the structure's sample
-        points, with gamma_of's Gamma for a built connection."""
-        state = self.spray_state(self.structure.sample_points() if points is None else points)
-        return gamma_of(state) if self.is_built else state
+        """`state_of` one program run at `points`, by default the
+        structure's sample points."""
+        points = np.asarray(self.structure.sample_points() if points is None else points,
+                            dtype=float)
+        values, _, error = self.program.run(points)
+        return self.state_of(values, points, error)
 
     def state_of(self, values, points, error):
-        """`state` from a program run made elsewhere, at points (..., m),
-        that raised `error` (None for a clean run)."""
+        """The state of a program run at points (..., m) that raised `error`
+        (None for a clean run): `spatial_state`, with gamma_of's Gamma for a
+        built connection."""
         if error is not None:
             raise error
         state = spatial_state(values, points)
@@ -308,25 +272,6 @@ class Connection:
 
     def christoffel(self, p):
         return self.state(p)["gamma"]
-
-    def spray_state(self, x):
-        """One program run at points x (..., m), raising its error, and
-        `spatial_state`: what `spray_at` reads, a user table's gamma included."""
-        x = np.asarray(x, dtype=float)
-        values, _, error = self.program.run(x)
-        if error is not None:
-            raise error
-        return spatial_state(values, x)
-
-    def spray_at(self, state, v):
-        """Gamma^k_ij v^i v^j at the points of a `spray_state`, for v (..., m)."""
-        v = np.asarray(v, dtype=float)
-        if self.is_built:
-            return spray_of(state, v)
-        return np.einsum("...kij,...i,...j->...k", state["gamma"], v, v)
-
-    def spray(self, x, v):
-        return self.spray_at(self.spray_state(x), v)
 
 
 def build_connection(structure, observer, data=None):

@@ -2,13 +2,13 @@
 
 Both are one first-order system y' = f(y) whose state's first m entries
 are the position and the rest the velocity.  Free fall is y = (x, v) with
-f(y) = (v, -Gamma^k_ij v^i v^j) over the curve parameter, read from the
-connection's spray, so no stage forms a Gamma table.  The positions of a
-step's RK4 stages come in pairs, x and x + dtau/2 v, then x + dtau/2 V2
-and x + dtau V3 once stage 2 is done, so the connection's position part
-(`Connection.spray_state`) runs once per pair, twice per step, with the
-bits of plain RK4; where a pair's run raises, its stages run one point at
-a time through `Connection.spray`, so the error is a one-point stage's.  A
+f(y) = (v, -Gamma^k_ij v^i v^j) over the curve parameter, contracted from
+the connection's Gamma table at x.  The positions of a step's RK4 stages
+come in pairs, x and x + dtau/2 v, then x + dtau/2 V2 and x + dtau V3 once
+stage 2 is done, so `Connection.christoffel` runs once per pair, on a
+(2, m) stack, twice per step, with the bits of plain RK4; where a pair's
+call raises, its tables are formed one point at a time, the second only
+once the first is, so the error is a one-point stage's.  A
 flow line is y = x with the compiled observer field z as f, stepped by
 plain RK4, and its velocities are z at the states, nan only at a last
 state where z is undefined.  Steps are uniform; leaving the domain box is
@@ -24,7 +24,6 @@ the trajectory holds the last one as `final`, whatever the sink.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -72,18 +71,20 @@ def _free_fall_step(connection, y, dtau):
 
 
 def _stage_pair(connection, y, ya, xb, c):
-    """Free fall's k = (V, -spray(X, V)) at two RK4 stages from y: at ya, then
+    """Free fall's k = (V, -Gamma(V, V)) at two RK4 stages from y: at ya, then
     at y + c k_a, whose position xb is known before either runs."""
     m = len(y) // 2
     try:
-        state = connection.spray_state(np.stack([ya[:m], xb]))
-        sprays = [partial(connection.spray_at, {key: a[i] for key, a in state.items()})
-                  for i in (0, 1)]
+        tables = connection.christoffel(np.stack([ya[:m], xb]))
     except NewcartError:  # one point at a time, so a fault is named as one point's
-        sprays = [partial(connection.spray, ya[:m]), partial(connection.spray, xb)]
-    ka = np.concatenate([ya[m:], -sprays[0](ya[m:])])
-    yb = y + c * ka
-    return ka, np.concatenate([yb[m:], -sprays[1](yb[m:])])
+        tables = [connection.christoffel(ya[:m]), connection.christoffel(xb)]
+    ka = _free_fall_rate(tables[0], ya[m:])
+    return ka, _free_fall_rate(tables[1], y[m:] + c * ka[m:])
+
+
+def _free_fall_rate(table, v):
+    """(v, -Gamma^k_ij v^i v^j) from a point's Gamma table (m, m, m)."""
+    return np.concatenate([v, -np.einsum("kij,i,j->k", table, v, v)])
 
 
 def step_count(tau0, tau1, dtau):

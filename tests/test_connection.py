@@ -15,15 +15,17 @@ from conftest import (NAMES2, NAMES3, brute_force_gamma, bundled, coord_field, e
                       rot_observer, rot_structure, synthetic_case,
                       twist_observer, twist_structure)
 import newcart.expr as expr_mod
+from newcart import dynamics
 from newcart.connection import (Connection, ConnectionData, build_connection,
                                 connection_from_exprs, gamma_of, observable_map, nabla,
                                 spatial_state)
 from newcart.errors import DimensionMismatch, DomainError, FrameDegenerate, MetricSingular
 from newcart.expr import Const, ZERO, differentiate, evaluate, parse_expr
 from newcart.expr import compile as compile_exprs
+from newcart.dynamics import integrate_geodesic
 from newcart.geometry import ObserverField, validate_structure
 from newcart.verify import check_roundtrip, run_all
-from reference import (covariant_derivative, eval_fields, frame_decompose,
+from reference import (christoffel_accel, covariant_derivative, eval_fields, frame_decompose,
                        metric_matrix, omega_apply, project_spatial, torsion_at)
 
 
@@ -483,14 +485,25 @@ SPRAY_CASES = {
 }
 
 
-def _assert_spray_agrees(C, x, v):
-    """spray(x, v) against the contraction of christoffel(x), per point, to
-    4e-15 relative to max(1, |Gamma(v, v)|)."""
-    want = np.einsum("...kij,...i,...j->...k", C.christoffel(x), v, v)
-    got = C.spray(x, v)
-    assert got.shape == want.shape == x.shape
-    scale = np.maximum(1.0, np.max(np.abs(want), axis=-1, keepdims=True))
-    assert np.all(np.abs(got - want) <= 4e-15 * scale)
+def _assert_spray_is_each_points(C, x, v):
+    """The spray Gamma^k_ij v^i v^j contracted from christoffel's tables at
+    a stack of points x, as free fall contracts a stage pair's, is the
+    contraction of each point's own table, bit for bit."""
+    m = x.shape[-1]
+    tables = C.christoffel(x)
+    assert tables.shape == x.shape + (m, m)
+    for table, p, w in zip(tables.reshape(-1, m, m, m), x.reshape(-1, m), v.reshape(-1, m)):
+        want = np.einsum("kij,i,j->k", C.christoffel(p), w, w)
+        assert np.einsum("kij,i,j->k", table, w, w).tobytes() == want.tobytes()
+
+
+def _assert_stage_pair_is_each_stages(C, y, c):
+    """Free fall's two stages from y, at y and y + c k_a, read from one
+    christoffel call on the pair, are the one-point contractions there."""
+    accel, m = christoffel_accel(C), C.structure.dim
+    ka, kb = dynamics._stage_pair(C, y, y, y[:m] + c * y[m:], c)
+    assert ka.tobytes() == accel(y).tobytes()
+    assert kb.tobytes() == accel(y + c * ka).tobytes()
 
 
 @pytest.mark.parametrize("case", SPRAY_CASES)
@@ -500,11 +513,13 @@ def test_spray_is_the_contracted_christoffel_table(case):
     points = S.sample_points()
     rng = np.random.default_rng(23)
     velocities = rng.uniform(-1.0, 1.0, points.shape)
-    _assert_spray_agrees(C, points[0], velocities[0])  # one point
-    _assert_spray_agrees(C, points, velocities)  # the sample points
+    _assert_spray_is_each_points(C, points[0], velocities[0])  # one point
+    _assert_spray_is_each_points(C, points, velocities)  # the sample points
     k = len(points) // 2
-    _assert_spray_agrees(C, points[:2 * k].reshape(2, k, -1),
-                         velocities[:2 * k].reshape(2, k, -1))
+    _assert_spray_is_each_points(C, points[:2 * k].reshape(2, k, -1),
+                                 velocities[:2 * k].reshape(2, k, -1))
+    for x, v in zip(points[:3], velocities[:3]):
+        _assert_stage_pair_is_each_stages(C, np.concatenate([x, v]), 0.01)
 
 
 @pytest.mark.parametrize("name", ["zero_connection_curvedh", "grav"])  # a user table, constant
@@ -512,10 +527,9 @@ def test_spray_of_a_table_or_a_constant_connection_is_its_contraction(name):
     C = _connection(name)
     points = C.structure.sample_points()
     velocities = np.random.default_rng(5).uniform(-1.0, 1.0, points.shape)
-    stack = C.spray(points, velocities)
-    for x, v, row in zip(points, velocities, stack):
-        want = np.einsum("kij,i,j->k", C.christoffel(x), v, v)
-        assert np.array_equal(C.spray(x, v), want) and np.array_equal(row, want)
+    _assert_spray_is_each_points(C, points, velocities)
+    for x, v in zip(points, velocities):
+        _assert_stage_pair_is_each_stages(C, np.concatenate([x, v]), 0.01)
 
 
 @pytest.mark.parametrize("frame,metric,error,bad", [
@@ -524,17 +538,21 @@ def test_spray_of_a_table_or_a_constant_connection_is_its_contraction(name):
     ("x", "1", FrameDegenerate, [0.5, 0.0]),
 ])
 def test_spray_raises_what_christoffel_raises(frame, metric, error, bad):
+    # free fall from the bad point ends with christoffel's one-point error
+    # there, and a stack containing it names the bad point's index
     C = build_connection(_one_field_structure(frame, metric), flat_observer(),
                          ConnectionData.zero(1))
     good = [0.5, 0.5]
-    for x in (np.array(bad), np.array([good, good, bad, good])):
-        v = np.ones_like(x)
-        with pytest.raises(error) as want:
-            C.christoffel(x)
-        with pytest.raises(error) as got:
-            C.spray(x, v)
-        assert type(got.value) is type(want.value)
-        assert (str(got.value), got.value.point) == (str(want.value), want.value.point)
+    with pytest.raises(error) as want:
+        C.christoffel(np.array(bad))
+    traj = integrate_geodesic(C, np.array(bad), np.ones(2), 0.0, 0.1, 0.01)
+    assert (traj.termination, len(traj.states)) == ("evaluation_failure", 1)
+    assert type(traj.error) is type(want.value)
+    assert (str(traj.error), traj.error.point) == (str(want.value), 0)
+    with pytest.raises(error) as stack:
+        C.christoffel(np.array([good, good, bad, good]))
+    assert (type(stack.value), str(stack.value), stack.value.point) == (
+        type(want.value), str(want.value), 2)
 
 
 def test_z_and_a_frame_entry_faulting_at_one_point_name_zs_node_in_every_walk():
@@ -544,31 +562,30 @@ def test_z_and_a_frame_entry_faulting_at_one_point_name_zs_node_in_every_walk():
     z = ObserverField(exprs(NAMES2, "1", "log(x)"))
     C, points = build_connection(S, z), S.sample_points()
     faults = []
-    for call in (lambda: validate_structure(S, z), lambda: C.state(points),
-                 lambda: C.spray(points, np.ones_like(points))):
+    for call in (lambda: validate_structure(S, z), lambda: C.state(points)):
         with pytest.raises(DomainError) as err:
             call()
         faults.append((str(err.value), err.value.point, err.value.subexpression))
-    assert faults == [("log of non-positive argument in 'log(x1)'", 0, z.components[1])] * 3
+    assert faults == [("log of non-positive argument in 'log(x1)'", 0, z.components[1])] * 2
 
 
 @pytest.mark.parametrize("case", ["zero_connection_curvedh", "user"])
 def test_a_user_tables_gamma_and_spray_are_read_from_its_state(case):
-    # a user table is the gamma group of the connection's one program
+    # a user table is the gamma group of the connection's one program, and
+    # free fall contracts it where a stage pair's call reads it
     C = _connection(case)
     points = C.structure.sample_points()[:12].reshape(4, 3, -1)
     velocities = np.random.default_rng(9).uniform(-1.0, 1.0, points.shape)
-    for x, v in ((points[0, 0], velocities[0, 0]), (points, velocities)):
+    for x in (points[0, 0], points):
         gamma = C.state(x)["gamma"]
         got = C.christoffel(x)
         assert got.shape == gamma.shape and got.tobytes() == gamma.tobytes()
-        want = np.einsum("...kij,...i,...j->...k", gamma, v, v)
-        got = C.spray(x, v)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    _assert_spray_is_each_points(C, points, velocities)
+    _assert_stage_pair_is_each_stages(C, np.concatenate([points[0, 0], velocities[0, 0]]), 0.01)
 
 
 def _table_faults(entry, points):
-    """(message, point, subexpression) of what state, christoffel and spray
+    """(message, point, subexpression) of what state and christoffel
     raise at `points` for a user table whose one entry is `entry`, on a
     structure whose dh is undefined at x = 0 (h11 = 1 + x*sqrt(x))."""
     S = replace(_one_field_structure("1", "1 + x*sqrt(x)"), domain_box=((0, 1), (0, 1)))
@@ -576,7 +593,7 @@ def _table_faults(entry, points):
     table[1][1][1] = parse_expr(entry, NAMES2)
     C, points = connection_from_exprs(S, flat_observer(), table), np.array(points)
     faults = []
-    for call in (C.state, C.christoffel, lambda x: C.spray(x, np.ones_like(x))):
+    for call in (C.state, C.christoffel):
         with pytest.raises(DomainError) as err:
             call(points)
         faults.append((str(err.value), err.value.point, err.value.subexpression))
@@ -591,7 +608,7 @@ def test_a_derivative_fault_at_a_lower_point_comes_before_a_user_tables():
         compile_exprs([differentiate(h11, i) for i in range(2)])(points)
     assert want.value.point == 0
     assert _table_faults("sqrt(0.65 - t)", points) == [
-        (str(want.value), 0, want.value.subexpression)] * 3
+        (str(want.value), 0, want.value.subexpression)] * 2
 
 
 def test_a_derivative_fault_names_a_node_of_a_derivative_that_is_not_zero():
@@ -607,7 +624,7 @@ def test_a_user_table_and_a_derivative_faulting_at_one_point_name_the_tables_nod
     # there, walk order: the inputs, the table, then the derivatives
     entry = parse_expr("sqrt(0.4 - t)", NAMES2)
     faults = _table_faults("sqrt(0.4 - t)", [[0.5, 0.0], [0.7, 0.5]])
-    assert faults == [("sqrt of negative argument in 'sqrt(0.4 - x0)'", 0, entry)] * 3
+    assert faults == [("sqrt of negative argument in 'sqrt(0.4 - x0)'", 0, entry)] * 2
 
 
 def test_a_user_tables_gamma_is_undefined_where_its_frame_is_degenerate():
@@ -616,12 +633,11 @@ def test_a_user_tables_gamma_is_undefined_where_its_frame_is_degenerate():
     built, user = build_connection(S, z), connection_from_exprs(S, z, table)
     for x in (np.array([0.5, 0.0]), np.array([[0.5, 0.5], [0.5, 0.0]])):
         faults = []
-        for call in (built.christoffel, user.christoffel,
-                     lambda p: user.spray(p, np.ones_like(p))):
+        for call in (built.christoffel, user.christoffel):
             with pytest.raises(FrameDegenerate) as err:
                 call(x)
             faults.append((str(err.value), err.value.point))
-        assert faults == [("adapted basis singular at (0.5, 0.0)", x.ndim - 1)] * 3
+        assert faults == [("adapted basis singular at (0.5, 0.0)", x.ndim - 1)] * 2
 
 
 def test_user_supplied_connection_observables():
@@ -663,11 +679,8 @@ def test_a_connection_keeps_nothing_but_its_program(case):
     C = _connection(case)
     before = dict(vars(C))
     points = C.structure.sample_points()[:12].reshape(4, 3, -1)
-    velocities = np.random.default_rng(8).uniform(-1.0, 1.0, points.shape)
     C.christoffel(points[0, 0])
     C.christoffel(points)
-    C.spray(points[0, 0], velocities[0, 0])
-    C.spray(points, velocities)
     C.state()
     after = vars(C)
     assert after.keys() == before.keys()
@@ -687,7 +700,6 @@ def test_connection_keeps_no_per_point_state():
     rng = np.random.default_rng(12)
     for p in lo + (hi - lo) * rng.random((200, S.dim)):
         C.christoffel(p)
-        C.spray(p, p)
     assert sizes() == before
 
 

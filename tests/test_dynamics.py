@@ -9,9 +9,8 @@ import pytest
 from conftest import (NAMES2, exprs, flat_observer, flat_structure, curvedh_structure,
                       gravity_data, mixed_observer, rot_observer, rot_structure,
                       synthetic_case, twist_observer, twist_structure)
-import newcart.connection as connection_mod
 from newcart import dynamics
-from newcart.connection import (ConnectionData, build_connection,
+from newcart.connection import (Connection, ConnectionData, build_connection,
                                 connection_from_exprs)
 from newcart.dynamics import (COMPLETED, EVALUATION_FAILURE, LEFT_DOMAIN,
                               NUMERIC_FAILURE, integrate_geodesic,
@@ -241,8 +240,10 @@ def test_free_fall_steps_as_the_pairwise_reference(m):
     v0 = np.array([1.0] + [0.5 - 0.3 * i for i in range(1, m)])
     # m = 2, 3 complete, m = 4, 5 leave the box at t = 1
     traj = integrate_geodesic(C, x0, v0, 0.0, 0.3 * m, 0.05)
-    _assert_same_bits(traj, *pairwise_rk4(lambda x, v: (v, -C.spray(x, v)), S.domain_box,
-                                          x0, v0, 0.0, 0.3 * m, 0.05))
+    accel = christoffel_accel(C)
+    _assert_same_bits(traj, *pairwise_rk4(
+        lambda x, v: np.split(accel(np.concatenate([x, v])), 2), S.domain_box,
+        x0, v0, 0.0, 0.3 * m, 0.05))
 
 
 # the bundled observers are constant; the last two are not, and sqrt fails at t > 1
@@ -294,7 +295,7 @@ def test_a_faulted_stage_pair_keeps_the_one_point_error(start, stage):
         C, np.concatenate([last.position, last.velocity]), 1e-2)
     assert faulted == stage
     with pytest.raises(DomainError) as one_point:
-        C.spray(position, np.ones(2))
+        C.christoffel(position)
     assert one_point.value.point == 0
     assert (type(traj.error), str(traj.error), traj.error.point, traj.error.subexpression) == (
         DomainError, str(one_point.value), 0, one_point.value.subexpression)
@@ -323,16 +324,19 @@ def test_free_fall_runs_the_program_twice_per_step_at_two_points(monkeypatch):
     assert traj.termination == COMPLETED and runs == [(4,)] * (4 * steps + 1)
 
 
-def test_free_fall_on_a_built_connection_forms_no_gamma_table(monkeypatch):
+def test_a_clean_free_fall_step_reads_two_gamma_tables_of_a_stage_pair(monkeypatch):
     S, z, D = synthetic_case(4, 1)
-    C = build_connection(S, z, D)
+    C, calls = build_connection(S, z, D), []
+    christoffel = Connection.christoffel
 
-    def no_table(state):
-        raise AssertionError("free fall formed a Gamma table")
-    monkeypatch.setattr(connection_mod, "gamma_of", no_table)
+    def spied(self, p):
+        calls.append(np.shape(p))
+        return christoffel(self, p)
+    monkeypatch.setattr(Connection, "christoffel", spied)
     traj = integrate_geodesic(C, np.array([0.3, 0.1, -0.1, 0.2]),
-                              np.array([1.0, 0.2, -0.3, 0.1]), 0.0, 0.1, 0.02)
-    assert traj.termination == COMPLETED and len(traj.states) == 6
+                              np.array([1.0, 0.2, -0.3, 0.1]), 0.0, 0.02, 0.02)
+    assert traj.termination == COMPLETED and len(traj.states) == 2
+    assert calls == [(2, 4)] * 2
 
 
 def test_invalid_integration_arguments():
